@@ -60,12 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the scenario's output formats",
     )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="reserved; all computation is deterministic and ignores it",
-    )
 
     run_p = sub.add_parser(
         "run",

@@ -15,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    EQUALITY_ATOL,
     DimensionError,
     clamp_spectrum,
     hermitian_eig,
@@ -59,26 +58,49 @@ class CorrelatorSet:
 
 
 _SIGMA = {axis: pauli(axis) for axis in ("x", "y", "z")}
+_SIGMA_YY = kron(_SIGMA["y"], _SIGMA["y"])
 
 
 def _expect(rho: np.ndarray, op: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ op)))
 
 
-def polarization_vector(rho: np.ndarray) -> Polarization:
-    """Invert rho = I/2 + P.sigma: p_j = Tr[rho sigma_j] / 2."""
+def _bloch(rho: np.ndarray) -> Polarization:
+    """Validate a qubit density operator and reduce it to its Bloch vector P.
+
+    The spectrum of rho = I/2 + P.sigma is 1/2 +- |P|, so the positivity check
+    needs no eigensolver.
+    """
     rho = validate_density(rho, check_spectrum=False)
-    return Polarization(*(0.5 * _expect(rho, _SIGMA[j]) for j in ("x", "y", "z")))
+    if rho.shape != (2, 2):
+        raise DimensionError(f"expected a qubit state, got shape {rho.shape}")
+    p = Polarization(*(0.5 * _expect(rho, _SIGMA[j]) for j in ("x", "y", "z")))
+    clamp_spectrum((0.5 - p.norm(),))
+    return p
 
 
-def mean_energy(rho: np.ndarray) -> float:
-    """Tr[rho sigma_z]/2: the mean energy in units of hbar*omega."""
-    return 0.5 * _expect(validate_density(rho, check_spectrum=False), _SIGMA["z"])
+def _qubit_spectrum(r: float) -> np.ndarray:
+    """Ascending eigenvalues 1/2 -+ r of a qubit state with |P| = r."""
+    return np.array([0.5 - r, 0.5 + r])
+
+
+def _passive(r: float) -> np.ndarray:
+    return np.diag(_qubit_spectrum(r)).astype(complex)
 
 
 def _entropy_of(probs: np.ndarray) -> float:
     w = clamp_spectrum(np.asarray(probs, dtype=float))
     return float(-sum(p * math.log(p) for p in w if p > 0.0))
+
+
+def polarization_vector(rho: np.ndarray) -> Polarization:
+    """Invert rho = I/2 + P.sigma: p_j = Tr[rho sigma_j] / 2."""
+    return _bloch(rho)
+
+
+def mean_energy(rho: np.ndarray) -> float:
+    """Tr[rho sigma_z]/2: the mean energy in units of hbar*omega."""
+    return _bloch(rho).pz
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -88,48 +110,41 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 
 def relative_entropy_of_coherence(rho: np.ndarray) -> float:
-    """S(diag(rho)) - S(rho): energy-basis coherence in nats, always >= 0."""
-    rho = validate_density(rho, check_spectrum=False)
-    s_diag = _entropy_of(np.real(np.diag(rho)))
-    return s_diag - von_neumann_entropy(rho)
+    """S(diag(rho)) - S(rho): energy-basis coherence in nats, always >= 0.
 
-
-def dephase(rho: np.ndarray) -> np.ndarray:
-    """Full sigma_z-basis dephasing: keep the diagonal, drop all coherences."""
-    rho = validate_density(rho, check_spectrum=False)
-    return np.diag(np.diag(rho)).astype(complex)
+    The dephased state has |P| = |pz|, so both entropies are binary entropies
+    of 1/2 + |pz| and 1/2 + |P|.
+    """
+    p = _bloch(rho)
+    return _entropy_of(_qubit_spectrum(abs(p.pz))) - _entropy_of(_qubit_spectrum(p.norm()))
 
 
 def passive_state(rho: np.ndarray) -> np.ndarray:
     """The zero-ergotropy state with the same spectrum as rho.
 
     For a qubit with Hamiltonian (hbar*omega/2) sigma_z the passive state is
-    diagonal with the larger eigenvalue on the ground level |1>.
+    diag(1/2 - |P|, 1/2 + |P|): the larger eigenvalue sits on the ground level |1>.
     """
-    rho = validate_density(rho, check_spectrum=False)
-    w = clamp_spectrum(hermitian_eig(rho).eigenvalues)  # ascending
-    return np.diag([w[0], w[1]]).astype(complex)
+    return _passive(_bloch(rho).norm())
 
 
 def ergotropy(rho: np.ndarray) -> ErgotropyReport:
     """Maximum unitarily extractable work, split into incoherent and coherent parts.
 
-    total      = Tr[(rho - passive(rho)) H] with H = sigma_z/2 (hbar*omega units)
-    incoherent = ergotropy of the sigma_z-dephased state
-    coherent   = total - incoherent
+    total      = Tr[(rho - passive(rho)) H] = pz + |P|, with H = sigma_z/2
+                 (hbar*omega units)
+    incoherent = ergotropy of the sigma_z-dephased state = pz + |pz|
+    coherent   = total - incoherent = |P| - |pz| >= 0
 
-    The dephasing construction guarantees coherent >= 0 for qubits.
+    (Allahverdyan, Balian and Nieuwenhuizen, EPL 67, 565 (2004).)
     """
-    rho = validate_density(rho, check_spectrum=False)
-    tilde = passive_state(rho)
-    total = mean_energy(rho) - mean_energy(tilde)
-    dephased = dephase(rho)
-    incoherent = mean_energy(dephased) - mean_energy(passive_state(dephased))
+    p = _bloch(rho)
+    r = p.norm()
     return ErgotropyReport(
-        total=total,
-        incoherent=incoherent,
-        coherent=total - incoherent,
-        passive_state=tilde,
+        total=p.pz + r,
+        incoherent=p.pz + abs(p.pz),
+        coherent=r - abs(p.pz),
+        passive_state=_passive(r),
     )
 
 
@@ -152,25 +167,16 @@ def concurrence(joint: np.ndarray) -> float:
     """Wootters concurrence of a two-qubit state, in [0, 1].
 
     C = max(0, l1 - l2 - l3 - l4), where the l_i are the descending square
-    roots of the eigenvalues of sqrt(rho) rho_tilde sqrt(rho) and
-    rho_tilde = (sy x sy) conj(rho) (sy x sy). The product matrix is Hermitian
-    PSD, so only Hermitian eigensolves are needed.
+    roots of the eigenvalues of sqrt(rho) rho_tilde sqrt(rho), with
+    rho_tilde = (sy x sy) conj(rho) (sy x sy) (Wootters, PRL 80, 2245 (1998)).
+    Since sy x sy is real, symmetric and its own inverse, that matrix is A A^dagger
+    with A = sqrt(rho) (sy x sy) conj(sqrt(rho)), so the l_i are the singular
+    values of A. Taking them directly avoids square roots of eigenvalues near
+    zero, which cost about 1e-8 of accuracy on pure states.
     """
     joint = validate_density(joint, check_spectrum=False)
     if joint.shape != (4, 4):
         raise DimensionError("concurrence expects a two-qubit state")
-    yy = kron(_SIGMA["y"], _SIGMA["y"])
-    tilde = yy @ joint.conj() @ yy
     root = sqrtm_psd(joint)
-    m = root @ tilde @ root
-    m = (m + m.conj().T) / 2
-    lams = np.sqrt(clamp_spectrum(hermitian_eig(m).eigenvalues))[::-1]
-    c = float(lams[0] - lams[1] - lams[2] - lams[3])
-    return max(0.0, c)
-
-
-def is_coherent(rho: np.ndarray, atol: float = EQUALITY_ATOL) -> bool:
-    """True when any energy-basis off-diagonal element exceeds atol."""
-    rho = np.asarray(rho)
-    off = rho - np.diag(np.diag(rho))
-    return float(np.max(np.abs(off))) > atol
+    lams = np.linalg.svd(root @ _SIGMA_YY @ root.conj(), compute_uv=False)
+    return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))

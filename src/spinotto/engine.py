@@ -17,6 +17,7 @@ s+- = (sigma^x +- i sigma^y)/2 and theta = g*t.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -40,13 +41,6 @@ from .linalg import (
     pauli,
     validate_density,
 )
-
-# Swap-angle normalization: the exchange Hamiltonian written with the
-# unnormalized ladder operators sigma^+- = sigma^x +- i sigma^y carries a
-# matrix element 4g on the flip-flop subspace. The propagator below uses the
-# halved-ladder normalization, for which the matrix element is exactly g and
-# the subspace rotation angle equals theta = g*t.
-FLIP_FLOP_MATRIX_ELEMENT_OVER_G = 1.0
 
 
 class ConfigError(ValidationError):
@@ -78,6 +72,17 @@ class NoiseConfig:
         return self.battery_dephasing_per_reset == 1.0 and self.battery_t2_per_cycle == 1.0
 
 
+def _check_finite(name: str, value) -> float:
+    """float(value), or a ConfigError naming the field if it is not a finite number."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
 def _check_populations(name: str, pops) -> tuple[float, float]:
     try:
         a, b = (float(x) for x in pops)
@@ -94,15 +99,12 @@ def _check_populations(name: str, pops) -> tuple[float, float]:
 class EngineConfig:
     """All physical and protocol parameters of an engine run.
 
-    Frequencies are in arbitrary angular units; they only set the absolute
-    energy scale, never the dynamics, because every reported energy is already
-    expressed in units of hbar*omega of the respective qubit. Bath populations
-    are listed in basis order (excited, ground); the defaults are the
-    experimental bath diagonals diag(0.485, 0.515) and diag(0.03, 0.97).
+    Every reported energy is expressed in units of hbar*omega of the respective
+    qubit, so the qubit frequencies never enter. Bath populations are listed in
+    basis order (excited, ground); the defaults are the experimental bath
+    diagonals diag(0.485, 0.515) and diag(0.03, 0.97).
     """
 
-    omega_m: float = 1.0
-    omega_b: float = 1.0
     theta: float = math.pi / 4
     theta_compression: float | None = None
     p_mx: float = 0.45
@@ -113,9 +115,19 @@ class EngineConfig:
     cycles: int = 1
 
     def __post_init__(self):
+        for name in ("theta", "theta_compression", "p_mx"):
+            value = getattr(self, name)
+            if value is not None:
+                _check_finite(name, value)
+        cycles = self.cycles
+        if isinstance(cycles, bool) or not isinstance(cycles, numbers.Integral) or cycles < 1:
+            raise ConfigError(f"cycles must be a positive integer, got {cycles!r}")
+        object.__setattr__(self, "cycles", int(cycles))
         object.__setattr__(self, "hot_populations", _check_populations("hot_populations", self.hot_populations))
         object.__setattr__(self, "cold_populations", _check_populations("cold_populations", self.cold_populations))
-        object.__setattr__(self, "battery_init", Polarization(*(float(x) for x in self.battery_init)))
+        object.__setattr__(
+            self, "battery_init", Polarization(*(_check_finite("battery_init", x) for x in self.battery_init))
+        )
         p0, p1 = self.hot_populations
         bound = math.sqrt(p0 * p1)
         if abs(self.p_mx) > bound + 1e-12:
@@ -127,13 +139,6 @@ class EngineConfig:
             raise ConfigError(
                 f"battery polarization magnitude {self.battery_init.norm():.12g} exceeds 1/2"
             )
-        if self.cycles < 1:
-            raise ConfigError(f"cycles must be a positive integer, got {self.cycles}")
-        for name in ("omega_m", "omega_b", "theta"):
-            if not math.isfinite(float(getattr(self, name))):
-                raise ConfigError(f"{name} must be finite")
-        if self.theta_compression is not None and not math.isfinite(float(self.theta_compression)):
-            raise ConfigError("theta_compression must be finite")
 
     @property
     def compression_theta(self) -> float:

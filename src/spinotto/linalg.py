@@ -1,28 +1,20 @@
-"""Dense complex linear algebra for small Hilbert spaces (dim 2 to 16).
+"""Dense complex linear algebra for one and two qubits (dimension 2 and 4).
 
 Everything the engine touches is a plain complex numpy array. States and
 operators live in the product basis |m b> = {|00>, |01>, |10>, |11>} with the
 medium as the left tensor factor and |0> the +1 eigenstate of sigma_z (the
-excited state, energy +hbar*omega/2). Hermitian eigenproblems are solved with
-an in-house cyclic Jacobi iteration so results are reproducible bit-for-bit
-across platforms and library versions.
+excited state, energy +hbar*omega/2).
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 # Centralized numerical error budget.
 VALIDATION_ATOL = 1e-10   # hermiticity / trace / config checks
-EQUALITY_ATOL = 1e-12     # exact-identity assertions
 PSD_CLAMP = -1e-10        # eigenvalues above this are treated as 0
-JACOBI_OFFDIAG_TOL = 1e-13  # off-diagonal Frobenius norm at convergence
-
-MAX_DIM = 16
 
 
 class LinalgError(ValueError):
@@ -79,41 +71,13 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def hermitize(a: np.ndarray) -> np.ndarray:
-    """(A + A^dagger)/2, scrubbing tiny numerical asymmetries."""
-    a = as_complex(a)
-    return (a + a.conj().T) / 2
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_complex(a), as_complex(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_complex(a), as_complex(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"cannot add {a.shape} and {b.shape}")
-    return a + b
-
-
-def scale(alpha: complex, a: np.ndarray) -> np.ndarray:
-    return alpha * as_complex(a)
-
-
 def trace(a: np.ndarray) -> complex:
     return complex(np.trace(as_complex(a)))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; the medium is always the left factor in this package."""
-    a, b = as_complex(a), as_complex(b)
-    dim = a.shape[0] * b.shape[0]
-    if dim > MAX_DIM:
-        raise DimensionError(f"kron result dimension {dim} exceeds the {MAX_DIM} limit")
-    return np.kron(a, b)
+    return np.kron(as_complex(a), as_complex(b))
 
 
 def partial_trace(joint: np.ndarray, keep: str) -> np.ndarray:
@@ -138,13 +102,8 @@ def is_hermitian(a: np.ndarray, atol: float = VALIDATION_ATOL) -> bool:
     return float(np.max(np.abs(a - a.conj().T))) <= atol
 
 
-def hermitian_eig(h: np.ndarray, offdiag_tol: float = JACOBI_OFFDIAG_TOL) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Each sweep walks the upper triangle and annihilates one off-diagonal
-    element at a time with a complex plane rotation; sweeps repeat until the
-    off-diagonal Frobenius norm drops below `offdiag_tol`. Convergence is
-    quadratic, so a handful of sweeps suffices for the dimensions used here.
+def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
+    """Full eigendecomposition of a Hermitian matrix (LAPACK, via numpy.linalg.eigh).
 
     Returns eigenvalues sorted ascending and eigenvectors as the columns of a
     unitary matrix, ordered to match.
@@ -152,75 +111,8 @@ def hermitian_eig(h: np.ndarray, offdiag_tol: float = JACOBI_OFFDIAG_TOL) -> Eig
     h = as_complex(h)
     if not is_hermitian(h):
         raise ValidationError("hermitian_eig requires a Hermitian input")
-    n = h.shape[0]
-    a = hermitize(h).copy()
-    v = np.eye(n, dtype=complex)
-    mask = ~np.eye(n, dtype=bool)
-
-    for _ in range(60):
-        off2 = float(np.sum(np.abs(a[mask]) ** 2))
-        if off2 <= offdiag_tol * offdiag_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = complex(a[p, q])
-                mag = abs(apq)
-                diag_scale = abs(a[p, p].real) + abs(a[q, q].real)
-                if mag <= 1e-18 * diag_scale:
-                    # below double precision relative to the local diagonal:
-                    # the rotation angle would underflow, so just drop it
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                if mag == 0.0:
-                    continue
-                # Phase out the off-diagonal element, then a real rotation.
-                phase = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                gpq = s * phase.conjugate()
-                gqq = c * phase.conjugate()
-                # columns: [:,p], [:,q] <- [:,p]*c - [:,q]*s*conj(phase), [:,p]*s + [:,q]*c*conj(phase)
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - gpq * colq
-                a[:, q] = s * colp + gqq * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - gpq.conjugate() * rowq
-                a[q, :] = s * rowp + gqq.conjugate() * rowq
-                colp = v[:, p].copy()
-                colq = v[:, q].copy()
-                v[:, p] = c * colp - gpq * colq
-                v[:, q] = s * colp + gqq * colq
-                # the rotation zeroes this pair by construction
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    else:
-        raise ValidationError("Jacobi iteration failed to converge in 60 sweeps")
-
-    w = np.real(np.diag(a))
-    order = np.argsort(w, kind="stable")
-    return EigenDecomposition(w[order], v[:, order])
-
-
-def hermitian_function(h: np.ndarray, f: Callable[[float], complex]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    Computes V diag(f(lambda)) V^dagger. `f` may return complex values, so the
-    same routine yields propagators exp(-i*lambda*t), PSD square roots and
-    entropy integrands.
-    """
-    w, v = hermitian_eig(h)
-    fw = np.array([f(float(x)) for x in w], dtype=complex)
-    return (v * fw) @ v.conj().T
+    w, v = np.linalg.eigh(h)
+    return EigenDecomposition(w, v)
 
 
 def clamp_spectrum(w: np.ndarray) -> np.ndarray:
@@ -238,11 +130,6 @@ def sqrtm_psd(rho: np.ndarray) -> np.ndarray:
     w, v = hermitian_eig(rho)
     roots = np.sqrt(clamp_spectrum(w))
     return (v * roots) @ v.conj().T
-
-
-def propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H, unitary for real t."""
-    return hermitian_function(h, lambda lam: cmath.exp(-1j * lam * t))
 
 
 def validate_density(rho: np.ndarray, check_spectrum: bool = True) -> np.ndarray:

@@ -165,6 +165,8 @@ def _apply_sweep_value(config: EngineConfig, name: str, value) -> EngineConfig:
     if name in ("battery_dephasing_per_reset", "battery_t2_per_cycle"):
         return replace(config, noise=replace(config.noise, **{name: float(value)}))
     if name == "cycles":
+        if not float(value).is_integer():
+            raise ConfigError(f"cycles must be a positive integer, got {value!r}")
         return replace(config, cycles=int(value))
     raise ConfigError(f"unknown sweep field {name!r}")
 

@@ -137,6 +137,13 @@ def test_validation_error_exits_1(tmp_path, capsys):
     assert "positivity bound" in capsys.readouterr().err
 
 
+def test_non_integer_cycles_sweep_exits_1(tmp_path, capsys):
+    scn = tmp_path / "bad.scn"
+    scn.write_text("scenario = multicycle\n[sweep]\nfield = cycles\nvalues = 2.5\n")
+    assert main(["run", str(scn), "--output-dir", str(tmp_path)]) == 1
+    assert "cycles must be a positive integer" in capsys.readouterr().err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -189,11 +196,6 @@ def test_workers_flag_matches_serial_output(tmp_path):
         == 0
     )
     assert read(out1 / "single_cycle.csv") == read(out2 / "single_cycle.csv")
-
-
-def test_seed_flag_is_accepted(tmp_path):
-    out = tmp_path / "out"
-    assert main(["run", "fig3", "--output-dir", str(out), "--seed", "7"]) == 0
 
 
 def test_sweep_scenario_multiple_csvs(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from spinotto.diagnostics import (
     Polarization,
     concurrence,
-    dephase,
     ergotropy,
     mean_energy,
     passive_state,
@@ -16,7 +15,7 @@ from spinotto.diagnostics import (
     von_neumann_entropy,
 )
 from spinotto.engine import prepare_battery
-from spinotto.linalg import hermitian_function, kron, pauli
+from spinotto.linalg import DimensionError, ValidationError, kron, pauli
 
 MIXED = np.eye(2, dtype=complex) / 2
 GROUND = np.diag([0.0, 1.0]).astype(complex)
@@ -36,8 +35,53 @@ def random_density(rng, dim):
 
 
 def random_unitary(rng, dim):
-    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return hermitian_function((h + h.conj().T) / 2, lambda lam: np.exp(-1j * lam))
+    # Haar-random: QR of a complex Gaussian matrix with the phases of R removed
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def bloch_state(p):
+    return 0.5 * np.eye(2) + p[0] * pauli("x") + p[1] * pauli("y") + p[2] * pauli("z")
+
+
+def oracle_states():
+    """Pure (|P| = 1/2), maximally mixed, z-diagonal and random qubit states."""
+    rng = np.random.default_rng(11)
+    states = [MIXED, GROUND, EXCITED, PLUS_X, np.diag([0.03, 0.97]), np.diag([0.7, 0.3])]
+    for _ in range(50):
+        direction = rng.normal(size=3)
+        states.append(bloch_state(0.5 * direction / np.linalg.norm(direction)))
+        a = rng.uniform()
+        states.append(np.diag([a, 1.0 - a]).astype(complex))
+        states.append(random_density(rng, 2))
+    return states
+
+
+def entropy_of(probs):
+    return -sum(p * math.log(p) for p in probs if p > 0.0)
+
+
+def energy(rho):
+    return 0.5 * float(np.real(rho[0, 0] - rho[1, 1]))
+
+
+def eigen_oracle(rho):
+    """Ergotropy split, passive state and entropies from an eigendecomposition:
+    the general computation that the qubit closed forms replace."""
+    w = np.linalg.eigvalsh(rho)  # ascending: the larger weight goes to the ground level
+    passive = np.diag(w).astype(complex)
+    dephased = np.diag(np.real(np.diag(rho)))
+    total = energy(rho) - energy(passive)
+    incoherent = energy(dephased) - energy(np.diag(np.sort(np.diag(dephased))))
+    return {
+        "total": total,
+        "incoherent": incoherent,
+        "coherent": total - incoherent,
+        "passive": passive,
+        "entropy": entropy_of(w),
+        "coherence": entropy_of(np.diag(dephased)) - entropy_of(w),
+    }
 
 
 def test_polarization_vector_cases():
@@ -131,7 +175,7 @@ def test_ergotropy_invariants():
             mean_energy(rho) - mean_energy(report.passive_state), abs=1e-12
         )
         # diagonal states carry no coherent ergotropy
-        assert ergotropy(dephase(rho)).coherent == pytest.approx(0.0, abs=1e-13)
+        assert ergotropy(np.diag(np.diag(rho))).coherent == pytest.approx(0.0, abs=1e-13)
 
 
 def test_correlators_product_of_mixed():
@@ -190,3 +234,43 @@ def test_concurrence_range():
     for _ in range(30):
         c = concurrence(random_density(rng, 4))
         assert 0.0 <= c <= 1.0 + 1e-12
+
+
+def test_closed_forms_match_eigen_oracle():
+    # linear in the spectrum: a few ulps; entropies: log near p = 0 loses more
+    for rho in oracle_states():
+        want = eigen_oracle(rho)
+        report = ergotropy(rho)
+        assert abs(report.total - want["total"]) <= 1e-14
+        assert abs(report.incoherent - want["incoherent"]) <= 1e-14
+        assert abs(report.coherent - want["coherent"]) <= 1e-14
+        assert np.max(np.abs(report.passive_state - want["passive"])) <= 1e-14
+        assert np.max(np.abs(passive_state(rho) - want["passive"])) <= 1e-14
+        assert abs(von_neumann_entropy(rho) - want["entropy"]) <= 1e-12
+        assert abs(relative_entropy_of_coherence(rho) - want["coherence"]) <= 1e-12
+
+
+def test_qubit_diagnostics_reject_other_states():
+    qubit_fns = (
+        polarization_vector,
+        mean_energy,
+        ergotropy,
+        passive_state,
+        relative_entropy_of_coherence,
+    )
+    for fn in qubit_fns:
+        with pytest.raises(DimensionError):
+            fn(np.eye(4) / 4)
+        with pytest.raises(ValidationError):
+            fn(np.diag([1.5, -0.5]))  # |P| = 1: eigenvalue -1/2
+
+
+def test_concurrence_pure_states_exact():
+    # C(|psi><psi|) = |psi^T (sy x sy) psi| for every pure two-qubit state
+    rng = np.random.default_rng(8)
+    yy = kron(pauli("y"), pauli("y"))
+    for _ in range(200):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        expected = abs(psi @ yy @ psi)
+        assert abs(concurrence(np.outer(psi, psi.conj())) - expected) <= 1e-13

@@ -300,6 +300,21 @@ class TestEngineConfig:
         with pytest.raises(ConfigError):
             NoiseConfig(battery_t2_per_cycle=1.5)
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("p_mx", dict(p_mx=math.nan)),
+            ("theta", dict(theta=math.inf)),
+            ("theta_compression", dict(theta_compression=math.nan)),
+            ("battery_init", dict(battery_init=(math.nan, 0.0, 0.0))),
+            ("cycles", dict(cycles=2.5)),
+            ("cycles", dict(cycles=True)),
+        ],
+    )
+    def test_bad_numbers_rejected_naming_the_field(self, field, kwargs):
+        with pytest.raises(ConfigError, match=field):
+            EngineConfig(**kwargs)
+
     def test_compression_angle_defaults_to_theta(self):
         assert EngineConfig(theta=0.7).compression_theta == 0.7
         assert EngineConfig(theta=0.7, theta_compression=0.2).compression_theta == 0.2

@@ -221,6 +221,12 @@ class TestSweep:
             == 0.8
         )
 
+    def test_non_integer_cycles_rejected(self):
+        cfg = EngineConfig(cycles=2, **IDEAL)
+        for value in (2.7, math.nan):
+            with pytest.raises(ConfigError, match="cycles"):
+                sweep(cfg, "cycles", [value])
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             sweep(EngineConfig(), "coupling", [1.0])

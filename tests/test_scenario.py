@@ -4,6 +4,7 @@ import pytest
 
 from spinotto.engine import ConfigError, EngineConfig, NoiseConfig
 from spinotto.diagnostics import Polarization
+from spinotto.multicycle import compare_coherent_incoherent
 from spinotto.scenario import (
     PRESETS,
     ScenarioError,
@@ -52,6 +53,20 @@ def test_malformed_line_rejected():
 def test_bad_number_rejected():
     with pytest.raises(ScenarioError, match="line 3"):
         parse_scenario("scenario = multicycle\n[engine]\ntheta = fast\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "scenario = multicycle\n[engine]\np_mx = nan\n",
+        "scenario = multicycle\n[engine]\nbattery_init = 0.0, inf, 0.0\n",
+        "scenario = search-advantage\n[search]\ntheta = 0.1, inf\np_mx = 0.2\n",
+        "scenario = multicycle\n[sweep]\nfield = theta\nvalues = 0.1, nan\n",
+    ],
+)
+def test_non_finite_number_rejected_with_line_number(text):
+    with pytest.raises(ScenarioError, match=r"line \d+: expected a finite number"):
+        parse_scenario(text)
 
 
 def test_missing_scenario_key():
@@ -163,6 +178,22 @@ def test_fig3_preset_matches_shipped_file():
     assert preset.engine == from_file.engine
     assert preset.kind == from_file.kind
     assert preset.output == from_file.output
+
+
+def test_fig3_preset_claims():
+    # the claims made by the fig3 preset docstring and scenarios/fig3.scn
+    result = compare_coherent_incoherent(PRESETS["fig3"]().engine)
+    coherent, incoherent = result.coherent.records, result.incoherent.records
+    assert None not in result.advantage
+    negative = [r.cycle_index for r, a in zip(coherent, result.advantage) if a < 0]
+    assert negative == list(range(8, 19))
+    lead = [c.cumulative_work - i.cumulative_work for c, i in zip(coherent, incoherent)]
+    assert all(x > 0 for x in lead[1:])
+    assert lead[1] == pytest.approx(0.035, abs=5e-4)
+    assert max(range(20), key=lambda k: lead[k]) + 1 == 7
+    assert lead[6] == pytest.approx(0.175, abs=5e-4)
+    assert lead[19] == pytest.approx(0.119, abs=5e-4)
+    assert max(coherent, key=lambda r: r.cumulative_work).cycle_index == 8
 
 
 def test_fig2_preset_variants():
