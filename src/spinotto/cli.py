@@ -12,7 +12,6 @@ import itertools
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import __version__
@@ -20,6 +19,7 @@ from .engine import ConfigError, EngineConfig, NoiseConfig
 from .linalg import LinalgError
 from .multicycle import (
     compare_coherent_incoherent,
+    map_configs,
     peak_advantage,
     run_engine,
     sweep,
@@ -234,11 +234,7 @@ def _search_grid(s: ScenarioFile):
 
 def _run_search(s: ScenarioFile, args) -> tuple[list[str], dict]:
     points, configs = _search_grid(s)
-    if args.workers > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            comparisons = list(pool.map(compare_coherent_incoherent, configs))
-    else:
-        comparisons = [compare_coherent_incoherent(c) for c in configs]
+    comparisons = map_configs(compare_coherent_incoherent, configs, args.workers)
 
     best = None  # (ratio, cycle, point index); strict > keeps the lex-smallest point
     rows = []
@@ -354,6 +350,8 @@ def cmd_search(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     try:
         return args.func(args)
     except ScenarioError as exc:

@@ -57,8 +57,9 @@ class CorrelatorSet:
     joint: tuple[float, float, float]
 
 
-_SIGMA = {axis: pauli(axis) for axis in ("x", "y", "z")}
-_SIGMA_YY = kron(_SIGMA["y"], _SIGMA["y"])
+_AXES = ("x", "y", "z")
+_SIGMA = {axis: pauli(axis) for axis in _AXES}
+_SIGMA_PAIR = {axis: kron(_SIGMA[axis], _SIGMA[axis]) for axis in _AXES}  # sigma^j (x) sigma^j
 
 
 def _expect(rho: np.ndarray, op: np.ndarray) -> float:
@@ -74,7 +75,7 @@ def _bloch(rho: np.ndarray) -> Polarization:
     rho = validate_density(rho, check_spectrum=False)
     if rho.shape != (2, 2):
         raise DimensionError(f"expected a qubit state, got shape {rho.shape}")
-    p = Polarization(*(0.5 * _expect(rho, _SIGMA[j]) for j in ("x", "y", "z")))
+    p = Polarization(*(0.5 * _expect(rho, _SIGMA[j]) for j in _AXES))
     clamp_spectrum((0.5 - p.norm(),))
     return p
 
@@ -110,12 +111,16 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 
 def relative_entropy_of_coherence(rho: np.ndarray) -> float:
-    """S(diag(rho)) - S(rho): energy-basis coherence in nats, always >= 0.
+    """S(diag(rho)) - S(rho): energy-basis coherence in nats, always >= 0."""
+    return coherence_of_bloch(_bloch(rho))
+
+
+def coherence_of_bloch(p: Polarization) -> float:
+    """relative_entropy_of_coherence of the qubit state with Bloch vector p.
 
     The dephased state has |P| = |pz|, so both entropies are binary entropies
     of 1/2 + |pz| and 1/2 + |P|.
     """
-    p = _bloch(rho)
     return _entropy_of(_qubit_spectrum(abs(p.pz))) - _entropy_of(_qubit_spectrum(p.norm()))
 
 
@@ -138,7 +143,11 @@ def ergotropy(rho: np.ndarray) -> ErgotropyReport:
 
     (Allahverdyan, Balian and Nieuwenhuizen, EPL 67, 565 (2004).)
     """
-    p = _bloch(rho)
+    return ergotropy_of_bloch(_bloch(rho))
+
+
+def ergotropy_of_bloch(p: Polarization) -> ErgotropyReport:
+    """ergotropy of the qubit state with Bloch vector p."""
     r = p.norm()
     return ErgotropyReport(
         total=p.pz + r,
@@ -155,11 +164,10 @@ def pauli_correlators(joint: np.ndarray) -> CorrelatorSet:
         raise DimensionError("pauli_correlators expects a two-qubit state")
     rho_m = partial_trace(joint, "medium")
     rho_b = partial_trace(joint, "battery")
-    axes = ("x", "y", "z")
     return CorrelatorSet(
-        medium=tuple(_expect(rho_m, _SIGMA[j]) for j in axes),
-        battery=tuple(_expect(rho_b, _SIGMA[j]) for j in axes),
-        joint=tuple(_expect(joint, kron(_SIGMA[j], _SIGMA[j])) for j in axes),
+        medium=tuple(_expect(rho_m, _SIGMA[j]) for j in _AXES),
+        battery=tuple(_expect(rho_b, _SIGMA[j]) for j in _AXES),
+        joint=tuple(_expect(joint, _SIGMA_PAIR[j]) for j in _AXES),
     )
 
 
@@ -178,5 +186,5 @@ def concurrence(joint: np.ndarray) -> float:
     if joint.shape != (4, 4):
         raise DimensionError("concurrence expects a two-qubit state")
     root = sqrtm_psd(joint)
-    lams = np.linalg.svd(root @ _SIGMA_YY @ root.conj(), compute_uv=False)
+    lams = np.linalg.svd(root @ _SIGMA_PAIR["y"] @ root.conj(), compute_uv=False)
     return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))

@@ -27,12 +27,11 @@ from .diagnostics import (
     CorrelatorSet,
     ErgotropyReport,
     Polarization,
+    coherence_of_bloch,
     concurrence,
-    ergotropy,
-    mean_energy,
+    ergotropy_of_bloch,
     pauli_correlators,
     polarization_vector,
-    relative_entropy_of_coherence,
 )
 from .linalg import (
     ValidationError,
@@ -95,6 +94,27 @@ def _check_populations(name: str, pops) -> tuple[float, float]:
     return (a, b)
 
 
+def _check_p_mx(p_mx, populations: tuple[float, float]) -> float:
+    """p_mx as a float, or a ConfigError naming it if it breaks positivity."""
+    p_mx = _check_finite("p_mx", p_mx)
+    p0, p1 = populations
+    bound = math.sqrt(p0 * p1)
+    if abs(p_mx) > bound + 1e-12:
+        raise ConfigError(
+            f"p_mx: |p_mx| = {abs(p_mx)} exceeds the positivity bound "
+            f"sqrt(p0*p1) = {bound:.12g} for hot populations ({p0}, {p1})"
+        )
+    return p_mx
+
+
+def _check_battery(p) -> Polarization:
+    """p as a Polarization, or a ConfigError naming battery_init if |P| > 1/2."""
+    p = Polarization(*(_check_finite("battery_init", x) for x in p))
+    if p.norm() > 0.5 + 1e-12:
+        raise ConfigError(f"battery_init: polarization magnitude {p.norm():.12g} exceeds 1/2")
+    return p
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """All physical and protocol parameters of an engine run.
@@ -115,7 +135,7 @@ class EngineConfig:
     cycles: int = 1
 
     def __post_init__(self):
-        for name in ("theta", "theta_compression", "p_mx"):
+        for name in ("theta", "theta_compression"):
             value = getattr(self, name)
             if value is not None:
                 _check_finite(name, value)
@@ -125,20 +145,8 @@ class EngineConfig:
         object.__setattr__(self, "cycles", int(cycles))
         object.__setattr__(self, "hot_populations", _check_populations("hot_populations", self.hot_populations))
         object.__setattr__(self, "cold_populations", _check_populations("cold_populations", self.cold_populations))
-        object.__setattr__(
-            self, "battery_init", Polarization(*(_check_finite("battery_init", x) for x in self.battery_init))
-        )
-        p0, p1 = self.hot_populations
-        bound = math.sqrt(p0 * p1)
-        if abs(self.p_mx) > bound + 1e-12:
-            raise ConfigError(
-                f"|p_mx| = {abs(self.p_mx)} exceeds the positivity bound "
-                f"sqrt(p0*p1) = {bound:.12g} for hot populations ({p0}, {p1})"
-            )
-        if self.battery_init.norm() > 0.5 + 1e-12:
-            raise ConfigError(
-                f"battery polarization magnitude {self.battery_init.norm():.12g} exceeds 1/2"
-            )
+        object.__setattr__(self, "battery_init", _check_battery(self.battery_init))
+        _check_p_mx(self.p_mx, self.hot_populations)
 
     @property
     def compression_theta(self) -> float:
@@ -190,12 +198,7 @@ def prepare_hot_medium(p_mx: float, populations: Sequence[float]) -> np.ndarray:
     ConfigError naming that bound.
     """
     p0, p1 = _check_populations("hot_populations", populations)
-    bound = math.sqrt(p0 * p1)
-    if abs(p_mx) > bound + 1e-12:
-        raise ConfigError(
-            f"|p_mx| = {abs(p_mx)} exceeds the positivity bound sqrt(p0*p1) = {bound:.12g}"
-        )
-    rho = np.diag([p0, p1]).astype(complex) + p_mx * pauli("x")
+    rho = np.diag([p0, p1]).astype(complex) + _check_p_mx(p_mx, (p0, p1)) * pauli("x")
     return validate_density(rho)
 
 
@@ -207,9 +210,7 @@ def prepare_cold_medium(populations: Sequence[float]) -> np.ndarray:
 
 def prepare_battery(p: Polarization | Sequence[float]) -> np.ndarray:
     """Battery state I/2 + px*sx + py*sy + pz*sz for |P| <= 1/2."""
-    p = Polarization(*(float(x) for x in p))
-    if p.norm() > 0.5 + 1e-12:
-        raise ConfigError(f"battery polarization magnitude {p.norm():.12g} exceeds 1/2")
+    p = _check_battery(p)
     rho = 0.5 * pauli("identity") + p.px * pauli("x") + p.py * pauli("y") + p.pz * pauli("z")
     return validate_density(rho)
 
@@ -276,44 +277,26 @@ def closed_form_work(config: EngineConfig) -> WorkBreakdown:
 
 def make_cycle_record(
     index: int,
-    cycle_work: float,
-    cumulative_work: float,
+    energy_in: float,
+    work_before: float,
     battery: np.ndarray,
     post_stroke_joint: np.ndarray,
 ) -> CycleRecord:
-    """Assemble the full diagnostic record for one completed cycle."""
+    """Assemble the full diagnostic record for one completed cycle.
+
+    energy_in is the battery energy when the cycle began, work_before the
+    cumulative work of the earlier cycles. Work, polarization, ergotropy and
+    coherence are all read off one Bloch vector of the battery state.
+    """
+    p = polarization_vector(battery)
+    work = p.pz - energy_in
     return CycleRecord(
         cycle_index=index,
-        cycle_work=cycle_work,
-        cumulative_work=cumulative_work,
-        battery_polarization=polarization_vector(battery),
-        ergotropy=ergotropy(battery),
-        coherence_rel_entropy=relative_entropy_of_coherence(battery),
+        cycle_work=work,
+        cumulative_work=work_before + work,
+        battery_polarization=p,
+        ergotropy=ergotropy_of_bloch(p),
+        coherence_rel_entropy=coherence_of_bloch(p),
         concurrence_post_stroke=concurrence(post_stroke_joint),
         correlators=pauli_correlators(post_stroke_joint),
     )
-
-
-def run_single_cycle(config: EngineConfig) -> tuple[CycleRecord, np.ndarray]:
-    """Simulate one full cycle by explicit density-matrix evolution.
-
-    This is the brute-force reference against which closed_form_work is
-    checked: hot preparation, power stroke, cold reset, power stroke, with the
-    work read off as the battery's mean-energy change. Returns the diagnostics
-    record and the final joint state.
-    """
-    battery = prepare_battery(config.battery_init)
-    hot = prepare_hot_medium(config.p_mx, config.hot_populations)
-    cold = prepare_cold_medium(config.cold_populations)
-
-    energy_in = mean_energy(battery)
-    joint = kron(hot, battery)
-    joint = power_stroke(joint, config.theta)
-    post_stroke = joint
-    joint = reset_medium(joint, cold)
-    joint = power_stroke(joint, config.compression_theta)
-
-    battery_out = partial_trace(joint, "battery")
-    work = mean_energy(battery_out) - energy_in
-    record = make_cycle_record(1, work, work, battery_out, post_stroke)
-    return record, joint

@@ -41,18 +41,11 @@ _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    # unnormalized ladder convention: sigma^+- = sigma^x +- i sigma^y
-    "plus": np.array([[0, 2], [0, 0]], dtype=complex),
-    "minus": np.array([[0, 0], [2, 0]], dtype=complex),
 }
 
 
 def pauli(axis: str) -> np.ndarray:
-    """Return a fresh copy of the named single-qubit operator.
-
-    `axis` is one of x, y, z, plus, minus, identity. The ladder operators
-    follow the unnormalized convention sigma^+- = sigma^x +- i*sigma^y.
-    """
+    """Return a fresh copy of the named single-qubit operator: x, y, z or identity."""
     try:
         return _PAULI[axis].copy()
     except KeyError:
@@ -64,11 +57,6 @@ def as_complex(a) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
 
 
 def trace(a: np.ndarray) -> complex:

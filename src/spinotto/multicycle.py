@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -18,12 +18,12 @@ from .engine import (
     ConfigError,
     CycleRecord,
     EngineConfig,
-    flip_flop_propagator,
     make_cycle_record,
+    power_stroke,
     prepare_battery,
     prepare_cold_medium,
     prepare_hot_medium,
-    run_single_cycle,
+    reset_medium,
 )
 from .linalg import ValidationError, kron, partial_trace, validate_density
 
@@ -73,34 +73,29 @@ def dephase_battery(joint: np.ndarray, factor: float) -> np.ndarray:
 def run_engine(config: EngineConfig) -> EngineTrace:
     """Iterate config.cycles engine cycles and record every diagnostic.
 
-    The hot reset rebuilds the medium in the coherently heated state, the cold
-    reset in the cold-bath state; both discard medium-battery correlations
-    while preserving the battery marginal, then apply the per-reset battery
-    dephasing factor. Work per cycle is the battery mean-energy change.
+    This is the one implementation of the cycle: hot preparation -> power
+    stroke -> cold reset -> power stroke. Each cycle pairs a freshly heated
+    medium with the battery, so the battery qubit is the only state carried
+    between cycles. The per-reset battery dephasing acts after both medium
+    preparations, the per-cycle dephasing at the end.
     """
     battery = prepare_battery(config.battery_init)
     hot = prepare_hot_medium(config.p_mx, config.hot_populations)
     cold = prepare_cold_medium(config.cold_populations)
-    u_exp = flip_flop_propagator(config.theta)
-    u_cmp = flip_flop_propagator(config.compression_theta)
     reset_f = config.noise.battery_dephasing_per_reset
     t2_f = config.noise.battery_t2_per_cycle
 
     records: list[CycleRecord] = []
-    cumulative = 0.0
+    energy, cumulative = mean_energy(battery), 0.0
     joint = None
     for n in range(1, config.cycles + 1):
-        energy_in = mean_energy(battery)
-        joint = dephase_battery(kron(hot, battery), reset_f)
-        joint = u_exp @ joint @ u_exp.conj().T
-        post_stroke = joint
-        joint = dephase_battery(kron(cold, partial_trace(joint, "battery")), reset_f)
-        joint = u_cmp @ joint @ u_cmp.conj().T
-        joint = dephase_battery(joint, t2_f)
+        post_stroke = power_stroke(dephase_battery(kron(hot, battery), reset_f), config.theta)
+        joint = dephase_battery(reset_medium(post_stroke, cold), reset_f)
+        joint = dephase_battery(power_stroke(joint, config.compression_theta), t2_f)
         battery = partial_trace(joint, "battery")
-        work = mean_energy(battery) - energy_in
-        cumulative += work
-        records.append(make_cycle_record(n, work, cumulative, battery, post_stroke))
+        record = make_cycle_record(n, energy, cumulative, battery, post_stroke)
+        records.append(record)
+        energy, cumulative = record.battery_polarization.pz, record.cumulative_work
 
     return EngineTrace(config=config, records=tuple(records), final_joint=joint)
 
@@ -200,22 +195,13 @@ def sweep(
             f"unknown sweep field {field_name!r}; expected one of {', '.join(SWEEPABLE_FIELDS)}"
         )
     configs = [_apply_sweep_value(config, field_name, v) for v in values]
+    return map_configs(run_engine, configs, workers)
+
+
+def map_configs(fn: Callable, configs: Sequence[EngineConfig], workers: int = 1) -> list:
+    """[fn(c) for c in configs], computed in `workers` parallel processes when
+    workers > 1. The results keep the order of configs."""
     if workers > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_engine, configs))
-    return [run_engine(c) for c in configs]
-
-
-def single_cycle_consistency(config: EngineConfig) -> float:
-    """Max absolute difference between run_engine (N=1, ideal noise) and
-    run_single_cycle over work and battery polarization; used by self checks."""
-    base = replace(config, cycles=1, noise=type(config.noise)())
-    trace = run_engine(base)
-    record, _ = run_single_cycle(base)
-    multi = trace.records[0]
-    diffs = [abs(multi.cycle_work - record.cycle_work)]
-    diffs.extend(
-        abs(a - b)
-        for a, b in zip(multi.battery_polarization, record.battery_polarization)
-    )
-    return max(diffs)
+            return list(pool.map(fn, configs))
+    return [fn(c) for c in configs]

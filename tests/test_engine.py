@@ -15,9 +15,9 @@ from spinotto.engine import (
     prepare_cold_medium,
     prepare_hot_medium,
     reset_medium,
-    run_single_cycle,
 )
 from spinotto.linalg import hermitian_eig, kron, partial_trace, pauli, trace
+from spinotto.multicycle import run_engine
 from spinotto.validate import random_ideal_config
 
 
@@ -208,7 +208,7 @@ class TestSingleCycle:
         rng = np.random.default_rng(7)
         for _ in range(300):
             cfg = random_ideal_config(rng)
-            record, _ = run_single_cycle(cfg)
+            record = run_engine(cfg).records[0]
             assert abs(record.cycle_work - closed_form_work(cfg).total) < 1e-10
 
     def test_zero_angle_cycle_is_identity_on_battery(self):
@@ -219,7 +219,7 @@ class TestSingleCycle:
             cold_populations=(0, 1),
             battery_init=Polarization(0.1, 0.2, -0.3),
         )
-        record, _ = run_single_cycle(cfg)
+        record = run_engine(cfg).records[0]
         assert record.cycle_work == pytest.approx(0.0, abs=1e-13)
         for got, expected in zip(record.battery_polarization, (0.1, 0.2, -0.3)):
             assert got == pytest.approx(expected, abs=1e-13)
@@ -235,8 +235,8 @@ class TestSingleCycle:
                 cold_populations=(0, 1),
                 battery_init=cfg.battery_init._replace(py=0.0),
             )
-            coherent, _ = run_single_cycle(cfg)
-            incoherent, _ = run_single_cycle(cfg.with_p_mx(0.0))
+            coherent = run_engine(cfg).records[0]
+            incoherent = run_engine(cfg.with_p_mx(0.0)).records[0]
             assert abs(coherent.cycle_work - incoherent.cycle_work) < 1e-12
 
     def test_coherent_enhancement_sign_and_size(self):
@@ -254,8 +254,8 @@ class TestSingleCycle:
                 cold_populations=(0, 1),
                 battery_init=Polarization(0, p_y, 0),
             )
-            coherent, _ = run_single_cycle(cfg)
-            incoherent, _ = run_single_cycle(cfg.with_p_mx(0.0))
+            coherent = run_engine(cfg).records[0]
+            incoherent = run_engine(cfg.with_p_mx(0.0)).records[0]
             gap = coherent.cycle_work - incoherent.cycle_work
             assert gap > 0
             expected = 2 * p_mx * p_y * math.sin(theta) * math.cos(theta) ** 3
@@ -270,13 +270,13 @@ class TestSingleCycle:
             cold_populations=(0, 1),
             battery_init=Polarization(0, 0, -0.5),
         )
-        record, _ = run_single_cycle(cfg)
+        record = run_engine(cfg).records[0]
         assert abs(record.battery_polarization.py) > 0.1
 
     def test_stage_outputs_remain_valid(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
-            _, joint = run_single_cycle(random_ideal_config(rng))
+            joint = run_engine(random_ideal_config(rng)).final_joint
             assert abs(trace(joint) - 1) < 1e-12
             assert hermitian_eig(joint).eigenvalues[0] > -1e-10
 
@@ -309,11 +309,21 @@ class TestEngineConfig:
             ("battery_init", dict(battery_init=(math.nan, 0.0, 0.0))),
             ("cycles", dict(cycles=2.5)),
             ("cycles", dict(cycles=True)),
+            ("p_mx", dict(p_mx=0.6)),
+            ("battery_init", dict(battery_init=(0.5, 0.5, 0.5))),
         ],
     )
     def test_bad_numbers_rejected_naming_the_field(self, field, kwargs):
         with pytest.raises(ConfigError, match=field):
             EngineConfig(**kwargs)
+        # the public preparations apply the same checks to the same values
+        prepare = {
+            "p_mx": lambda v: prepare_hot_medium(v, (0.485, 0.515)),
+            "battery_init": prepare_battery,
+        }
+        if field in prepare:
+            with pytest.raises(ConfigError, match=field):
+                prepare[field](kwargs[field])
 
     def test_compression_angle_defaults_to_theta(self):
         assert EngineConfig(theta=0.7).compression_theta == 0.7

@@ -7,7 +7,6 @@ from spinotto.linalg import (
     DimensionError,
     ValidationError,
     clamp_spectrum,
-    dagger,
     hermitian_eig,
     kron,
     partial_trace,
@@ -34,9 +33,6 @@ def test_pauli_matrices():
     assert np.array_equal(pauli("y"), [[0, -1j], [1j, 0]])
     assert np.array_equal(pauli("z"), [[1, 0], [0, -1]])
     assert np.array_equal(pauli("identity"), np.eye(2))
-    # unnormalized ladder convention: sigma^x + i sigma^y evaluated entrywise
-    assert np.array_equal(pauli("plus"), [[0, 2], [0, 0]])
-    assert np.array_equal(pauli("minus"), [[0, 0], [2, 0]])
 
 
 def test_pauli_unknown_axis():
@@ -117,7 +113,6 @@ def test_elementwise_ops():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.array_equal(dagger(dagger(a)), a)
     assert abs(trace(a @ b) - trace(b @ a)) < 1e-12
 
 

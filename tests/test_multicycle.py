@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinotto.diagnostics import polarization_vector
-from spinotto.engine import ConfigError, EngineConfig, NoiseConfig, run_single_cycle
+from spinotto.engine import ConfigError, EngineConfig, NoiseConfig
 from spinotto.linalg import ValidationError, hermitian_eig, kron, partial_trace, pauli, trace
 from spinotto.multicycle import (
     advantage_fixture,
@@ -15,9 +15,26 @@ from spinotto.multicycle import (
     run_engine,
     sweep,
 )
-from spinotto.validate import random_density, random_ideal_config
+from spinotto.validate import random_density, random_polarization
 
 IDEAL = dict(hot_populations=(0.5, 0.5), cold_populations=(0.0, 1.0))
+
+
+def random_config(rng, cycles):
+    """Random parameters anywhere in the engine's domain: any hot and cold
+    bath, a separate compression angle and both dephasing channels."""
+    p0, q0 = (float(x) for x in rng.uniform(size=2))
+    bound = math.sqrt(p0 * (1.0 - p0))
+    return EngineConfig(
+        theta=float(rng.uniform(0.0, math.pi)),
+        theta_compression=float(rng.uniform(0.0, math.pi)),
+        p_mx=float(rng.uniform(-bound, bound)),
+        hot_populations=(p0, 1.0 - p0),
+        cold_populations=(q0, 1.0 - q0),
+        battery_init=random_polarization(rng),
+        noise=NoiseConfig(*(float(x) for x in rng.uniform(size=2))),
+        cycles=cycles,
+    )
 
 
 def records_equal(r1, r2):
@@ -82,17 +99,20 @@ class TestDephaseBattery:
 
 
 class TestRunEngine:
-    def test_single_cycle_consistency(self):
+    def test_trace_equals_chained_single_cycles(self):
+        # one cycle is a channel on the battery alone: an N-cycle trace is N
+        # one-cycle runs, each started from the battery the last one left
         rng = np.random.default_rng(4)
-        for _ in range(30):
-            cfg = replace(random_ideal_config(rng), cycles=1)
-            trace_one = run_engine(cfg)
-            record, joint = run_single_cycle(cfg)
-            got = trace_one.records[0]
-            assert abs(got.cycle_work - record.cycle_work) < 1e-12
-            assert np.max(np.abs(trace_one.final_joint - joint)) < 1e-12
-            for a, b in zip(got.battery_polarization, record.battery_polarization):
-                assert abs(a - b) < 1e-12
+        for _ in range(100):
+            cfg = random_config(rng, cycles=4)
+            start, cumulative = cfg.battery_init, 0.0
+            for record in run_engine(cfg).records:
+                step = run_engine(replace(cfg, cycles=1, battery_init=start)).records[0]
+                start, cumulative = step.battery_polarization, cumulative + step.cycle_work
+                assert abs(step.cycle_work - record.cycle_work) < 1e-12
+                assert abs(cumulative - record.cumulative_work) < 1e-12
+                for a, b in zip(start, record.battery_polarization):
+                    assert abs(a - b) < 1e-12
 
     def test_determinism_bit_exact(self):
         cfg = EngineConfig(theta=0.6, p_mx=0.3, cycles=12,
