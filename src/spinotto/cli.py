@@ -19,7 +19,6 @@ from .engine import ConfigError, EngineConfig, NoiseConfig
 from .linalg import LinalgError
 from .multicycle import (
     compare_coherent_incoherent,
-    map_configs,
     peak_advantage,
     run_engine,
     sweep,
@@ -53,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output-dir", default=".", help="directory for result files")
-    common.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     common.add_argument(
         "--format",
         choices=("csv", "json", "both"),
@@ -114,12 +112,19 @@ def _finish(s, args, outputs, results, t0) -> int:
     return 0
 
 
+def _write_cycle_trace(args, name: str, trace, outputs: list[str]) -> None:
+    """Write one engine trace as a CSV indexed by cycle and list its file name."""
+    cycles = [r.cycle_index for r in trace.records]
+    write_trace_csv(os.path.join(args.output_dir, name), "cycle_index", cycles, trace.records)
+    outputs.append(name)
+
+
 def _run_single_cycle_sweep(s: ScenarioFile, args) -> tuple[list[str], dict]:
     outputs = []
     variant_labels = []
     formats = _formats(s, args)
     for label, config in s.variants or (("", s.engine),):
-        traces = sweep(replace(config, cycles=1), s.sweep.field, s.sweep.values, args.workers)
+        traces = sweep(replace(config, cycles=1), s.sweep.field, s.sweep.values)
         records = [t.records[0] for t in traces]
         name = f"{s.output.prefix}_{label}.csv" if label else f"{s.output.prefix}.csv"
         if "csv" in formats:
@@ -143,28 +148,15 @@ def _run_multicycle(s: ScenarioFile, args) -> tuple[list[str], dict]:
     if s.sweep is None:
         trace = run_engine(s.engine)
         if "csv" in formats:
-            name = f"{s.output.prefix}.csv"
-            write_trace_csv(
-                os.path.join(args.output_dir, name),
-                "cycle_index",
-                [r.cycle_index for r in trace.records],
-                trace.records,
-            )
-            outputs.append(name)
+            _write_cycle_trace(args, f"{s.output.prefix}.csv", trace, outputs)
         results["cumulative_work"] = trace.records[-1].cumulative_work
     else:
-        traces = sweep(s.engine, s.sweep.field, s.sweep.values, args.workers)
+        traces = sweep(s.engine, s.sweep.field, s.sweep.values)
         mapping = []
         for i, (value, trace) in enumerate(zip(s.sweep.values, traces)):
             name = f"{s.output.prefix}_s{i:02d}.csv"
             if "csv" in formats:
-                write_trace_csv(
-                    os.path.join(args.output_dir, name),
-                    "cycle_index",
-                    [r.cycle_index for r in trace.records],
-                    trace.records,
-                )
-                outputs.append(name)
+                _write_cycle_trace(args, name, trace, outputs)
             mapping.append({"index": i, "value": value, "file": name})
         results["sweep_field"] = s.sweep.field
         results["sweep_map"] = mapping
@@ -177,14 +169,7 @@ def _run_compare(s: ScenarioFile, args) -> tuple[list[str], dict]:
     formats = _formats(s, args)
     if "csv" in formats:
         for tag, trace in (("coherent", result.coherent), ("incoherent", result.incoherent)):
-            name = f"{s.output.prefix}_{tag}.csv"
-            write_trace_csv(
-                os.path.join(args.output_dir, name),
-                "cycle_index",
-                [r.cycle_index for r in trace.records],
-                trace.records,
-            )
-            outputs.append(name)
+            _write_cycle_trace(args, f"{s.output.prefix}_{tag}.csv", trace, outputs)
         name = f"{s.output.prefix}_advantage.csv"
         rows = [
             (rc.cycle_index, rc.cycle_work, ri.cycle_work, ratio)
@@ -234,7 +219,7 @@ def _search_grid(s: ScenarioFile):
 
 def _run_search(s: ScenarioFile, args) -> tuple[list[str], dict]:
     points, configs = _search_grid(s)
-    comparisons = map_configs(compare_coherent_incoherent, configs, args.workers)
+    comparisons = [compare_coherent_incoherent(c) for c in configs]
 
     best = None  # (ratio, cycle, point index); strict > keeps the lex-smallest point
     rows = []
@@ -348,10 +333,7 @@ def cmd_search(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error(f"argument --workers: must be at least 1, got {args.workers}")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ScenarioError as exc:

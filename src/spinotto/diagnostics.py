@@ -19,7 +19,6 @@ from .linalg import (
     clamp_spectrum,
     hermitian_eig,
     kron,
-    partial_trace,
     pauli,
     sqrtm_psd,
     validate_density,
@@ -44,7 +43,6 @@ class ErgotropyReport:
     total: float
     incoherent: float
     coherent: float
-    passive_state: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -60,22 +58,30 @@ class CorrelatorSet:
 _AXES = ("x", "y", "z")
 _SIGMA = {axis: pauli(axis) for axis in _AXES}
 _SIGMA_PAIR = {axis: kron(_SIGMA[axis], _SIGMA[axis]) for axis in _AXES}  # sigma^j (x) sigma^j
-
-
-def _expect(rho: np.ndarray, op: np.ndarray) -> float:
-    return float(np.real(np.trace(rho @ op)))
+# The operators of pauli_correlators, sigma^j (x) I, I (x) sigma^j and
+# sigma^j (x) sigma^j, each transposed and flattened: Tr[rho O] = O^T.flat . rho.flat.
+_CORRELATOR_ROWS = (
+    np.array(
+        [kron(_SIGMA[j], pauli("identity")) for j in _AXES]
+        + [kron(pauli("identity"), _SIGMA[j]) for j in _AXES]
+        + [_SIGMA_PAIR[j] for j in _AXES]
+    )
+    .transpose(0, 2, 1)
+    .reshape(9, 16)
+)
 
 
 def _bloch(rho: np.ndarray) -> Polarization:
     """Validate a qubit density operator and reduce it to its Bloch vector P.
 
     The spectrum of rho = I/2 + P.sigma is 1/2 +- |P|, so the positivity check
-    needs no eigensolver.
+    needs no eigensolver. P is read off the matrix elements, p_j = Tr[rho sigma_j]/2.
     """
     rho = validate_density(rho, check_spectrum=False)
     if rho.shape != (2, 2):
         raise DimensionError(f"expected a qubit state, got shape {rho.shape}")
-    p = Polarization(*(0.5 * _expect(rho, _SIGMA[j]) for j in _AXES))
+    (r00, r01), (r10, r11) = rho.tolist()
+    p = Polarization(0.5 * (r01 + r10).real, 0.5 * (r10.imag - r01.imag), 0.5 * (r00 - r11).real)
     clamp_spectrum((0.5 - p.norm(),))
     return p
 
@@ -83,10 +89,6 @@ def _bloch(rho: np.ndarray) -> Polarization:
 def _qubit_spectrum(r: float) -> np.ndarray:
     """Ascending eigenvalues 1/2 -+ r of a qubit state with |P| = r."""
     return np.array([0.5 - r, 0.5 + r])
-
-
-def _passive(r: float) -> np.ndarray:
-    return np.diag(_qubit_spectrum(r)).astype(complex)
 
 
 def _entropy_of(probs: np.ndarray) -> float:
@@ -130,7 +132,7 @@ def passive_state(rho: np.ndarray) -> np.ndarray:
     For a qubit with Hamiltonian (hbar*omega/2) sigma_z the passive state is
     diag(1/2 - |P|, 1/2 + |P|): the larger eigenvalue sits on the ground level |1>.
     """
-    return _passive(_bloch(rho).norm())
+    return np.diag(_qubit_spectrum(_bloch(rho).norm())).astype(complex)
 
 
 def ergotropy(rho: np.ndarray) -> ErgotropyReport:
@@ -153,21 +155,21 @@ def ergotropy_of_bloch(p: Polarization) -> ErgotropyReport:
         total=p.pz + r,
         incoherent=p.pz + abs(p.pz),
         coherent=r - abs(p.pz),
-        passive_state=_passive(r),
     )
 
 
 def pauli_correlators(joint: np.ndarray) -> CorrelatorSet:
-    """All nine same-axis expectation values of a medium (x) battery state."""
+    """All nine same-axis expectation values of a medium (x) battery state.
+
+    Each is Tr[joint O], linear in the state, so one matrix-vector product with
+    _CORRELATOR_ROWS gives all nine without reduced states.
+    """
     joint = validate_density(joint, check_spectrum=False)
     if joint.shape != (4, 4):
         raise DimensionError("pauli_correlators expects a two-qubit state")
-    rho_m = partial_trace(joint, "medium")
-    rho_b = partial_trace(joint, "battery")
+    values = (_CORRELATOR_ROWS @ joint.reshape(16)).real.tolist()
     return CorrelatorSet(
-        medium=tuple(_expect(rho_m, _SIGMA[j]) for j in _AXES),
-        battery=tuple(_expect(rho_b, _SIGMA[j]) for j in _AXES),
-        joint=tuple(_expect(joint, _SIGMA_PAIR[j]) for j in _AXES),
+        medium=tuple(values[0:3]), battery=tuple(values[3:6]), joint=tuple(values[6:9])
     )
 
 

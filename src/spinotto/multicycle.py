@@ -7,9 +7,8 @@ deterministic: identical configs produce bit-identical records.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -179,29 +178,14 @@ SWEEPABLE_FIELDS = (
 )
 
 
-def sweep(
-    config: EngineConfig,
-    field_name: str,
-    values: Sequence,
-    workers: int = 1,
-) -> list[EngineTrace]:
+def sweep(config: EngineConfig, field_name: str, values: Sequence) -> list[EngineTrace]:
     """Run one independent trace per value of the named config field.
 
-    Results are returned in the order of `values`. With workers > 1 the traces
-    are computed in parallel processes; the collection order is unchanged.
+    Results are returned in the order of `values`.
     """
     if field_name not in SWEEPABLE_FIELDS:
         raise ConfigError(
             f"unknown sweep field {field_name!r}; expected one of {', '.join(SWEEPABLE_FIELDS)}"
         )
     configs = [_apply_sweep_value(config, field_name, v) for v in values]
-    return map_configs(run_engine, configs, workers)
-
-
-def map_configs(fn: Callable, configs: Sequence[EngineConfig], workers: int = 1) -> list:
-    """[fn(c) for c in configs], computed in `workers` parallel processes when
-    workers > 1. The results keep the order of configs."""
-    if workers > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, configs))
-    return [fn(c) for c in configs]
+    return [run_engine(c) for c in configs]

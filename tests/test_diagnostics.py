@@ -172,7 +172,7 @@ def test_ergotropy_invariants():
         assert report.coherent >= -1e-13
         assert report.total == pytest.approx(report.incoherent + report.coherent, abs=1e-12)
         assert report.total == pytest.approx(
-            mean_energy(rho) - mean_energy(report.passive_state), abs=1e-12
+            mean_energy(rho) - mean_energy(passive_state(rho)), abs=1e-12
         )
         # diagonal states carry no coherent ergotropy
         assert ergotropy(np.diag(np.diag(rho))).coherent == pytest.approx(0.0, abs=1e-13)
@@ -200,6 +200,29 @@ def test_correlators_factorize_on_products():
             assert out.joint[j] == pytest.approx(out.medium[j] * out.battery[j], abs=1e-12)
         for x in out.medium + out.battery + out.joint:
             assert -1 - 1e-12 <= x <= 1 + 1e-12
+
+
+def test_correlators_and_bloch_match_trace_oracle():
+    # correlated states, full-rank and pure; the medium is the left factor
+    rng = np.random.default_rng(12)
+    eye = np.eye(2)
+    sigma = [pauli(j) for j in ("x", "y", "z")]
+    ops = (
+        [np.kron(s, eye) for s in sigma]
+        + [np.kron(eye, s) for s in sigma]
+        + [np.kron(s, s) for s in sigma]
+    )
+    for _ in range(100):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        for joint in (random_density(rng, 4), np.outer(psi, psi.conj())):
+            out = pauli_correlators(joint)
+            got = out.medium + out.battery + out.joint
+            for value, op in zip(got, ops):
+                assert abs(value - np.trace(joint @ op).real) <= 1e-15
+        rho = random_density(rng, 2)
+        want = tuple(0.5 * float(np.trace(rho @ s).real) for s in sigma)
+        assert polarization_vector(rho) == want
 
 
 def test_concurrence_product_states():
@@ -244,7 +267,6 @@ def test_closed_forms_match_eigen_oracle():
         assert abs(report.total - want["total"]) <= 1e-14
         assert abs(report.incoherent - want["incoherent"]) <= 1e-14
         assert abs(report.coherent - want["coherent"]) <= 1e-14
-        assert np.max(np.abs(report.passive_state - want["passive"])) <= 1e-14
         assert np.max(np.abs(passive_state(rho) - want["passive"])) <= 1e-14
         assert abs(von_neumann_entropy(rho) - want["entropy"]) <= 1e-12
         assert abs(relative_entropy_of_coherence(rho) - want["coherence"]) <= 1e-12

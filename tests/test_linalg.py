@@ -62,6 +62,7 @@ def test_kron_trace_multiplicative():
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         assert abs(trace(kron(a, b)) - trace(a) * trace(b)) < 1e-12
+        assert np.array_equal(kron(a, b), np.kron(a, b))
 
 
 def test_partial_trace_separable():
