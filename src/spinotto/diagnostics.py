@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .linalg import (
+    PSD_CLAMP,
     DimensionError,
+    ValidationError,
     clamp_spectrum,
     hermitian_eig,
     kron,
     pauli,
-    sqrtm_psd,
     validate_density,
 )
 
@@ -70,6 +71,9 @@ _CORRELATOR_ROWS = (
     .reshape(9, 16)
 )
 
+# Column j is sigma_j transposed, flattened and halved: p_j = rho.flat . column j.
+_BLOCH_COLUMNS = np.array([_SIGMA[j].T.reshape(4) for j in _AXES]).T / 2
+
 
 def _bloch(rho: np.ndarray) -> Polarization:
     """Validate a qubit density operator and reduce it to its Bloch vector P.
@@ -86,14 +90,33 @@ def _bloch(rho: np.ndarray) -> Polarization:
     return p
 
 
+def bloch_vectors(states: np.ndarray) -> np.ndarray:
+    """polarization_vector of every qubit state in a (k, 2, 2) stack, as a (k, 3) array."""
+    states = validate_density(states)
+    if states.ndim != 3 or states.shape[1:] != (2, 2):
+        raise DimensionError(f"bloch_vectors expects a (k, 2, 2) stack, got {states.shape}")
+    return (states.reshape(-1, 4) @ _BLOCH_COLUMNS).real
+
+
 def _qubit_spectrum(r: float) -> np.ndarray:
     """Ascending eigenvalues 1/2 -+ r of a qubit state with |P| = r."""
     return np.array([0.5 - r, 0.5 + r])
 
 
-def _entropy_of(probs: np.ndarray) -> float:
-    w = clamp_spectrum(np.asarray(probs, dtype=float))
-    return float(-sum(p * math.log(p) for p in w if p > 0.0))
+def _entropy_of(probs: Sequence[float]) -> float:
+    """-sum p ln p of a spectrum in plain floats, with 0 ln 0 = 0.
+
+    Eigenvalues below PSD_CLAMP are rejected; the tiny negative ones above it
+    count as 0, as clamp_spectrum would make them.
+    """
+    lowest = min(probs)
+    if lowest < PSD_CLAMP:
+        raise ValidationError(f"eigenvalue {lowest:.3e} below the PSD tolerance {PSD_CLAMP:.0e}")
+    total = 0
+    for p in probs:
+        if p > 0.0:
+            total += p * math.log(p)
+    return -total
 
 
 def polarization_vector(rho: np.ndarray) -> Polarization:
@@ -109,7 +132,7 @@ def mean_energy(rho: np.ndarray) -> float:
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-Tr[rho ln rho] in nats, with 0 ln 0 = 0."""
     rho = validate_density(rho, check_spectrum=False)
-    return _entropy_of(hermitian_eig(rho).eigenvalues)
+    return _entropy_of(hermitian_eig(rho).eigenvalues.tolist())
 
 
 def relative_entropy_of_coherence(rho: np.ndarray) -> float:
@@ -123,7 +146,8 @@ def coherence_of_bloch(p: Polarization) -> float:
     The dephased state has |P| = |pz|, so both entropies are binary entropies
     of 1/2 + |pz| and 1/2 + |P|.
     """
-    return _entropy_of(_qubit_spectrum(abs(p.pz))) - _entropy_of(_qubit_spectrum(p.norm()))
+    pz, r = abs(p.pz), p.norm()
+    return _entropy_of((0.5 - pz, 0.5 + pz)) - _entropy_of((0.5 - r, 0.5 + r))
 
 
 def passive_state(rho: np.ndarray) -> np.ndarray:
@@ -158,19 +182,26 @@ def ergotropy_of_bloch(p: Polarization) -> ErgotropyReport:
     )
 
 
-def pauli_correlators(joint: np.ndarray) -> CorrelatorSet:
-    """All nine same-axis expectation values of a medium (x) battery state.
+def correlator_sets(joints: np.ndarray) -> list[CorrelatorSet]:
+    """pauli_correlators of every state in a (k, 4, 4) stack.
 
-    Each is Tr[joint O], linear in the state, so one matrix-vector product with
-    _CORRELATOR_ROWS gives all nine without reduced states.
+    Each correlator is Tr[joint O], linear in the state, so one product with
+    _CORRELATOR_ROWS gives all nine of every state without reduced states. The
+    product is stacked row by row, so each state gets the same bits as alone.
     """
-    joint = validate_density(joint, check_spectrum=False)
+    joints = validate_density(joints, check_spectrum=False)
+    if joints.ndim != 3 or joints.shape[1:] != (4, 4):
+        raise DimensionError(f"correlator_sets expects a (k, 4, 4) stack, got {joints.shape}")
+    rows = (joints.reshape(-1, 1, 16) @ _CORRELATOR_ROWS.T)[:, 0].real.tolist()
+    return [CorrelatorSet(medium=tuple(v[0:3]), battery=tuple(v[3:6]), joint=tuple(v[6:9])) for v in rows]
+
+
+def pauli_correlators(joint: np.ndarray) -> CorrelatorSet:
+    """All nine same-axis expectation values of a medium (x) battery state."""
+    joint = np.asarray(joint)
     if joint.shape != (4, 4):
         raise DimensionError("pauli_correlators expects a two-qubit state")
-    values = (_CORRELATOR_ROWS @ joint.reshape(16)).real.tolist()
-    return CorrelatorSet(
-        medium=tuple(values[0:3]), battery=tuple(values[3:6]), joint=tuple(values[6:9])
-    )
+    return correlator_sets(joint[np.newaxis])[0]
 
 
 def concurrence(joint: np.ndarray) -> float:
@@ -187,6 +218,7 @@ def concurrence(joint: np.ndarray) -> float:
     joint = validate_density(joint, check_spectrum=False)
     if joint.shape != (4, 4):
         raise DimensionError("concurrence expects a two-qubit state")
-    root = sqrtm_psd(joint)
+    w, v = np.linalg.eigh(joint)  # validate_density has checked hermiticity
+    root = (v * np.sqrt(clamp_spectrum(w))) @ v.conj().T
     lams = np.linalg.svd(root @ _SIGMA_PAIR["y"] @ root.conj(), compute_uv=False)
     return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))

@@ -30,8 +30,6 @@ from .diagnostics import (
     coherence_of_bloch,
     concurrence,
     ergotropy_of_bloch,
-    pauli_correlators,
-    polarization_vector,
 )
 from .linalg import (
     ValidationError,
@@ -279,24 +277,26 @@ def make_cycle_record(
     index: int,
     energy_in: float,
     work_before: float,
-    battery: np.ndarray,
+    battery: Polarization,
     post_stroke_joint: np.ndarray,
+    correlators: CorrelatorSet,
 ) -> CycleRecord:
     """Assemble the full diagnostic record for one completed cycle.
 
     energy_in is the battery energy when the cycle began, work_before the
-    cumulative work of the earlier cycles. Work, polarization, ergotropy and
-    coherence are all read off one Bloch vector of the battery state.
+    cumulative work of the earlier cycles, battery the Bloch vector of the
+    battery at the end of the cycle, and correlators those of the state
+    right after the first power stroke. Work, ergotropy and coherence are
+    read off the Bloch vector; concurrence needs the post-stroke state itself.
     """
-    p = polarization_vector(battery)
-    work = p.pz - energy_in
+    work = battery.pz - energy_in
     return CycleRecord(
         cycle_index=index,
         cycle_work=work,
         cumulative_work=work_before + work,
-        battery_polarization=p,
-        ergotropy=ergotropy_of_bloch(p),
-        coherence_rel_entropy=coherence_of_bloch(p),
+        battery_polarization=battery,
+        ergotropy=ergotropy_of_bloch(battery),
+        coherence_rel_entropy=coherence_of_bloch(battery),
         concurrence_post_stroke=concurrence(post_stroke_joint),
-        correlators=pauli_correlators(post_stroke_joint),
+        correlators=correlators,
     )

@@ -53,54 +53,61 @@ def pauli(axis: str) -> np.ndarray:
 
 
 def as_complex(a) -> np.ndarray:
+    """a as a complex array of one square matrix, or of a stack of them along
+    leading batch axes."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def trace(a: np.ndarray) -> complex:
-    return complex(np.trace(as_complex(a)))
+    a = as_complex(a)
+    if a.ndim != 2:
+        raise DimensionError(f"trace expects one matrix, got shape {a.shape}")
+    return complex(np.trace(a))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; the medium is always the left factor in this package.
 
-    Equal to np.kron bit for bit (each entry is one product a_ij * b_kl),
-    without np.kron's general n-dimensional set-up.
+    Leading batch axes broadcast. Equal to np.kron bit for bit on each pair
+    (each entry is one product a_ij * b_kl), without np.kron's general
+    n-dimensional set-up.
     """
     a, b = as_complex(a), as_complex(b)
-    n, m = a.shape[0], b.shape[0]
-    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(n * m, n * m)
+    n, m = a.shape[-1], b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (n * m, n * m))
 
 
 def partial_trace(joint: np.ndarray, keep: str) -> np.ndarray:
     """Reduce a 4x4 medium (x) battery operator to one 2x2 subsystem.
 
     keep is "medium" (left factor) or "battery" (right factor). The trace of
-    the result equals the trace of the input.
+    the result equals the trace of the input. Leading batch axes are kept.
     """
     joint = as_complex(joint)
-    if joint.shape != (4, 4):
+    if joint.shape[-2:] != (4, 4):
         raise DimensionError(f"partial_trace expects a 4x4 operator, got {joint.shape}")
-    t = joint.reshape(2, 2, 2, 2)
+    t = joint.reshape(*joint.shape[:-2], 2, 2, 2, 2)
     if keep == "medium":
-        return np.einsum("mbnb->mn", t)
+        return np.einsum("...mbnb->...mn", t)
     if keep == "battery":
-        return np.einsum("mbmd->bd", t)
+        return np.einsum("...mbmd->...bd", t)
     raise ValidationError(f"keep must be 'medium' or 'battery', got {keep!r}")
 
 
 def is_hermitian(a: np.ndarray, atol: float = VALIDATION_ATOL) -> bool:
     a = as_complex(a)
-    return float(np.max(np.abs(a - a.conj().T))) <= atol
+    return float(abs(a - a.conj().swapaxes(-1, -2)).max()) <= atol
 
 
 def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix (LAPACK, via numpy.linalg.eigh).
 
     Returns eigenvalues sorted ascending and eigenvectors as the columns of a
-    unitary matrix, ordered to match.
+    unitary matrix, ordered to match; a stack gives one of each per matrix.
     """
     h = as_complex(h)
     if not is_hermitian(h):
@@ -112,34 +119,40 @@ def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
 def clamp_spectrum(w: np.ndarray) -> np.ndarray:
     """Zero out tiny negative eigenvalues; reject ones below the noise floor."""
     w = np.asarray(w, dtype=float)
-    if float(np.min(w)) < PSD_CLAMP:
-        raise ValidationError(
-            f"eigenvalue {float(np.min(w)):.3e} below the PSD tolerance {PSD_CLAMP:.0e}"
-        )
+    lowest = float(w.min())
+    if lowest < PSD_CLAMP:
+        raise ValidationError(f"eigenvalue {lowest:.3e} below the PSD tolerance {PSD_CLAMP:.0e}")
     return np.maximum(w, 0.0)
 
 
-def sqrtm_psd(rho: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix."""
-    w, v = hermitian_eig(rho)
-    roots = np.sqrt(clamp_spectrum(w))
-    return (v * roots) @ v.conj().T
+def _lowest_qubit_eigenvalue(h: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue tr/2 - sqrt(((h00 - h11)/2)^2 + |h01|^2) of each
+    Hermitian 2x2 matrix in a stack."""
+    d00, d11 = h[..., 0, 0].real, h[..., 1, 1].real
+    return 0.5 * (d00 + d11) - np.hypot(0.5 * (d00 - d11), np.abs(h[..., 0, 1]))
 
 
 def validate_density(rho: np.ndarray, check_spectrum: bool = True) -> np.ndarray:
-    """Check that rho is a density operator of dimension 2 or 4.
+    """Check that rho is a density operator of dimension 2 or 4, or a stack of them.
 
     Verifies shape, hermiticity and unit trace within VALIDATION_ATOL, and
-    (optionally) that no eigenvalue lies below PSD_CLAMP. Returns rho unchanged.
+    (optionally) that no eigenvalue lies below PSD_CLAMP. A qubit's smallest
+    eigenvalue has a closed form, so only 4x4 states need an eigensolver.
+    Returns rho unchanged.
     """
     rho = as_complex(rho)
-    if rho.shape[0] not in (2, 4):
+    dim = rho.shape[-1]
+    if dim not in (2, 4):
         raise DimensionError(f"density operator must be 2x2 or 4x4, got {rho.shape}")
     if not is_hermitian(rho):
         raise ValidationError("density operator is not Hermitian")
-    tr = trace(rho)
-    if abs(tr - 1.0) > VALIDATION_ATOL:
-        raise ValidationError(f"density operator trace {tr:.12g} differs from 1")
-    if check_spectrum:
+    tr = rho.trace(axis1=-2, axis2=-1)
+    trace_err = abs(tr - 1.0)
+    if trace_err.max() > VALIDATION_ATOL:
+        worst = complex(tr.flat[np.argmax(trace_err)])
+        raise ValidationError(f"density operator trace {worst:.12g} differs from 1")
+    if check_spectrum and dim == 2:
+        clamp_spectrum(_lowest_qubit_eigenvalue(rho))
+    elif check_spectrum:
         clamp_spectrum(hermitian_eig(rho).eigenvalues)
     return rho

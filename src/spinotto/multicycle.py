@@ -3,16 +3,40 @@
 Each cycle is hot reset -> power stroke -> cold reset -> power stroke, with
 battery dephasing applied at every medium reset and once per cycle. Traces are
 deterministic: identical configs produce bit-identical records.
+
+Every cycle starts by pairing a fresh hot medium with the battery, so the
+battery qubit is the only state carried from one cycle to the next, and one
+cycle is a qubit channel on it: an affine map P -> A P + b of its Bloch vector
+(King and Ruskai, IEEE TIT 47, 192 (2001)). Every stage is linear in the
+state, so the state after the first power stroke and the joint state at the
+end of the cycle are affine in the P the cycle started from, too.
+
+cycle_map is the one implementation of the cycle. It pushes the four probe
+batteries I/2 and I/2 + sigma_j/2 (P = 0 and P = e_j/2) through the stages as
+one stack, and reads every affine map off their images. run_engine then
+iterates P_n = A P_{n-1} + b and evaluates all post-stroke states with one
+matrix product.
+
+Which checks run where:
+- prepare_battery checks the starting battery state;
+- every stage validates its whole input stack (hermiticity and unit trace),
+  and bloch_vectors checks the four battery images, positivity included;
+- a cycle's state is the affine combination sum_k w_k X_k of the probe images
+  X_k, with w_0 = 1 - 2(px + py + pz) and w_j = 2 p_j; the weights sum to 1, so
+  hermiticity and unit trace carry over from the images;
+- positivity does not carry over, so run_engine checks 1/2 - |P_n| >= PSD_CLAMP
+  for every cycle, and every recorded post-stroke state passes validate_density
+  and the positivity clamp inside concurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .diagnostics import mean_energy
+from .diagnostics import Polarization, bloch_vectors, correlator_sets, polarization_vector
 from .engine import (
     ConfigError,
     CycleRecord,
@@ -24,9 +48,12 @@ from .engine import (
     prepare_hot_medium,
     reset_medium,
 )
-from .linalg import ValidationError, kron, partial_trace, validate_density
+from .linalg import ValidationError, clamp_spectrum, kron, partial_trace, pauli, validate_density
 
 ADVANTAGE_FLOOR = 1e-12  # baseline work below this leaves the ratio undefined
+
+# The probe batteries I/2 and I/2 + sigma_j/2: Bloch vectors 0 and e_j/2.
+_PROBES = np.array([pauli("identity") / 2] + [(pauli("identity") + pauli(j)) / 2 for j in "xyz"])
 
 
 @dataclass(frozen=True)
@@ -56,47 +83,96 @@ def dephase_battery(joint: np.ndarray, factor: float) -> np.ndarray:
 
     A factor f in [0, 1] realizes the phase-flip channel with flip probability
     (1 - f)/2 on the battery: completely positive, trace preserving, and the
-    identity channel at f = 1.
+    identity channel at f = 1. Leading batch axes are kept.
     """
     if not 0.0 <= factor <= 1.0:
         raise ValidationError(f"dephasing factor must lie in [0, 1], got {factor}")
     joint = validate_density(joint, check_spectrum=False)
-    if joint.shape != (4, 4):
+    if joint.shape[-2:] != (4, 4):
         raise ValidationError("dephase_battery expects a two-qubit state")
-    out = joint.reshape(2, 2, 2, 2).copy()
-    out[:, 0, :, 1] *= factor
-    out[:, 1, :, 0] *= factor
-    return out.reshape(4, 4)
+    out = joint.reshape(*joint.shape[:-2], 2, 2, 2, 2).copy()
+    out[..., :, 0, :, 1] *= factor
+    out[..., :, 1, :, 0] *= factor
+    return out.reshape(joint.shape)
 
 
-def run_engine(config: EngineConfig) -> EngineTrace:
-    """Iterate config.cycles engine cycles and record every diagnostic.
+class CycleMap(NamedTuple):
+    """One engine cycle as affine maps of the battery Bloch vector P it starts from.
 
-    This is the one implementation of the cycle: hot preparation -> power
-    stroke -> cold reset -> power stroke. Each cycle pairs a freshly heated
-    medium with the battery, so the battery qubit is the only state carried
-    between cycles. The per-reset battery dephasing acts after both medium
-    preparations, the per-cycle dephasing at the end.
+    The battery at the end of the cycle is A @ P + b. With x = (1, px, py, pz),
+    the state right after the first power stroke is (x @ post_stroke).reshape(4, 4)
+    and the joint state at the end of the cycle is (x @ joint).reshape(4, 4).
     """
-    battery = prepare_battery(config.battery_init)
+
+    A: np.ndarray            # (3, 3) real
+    b: np.ndarray            # (3,) real
+    post_stroke: np.ndarray  # (4, 16) complex
+    joint: np.ndarray        # (4, 16) complex
+
+
+def _affine(images: np.ndarray) -> np.ndarray:
+    """Coefficients c with image(P) = c[0] + P @ c[1:], from the images of the
+    probes P = 0 and P = e_j/2 (each image flattened to one row)."""
+    coefficients = 2.0 * (images - images[0])
+    coefficients[0] = images[0]
+    return coefficients
+
+
+def cycle_map(config: EngineConfig) -> CycleMap:
+    """Run the four probe batteries through one cycle and read off its affine maps.
+
+    Hot preparation -> power stroke -> cold reset -> power stroke, with the
+    per-reset battery dephasing after both medium preparations and the
+    per-cycle dephasing at the end.
+    """
     hot = prepare_hot_medium(config.p_mx, config.hot_populations)
     cold = prepare_cold_medium(config.cold_populations)
     reset_f = config.noise.battery_dephasing_per_reset
     t2_f = config.noise.battery_t2_per_cycle
 
+    post_stroke = power_stroke(dephase_battery(kron(hot, _PROBES), reset_f), config.theta)
+    joint = dephase_battery(reset_medium(post_stroke, cold), reset_f)
+    joint = dephase_battery(power_stroke(joint, config.compression_theta), t2_f)
+    battery = _affine(bloch_vectors(partial_trace(joint, "battery")))
+    return CycleMap(
+        A=battery[1:].T,
+        b=battery[0],
+        post_stroke=_affine(post_stroke.reshape(4, 16)),
+        joint=_affine(joint.reshape(4, 16)),
+    )
+
+
+def run_engine(config: EngineConfig) -> EngineTrace:
+    """Iterate config.cycles engine cycles and record every diagnostic.
+
+    The battery Bloch vectors come from iterating the cycle map from the
+    prepared battery; the post-stroke states of all cycles, their correlators
+    and the final joint state are each one matrix product on the stacked
+    vectors.
+    """
+    cmap = cycle_map(config)
+    start = polarization_vector(prepare_battery(config.battery_init))
+    x = np.ones((config.cycles + 1, 4))  # row n is (1, P_n)
+    p = x[:, 1:]
+    p[0] = start
+    for n in range(config.cycles):
+        p[n + 1] = cmap.A @ p[n] + cmap.b
+    clamp_spectrum(0.5 - np.sqrt((p[1:] ** 2).sum(axis=1)))  # |P_n| <= 1/2
+
+    post_strokes = (x[:-1] @ cmap.post_stroke).reshape(-1, 4, 4)
+    correlators = correlator_sets(post_strokes)
+
     records: list[CycleRecord] = []
-    energy, cumulative = mean_energy(battery), 0.0
-    joint = None
-    for n in range(1, config.cycles + 1):
-        post_stroke = power_stroke(dephase_battery(kron(hot, battery), reset_f), config.theta)
-        joint = dephase_battery(reset_medium(post_stroke, cold), reset_f)
-        joint = dephase_battery(power_stroke(joint, config.compression_theta), t2_f)
-        battery = partial_trace(joint, "battery")
-        record = make_cycle_record(n, energy, cumulative, battery, post_stroke)
+    energy, cumulative = start.pz, 0.0
+    for n, (battery, post_stroke, corr) in enumerate(
+        zip(p[1:].tolist(), post_strokes, correlators), start=1
+    ):
+        record = make_cycle_record(n, energy, cumulative, Polarization(*battery), post_stroke, corr)
         records.append(record)
         energy, cumulative = record.battery_polarization.pz, record.cumulative_work
 
-    return EngineTrace(config=config, records=tuple(records), final_joint=joint)
+    final_joint = (x[-2] @ cmap.joint).reshape(4, 4)
+    return EngineTrace(config=config, records=tuple(records), final_joint=final_joint)
 
 
 def compare_coherent_incoherent(config: EngineConfig) -> ComparisonResult:

@@ -5,7 +5,10 @@ import pytest
 
 from spinotto.diagnostics import (
     Polarization,
+    bloch_vectors,
+    coherence_of_bloch,
     concurrence,
+    correlator_sets,
     ergotropy,
     mean_energy,
     passive_state,
@@ -223,6 +226,39 @@ def test_correlators_and_bloch_match_trace_oracle():
         rho = random_density(rng, 2)
         want = tuple(0.5 * float(np.trace(rho @ s).real) for s in sigma)
         assert polarization_vector(rho) == want
+
+
+def test_stacked_readouts_equal_single_state_calls():
+    rng = np.random.default_rng(13)
+    joints = np.array([random_density(rng, 4) for _ in range(8)])
+    assert correlator_sets(joints) == [pauli_correlators(j) for j in joints]
+    qubits = np.array([random_density(rng, 2) for _ in range(8)])
+    assert bloch_vectors(qubits).tolist() == [list(polarization_vector(q)) for q in qubits]
+    with pytest.raises(DimensionError):
+        correlator_sets(qubits)
+    with pytest.raises(DimensionError):
+        bloch_vectors(joints)
+    with pytest.raises(ValidationError):
+        bloch_vectors(np.array([MIXED, np.diag([1.5, -0.5])]))
+
+
+def spectrum_entropy(r):
+    """The entropy of the spectrum 1/2 -+ r as the numpy path computed it."""
+    w = np.maximum(np.array([0.5 - r, 0.5 + r]), 0.0)
+    return float(-sum(p * math.log(p) for p in w if p > 0.0))
+
+
+def test_coherence_of_bloch_keeps_the_spectrum_path_bit_for_bit():
+    rng = np.random.default_rng(14)
+    points = [Polarization(*(0.5 * v / np.linalg.norm(v))) for v in rng.normal(size=(50, 3))]
+    points += [Polarization(*(r * 0.5 * v / np.linalg.norm(v)))
+               for r, v in zip(rng.uniform(size=200), rng.normal(size=(200, 3)))]
+    points += [Polarization(0.0, 0.0, 0.0), Polarization(0.0, 0.0, -0.5), Polarization(0.5, 0.0, 0.0)]
+    for p in points:
+        assert coherence_of_bloch(p) == spectrum_entropy(abs(p.pz)) - spectrum_entropy(p.norm())
+    coherence_of_bloch(Polarization(0.5 + 0.9e-10, 0.0, 0.0))  # within the PSD clamp
+    with pytest.raises(ValidationError, match="eigenvalue"):
+        coherence_of_bloch(Polarization(0.5 + 1.1e-10, 0.0, 0.0))
 
 
 def test_concurrence_product_states():

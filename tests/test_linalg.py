@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from spinotto.linalg import (
+    PSD_CLAMP,
+    _lowest_qubit_eigenvalue,
     DimensionError,
     ValidationError,
     clamp_spectrum,
@@ -11,7 +13,6 @@ from spinotto.linalg import (
     kron,
     partial_trace,
     pauli,
-    sqrtm_psd,
     trace,
     validate_density,
 )
@@ -65,6 +66,14 @@ def test_kron_trace_multiplicative():
         assert np.array_equal(kron(a, b), np.kron(a, b))
 
 
+def test_kron_broadcasts_over_stacks():
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    bs = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    assert np.array_equal(kron(a, bs), np.array([np.kron(a, b) for b in bs]))
+    assert np.array_equal(kron(bs, a), np.array([np.kron(b, a) for b in bs]))
+
+
 def test_partial_trace_separable():
     rng = np.random.default_rng(2)
     a = random_density(rng, 2)
@@ -101,6 +110,13 @@ def test_partial_trace_preserves_trace():
     for _ in range(20):
         joint = random_density(rng, 4)
         assert abs(trace(partial_trace(joint, "medium")) - trace(joint)) < 1e-12
+
+
+def test_partial_trace_of_stack_equals_separate_calls():
+    rng = np.random.default_rng(7)
+    joints = np.array([random_density(rng, 4) for _ in range(6)])
+    for keep in ("medium", "battery"):
+        assert np.array_equal(partial_trace(joints, keep), [partial_trace(j, keep) for j in joints])
 
 
 def test_partial_trace_errors():
@@ -153,14 +169,6 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-def test_sqrtm_psd_self_consistent():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        rho = random_density(rng, 4)
-        root = sqrtm_psd(rho)
-        assert np.max(np.abs(root @ root - rho)) < 1e-12
-
-
 def test_clamp_spectrum():
     assert np.array_equal(clamp_spectrum(np.array([-1e-12, 0.5])), [0.0, 0.5])
     with pytest.raises(ValidationError):
@@ -177,3 +185,45 @@ def test_validate_density():
         validate_density(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
     with pytest.raises(DimensionError):
         validate_density(np.eye(8) / 8)
+
+
+def test_validate_density_of_stack():
+    rng = np.random.default_rng(9)
+    for dim in (2, 4):
+        stack = np.array([random_density(rng, dim) for _ in range(5)])
+        assert validate_density(stack) is not None
+        assert np.array_equal(validate_density(stack), stack)
+        bad = stack.copy()
+        bad[3] *= 1.01  # one bad trace in the stack is enough
+        with pytest.raises(ValidationError, match="trace"):
+            validate_density(bad)
+    with pytest.raises(ValidationError, match="eigenvalue"):
+        validate_density(np.array([np.eye(2) / 2, np.diag([1.5, -0.5])]))
+    with pytest.raises(DimensionError):
+        validate_density(np.ones(4))
+
+
+def test_qubit_spectrum_closed_form_matches_eigvalsh():
+    # Hermitian eigenvalues are perfectly conditioned: both routes are exact
+    # to a few ulp of the spectral radius, which is at most 1 for a state
+    rng = np.random.default_rng(10)
+    for hs in (
+        np.array([random_hermitian(rng, 2) for _ in range(500)]),
+        np.array([random_density(rng, 2) for _ in range(500)]),
+    ):
+        w = np.linalg.eigvalsh(hs)
+        scale = np.maximum(np.max(np.abs(w), axis=1), 1.0)
+        assert np.max(np.abs(_lowest_qubit_eigenvalue(hs) - w[:, 0]) / scale) <= 1e-15
+
+
+def test_qubit_spectrum_check_at_the_clamp():
+    # diag(1 - e, e): the smallest eigenvalue is e, just above or below PSD_CLAMP
+    validate_density(np.diag([1.0 - 0.9 * PSD_CLAMP, 0.9 * PSD_CLAMP]).astype(complex))
+    with pytest.raises(ValidationError, match="eigenvalue"):
+        validate_density(np.diag([1.0 - 1.1 * PSD_CLAMP, 1.1 * PSD_CLAMP]).astype(complex))
+    # the same with an off-diagonal element: eigenvalues 1/2 -+ sqrt(a^2 + c^2)
+    c = 0.3
+    a = math.sqrt((0.5 - 1.1 * PSD_CLAMP) ** 2 - c**2)
+    rho = np.array([[0.5 + a, c * 1j], [-c * 1j, 0.5 - a]])
+    with pytest.raises(ValidationError, match="eigenvalue"):
+        validate_density(rho)

@@ -1,20 +1,34 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spinotto.diagnostics import polarization_vector
-from spinotto.engine import ConfigError, EngineConfig, NoiseConfig
+from spinotto import diagnostics, engine
+from spinotto.diagnostics import pauli_correlators, polarization_vector
+from spinotto.engine import (
+    ConfigError,
+    EngineConfig,
+    NoiseConfig,
+    make_cycle_record,
+    power_stroke,
+    prepare_battery,
+    prepare_cold_medium,
+    prepare_hot_medium,
+    reset_medium,
+)
 from spinotto.linalg import ValidationError, hermitian_eig, kron, partial_trace, pauli, trace
 from spinotto.multicycle import (
     advantage_fixture,
     compare_coherent_incoherent,
+    cycle_map,
     dephase_battery,
     peak_advantage,
     run_engine,
     sweep,
 )
+from spinotto.scenario import PRESETS
 from spinotto.validate import random_density, random_polarization
 
 IDEAL = dict(hot_populations=(0.5, 0.5), cold_populations=(0.0, 1.0))
@@ -35,6 +49,63 @@ def random_config(rng, cycles):
         noise=NoiseConfig(*(float(x) for x in rng.uniform(size=2))),
         cycles=cycles,
     )
+
+
+def loop_engine(config):
+    """Oracle for run_engine: the explicit per-cycle stage loop it replaced,
+    one 4x4 joint state pushed through every stage of every cycle.
+
+    Returns the cycle records and the joint state at the end of the last cycle.
+    """
+    battery = prepare_battery(config.battery_init)
+    hot = prepare_hot_medium(config.p_mx, config.hot_populations)
+    cold = prepare_cold_medium(config.cold_populations)
+    reset_f = config.noise.battery_dephasing_per_reset
+    t2_f = config.noise.battery_t2_per_cycle
+    records = []
+    energy, cumulative = polarization_vector(battery).pz, 0.0
+    for n in range(1, config.cycles + 1):
+        post_stroke = power_stroke(dephase_battery(kron(hot, battery), reset_f), config.theta)
+        joint = dephase_battery(reset_medium(post_stroke, cold), reset_f)
+        joint = dephase_battery(power_stroke(joint, config.compression_theta), t2_f)
+        battery = partial_trace(joint, "battery")
+        p = polarization_vector(battery)
+        record = make_cycle_record(n, energy, cumulative, p, post_stroke, pauli_correlators(post_stroke))
+        records.append(record)
+        energy, cumulative = p.pz, record.cumulative_work
+    return records, joint
+
+
+def record_fields(r):
+    """Every number of a cycle record, by name."""
+    c, e = r.correlators, r.ergotropy
+    fields = {
+        "cycle_work": r.cycle_work,
+        "cumulative_work": r.cumulative_work,
+        "coherence_rel_entropy": r.coherence_rel_entropy,
+        "concurrence_post_stroke": r.concurrence_post_stroke,
+        "ergotropy_total": e.total,
+        "ergotropy_incoherent": e.incoherent,
+        "ergotropy_coherent": e.coherent,
+    }
+    fields.update(zip(("p_bx", "p_by", "p_bz"), r.battery_polarization))
+    for group, values in (("m", c.medium), ("b", c.battery), ("", c.joint)):
+        names = ("xx", "yy", "zz") if not group else tuple(f"{group}{j}" for j in "xyz")
+        fields.update((f"corr_{name}", v) for name, v in zip(names, values))
+    return fields
+
+
+def map_vs_loop_gap(config):
+    """Largest |run_engine - loop_engine| over every record field and the final joint state."""
+    mapped = run_engine(config)
+    records, joint = loop_engine(config)
+    assert [r.cycle_index for r in mapped.records] == [r.cycle_index for r in records]
+    gaps = {"final_joint": float(np.max(np.abs(mapped.final_joint - joint)))}
+    for r_map, r_loop in zip(mapped.records, records):
+        a, b = record_fields(r_map), record_fields(r_loop)
+        for name in a:
+            gaps[name] = max(gaps.get(name, 0.0), abs(a[name] - b[name]))
+    return gaps
 
 
 def records_equal(r1, r2):
@@ -89,10 +160,92 @@ class TestDephaseBattery:
             expected = (1 - p) * joint + p * zz @ joint @ zz
             assert np.max(np.abs(dephase_battery(joint, factor) - expected)) < 1e-13
 
+    def test_stages_on_a_stack_equal_separate_calls(self):
+        rng = np.random.default_rng(13)
+        joints = np.array([random_density(rng, 4, rank=int(r)) for r in rng.integers(1, 5, size=6)])
+        fresh = random_density(rng, 2)
+        stages = {
+            "dephase_battery": lambda j: dephase_battery(j, 0.37),
+            "power_stroke": lambda j: power_stroke(j, 0.81),
+            "reset_medium": lambda j: reset_medium(j, fresh),
+            "partial_trace": lambda j: partial_trace(j, "battery"),
+        }
+        for name, stage in stages.items():
+            assert np.array_equal(stage(joints), np.array([stage(j) for j in joints])), name
+
     def test_factor_out_of_range(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValidationError):
             dephase_battery(random_density(rng, 4), 1.2)
+
+
+class TestCycleMap:
+    def test_matches_explicit_loop_on_fig3_and_fixture(self):
+        for config in (PRESETS["fig3"]().engine, advantage_fixture(10)):
+            gaps = map_vs_loop_gap(config)
+            assert max(gaps.values()) <= 1e-14, gaps
+
+    def test_matches_explicit_loop_on_random_noisy_configs(self):
+        rng = np.random.default_rng(11)
+        worst = {}
+        configs = [random_config(rng, cycles=10) for _ in range(200)]
+        configs += [random_config(rng, cycles=200) for _ in range(5)]
+        for config in configs:
+            for name, gap in map_vs_loop_gap(config).items():
+                worst[name] = max(worst.get(name, 0.0), gap)
+        assert max(worst.values()) <= 1e-13, worst
+
+    def test_fig3_map_spectrum_and_fixed_point(self):
+        cmap = cycle_map(PRESETS["fig3"]().engine)
+        eig = sorted(np.linalg.eigvals(cmap.A), key=lambda z: (z.imag, z.real))
+        expected = [0.71333 - 0.26316j, 0.69484, 0.71333 + 0.26316j]
+        assert np.max(np.abs(np.array(eig) - expected)) <= 1e-5
+        fixed = np.linalg.solve(np.eye(3) - cmap.A, cmap.b)
+        assert np.max(np.abs(fixed - [0.0, 0.124703, -0.140634])) <= 1e-5
+
+    def test_post_stroke_and_joint_maps_match_their_battery_map(self):
+        # the battery marginal of the end-of-cycle joint map is the battery map
+        rng = np.random.default_rng(12)
+        config = random_config(rng, cycles=1)
+        cmap = cycle_map(config)
+        for _ in range(20):
+            p = np.array(random_polarization(rng))
+            joint = (np.concatenate([[1.0], p]) @ cmap.joint).reshape(4, 4)
+            battery = polarization_vector(partial_trace(joint, "battery"))
+            assert np.max(np.abs(np.array(battery) - (cmap.A @ p + cmap.b))) < 1e-15
+            post = (np.concatenate([[1.0], p]) @ cmap.post_stroke).reshape(4, 4)
+            assert abs(trace(post) - 1) < 1e-14 and hermitian_eig(post).eigenvalues[0] > -1e-14
+
+    def test_bloch_ball_checked_every_cycle(self, monkeypatch):
+        # a map that pushes P out of the ball must be rejected, not recorded
+        config = EngineConfig(cycles=3)
+        cmap = cycle_map(config)
+        bad = cmap._replace(A=2.0 * np.eye(3), b=np.array([0.0, 0.0, 0.2]))
+        monkeypatch.setattr(sys.modules["spinotto.multicycle"], "cycle_map", lambda _: bad)
+        with pytest.raises(ValidationError, match="eigenvalue"):
+            run_engine(config)
+
+
+def test_one_record_and_one_concurrence_per_cycle(monkeypatch):
+    # bench/run.py --trace 1 counts both per cycle record; a batched path that
+    # skipped either would make the traced benchmark fail its count check
+    calls = {"make_cycle_record": 0, "concurrence": 0}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    originals = {"make_cycle_record": engine.make_cycle_record, "concurrence": diagnostics.concurrence}
+    for mod in [m for name, m in sys.modules.items() if name.startswith("spinotto")]:
+        for name, fn in originals.items():
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, spy(name, fn))
+    run_engine(EngineConfig(cycles=7, noise=NoiseConfig(0.9, 0.8)))
+    assert calls == {"make_cycle_record": 7, "concurrence": 7}
+    compare_coherent_incoherent(EngineConfig(cycles=5))
+    assert calls == {"make_cycle_record": 17, "concurrence": 17}
 
 
 class TestRunEngine:
