@@ -40,6 +40,9 @@ from .linalg import (
 )
 
 
+_IDENTITY4 = np.eye(4, dtype=complex)
+
+
 class ConfigError(ValidationError):
     """An engine configuration violates one of its invariants."""
 
@@ -189,21 +192,30 @@ class CycleRecord:
     correlators: CorrelatorSet
 
 
-def prepare_hot_medium(p_mx: float, populations: Sequence[float]) -> np.ndarray:
+def prepare_hot_medium(p_mx, populations) -> np.ndarray:
     """Coherently heated medium state diag(p0, p1) + p_mx * sigma_x.
 
     Positivity requires |p_mx| <= sqrt(p0*p1); violating inputs raise a
-    ConfigError naming that bound.
+    ConfigError naming that bound. A sequence of k values of p_mx with k
+    population pairs gives the (k, 2, 2) stack of their states.
     """
-    p0, p1 = _check_populations("hot_populations", populations)
-    rho = np.diag([p0, p1]).astype(complex) + _check_p_mx(p_mx, (p0, p1)) * pauli("x")
-    return validate_density(rho)
+    stacked = np.ndim(p_mx) > 0
+    p_mx, populations = (p_mx, populations) if stacked else ([p_mx], [populations])
+    pops = [_check_populations("hot_populations", p) for p in populations]
+    coherences = [_check_p_mx(x, p) for x, p in zip(p_mx, pops, strict=True)]
+    rho = validate_density(
+        np.array([[[p0, x], [x, p1]] for (p0, p1), x in zip(pops, coherences)], dtype=complex)
+    )
+    return rho if stacked else rho[0]
 
 
-def prepare_cold_medium(populations: Sequence[float]) -> np.ndarray:
-    """Diagonal cold-bath state diag(q0, q1)."""
-    q0, q1 = _check_populations("cold_populations", populations)
-    return np.diag([q0, q1]).astype(complex)
+def prepare_cold_medium(populations) -> np.ndarray:
+    """Diagonal cold-bath state diag(q0, q1); a sequence of k population pairs
+    gives the (k, 2, 2) stack of their states."""
+    stacked = np.ndim(populations) > 1
+    pops = [_check_populations("cold_populations", p) for p in (populations if stacked else [populations])]
+    rho = np.array([[[q0, 0.0], [0.0, q1]] for q0, q1 in pops], dtype=complex)
+    return rho if stacked else rho[0]
 
 
 def prepare_battery(p: Polarization | Sequence[float]) -> np.ndarray:
@@ -213,27 +225,36 @@ def prepare_battery(p: Polarization | Sequence[float]) -> np.ndarray:
     return validate_density(rho)
 
 
-def flip_flop_propagator(theta: float) -> np.ndarray:
+def flip_flop_propagator(theta) -> np.ndarray:
     """Unitary of one power stroke: rotation by theta on the {|01>,|10>} subspace.
 
     Acts as the identity on |00> and |11>; on the one-excitation subspace it is
     [[cos(theta), -i sin(theta)], [-i sin(theta), cos(theta)]]. theta = pi/2 is
-    a full population swap between medium and battery.
+    a full population swap between medium and battery. An array of angles
+    gives one unitary per angle, stacked along its axes. A non-finite angle
+    raises a ConfigError naming theta and the value.
     """
-    c, s = math.cos(theta), math.sin(theta)
-    u = np.eye(4, dtype=complex)
-    u[1, 1] = c
-    u[2, 2] = c
-    u[1, 2] = -1j * s
-    u[2, 1] = -1j * s
-    return u
+    theta = np.asarray(theta, dtype=float)
+    angles = [_check_finite("theta", t) for t in theta.ravel().tolist()]
+    u = np.empty((len(angles), 4, 4), dtype=complex)
+    u[:] = _IDENTITY4
+    u[:, 1, 1] = u[:, 2, 2] = [math.cos(t) for t in angles]
+    u[:, 1, 2] = u[:, 2, 1] = [-1j * math.sin(t) for t in angles]
+    return u.reshape(theta.shape + (4, 4))
 
 
-def power_stroke(joint: np.ndarray, theta: float) -> np.ndarray:
-    """Conjugate the joint state by the flip-flop unitary."""
+def power_stroke(joint: np.ndarray, theta) -> np.ndarray:
+    """Conjugate the joint state by the flip-flop unitary.
+
+    theta is one angle, or an array of angles whose axes run along the leading
+    batch axes of joint (one angle per config of a (k, ..., 4, 4) stack).
+    """
     joint = validate_density(joint, check_spectrum=False)
     u = flip_flop_propagator(theta)
-    return u @ joint @ u.conj().T
+    if u.shape[:-2] != joint.shape[:-2][: u.ndim - 2]:
+        raise ValidationError(f"theta of shape {u.shape[:-2]} does not match states {joint.shape}")
+    u = u.reshape(u.shape[:-2] + (1,) * (joint.ndim - u.ndim) + (4, 4))
+    return u @ joint @ u.conj().swapaxes(-1, -2)
 
 
 def reset_medium(joint: np.ndarray, fresh: np.ndarray) -> np.ndarray:

@@ -61,13 +61,6 @@ def as_complex(a) -> np.ndarray:
     return m
 
 
-def trace(a: np.ndarray) -> complex:
-    a = as_complex(a)
-    if a.ndim != 2:
-        raise DimensionError(f"trace expects one matrix, got shape {a.shape}")
-    return complex(np.trace(a))
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; the medium is always the left factor in this package.
 
@@ -99,7 +92,8 @@ def partial_trace(joint: np.ndarray, keep: str) -> np.ndarray:
 
 
 def is_hermitian(a: np.ndarray, atol: float = VALIDATION_ATOL) -> bool:
-    a = as_complex(a)
+    """Whether a square complex array (or a stack of them, as from as_complex)
+    equals its conjugate transpose within atol."""
     return float(abs(a - a.conj().swapaxes(-1, -2)).max()) <= atol
 
 

@@ -11,16 +11,22 @@ cycle is a qubit channel on it: an affine map P -> A P + b of its Bloch vector
 state, so the state after the first power stroke and the joint state at the
 end of the cycle are affine in the P the cycle started from, too.
 
-cycle_map is the one implementation of the cycle. It pushes the four probe
-batteries I/2 and I/2 + sigma_j/2 (P = 0 and P = e_j/2) through the stages as
-one stack, and reads every affine map off their images. run_engine then
-iterates P_n = A P_{n-1} + b and evaluates all post-stroke states with one
-matrix product.
+cycle_map is the one implementation of the cycle. For each of k configs it
+pushes the four probe batteries I/2 and I/2 + sigma_j/2 (P = 0 and P = e_j/2)
+through the stages, all 4k of them as one (k, 4, 4, 4) stack, and reads every
+affine map off their images; each map carries a leading config axis. The
+stages take one angle and one dephasing factor per config along that axis, so
+a stacked map equals the maps of single-config calls bit for bit. run_engine
+calls cycle_map([config]), then iterates P_n = A P_{n-1} + b and evaluates all
+post-stroke states with one matrix product. The self-checks in validate read
+the first-cycle work of up to 128 configs off each stacked call.
 
 Which checks run where:
-- prepare_battery checks the starting battery state;
-- every stage validates its whole input stack (hermiticity and unit trace),
-  and bloch_vectors checks the four battery images, positivity included;
+- prepare_battery checks the starting battery state, and prepare_hot_medium
+  checks the whole stack of hot states, positivity included;
+- every stage validates its whole input stack (hermiticity and unit trace) and
+  every angle and dephasing factor of it, and bloch_vectors checks all 4k
+  battery images, positivity included;
 - a cycle's state is the affine combination sum_k w_k X_k of the probe images
   X_k, with w_0 = 1 - 2(px + py + pz) and w_j = 2 p_j; the weights sum to 1, so
   hermiticity and unit trace carry over from the images;
@@ -78,67 +84,83 @@ class ComparisonResult:
     advantage: tuple[float | None, ...]
 
 
-def dephase_battery(joint: np.ndarray, factor: float) -> np.ndarray:
+def dephase_battery(joint: np.ndarray, factor) -> np.ndarray:
     """Scale every element connecting different battery sigma_z eigenstates.
 
     A factor f in [0, 1] realizes the phase-flip channel with flip probability
     (1 - f)/2 on the battery: completely positive, trace preserving, and the
-    identity channel at f = 1. Leading batch axes are kept.
+    identity channel at f = 1. Leading batch axes are kept. An array of
+    factors runs along the leading batch axes of joint (one factor per config
+    of a (k, ..., 4, 4) stack); every entry must lie in [0, 1].
     """
-    if not 0.0 <= factor <= 1.0:
-        raise ValidationError(f"dephasing factor must lie in [0, 1], got {factor}")
+    f = np.asarray(factor, dtype=float)
+    bad = [x for x in f.ravel().tolist() if not 0.0 <= x <= 1.0]  # NaN included
+    if bad:
+        raise ValidationError(f"dephasing factor must lie in [0, 1], got {bad[0]}")
     joint = validate_density(joint, check_spectrum=False)
     if joint.shape[-2:] != (4, 4):
         raise ValidationError("dephase_battery expects a two-qubit state")
+    if f.shape != joint.shape[:-2][: f.ndim]:
+        raise ValidationError(f"dephasing factors of shape {f.shape} do not match states {joint.shape}")
+    f = f.reshape(f.shape + (1,) * (joint.ndim - f.ndim))
     out = joint.reshape(*joint.shape[:-2], 2, 2, 2, 2).copy()
-    out[..., :, 0, :, 1] *= factor
-    out[..., :, 1, :, 0] *= factor
+    out[..., :, 0, :, 1] *= f
+    out[..., :, 1, :, 0] *= f
     return out.reshape(joint.shape)
 
 
 class CycleMap(NamedTuple):
-    """One engine cycle as affine maps of the battery Bloch vector P it starts from.
+    """Engine cycles as affine maps of the battery Bloch vector P they start from,
+    one per config along the leading axis.
 
-    The battery at the end of the cycle is A @ P + b. With x = (1, px, py, pz),
-    the state right after the first power stroke is (x @ post_stroke).reshape(4, 4)
-    and the joint state at the end of the cycle is (x @ joint).reshape(4, 4).
+    For config i, the battery at the end of the cycle is A[i] @ P + b[i]. With
+    x = (1, px, py, pz), the state right after the first power stroke is
+    (x @ post_stroke[i]).reshape(4, 4) and the joint state at the end of the
+    cycle is (x @ joint[i]).reshape(4, 4).
     """
 
-    A: np.ndarray            # (3, 3) real
-    b: np.ndarray            # (3,) real
-    post_stroke: np.ndarray  # (4, 16) complex
-    joint: np.ndarray        # (4, 16) complex
+    A: np.ndarray            # (k, 3, 3) real
+    b: np.ndarray            # (k, 3) real
+    post_stroke: np.ndarray  # (k, 4, 16) complex
+    joint: np.ndarray        # (k, 4, 16) complex
 
 
 def _affine(images: np.ndarray) -> np.ndarray:
     """Coefficients c with image(P) = c[0] + P @ c[1:], from the images of the
-    probes P = 0 and P = e_j/2 (each image flattened to one row)."""
-    coefficients = 2.0 * (images - images[0])
-    coefficients[0] = images[0]
+    probes P = 0 and P = e_j/2 (each image flattened to one row), for every
+    config of a (k, 4, n) stack of images."""
+    coefficients = 2.0 * (images - images[:, :1])
+    coefficients[:, 0] = images[:, 0]
     return coefficients
 
 
-def cycle_map(config: EngineConfig) -> CycleMap:
-    """Run the four probe batteries through one cycle and read off its affine maps.
+def cycle_map(configs: Sequence[EngineConfig]) -> CycleMap:
+    """Run the four probe batteries of every config through one cycle and read
+    off its affine maps.
 
     Hot preparation -> power stroke -> cold reset -> power stroke, with the
     per-reset battery dephasing after both medium preparations and the
-    per-cycle dephasing at the end.
+    per-cycle dephasing at the end. All 4k probe states go through each stage
+    as one (k, 4, 4, 4) stack.
     """
-    hot = prepare_hot_medium(config.p_mx, config.hot_populations)
-    cold = prepare_cold_medium(config.cold_populations)
-    reset_f = config.noise.battery_dephasing_per_reset
-    t2_f = config.noise.battery_t2_per_cycle
+    k = len(configs)
+    hot = prepare_hot_medium([c.p_mx for c in configs], [c.hot_populations for c in configs])
+    cold = prepare_cold_medium([c.cold_populations for c in configs])
+    reset_f = [c.noise.battery_dephasing_per_reset for c in configs]
+    t2_f = [c.noise.battery_t2_per_cycle for c in configs]
+    theta = [c.theta for c in configs]
+    compression_theta = [c.compression_theta for c in configs]
 
-    post_stroke = power_stroke(dephase_battery(kron(hot, _PROBES), reset_f), config.theta)
-    joint = dephase_battery(reset_medium(post_stroke, cold), reset_f)
-    joint = dephase_battery(power_stroke(joint, config.compression_theta), t2_f)
-    battery = _affine(bloch_vectors(partial_trace(joint, "battery")))
+    post_stroke = power_stroke(dephase_battery(kron(hot[:, None], _PROBES), reset_f), theta)
+    joint = dephase_battery(reset_medium(post_stroke, cold[:, None]), reset_f)
+    joint = dephase_battery(power_stroke(joint, compression_theta), t2_f)
+    batteries = bloch_vectors(partial_trace(joint, "battery").reshape(4 * k, 2, 2))
+    battery = _affine(batteries.reshape(k, 4, 3))
     return CycleMap(
-        A=battery[1:].T,
-        b=battery[0],
-        post_stroke=_affine(post_stroke.reshape(4, 16)),
-        joint=_affine(joint.reshape(4, 16)),
+        A=battery[:, 1:].swapaxes(1, 2),
+        b=battery[:, 0],
+        post_stroke=_affine(post_stroke.reshape(k, 4, 16)),
+        joint=_affine(joint.reshape(k, 4, 16)),
     )
 
 
@@ -150,16 +172,16 @@ def run_engine(config: EngineConfig) -> EngineTrace:
     and the final joint state are each one matrix product on the stacked
     vectors.
     """
-    cmap = cycle_map(config)
+    A, b, post_stroke_map, joint_map = (m[0] for m in cycle_map([config]))
     start = polarization_vector(prepare_battery(config.battery_init))
     x = np.ones((config.cycles + 1, 4))  # row n is (1, P_n)
     p = x[:, 1:]
     p[0] = start
     for n in range(config.cycles):
-        p[n + 1] = cmap.A @ p[n] + cmap.b
+        p[n + 1] = A @ p[n] + b
     clamp_spectrum(0.5 - np.sqrt((p[1:] ** 2).sum(axis=1)))  # |P_n| <= 1/2
 
-    post_strokes = (x[:-1] @ cmap.post_stroke).reshape(-1, 4, 4)
+    post_strokes = (x[:-1] @ post_stroke_map).reshape(-1, 4, 4)
     correlators = correlator_sets(post_strokes)
 
     records: list[CycleRecord] = []
@@ -171,7 +193,7 @@ def run_engine(config: EngineConfig) -> EngineTrace:
         records.append(record)
         energy, cumulative = record.battery_polarization.pz, record.cumulative_work
 
-    final_joint = (x[-2] @ cmap.joint).reshape(4, 4)
+    final_joint = (x[-2] @ joint_map).reshape(4, 4)
     return EngineTrace(config=config, records=tuple(records), final_joint=final_joint)
 
 

@@ -16,7 +16,7 @@ from spinotto.engine import (
     prepare_hot_medium,
     reset_medium,
 )
-from spinotto.linalg import hermitian_eig, kron, partial_trace, pauli, trace
+from spinotto.linalg import ValidationError, hermitian_eig, kron, partial_trace, pauli
 from spinotto.multicycle import run_engine
 from spinotto.validate import random_ideal_config
 
@@ -65,6 +65,25 @@ class TestPreparations:
         with pytest.raises(ConfigError):
             prepare_battery((0.4, 0.4, 0.4))
 
+    def test_stacked_preparations_equal_single_calls(self):
+        p_mx = [0.3, -0.2, 0.0]
+        hot_pops = [(0.5, 0.5), (0.485, 0.515), (0.9, 0.1)]
+        cold_pops = [(0.03, 0.97), (0.0, 1.0), (0.25, 0.75)]
+        hot = prepare_hot_medium(p_mx, hot_pops)
+        cold = prepare_cold_medium(cold_pops)
+        assert hot.shape == cold.shape == (3, 2, 2)
+        for i in range(3):
+            assert np.array_equal(hot[i], prepare_hot_medium(p_mx[i], hot_pops[i]))
+            assert np.array_equal(cold[i], prepare_cold_medium(cold_pops[i]))
+
+    def test_bad_entry_of_a_stack_rejected_naming_the_field(self):
+        with pytest.raises(ConfigError, match="p_mx"):
+            prepare_hot_medium([0.1, 0.6], [(0.5, 0.5), (0.5, 0.5)])
+        with pytest.raises(ConfigError, match="p_mx"):
+            prepare_hot_medium([0.1, math.nan], [(0.5, 0.5), (0.5, 0.5)])
+        with pytest.raises(ConfigError, match="cold_populations"):
+            prepare_cold_medium([(0.03, 0.97), (0.6, 0.6)])
+
 
 class TestPropagator:
     def test_zero_angle_is_identity(self):
@@ -105,7 +124,7 @@ class TestPowerStroke:
         rng = np.random.default_rng(2)
         for _ in range(50):
             out = power_stroke(random_density(rng, 4), float(rng.uniform(0, math.pi)))
-            assert abs(trace(out) - 1) < 1e-12
+            assert abs(np.trace(out) - 1) < 1e-12
             assert hermitian_eig(out).eigenvalues[0] > -1e-10
 
     def test_conserves_sector_populations(self):
@@ -116,6 +135,35 @@ class TestPowerStroke:
             out = power_stroke(joint, float(rng.uniform(0, math.pi)))
             assert abs(out[0, 0] - joint[0, 0]) < 1e-12
             assert abs(out[3, 3] - joint[3, 3]) < 1e-12
+
+    def test_one_angle_per_config_equals_separate_calls(self):
+        # angles run along the leading axis of a (k, 4, 4, 4) stack
+        rng = np.random.default_rng(14)
+        joints = np.array([[random_density(rng, 4) for _ in range(4)] for _ in range(5)])
+        angles = rng.uniform(-math.pi, math.pi, size=5)
+        out = power_stroke(joints, angles)
+        for joint, angle, got in zip(joints, angles, out):
+            assert np.array_equal(got, power_stroke(joint, float(angle)))
+        units = flip_flop_propagator(angles.reshape(5, 1))
+        assert units.shape == (5, 1, 4, 4)
+        for angle, u in zip(angles, units):
+            assert np.array_equal(u[0], flip_flop_propagator(float(angle)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected_naming_theta(self, bad):
+        with pytest.raises(ValidationError, match=f"theta.*{bad}"):
+            power_stroke(np.eye(4) / 4, bad)
+        angles = [0.1, 0.2, bad, 0.4]
+        with pytest.raises(ValidationError, match=f"theta.*{bad}"):
+            power_stroke(np.array([np.eye(4) / 4] * 4), angles)
+        with pytest.raises(ValidationError, match=f"theta.*{bad}"):
+            flip_flop_propagator(np.array(angles))
+
+    def test_angles_must_match_the_stack(self):
+        with pytest.raises(ValidationError, match="theta of shape"):
+            power_stroke(np.array([np.eye(4) / 4] * 4), [0.1, 0.2, 0.3])
+        with pytest.raises(ValidationError, match="theta of shape"):
+            power_stroke(np.eye(4) / 4, [0.1, 0.2, 0.3, 0.4])
 
 
 class TestResetMedium:
@@ -277,7 +325,7 @@ class TestSingleCycle:
         rng = np.random.default_rng(10)
         for _ in range(50):
             joint = run_engine(random_ideal_config(rng)).final_joint
-            assert abs(trace(joint) - 1) < 1e-12
+            assert abs(np.trace(joint) - 1) < 1e-12
             assert hermitian_eig(joint).eigenvalues[0] > -1e-10
 
 

@@ -13,7 +13,6 @@ from spinotto.linalg import (
     kron,
     partial_trace,
     pauli,
-    trace,
     validate_density,
 )
 
@@ -62,7 +61,7 @@ def test_kron_trace_multiplicative():
     for _ in range(20):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert abs(trace(kron(a, b)) - trace(a) * trace(b)) < 1e-12
+        assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
         assert np.array_equal(kron(a, b), np.kron(a, b))
 
 
@@ -109,7 +108,7 @@ def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(4)
     for _ in range(20):
         joint = random_density(rng, 4)
-        assert abs(trace(partial_trace(joint, "medium")) - trace(joint)) < 1e-12
+        assert abs(np.trace(partial_trace(joint, "medium")) - np.trace(joint)) < 1e-12
 
 
 def test_partial_trace_of_stack_equals_separate_calls():
@@ -130,7 +129,7 @@ def test_elementwise_ops():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert abs(trace(a @ b) - trace(b @ a)) < 1e-12
+    assert abs(np.trace(a @ b) - np.trace(b @ a)) < 1e-12
 
 
 def test_hermitian_eig_diagonal():

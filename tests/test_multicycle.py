@@ -6,20 +6,18 @@ import numpy as np
 import pytest
 
 from spinotto import diagnostics, engine
-from spinotto.diagnostics import pauli_correlators, polarization_vector
+from spinotto.diagnostics import polarization_vector
 from spinotto.engine import (
     ConfigError,
     EngineConfig,
     NoiseConfig,
-    make_cycle_record,
     power_stroke,
-    prepare_battery,
-    prepare_cold_medium,
     prepare_hot_medium,
     reset_medium,
 )
-from spinotto.linalg import ValidationError, hermitian_eig, kron, partial_trace, pauli, trace
+from spinotto.linalg import ValidationError, hermitian_eig, kron, partial_trace, pauli
 from spinotto.multicycle import (
+    CycleMap,
     advantage_fixture,
     compare_coherent_incoherent,
     cycle_map,
@@ -29,83 +27,20 @@ from spinotto.multicycle import (
     sweep,
 )
 from spinotto.scenario import PRESETS
-from spinotto.validate import random_density, random_polarization
+from spinotto.validate import (
+    random_density,
+    random_noisy_config,
+    random_polarization,
+    run_all_checks,
+    stage_loop_gaps,
+)
 
 IDEAL = dict(hot_populations=(0.5, 0.5), cold_populations=(0.0, 1.0))
 
 
-def random_config(rng, cycles):
-    """Random parameters anywhere in the engine's domain: any hot and cold
-    bath, a separate compression angle and both dephasing channels."""
-    p0, q0 = (float(x) for x in rng.uniform(size=2))
-    bound = math.sqrt(p0 * (1.0 - p0))
-    return EngineConfig(
-        theta=float(rng.uniform(0.0, math.pi)),
-        theta_compression=float(rng.uniform(0.0, math.pi)),
-        p_mx=float(rng.uniform(-bound, bound)),
-        hot_populations=(p0, 1.0 - p0),
-        cold_populations=(q0, 1.0 - q0),
-        battery_init=random_polarization(rng),
-        noise=NoiseConfig(*(float(x) for x in rng.uniform(size=2))),
-        cycles=cycles,
-    )
-
-
-def loop_engine(config):
-    """Oracle for run_engine: the explicit per-cycle stage loop it replaced,
-    one 4x4 joint state pushed through every stage of every cycle.
-
-    Returns the cycle records and the joint state at the end of the last cycle.
-    """
-    battery = prepare_battery(config.battery_init)
-    hot = prepare_hot_medium(config.p_mx, config.hot_populations)
-    cold = prepare_cold_medium(config.cold_populations)
-    reset_f = config.noise.battery_dephasing_per_reset
-    t2_f = config.noise.battery_t2_per_cycle
-    records = []
-    energy, cumulative = polarization_vector(battery).pz, 0.0
-    for n in range(1, config.cycles + 1):
-        post_stroke = power_stroke(dephase_battery(kron(hot, battery), reset_f), config.theta)
-        joint = dephase_battery(reset_medium(post_stroke, cold), reset_f)
-        joint = dephase_battery(power_stroke(joint, config.compression_theta), t2_f)
-        battery = partial_trace(joint, "battery")
-        p = polarization_vector(battery)
-        record = make_cycle_record(n, energy, cumulative, p, post_stroke, pauli_correlators(post_stroke))
-        records.append(record)
-        energy, cumulative = p.pz, record.cumulative_work
-    return records, joint
-
-
-def record_fields(r):
-    """Every number of a cycle record, by name."""
-    c, e = r.correlators, r.ergotropy
-    fields = {
-        "cycle_work": r.cycle_work,
-        "cumulative_work": r.cumulative_work,
-        "coherence_rel_entropy": r.coherence_rel_entropy,
-        "concurrence_post_stroke": r.concurrence_post_stroke,
-        "ergotropy_total": e.total,
-        "ergotropy_incoherent": e.incoherent,
-        "ergotropy_coherent": e.coherent,
-    }
-    fields.update(zip(("p_bx", "p_by", "p_bz"), r.battery_polarization))
-    for group, values in (("m", c.medium), ("b", c.battery), ("", c.joint)):
-        names = ("xx", "yy", "zz") if not group else tuple(f"{group}{j}" for j in "xyz")
-        fields.update((f"corr_{name}", v) for name, v in zip(names, values))
-    return fields
-
-
-def map_vs_loop_gap(config):
-    """Largest |run_engine - loop_engine| over every record field and the final joint state."""
-    mapped = run_engine(config)
-    records, joint = loop_engine(config)
-    assert [r.cycle_index for r in mapped.records] == [r.cycle_index for r in records]
-    gaps = {"final_joint": float(np.max(np.abs(mapped.final_joint - joint)))}
-    for r_map, r_loop in zip(mapped.records, records):
-        a, b = record_fields(r_map), record_fields(r_loop)
-        for name in a:
-            gaps[name] = max(gaps.get(name, 0.0), abs(a[name] - b[name]))
-    return gaps
+def single_map(config):
+    """The cycle map of one config, without the leading config axis."""
+    return CycleMap(*(m[0] for m in cycle_map([config])))
 
 
 def records_equal(r1, r2):
@@ -146,7 +81,7 @@ class TestDephaseBattery:
         for _ in range(100):
             joint = random_density(rng, 4)
             out = dephase_battery(joint, 0.7)
-            assert abs(trace(out) - 1) < 1e-12
+            assert abs(np.trace(out) - 1) < 1e-12
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
             assert hermitian_eig(out).eigenvalues[0] > -1e-10
 
@@ -178,25 +113,58 @@ class TestDephaseBattery:
         with pytest.raises(ValidationError):
             dephase_battery(random_density(rng, 4), 1.2)
 
+    def test_one_factor_per_config_equals_separate_calls(self):
+        # factors run along the leading axis of a (k, 4, 4, 4) stack
+        rng = np.random.default_rng(15)
+        joints = np.array([[random_density(rng, 4) for _ in range(4)] for _ in range(5)])
+        factors = rng.uniform(size=5)
+        out = dephase_battery(joints, factors)
+        for joint, factor, got in zip(joints, factors, out):
+            assert np.array_equal(got, dephase_battery(joint, float(factor)))
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.25])
+    def test_bad_factor_anywhere_in_a_stack_rejected(self, bad):
+        joints = np.array([np.eye(4) / 4] * 4)
+        with pytest.raises(ValidationError, match=f"dephasing factor.*{bad}"):
+            dephase_battery(joints, [1.0, 0.5, bad, 0.0])
+
+    def test_factors_must_match_the_stack(self):
+        with pytest.raises(ValidationError, match="factors of shape"):
+            dephase_battery(np.array([np.eye(4) / 4] * 4), [0.1, 0.2, 0.3])
+        with pytest.raises(ValidationError, match="factors of shape"):
+            dephase_battery(np.eye(4) / 4, [0.1, 0.2, 0.3, 0.4])
+
 
 class TestCycleMap:
     def test_matches_explicit_loop_on_fig3_and_fixture(self):
         for config in (PRESETS["fig3"]().engine, advantage_fixture(10)):
-            gaps = map_vs_loop_gap(config)
+            gaps = stage_loop_gaps(config)
             assert max(gaps.values()) <= 1e-14, gaps
 
     def test_matches_explicit_loop_on_random_noisy_configs(self):
         rng = np.random.default_rng(11)
         worst = {}
-        configs = [random_config(rng, cycles=10) for _ in range(200)]
-        configs += [random_config(rng, cycles=200) for _ in range(5)]
+        configs = [random_noisy_config(rng, cycles=10) for _ in range(200)]
+        configs += [random_noisy_config(rng, cycles=200) for _ in range(5)]
         for config in configs:
-            for name, gap in map_vs_loop_gap(config).items():
+            for name, gap in stage_loop_gaps(config).items():
                 worst[name] = max(worst.get(name, 0.0), gap)
         assert max(worst.values()) <= 1e-13, worst
 
+    def test_stack_equals_single_config_calls(self):
+        # the config axis changes no bit, whichever way the stack is split
+        rng = np.random.default_rng(16)
+        configs = [random_noisy_config(rng, cycles=1) for _ in range(210)]
+        singles = [cycle_map([c]) for c in configs]
+        for splits in ((0, 210), (0, 1, 64, 65, 200, 210)):
+            blocks = [cycle_map(configs[a:b]) for a, b in zip(splits, splits[1:])]
+            for field in CycleMap._fields:
+                stacked = np.concatenate([getattr(m, field) for m in blocks])
+                single = np.concatenate([getattr(m, field) for m in singles])
+                assert np.array_equal(stacked, single), (splits, field)
+
     def test_fig3_map_spectrum_and_fixed_point(self):
-        cmap = cycle_map(PRESETS["fig3"]().engine)
+        cmap = single_map(PRESETS["fig3"]().engine)
         eig = sorted(np.linalg.eigvals(cmap.A), key=lambda z: (z.imag, z.real))
         expected = [0.71333 - 0.26316j, 0.69484, 0.71333 + 0.26316j]
         assert np.max(np.abs(np.array(eig) - expected)) <= 1e-5
@@ -206,21 +174,21 @@ class TestCycleMap:
     def test_post_stroke_and_joint_maps_match_their_battery_map(self):
         # the battery marginal of the end-of-cycle joint map is the battery map
         rng = np.random.default_rng(12)
-        config = random_config(rng, cycles=1)
-        cmap = cycle_map(config)
+        config = random_noisy_config(rng, cycles=1)
+        cmap = single_map(config)
         for _ in range(20):
             p = np.array(random_polarization(rng))
             joint = (np.concatenate([[1.0], p]) @ cmap.joint).reshape(4, 4)
             battery = polarization_vector(partial_trace(joint, "battery"))
             assert np.max(np.abs(np.array(battery) - (cmap.A @ p + cmap.b))) < 1e-15
             post = (np.concatenate([[1.0], p]) @ cmap.post_stroke).reshape(4, 4)
-            assert abs(trace(post) - 1) < 1e-14 and hermitian_eig(post).eigenvalues[0] > -1e-14
+            assert abs(np.trace(post) - 1) < 1e-14 and hermitian_eig(post).eigenvalues[0] > -1e-14
 
     def test_bloch_ball_checked_every_cycle(self, monkeypatch):
         # a map that pushes P out of the ball must be rejected, not recorded
         config = EngineConfig(cycles=3)
-        cmap = cycle_map(config)
-        bad = cmap._replace(A=2.0 * np.eye(3), b=np.array([0.0, 0.0, 0.2]))
+        cmap = cycle_map([config])
+        bad = cmap._replace(A=2.0 * np.eye(3)[None], b=np.array([[0.0, 0.0, 0.2]]))
         monkeypatch.setattr(sys.modules["spinotto.multicycle"], "cycle_map", lambda _: bad)
         with pytest.raises(ValidationError, match="eigenvalue"):
             run_engine(config)
@@ -248,13 +216,30 @@ def test_one_record_and_one_concurrence_per_cycle(monkeypatch):
     assert calls == {"make_cycle_record": 17, "concurrence": 17}
 
 
+def test_transposed_map_fails_both_oracles(monkeypatch):
+    # a seeded fault in the cycle map: each config's A transposed
+    original = cycle_map
+
+    def transposed(configs):
+        cmap = original(configs)
+        return cmap._replace(A=cmap.A.swapaxes(1, 2))
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("spinotto")]:
+        if getattr(mod, "cycle_map", None) is original:
+            monkeypatch.setattr(mod, "cycle_map", transposed)
+    verdicts = {c.name: c.passed for c in run_all_checks()}
+    assert not verdicts["oracle_equivalence"]
+    assert not verdicts["map_vs_stage_loop"]
+    assert sum(verdicts.values()) == len(verdicts) - 2
+
+
 class TestRunEngine:
     def test_trace_equals_chained_single_cycles(self):
         # one cycle is a channel on the battery alone: an N-cycle trace is N
         # one-cycle runs, each started from the battery the last one left
         rng = np.random.default_rng(4)
         for _ in range(100):
-            cfg = random_config(rng, cycles=4)
+            cfg = random_noisy_config(rng, cycles=4)
             start, cumulative = cfg.battery_init, 0.0
             for record in run_engine(cfg).records:
                 step = run_engine(replace(cfg, cycles=1, battery_init=start)).records[0]
@@ -288,7 +273,7 @@ class TestRunEngine:
             noise=NoiseConfig(battery_dephasing_per_reset=0.9, battery_t2_per_cycle=0.85),
         )
         result = run_engine(cfg)
-        assert abs(trace(result.final_joint) - 1) < 1e-12
+        assert abs(np.trace(result.final_joint) - 1) < 1e-12
         assert hermitian_eig(result.final_joint).eigenvalues[0] > -1e-10
 
 
