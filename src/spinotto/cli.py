@@ -21,6 +21,7 @@ from .multicycle import (
     compare_coherent_incoherent,
     peak_advantage,
     run_engine,
+    run_engines,
     sweep,
 )
 from .output import (
@@ -164,7 +165,7 @@ def _run_multicycle(s: ScenarioFile, args) -> tuple[list[str], dict]:
 
 
 def _run_compare(s: ScenarioFile, args) -> tuple[list[str], dict]:
-    result = compare_coherent_incoherent(s.engine)
+    result = compare_coherent_incoherent(*run_engines([s.engine, s.engine.with_p_mx(0.0)]))
     outputs = []
     formats = _formats(s, args)
     if "csv" in formats:
@@ -219,7 +220,9 @@ def _search_grid(s: ScenarioFile):
 
 def _run_search(s: ScenarioFile, args) -> tuple[list[str], dict]:
     points, configs = _search_grid(s)
-    comparisons = [compare_coherent_incoherent(c) for c in configs]
+    n = len(configs)
+    traces = run_engines(configs + [c.with_p_mx(0.0) for c in configs])
+    comparisons = [compare_coherent_incoherent(c, i) for c, i in zip(traces[:n], traces[n:])]
 
     best = None  # (ratio, cycle, point index); strict > keeps the lex-smallest point
     rows = []

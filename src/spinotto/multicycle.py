@@ -16,10 +16,17 @@ pushes the four probe batteries I/2 and I/2 + sigma_j/2 (P = 0 and P = e_j/2)
 through the stages, all 4k of them as one (k, 4, 4, 4) stack, and reads every
 affine map off their images; each map carries a leading config axis. The
 stages take one angle and one dephasing factor per config along that axis, so
-a stacked map equals the maps of single-config calls bit for bit. run_engine
-calls cycle_map([config]), then iterates P_n = A P_{n-1} + b and evaluates all
-post-stroke states with one matrix product. The self-checks in validate read
-the first-cycle work of up to 128 configs off each stacked call.
+a stacked map equals the maps of single-config calls bit for bit.
+
+Where maps are stacked: run_engines builds the maps of its configs MAP_BLOCK
+at a time with one cycle_map call per block, runs run_engine on each config's
+slice and drops the block's maps before the next block, so a run never holds
+every map of a grid at once. sweep, the CLI's compare and search runs and
+validate's map_vs_stage_loop go through it; a comparison stacks each config
+with its p_mx = 0 twin. run_engine given no map builds its own with
+cycle_map([config]). Either way it iterates P_n = A P_{n-1} + b and evaluates
+all post-stroke states with one matrix product. validate.first_cycle_work
+reads the first-cycle work of up to MAP_BLOCK configs off each stacked call.
 
 Which checks run where:
 - prepare_battery checks the starting battery state, and prepare_hot_medium
@@ -57,6 +64,14 @@ from .engine import (
 from .linalg import ValidationError, clamp_spectrum, kron, partial_trace, pauli, validate_density
 
 ADVANTAGE_FLOOR = 1e-12  # baseline work below this leaves the ratio undefined
+# Configs per stacked cycle_map call. On the 1,080 engine runs of a 270-point
+# grid of 2-cycle runs, run_engines takes 0.49 s in blocks of 1, 0.26 s in
+# blocks of 16 and 0.23-0.24 s from 64 configs up (2 cores, numpy 2.4.6).
+# Blocks of 128 hold about 0.7 MB of maps and stage stacks at a time
+# (tracemalloc), one block of all 1,080 configs about 1.6 MB; the peak of
+# validate.max_oracle_gap(1000) is 0.9 MB in blocks of 128 and 6.1 MB as one
+# stack of 1,000, at the same speed.
+MAP_BLOCK = 128
 
 # The probe batteries I/2 and I/2 + sigma_j/2: Bloch vectors 0 and e_j/2.
 _PROBES = np.array([pauli("identity") / 2] + [(pauli("identity") + pauli(j)) / 2 for j in "xyz"])
@@ -164,15 +179,19 @@ def cycle_map(configs: Sequence[EngineConfig]) -> CycleMap:
     )
 
 
-def run_engine(config: EngineConfig) -> EngineTrace:
+def run_engine(config: EngineConfig, cmap: CycleMap | None = None) -> EngineTrace:
     """Iterate config.cycles engine cycles and record every diagnostic.
 
-    The battery Bloch vectors come from iterating the cycle map from the
-    prepared battery; the post-stroke states of all cycles, their correlators
-    and the final joint state are each one matrix product on the stacked
-    vectors.
+    cmap is the cycle map of this config without the config axis, as
+    run_engines slices it out of a stacked cycle_map call; when it is None,
+    run_engine builds it with cycle_map([config]). The battery Bloch vectors
+    come from iterating the map from the prepared battery; the post-stroke
+    states of all cycles, their correlators and the final joint state are each
+    one matrix product on the stacked vectors.
     """
-    A, b, post_stroke_map, joint_map = (m[0] for m in cycle_map([config]))
+    if cmap is None:
+        cmap = CycleMap(*(m[0] for m in cycle_map([config])))
+    A, b, post_stroke_map, joint_map = cmap
     start = polarization_vector(prepare_battery(config.battery_init))
     x = np.ones((config.cycles + 1, 4))  # row n is (1, P_n)
     p = x[:, 1:]
@@ -197,12 +216,25 @@ def run_engine(config: EngineConfig) -> EngineTrace:
     return EngineTrace(config=config, records=tuple(records), final_joint=final_joint)
 
 
-def compare_coherent_incoherent(config: EngineConfig) -> ComparisonResult:
-    """Run the config as given and with p_mx = 0, and form the advantage series."""
-    coherent = run_engine(config)
-    incoherent = run_engine(config.with_p_mx(0.0))
+def run_engines(configs: Sequence[EngineConfig]) -> list[EngineTrace]:
+    """run_engine on every config, in order, with the cycle maps built by one
+    stacked cycle_map call per MAP_BLOCK configs."""
+    traces: list[EngineTrace] = []
+    for start in range(0, len(configs), MAP_BLOCK):
+        block = configs[start:start + MAP_BLOCK]
+        cmap = cycle_map(block)
+        traces.extend(run_engine(c, CycleMap(*(m[i] for m in cmap))) for i, c in enumerate(block))
+    return traces
+
+
+def compare_coherent_incoherent(coherent: EngineTrace, incoherent: EngineTrace) -> ComparisonResult:
+    """Form the advantage series of a coherent run and its p_mx = 0 twin.
+
+    Callers run both engines through one run_engines call,
+    run_engines([config, config.with_p_mx(0.0)]), so their maps are stacked.
+    """
     advantage = []
-    for rc, ri in zip(coherent.records, incoherent.records):
+    for rc, ri in zip(coherent.records, incoherent.records, strict=True):
         if ri.cycle_work <= ADVANTAGE_FLOOR:
             advantage.append(None)
         else:
@@ -277,7 +309,8 @@ SWEEPABLE_FIELDS = (
 
 
 def sweep(config: EngineConfig, field_name: str, values: Sequence) -> list[EngineTrace]:
-    """Run one independent trace per value of the named config field.
+    """Run one independent trace per value of the named config field, all
+    through one run_engines call.
 
     Results are returned in the order of `values`.
     """
@@ -285,5 +318,4 @@ def sweep(config: EngineConfig, field_name: str, values: Sequence) -> list[Engin
         raise ConfigError(
             f"unknown sweep field {field_name!r}; expected one of {', '.join(SWEEPABLE_FIELDS)}"
         )
-    configs = [_apply_sweep_value(config, field_name, v) for v in values]
-    return [run_engine(c) for c in configs]
+    return run_engines([_apply_sweep_value(config, field_name, v) for v in values])

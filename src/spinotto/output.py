@@ -7,8 +7,10 @@ regression.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from typing import Iterable, Sequence
 
 from .engine import CycleRecord
@@ -160,5 +162,16 @@ def write_json(path, obj) -> None:
 
 
 def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write text to path atomically: into a temporary file in the same
+    directory, then os.replace. A failed write leaves any old file intact and
+    removes the temporary file."""
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

@@ -181,12 +181,13 @@ def _to_int(value: str, lineno: int) -> int:
         raise ScenarioError(f"expected an integer, got {value!r}", lineno) from None
 
 
-def _to_floats(value: str, lineno: int, count: int | None = None) -> tuple[float, ...]:
-    parts = [p.strip() for p in value.split(",") if p.strip()]
+def _to_floats(key: str, value: str, lineno: int, count: int | None = None) -> tuple[float, ...]:
+    """The comma-separated numbers of one key; an empty entry is an error."""
+    parts = [p.strip() for p in value.split(",")]
+    if "" in parts:
+        raise ScenarioError(f"{key}: empty entry in {value!r}", lineno)
     if count is not None and len(parts) != count:
-        raise ScenarioError(f"expected {count} comma-separated numbers, got {value!r}", lineno)
-    if not parts:
-        raise ScenarioError(f"expected at least one number, got {value!r}", lineno)
+        raise ScenarioError(f"{key}: expected {count} comma-separated numbers, got {value!r}", lineno)
     return tuple(_to_float(p, lineno) for p in parts)
 
 
@@ -196,9 +197,9 @@ def _engine_from_sections(table) -> EngineConfig:
         if key in ("theta", "theta_compression", "p_mx"):
             kwargs[key] = _to_float(value, lineno)
         elif key in ("hot_populations", "cold_populations"):
-            kwargs[key] = _to_floats(value, lineno, count=2)
+            kwargs[key] = _to_floats(key, value, lineno, count=2)
         elif key == "battery_init":
-            kwargs[key] = Polarization(*_to_floats(value, lineno, count=3))
+            kwargs[key] = Polarization(*_to_floats(key, value, lineno, count=3))
         elif key == "cycles":
             kwargs[key] = _to_int(value, lineno)
     noise_kwargs = {}
@@ -251,7 +252,7 @@ def parse_scenario(text: str) -> ScenarioFile:
                 f"{', '.join(SWEEPABLE_FIELDS)}",
                 field_line,
             )
-        values = _to_floats(*entries["values"])
+        values = _to_floats("values", *entries["values"])
         sweep_spec = SweepSpec(field=field_name, values=values)
     elif kind == "single-cycle-sweep":
         sweep_spec = SweepSpec(field="theta", values=THETA_GRID)
@@ -271,7 +272,11 @@ def parse_scenario(text: str) -> ScenarioFile:
         axes = {}
         for key in ("theta", "p_mx", "battery_dephasing_per_reset", "battery_t2_per_cycle"):
             if key in entries:
-                axes[key] = tuple(sorted(_to_floats(*entries[key])))
+                values = sorted(_to_floats(key, *entries[key]))
+                repeated = [a for a, b in zip(values, values[1:]) if a == b]
+                if repeated:
+                    raise ScenarioError(f"{key}: duplicate value {repeated[0]!r}", entries[key][1])
+                axes[key] = tuple(values)
         max_cycles = _to_int(*entries["max_cycles"]) if "max_cycles" in entries else 10
         if max_cycles < 1:
             raise ScenarioError("max_cycles must be positive", entries["max_cycles"][1])

@@ -10,9 +10,9 @@ What each check compares:
   analytic formula of the ideal regime;
 - classical_battery_first_cycle: W_1 from stacked cycle maps of a config with
   p_by = 0 against W_1 of its p_mx = 0 twin (no coherence cross term);
-- map_vs_stage_loop: run_engine, which iterates the affine cycle map, against
-  loop_engine, which pushes one joint state through every stage of every
-  cycle, on every record field and the final joint state;
+- map_vs_stage_loop: run_engines, which iterates stacked affine cycle maps,
+  against loop_engine, which pushes one joint state through every stage of
+  every cycle, on every record field and the final joint state;
 - stroke_unitarity_and_sectors, reset_preserves_battery,
   partial_trace_identities, eigensolver_residual and stage_validity_fuzz test
   invariants of single stages and of chains of them;
@@ -52,13 +52,9 @@ from .engine import (
     reset_medium,
 )
 from .linalg import hermitian_eig, kron, partial_trace
-from .multicycle import cycle_map, dephase_battery, run_engine
+from .multicycle import MAP_BLOCK, EngineTrace, cycle_map, dephase_battery, run_engines
 
 DEFAULT_SEED = 20260809
-# Configs per stacked cycle_map call in first_cycle_work. The peak memory that
-# tracemalloc sees in max_oracle_gap(1000) is 6.1 MB with one stack of 1,000
-# configs and 0.9 MB with blocks of 128, at the same speed.
-ORACLE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -131,10 +127,10 @@ def state_validity(rho: np.ndarray) -> tuple[float, float]:
 
 def first_cycle_work(configs: Sequence[EngineConfig]) -> np.ndarray:
     """First-cycle work W_1 = (A P_0 + b)_z - P_0,z of every config, with P_0
-    its battery_init, read off one stacked cycle map per ORACLE_BLOCK configs."""
+    its battery_init, read off one stacked cycle map per MAP_BLOCK configs."""
     work = np.empty(len(configs))
-    for start in range(0, len(configs), ORACLE_BLOCK):
-        block = configs[start:start + ORACLE_BLOCK]
+    for start in range(0, len(configs), MAP_BLOCK):
+        block = configs[start:start + MAP_BLOCK]
         cmap = cycle_map(block)
         p0 = np.array([c.battery_init for c in block])
         work[start:start + len(block)] = (
@@ -145,11 +141,11 @@ def first_cycle_work(configs: Sequence[EngineConfig]) -> np.ndarray:
 
 def max_oracle_gap(draws: int, seed: int = DEFAULT_SEED) -> float:
     """Largest |closed_form_work - first_cycle_work| over random regime draws,
-    drawn ORACLE_BLOCK at a time so that only one block of configs is held."""
+    drawn MAP_BLOCK at a time so that only one block of configs is held."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for start in range(0, draws, ORACLE_BLOCK):
-        configs = [random_ideal_config(rng) for _ in range(min(ORACLE_BLOCK, draws - start))]
+    for start in range(0, draws, MAP_BLOCK):
+        configs = [random_ideal_config(rng) for _ in range(min(MAP_BLOCK, draws - start))]
         closed = [closed_form_work(c).total for c in configs]
         worst = max(worst, float(np.max(np.abs(first_cycle_work(configs) - closed))))
     return worst
@@ -200,11 +196,11 @@ def record_fields(r: CycleRecord) -> dict[str, float]:
     return fields
 
 
-def stage_loop_gaps(config: EngineConfig) -> dict[str, float]:
-    """Largest |run_engine - loop_engine| of every record field over all
-    cycles, and of the final joint state."""
-    mapped = run_engine(config)
-    records, joint = loop_engine(config)
+def stage_loop_gaps(mapped: EngineTrace) -> dict[str, float]:
+    """Largest |mapped - loop_engine(mapped.config)| of every record field over
+    all cycles, and of the final joint state, for a trace that run_engine or
+    run_engines produced."""
+    records, joint = loop_engine(mapped.config)
     gaps = {"final_joint": float(np.max(np.abs(mapped.final_joint - joint)))}
     for r_map, r_loop in zip(mapped.records, records, strict=True):
         a, b = record_fields(r_map), record_fields(r_loop)
@@ -370,7 +366,8 @@ def run_all_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         )
     )
 
-    worst = max(max(stage_loop_gaps(random_noisy_config(rng, cycles=3)).values()) for _ in range(20))
+    traces = run_engines([random_noisy_config(rng, cycles=3) for _ in range(20)])
+    worst = max(max(stage_loop_gaps(t).values()) for t in traces)
     checks.append(
         CheckResult(
             "map_vs_stage_loop",

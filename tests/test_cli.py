@@ -4,10 +4,19 @@ import os
 import numpy as np
 import pytest
 
+from spinotto import cli, output
 from spinotto.cli import main
-from spinotto.multicycle import compare_coherent_incoherent
-from spinotto.output import ADVANTAGE_COLUMNS, TRACE_COLUMNS, dumps_stable, fmt_float
+from spinotto.engine import EngineConfig, NoiseConfig
+from spinotto.multicycle import (
+    MAP_BLOCK,
+    compare_coherent_incoherent,
+    peak_advantage,
+    run_engine,
+    run_engines,
+)
+from spinotto.output import ADVANTAGE_COLUMNS, TRACE_COLUMNS, dumps_stable, fmt_float, write_json
 from spinotto.scenario import config_from_dict
+from spinotto.validate import record_fields
 
 
 GOLDEN_TRACE_HEADER = (
@@ -41,6 +50,18 @@ def test_dumps_stable_parses_as_json():
     assert parsed == {"a": 1, "b": [0.1, None, True], "c": {"d": "text"}, "e": []}
 
 
+@pytest.mark.parametrize("text", ["x" * 100_000 + "\udc80", "\udc80"])
+def test_failed_write_keeps_the_old_file(tmp_path, text):
+    # a lone surrogate cannot be encoded, so the write fails part of the way
+    path = tmp_path / "summary.json"
+    write_json(path, {"old": 1})
+    before = read(path)
+    with pytest.raises(UnicodeEncodeError):
+        output._write_text(path, text)
+    assert read(path) == before
+    assert os.listdir(tmp_path) == ["summary.json"]
+
+
 def test_fig3_preset_writes_expected_files(tmp_path):
     out = tmp_path / "run"
     assert main(["run", "fig3", "--output-dir", str(out)]) == 0
@@ -68,7 +89,7 @@ def test_summary_config_reproduces_trace(tmp_path):
     assert main(["run", "fig3", "--output-dir", str(out)]) == 0
     summary = json.loads(read(out / "fig3_summary.json"))
     config = config_from_dict(summary["config"])
-    result = compare_coherent_incoherent(config)
+    result = compare_coherent_incoherent(*run_engines([config, config.with_p_mx(0.0)]))
     lines = read(out / "fig3_coherent.csv").decode().splitlines()[1:]
     assert len(lines) == len(result.coherent.records)
     for line, record in zip(lines, result.coherent.records):
@@ -179,6 +200,40 @@ def test_search_default_preset_finds_strong_advantage(tmp_path):
     best = summary["results"]["best"]
     assert best["peak_ratio"] >= 1.5
     assert best["peak_cycle"] <= 10
+
+
+@pytest.mark.parametrize("n", [1, MAP_BLOCK - 1, MAP_BLOCK, MAP_BLOCK + 1])
+def test_stacked_search_equals_per_config_compare(tmp_path, monkeypatch, n):
+    # search runs every grid config and its p_mx = 0 twin through one
+    # run_engines call; each comparison must equal two single-config runs
+    thetas = [0.05 + 1.4 * i / n for i in range(n)]
+    path = tmp_path / "grid.scn"
+    path.write_text(
+        "scenario = search-advantage\n[search]\n"
+        f"theta = {', '.join(repr(t) for t in thetas)}\n"
+        "p_mx = 0.3\nbattery_dephasing_per_reset = 0.95\nbattery_t2_per_cycle = 0.9\n"
+        "max_cycles = 3\n[output]\nprefix = grid\nformats = csv\n"
+    )
+    seen = []
+
+    def spy(coherent, incoherent):
+        seen.append(compare_coherent_incoherent(coherent, incoherent))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "compare_coherent_incoherent", spy)
+    assert main(["search", str(path), "--output-dir", str(tmp_path)]) == 0
+    rows = read(tmp_path / "grid_grid.csv").decode().splitlines()[1:]
+    assert len(seen) == len(rows) == n
+    for theta, result, row in zip(thetas, seen, rows, strict=True):
+        config = EngineConfig(theta=theta, p_mx=0.3, noise=NoiseConfig(0.95, 0.9), cycles=3)
+        single = compare_coherent_incoherent(run_engine(config), run_engine(config.with_p_mx(0.0)))
+        assert (result.coherent.config, result.incoherent.config) == (config, config.with_p_mx(0.0))
+        for got, want in ((result.coherent, single.coherent), (result.incoherent, single.incoherent)):
+            assert [record_fields(r) for r in got.records] == [record_fields(r) for r in want.records]
+            assert np.array_equal(got.final_joint, want.final_joint)
+        assert result.advantage == single.advantage
+        ratio, cycle = peak_advantage(single)
+        assert row.split(",")[4:6] == [fmt_float(ratio), str(cycle)]
 
 
 def test_search_runs_are_identical(tmp_path):

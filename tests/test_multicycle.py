@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from spinotto.engine import (
 )
 from spinotto.linalg import ValidationError, hermitian_eig, kron, partial_trace, pauli
 from spinotto.multicycle import (
+    MAP_BLOCK,
     CycleMap,
     advantage_fixture,
     compare_coherent_incoherent,
@@ -24,6 +26,7 @@ from spinotto.multicycle import (
     dephase_battery,
     peak_advantage,
     run_engine,
+    run_engines,
     sweep,
 )
 from spinotto.scenario import PRESETS
@@ -41,6 +44,11 @@ IDEAL = dict(hot_populations=(0.5, 0.5), cold_populations=(0.0, 1.0))
 def single_map(config):
     """The cycle map of one config, without the leading config axis."""
     return CycleMap(*(m[0] for m in cycle_map([config])))
+
+
+def compare(config):
+    """The comparison of config with its p_mx = 0 twin, both maps stacked."""
+    return compare_coherent_incoherent(*run_engines([config, config.with_p_mx(0.0)]))
 
 
 def records_equal(r1, r2):
@@ -137,8 +145,8 @@ class TestDephaseBattery:
 
 class TestCycleMap:
     def test_matches_explicit_loop_on_fig3_and_fixture(self):
-        for config in (PRESETS["fig3"]().engine, advantage_fixture(10)):
-            gaps = stage_loop_gaps(config)
+        for trace in run_engines([PRESETS["fig3"]().engine, advantage_fixture(10)]):
+            gaps = stage_loop_gaps(trace)
             assert max(gaps.values()) <= 1e-14, gaps
 
     def test_matches_explicit_loop_on_random_noisy_configs(self):
@@ -146,8 +154,8 @@ class TestCycleMap:
         worst = {}
         configs = [random_noisy_config(rng, cycles=10) for _ in range(200)]
         configs += [random_noisy_config(rng, cycles=200) for _ in range(5)]
-        for config in configs:
-            for name, gap in stage_loop_gaps(config).items():
+        for trace in run_engines(configs):
+            for name, gap in stage_loop_gaps(trace).items():
                 worst[name] = max(worst.get(name, 0.0), gap)
         assert max(worst.values()) <= 1e-13, worst
 
@@ -212,7 +220,7 @@ def test_one_record_and_one_concurrence_per_cycle(monkeypatch):
                 monkeypatch.setattr(mod, name, spy(name, fn))
     run_engine(EngineConfig(cycles=7, noise=NoiseConfig(0.9, 0.8)))
     assert calls == {"make_cycle_record": 7, "concurrence": 7}
-    compare_coherent_incoherent(EngineConfig(cycles=5))
+    compare(EngineConfig(cycles=5))
     assert calls == {"make_cycle_record": 17, "concurrence": 17}
 
 
@@ -231,6 +239,46 @@ def test_transposed_map_fails_both_oracles(monkeypatch):
     assert not verdicts["oracle_equivalence"]
     assert not verdicts["map_vs_stage_loop"]
     assert sum(verdicts.values()) == len(verdicts) - 2
+
+
+def test_run_engines_hands_each_config_the_next_map_fails_the_stage_loop(monkeypatch):
+    # a seeded fault in the stacked path: config i runs on the map of config i+1
+    original = cycle_map
+
+    def shifted(configs):
+        return CycleMap(*(np.roll(m, -1, axis=0) for m in original(configs)))
+
+    monkeypatch.setattr(sys.modules["spinotto.multicycle"], "cycle_map", shifted)
+    checks = run_all_checks()
+    assert [c.name for c in checks if not c.passed] == ["map_vs_stage_loop"]
+    for c in checks:
+        assert re.search(r"\d\.\d{3}e[+-]\d\d", c.detail), c
+
+
+class TestRunEngines:
+    @pytest.mark.parametrize("k", [1, MAP_BLOCK - 1, MAP_BLOCK, MAP_BLOCK + 1])
+    def test_equals_run_engine_per_config(self, k, monkeypatch):
+        rng = np.random.default_rng(20 + k)
+        configs = [random_noisy_config(rng, cycles=2) for _ in range(k)]
+        blocks = []
+
+        def spy(block):
+            blocks.append(len(block))
+            return cycle_map(block)
+
+        monkeypatch.setattr(sys.modules["spinotto.multicycle"], "cycle_map", spy)
+        stacked = run_engines(configs)
+        # one stacked call per block, and the blocks stream in order
+        assert blocks == [min(MAP_BLOCK, k - a) for a in range(0, k, MAP_BLOCK)]
+        monkeypatch.undo()
+        assert [t.config for t in stacked] == configs
+        for trace, config in zip(stacked, configs, strict=True):
+            single = run_engine(config)
+            assert all(records_equal(a, b) for a, b in zip(trace.records, single.records, strict=True))
+            assert np.array_equal(trace.final_joint, single.final_joint)
+
+    def test_empty(self):
+        assert run_engines([]) == []
 
 
 class TestRunEngine:
@@ -280,14 +328,14 @@ class TestRunEngine:
 class TestCompare:
     def test_no_coherence_means_no_advantage(self):
         cfg = EngineConfig(theta=0.6, p_mx=0.0, cycles=8, **IDEAL)
-        result = compare_coherent_incoherent(cfg)
+        result = compare(cfg)
         for ratio in result.advantage:
             assert ratio is None or ratio == pytest.approx(0.0, abs=1e-12)
 
     def test_first_cycle_equal_then_divergence(self):
         cfg = EngineConfig(theta=math.pi / 4, p_mx=0.5, cycles=5,
                            battery_init=(0, 0, -0.5), **IDEAL)
-        result = compare_coherent_incoherent(cfg)
+        result = compare(cfg)
         w1c = result.coherent.records[0].cycle_work
         w1i = result.incoherent.records[0].cycle_work
         assert abs(w1c - w1i) < 1e-10
@@ -300,14 +348,14 @@ class TestCompare:
         # of the coherent and incoherent engines coincide cycle by cycle
         cfg = EngineConfig(theta=math.pi / 2, p_mx=0.5, cycles=10,
                            battery_init=(0, 0, -0.5), **IDEAL)
-        result = compare_coherent_incoherent(cfg)
+        result = compare(cfg)
         for rc, ri in zip(result.coherent.records, result.incoherent.records):
             assert abs(rc.cycle_work - ri.cycle_work) < 1e-12
 
     def test_battery_gains_coherence_only_with_coherent_medium(self):
         cfg = EngineConfig(theta=math.pi / 4, p_mx=0.5, cycles=3,
                            battery_init=(0, 0, -0.5), **IDEAL)
-        result = compare_coherent_incoherent(cfg)
+        result = compare(cfg)
         assert abs(result.coherent.records[0].battery_polarization.py) > 0.1
         assert abs(result.incoherent.records[0].battery_polarization.py) < 1e-14
 
@@ -323,12 +371,12 @@ class TestCompare:
 
 class TestFixture:
     def test_advantage_regression(self):
-        result = compare_coherent_incoherent(advantage_fixture(10))
+        result = compare(advantage_fixture(10))
         assert result.advantage[1] == pytest.approx(2.0, abs=1e-9)
         assert result.advantage[2] == pytest.approx(4.0, abs=1e-9)
 
     def test_peak_at_most_ten_cycles(self):
-        result = compare_coherent_incoherent(advantage_fixture(10))
+        result = compare(advantage_fixture(10))
         peak = peak_advantage(result)
         assert peak is not None
         ratio, cycle = peak
@@ -385,6 +433,30 @@ class TestSweep:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             sweep(EngineConfig(), "coupling", [1.0])
+
+    @pytest.mark.parametrize(
+        "field_name, values",
+        [
+            ("theta", np.linspace(0.0, math.pi, MAP_BLOCK + 2)),
+            ("theta_compression", [0.1, 0.8, 2.9]),
+            ("p_mx", [-0.4, 0.0, 0.2, 0.45]),
+            ("battery_dephasing_per_reset", [0.0, 0.5, 1.0]),
+            ("battery_t2_per_cycle", [0.0, 0.7, 1.0]),
+            ("battery_py", [-0.2, 0.3]),
+            ("cycles", [1, 5, 2]),
+        ],
+    )
+    def test_equals_run_engine_per_value(self, field_name, values):
+        # the records carry A and b (battery vectors) and post_stroke
+        # (correlators, concurrence); final_joint carries the joint map
+        cfg = EngineConfig(theta=0.6, p_mx=0.3, cycles=4, battery_init=(0.1, 0.0, -0.35),
+                           noise=NoiseConfig(0.95, 0.9))
+        traces = sweep(cfg, field_name, values)
+        assert len(traces) == len(values)
+        for trace in traces:
+            single = run_engine(trace.config)
+            assert all(records_equal(a, b) for a, b in zip(trace.records, single.records, strict=True))
+            assert np.array_equal(trace.final_joint, single.final_joint)
 
 
 def test_reset_preserves_all_three_polarization_components():

@@ -1,10 +1,14 @@
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinotto.engine import ConfigError, EngineConfig, NoiseConfig
 from spinotto.diagnostics import Polarization
-from spinotto.multicycle import compare_coherent_incoherent
+from spinotto.multicycle import compare_coherent_incoherent, run_engines
+from spinotto.output import dumps_stable
 from spinotto.scenario import (
     PRESETS,
     ScenarioError,
@@ -141,6 +145,40 @@ def test_search_axes_sorted():
     assert s.search.max_cycles == 10
 
 
+SEARCH = "scenario = search-advantage\n[search]\n"
+
+
+@pytest.mark.parametrize(
+    "text, key, lineno",
+    [
+        (SEARCH + "theta = 0.5, 0.5, 0.7\np_mx = 0.1\n", "theta", 3),
+        (SEARCH + "theta = 0.2\np_mx = 0.3, 0.1, 0.30\n", "p_mx", 4),
+        (SEARCH + "theta = 0.2\np_mx = 0.1\nbattery_dephasing_per_reset = 1, 0.9, 1.0\n",
+         "battery_dephasing_per_reset", 5),
+        (SEARCH + "theta = 0.2\np_mx = 0.1\nbattery_t2_per_cycle = 0.8, 0.8\n", "battery_t2_per_cycle", 5),
+    ],
+)
+def test_duplicate_search_values_rejected_naming_key_and_line(text, key, lineno):
+    with pytest.raises(ScenarioError, match=rf"line {lineno}: {key}: duplicate value"):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "text, key, lineno",
+    [
+        ("scenario = multicycle\n[engine]\nhot_populations = 0.5,,0.5\n", "hot_populations", 3),
+        ("scenario = multicycle\n[engine]\ncold_populations = 0.1, 0.9,\n", "cold_populations", 3),
+        ("scenario = multicycle\n[engine]\nbattery_init = , 0.0, -0.5\n", "battery_init", 3),
+        ("scenario = multicycle\n[sweep]\nfield = theta\nvalues = 0.1, , 0.3\n", "values", 4),
+        (SEARCH + "theta = 0.2,,0.4\np_mx = 0.1\n", "theta", 3),
+        (SEARCH + "theta = 0.2\np_mx =\n", "p_mx", 4),
+    ],
+)
+def test_empty_list_entry_rejected_naming_key_and_line(text, key, lineno):
+    with pytest.raises(ScenarioError, match=rf"line {lineno}: {key}: empty entry"):
+        parse_scenario(text)
+
+
 def test_output_section():
     s = parse_scenario(
         "scenario = compare\n[output]\nprefix = myrun\nformats = csv\n"
@@ -182,7 +220,8 @@ def test_fig3_preset_matches_shipped_file():
 
 def test_fig3_preset_claims():
     # the claims made by the fig3 preset docstring and scenarios/fig3.scn
-    result = compare_coherent_incoherent(PRESETS["fig3"]().engine)
+    config = PRESETS["fig3"]().engine
+    result = compare_coherent_incoherent(*run_engines([config, config.with_p_mx(0.0)]))
     coherent, incoherent = result.coherent.records, result.incoherent.records
     assert None not in result.advantage
     negative = [r.cycle_index for r, a in zip(coherent, result.advantage) if a < 0]
@@ -211,3 +250,37 @@ def test_resolve_scenario_prefers_presets(tmp_path):
     path = tmp_path / "x.scn"
     path.write_text("scenario = multicycle\n")
     assert resolve_scenario(str(path)).kind == "multicycle"
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def engine_configs(draw):
+    """Random valid EngineConfigs over the whole domain."""
+    p0 = draw(_unit)
+    hot = (p0, 1.0 - p0)
+    q0 = draw(_unit)
+    bound = math.sqrt(hot[0] * hot[1])
+    direction = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+    norm = math.sqrt(sum(x * x for x in direction))
+    radius = draw(st.floats(0.0, 0.5))
+    battery = Polarization(*(radius * x / norm if norm > 1e-3 else 0.0 for x in direction))
+    return EngineConfig(
+        theta=draw(st.floats(-10.0, 10.0)),
+        theta_compression=draw(st.none() | st.floats(-10.0, 10.0)),
+        p_mx=draw(st.floats(-1.0, 1.0)) * bound,
+        hot_populations=hot,
+        cold_populations=(q0, 1.0 - q0),
+        battery_init=battery,
+        noise=NoiseConfig(draw(_unit), draw(_unit)),
+        cycles=draw(st.integers(1, 10_000)),
+    )
+
+
+@settings(deadline=None)
+@given(engine_configs())
+def test_config_dict_roundtrip_property(cfg):
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    # and through the summary JSON text, as the CLI writes it
+    assert config_from_dict(json.loads(dumps_stable(config_to_dict(cfg)))) == cfg
