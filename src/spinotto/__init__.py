@@ -11,8 +11,6 @@ from .diagnostics import (
     concurrence,
     ergotropy,
     mean_energy,
-    passive_state,
-    pauli_correlators,
     polarization_vector,
     relative_entropy_of_coherence,
     von_neumann_entropy,
@@ -33,10 +31,8 @@ from .engine import (
 )
 from .linalg import (
     DimensionError,
-    EigenDecomposition,
     LinalgError,
     ValidationError,
-    hermitian_eig,
     kron,
     partial_trace,
     pauli,
@@ -64,57 +60,3 @@ from .scenario import (
     parse_scenario,
     resolve_scenario,
 )
-
-__all__ = [
-    "__version__",
-    "CorrelatorSet",
-    "ErgotropyReport",
-    "Polarization",
-    "concurrence",
-    "ergotropy",
-    "mean_energy",
-    "passive_state",
-    "pauli_correlators",
-    "polarization_vector",
-    "relative_entropy_of_coherence",
-    "von_neumann_entropy",
-    "ConfigError",
-    "CycleRecord",
-    "EngineConfig",
-    "NoiseConfig",
-    "WorkBreakdown",
-    "closed_form_work",
-    "flip_flop_propagator",
-    "power_stroke",
-    "prepare_battery",
-    "prepare_cold_medium",
-    "prepare_hot_medium",
-    "reset_medium",
-    "DimensionError",
-    "EigenDecomposition",
-    "LinalgError",
-    "ValidationError",
-    "hermitian_eig",
-    "kron",
-    "partial_trace",
-    "pauli",
-    "validate_density",
-    "ComparisonResult",
-    "CycleMap",
-    "EngineTrace",
-    "compare_coherent_incoherent",
-    "cycle_map",
-    "dephase_battery",
-    "peak_advantage",
-    "run_engine",
-    "run_engines",
-    "sweep",
-    "PRESETS",
-    "ScenarioError",
-    "ScenarioFile",
-    "config_from_dict",
-    "config_to_dict",
-    "load_scenario",
-    "parse_scenario",
-    "resolve_scenario",
-]

@@ -15,7 +15,7 @@ import time
 from dataclasses import replace
 
 from . import __version__
-from .engine import ConfigError, EngineConfig, NoiseConfig
+from .engine import EngineConfig, NoiseConfig
 from .linalg import LinalgError
 from .multicycle import (
     compare_coherent_incoherent,
@@ -193,26 +193,11 @@ def _run_compare(s: ScenarioFile, args) -> tuple[list[str], dict]:
 
 
 def _search_grid(s: ScenarioFile):
-    spec = s.search
-    axes = [
-        sorted(spec.theta),
-        sorted(spec.p_mx),
-        sorted(spec.battery_dephasing_per_reset),
-        sorted(spec.battery_t2_per_cycle),
-    ]
-    if any(len(a) == 0 for a in axes):
-        raise ConfigError("search grid is empty")
+    spec = s.search  # parse_scenario sorts each axis and rejects empty entries
+    axes = (spec.theta, spec.p_mx, spec.battery_dephasing_per_reset, spec.battery_t2_per_cycle)
     points = list(itertools.product(*axes))
     configs = [
-        replace(
-            s.engine,
-            theta=t,
-            p_mx=p,
-            noise=NoiseConfig(
-                battery_dephasing_per_reset=rd, battery_t2_per_cycle=t2
-            ),
-            cycles=spec.max_cycles,
-        )
+        replace(s.engine, theta=t, p_mx=p, noise=NoiseConfig(rd, t2), cycles=spec.max_cycles)
         for (t, p, rd, t2) in points
     ]
     return points, configs
@@ -339,16 +324,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, LinalgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LinalgError, OSError) as exc:  # a ConfigError is a LinalgError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,6 @@ from .linalg import (
     DimensionError,
     ValidationError,
     clamp_spectrum,
-    hermitian_eig,
     kron,
     pauli,
     validate_density,
@@ -59,7 +58,7 @@ class CorrelatorSet:
 _AXES = ("x", "y", "z")
 _SIGMA = {axis: pauli(axis) for axis in _AXES}
 _SIGMA_PAIR = {axis: kron(_SIGMA[axis], _SIGMA[axis]) for axis in _AXES}  # sigma^j (x) sigma^j
-# The operators of pauli_correlators, sigma^j (x) I, I (x) sigma^j and
+# The operators of the correlators, sigma^j (x) I, I (x) sigma^j and
 # sigma^j (x) sigma^j, each transposed and flattened: Tr[rho O] = O^T.flat . rho.flat.
 _CORRELATOR_ROWS = (
     np.array(
@@ -75,11 +74,12 @@ _CORRELATOR_ROWS = (
 _BLOCH_COLUMNS = np.array([_SIGMA[j].T.reshape(4) for j in _AXES]).T / 2
 
 
-def _bloch(rho: np.ndarray) -> Polarization:
-    """Validate a qubit density operator and reduce it to its Bloch vector P.
+def polarization_vector(rho: np.ndarray) -> Polarization:
+    """Invert rho = I/2 + P.sigma: validate a qubit density operator and reduce
+    it to its Bloch vector P.
 
-    The spectrum of rho = I/2 + P.sigma is 1/2 +- |P|, so the positivity check
-    needs no eigensolver. P is read off the matrix elements, p_j = Tr[rho sigma_j]/2.
+    The spectrum of rho is 1/2 +- |P|, so the positivity check needs no
+    eigensolver. P is read off the matrix elements, p_j = Tr[rho sigma_j]/2.
     """
     rho = validate_density(rho, check_spectrum=False)
     if rho.shape != (2, 2):
@@ -98,11 +98,6 @@ def bloch_vectors(states: np.ndarray) -> np.ndarray:
     return (states.reshape(-1, 4) @ _BLOCH_COLUMNS).real
 
 
-def _qubit_spectrum(r: float) -> np.ndarray:
-    """Ascending eigenvalues 1/2 -+ r of a qubit state with |P| = r."""
-    return np.array([0.5 - r, 0.5 + r])
-
-
 def _entropy_of(probs: Sequence[float]) -> float:
     """-sum p ln p of a spectrum in plain floats, with 0 ln 0 = 0.
 
@@ -119,25 +114,20 @@ def _entropy_of(probs: Sequence[float]) -> float:
     return -total
 
 
-def polarization_vector(rho: np.ndarray) -> Polarization:
-    """Invert rho = I/2 + P.sigma: p_j = Tr[rho sigma_j] / 2."""
-    return _bloch(rho)
-
-
 def mean_energy(rho: np.ndarray) -> float:
     """Tr[rho sigma_z]/2: the mean energy in units of hbar*omega."""
-    return _bloch(rho).pz
+    return polarization_vector(rho).pz
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-Tr[rho ln rho] in nats, with 0 ln 0 = 0."""
     rho = validate_density(rho, check_spectrum=False)
-    return _entropy_of(hermitian_eig(rho).eigenvalues.tolist())
+    return _entropy_of(np.linalg.eigvalsh(rho).tolist())  # hermiticity checked above
 
 
 def relative_entropy_of_coherence(rho: np.ndarray) -> float:
     """S(diag(rho)) - S(rho): energy-basis coherence in nats, always >= 0."""
-    return coherence_of_bloch(_bloch(rho))
+    return coherence_of_bloch(polarization_vector(rho))
 
 
 def coherence_of_bloch(p: Polarization) -> float:
@@ -150,15 +140,6 @@ def coherence_of_bloch(p: Polarization) -> float:
     return _entropy_of((0.5 - pz, 0.5 + pz)) - _entropy_of((0.5 - r, 0.5 + r))
 
 
-def passive_state(rho: np.ndarray) -> np.ndarray:
-    """The zero-ergotropy state with the same spectrum as rho.
-
-    For a qubit with Hamiltonian (hbar*omega/2) sigma_z the passive state is
-    diag(1/2 - |P|, 1/2 + |P|): the larger eigenvalue sits on the ground level |1>.
-    """
-    return np.diag(_qubit_spectrum(_bloch(rho).norm())).astype(complex)
-
-
 def ergotropy(rho: np.ndarray) -> ErgotropyReport:
     """Maximum unitarily extractable work, split into incoherent and coherent parts.
 
@@ -169,7 +150,7 @@ def ergotropy(rho: np.ndarray) -> ErgotropyReport:
 
     (Allahverdyan, Balian and Nieuwenhuizen, EPL 67, 565 (2004).)
     """
-    return ergotropy_of_bloch(_bloch(rho))
+    return ergotropy_of_bloch(polarization_vector(rho))
 
 
 def ergotropy_of_bloch(p: Polarization) -> ErgotropyReport:
@@ -183,7 +164,8 @@ def ergotropy_of_bloch(p: Polarization) -> ErgotropyReport:
 
 
 def correlator_sets(joints: np.ndarray) -> list[CorrelatorSet]:
-    """pauli_correlators of every state in a (k, 4, 4) stack.
+    """All nine same-axis expectation values (the CorrelatorSet) of every
+    medium (x) battery state in a (k, 4, 4) stack.
 
     Each correlator is Tr[joint O], linear in the state, so one product with
     _CORRELATOR_ROWS gives all nine of every state without reduced states. The
@@ -194,14 +176,6 @@ def correlator_sets(joints: np.ndarray) -> list[CorrelatorSet]:
         raise DimensionError(f"correlator_sets expects a (k, 4, 4) stack, got {joints.shape}")
     rows = (joints.reshape(-1, 1, 16) @ _CORRELATOR_ROWS.T)[:, 0].real.tolist()
     return [CorrelatorSet(medium=tuple(v[0:3]), battery=tuple(v[3:6]), joint=tuple(v[6:9])) for v in rows]
-
-
-def pauli_correlators(joint: np.ndarray) -> CorrelatorSet:
-    """All nine same-axis expectation values of a medium (x) battery state."""
-    joint = np.asarray(joint)
-    if joint.shape != (4, 4):
-        raise DimensionError("pauli_correlators expects a two-qubit state")
-    return correlator_sets(joint[np.newaxis])[0]
 
 
 def concurrence(joint: np.ndarray) -> float:

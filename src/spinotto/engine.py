@@ -67,10 +67,6 @@ class NoiseConfig:
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
 
-    @property
-    def ideal(self) -> bool:
-        return self.battery_dephasing_per_reset == 1.0 and self.battery_t2_per_cycle == 1.0
-
 
 def _check_finite(name: str, value) -> float:
     """float(value), or a ConfigError naming the field if it is not a finite number."""

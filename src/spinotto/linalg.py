@@ -8,8 +8,6 @@ excited state, energy +hbar*omega/2).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 # Centralized numerical error budget.
@@ -27,13 +25,6 @@ class DimensionError(LinalgError):
 
 class ValidationError(LinalgError):
     """An input violates a structural invariant (hermiticity, trace, positivity)."""
-
-
-class EigenDecomposition(NamedTuple):
-    """Eigenvalues sorted ascending and the matching unitary of column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 _PAULI = {
@@ -97,19 +88,6 @@ def is_hermitian(a: np.ndarray, atol: float = VALIDATION_ATOL) -> bool:
     return float(abs(a - a.conj().swapaxes(-1, -2)).max()) <= atol
 
 
-def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix (LAPACK, via numpy.linalg.eigh).
-
-    Returns eigenvalues sorted ascending and eigenvectors as the columns of a
-    unitary matrix, ordered to match; a stack gives one of each per matrix.
-    """
-    h = as_complex(h)
-    if not is_hermitian(h):
-        raise ValidationError("hermitian_eig requires a Hermitian input")
-    w, v = np.linalg.eigh(h)
-    return EigenDecomposition(w, v)
-
-
 def clamp_spectrum(w: np.ndarray) -> np.ndarray:
     """Zero out tiny negative eigenvalues; reject ones below the noise floor."""
     w = np.asarray(w, dtype=float)
@@ -148,5 +126,5 @@ def validate_density(rho: np.ndarray, check_spectrum: bool = True) -> np.ndarray
     if check_spectrum and dim == 2:
         clamp_spectrum(_lowest_qubit_eigenvalue(rho))
     elif check_spectrum:
-        clamp_spectrum(hermitian_eig(rho).eigenvalues)
+        clamp_spectrum(np.linalg.eigvalsh(rho))  # hermiticity checked above
     return rho

@@ -242,25 +242,6 @@ def compare_coherent_incoherent(coherent: EngineTrace, incoherent: EngineTrace) 
     return ComparisonResult(coherent=coherent, incoherent=incoherent, advantage=tuple(advantage))
 
 
-def advantage_fixture(cycles: int = 10) -> EngineConfig:
-    """Frozen grid-search result: an ideal-regime configuration with a large
-    early coherent work advantage.
-
-    Found by searching theta in (0, pi/2) and p_mx in (0, 0.5] under ideal
-    noise with a ground-state battery: at theta = pi/4, p_mx = 0.5 the
-    per-cycle advantage reaches 2.0 on cycle 2 and 4.0 on cycle 3. Kept as a
-    regression anchor; re-derivable with the search-default preset.
-    """
-    return EngineConfig(
-        theta=0.7853981633974483,
-        p_mx=0.5,
-        hot_populations=(0.5, 0.5),
-        cold_populations=(0.0, 1.0),
-        battery_init=(0.0, 0.0, -0.5),
-        cycles=cycles,
-    )
-
-
 def peak_advantage(result: ComparisonResult) -> tuple[float, int] | None:
     """Largest defined advantage ratio and the 1-based cycle where it occurs.
 

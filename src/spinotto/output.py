@@ -73,6 +73,22 @@ def record_row(record: CycleRecord) -> list[float]:
     ]
 
 
+def _cell(value) -> str:
+    """One CSV cell: None -> nan, bool -> 1/0, int -> str, float -> fmt_float."""
+    if value is None:
+        return "nan"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
+    return fmt_float(value)
+
+
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
 def write_trace_csv(
     path,
     axis_name: str,
@@ -82,48 +98,18 @@ def write_trace_csv(
     """One CSV row per record, keyed by the given axis column."""
     if len(axis_values) != len(records):
         raise ValueError("axis values and records must have equal length")
-    lines = [",".join((axis_name,) + TRACE_COLUMNS)]
-    for axis, record in zip(axis_values, records):
-        axis_text = str(axis) if isinstance(axis, int) else fmt_float(axis)
-        lines.append(",".join([axis_text] + [fmt_float(v) for v in record_row(record)]))
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = ([axis] + record_row(record) for axis, record in zip(axis_values, records))
+    _write_csv(path, (axis_name,) + TRACE_COLUMNS, rows)
 
 
 def write_advantage_csv(path, rows: Iterable[tuple[int, float, float, float | None]]) -> None:
     """Rows of (cycle_index, coherent work, incoherent work, ratio or None)."""
-    lines = [",".join(ADVANTAGE_COLUMNS)]
-    for index, w_coh, w_inc, ratio in rows:
-        defined = ratio is not None
-        lines.append(
-            ",".join(
-                [
-                    str(index),
-                    fmt_float(w_coh),
-                    fmt_float(w_inc),
-                    fmt_float(ratio) if defined else "nan",
-                    "1" if defined else "0",
-                ]
-            )
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, ADVANTAGE_COLUMNS, ((i, wc, wi, r, r is not None) for i, wc, wi, r in rows))
 
 
 def write_grid_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Generic numeric grid CSV with the package float format."""
-    lines = [",".join(header)]
-    for row in rows:
-        rendered = []
-        for cell in row:
-            if cell is None:
-                rendered.append("nan")
-            elif isinstance(cell, bool):
-                rendered.append("1" if cell else "0")
-            elif isinstance(cell, int):
-                rendered.append(str(cell))
-            else:
-                rendered.append(fmt_float(cell))
-        lines.append(",".join(rendered))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, header, rows)
 
 
 def dumps_stable(obj, indent: int = 0) -> str:

@@ -26,19 +26,13 @@ keys fall back to the experimental defaults carried by EngineConfig.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
+from pathlib import Path
 
 from .diagnostics import Polarization
 from .engine import ConfigError, EngineConfig, NoiseConfig
 from .multicycle import SWEEPABLE_FIELDS
-
-SCENARIO_KINDS = (
-    "single-cycle-sweep",
-    "multicycle",
-    "compare",
-    "validate",
-    "search-advantage",
-)
 
 FORMATS = ("csv", "json")
 
@@ -94,26 +88,17 @@ class ScenarioFile:
 
 
 _TOP_KEYS = ("schema_version", "scenario")
+# The keys of each section are the fields of its dataclass, in field order;
+# [noise] is a section of its own rather than a key of [engine].
 _SECTION_KEYS = {
-    "engine": (
-        "theta",
-        "theta_compression",
-        "p_mx",
-        "hot_populations",
-        "cold_populations",
-        "battery_init",
-        "cycles",
-    ),
-    "noise": ("battery_dephasing_per_reset", "battery_t2_per_cycle"),
-    "sweep": ("field", "values"),
-    "output": ("prefix", "formats"),
-    "search": (
-        "theta",
-        "p_mx",
-        "battery_dephasing_per_reset",
-        "battery_t2_per_cycle",
-        "max_cycles",
-    ),
+    section: tuple(f.name for f in fields(cls) if f.name != "noise")
+    for section, cls in (
+        ("engine", EngineConfig),
+        ("noise", NoiseConfig),
+        ("sweep", SweepSpec),
+        ("output", OutputSpec),
+        ("search", SearchSpec),
+    )
 }
 _SECTIONS_BY_KIND = {
     "single-cycle-sweep": ("engine", "noise", "sweep", "output"),
@@ -122,6 +107,7 @@ _SECTIONS_BY_KIND = {
     "validate": ("output",),
     "search-advantage": ("engine", "noise", "search", "output"),
 }
+SCENARIO_KINDS = tuple(_SECTIONS_BY_KIND)
 
 
 def _parse_lines(text: str) -> dict[str, dict[str, tuple[str, int]]]:
@@ -181,11 +167,17 @@ def _to_int(value: str, lineno: int) -> int:
         raise ScenarioError(f"expected an integer, got {value!r}", lineno) from None
 
 
-def _to_floats(key: str, value: str, lineno: int, count: int | None = None) -> tuple[float, ...]:
-    """The comma-separated numbers of one key; an empty entry is an error."""
+def _split(key: str, value: str, lineno: int) -> list[str]:
+    """The comma-separated entries of one key; an empty entry is an error."""
     parts = [p.strip() for p in value.split(",")]
     if "" in parts:
         raise ScenarioError(f"{key}: empty entry in {value!r}", lineno)
+    return parts
+
+
+def _to_floats(key: str, value: str, lineno: int, count: int | None = None) -> tuple[float, ...]:
+    """The comma-separated numbers of one key."""
+    parts = _split(key, value, lineno)
     if count is not None and len(parts) != count:
         raise ScenarioError(f"{key}: expected {count} comma-separated numbers, got {value!r}", lineno)
     return tuple(_to_float(p, lineno) for p in parts)
@@ -290,7 +282,7 @@ def parse_scenario(text: str) -> ScenarioFile:
             prefix = entries["prefix"][0]
         if "formats" in entries:
             value, lineno = entries["formats"]
-            formats = tuple(p.strip() for p in value.split(",") if p.strip())
+            formats = tuple(_split("formats", value, lineno))
             bad = [f for f in formats if f not in FORMATS]
             if bad:
                 raise ScenarioError(
@@ -315,49 +307,22 @@ def load_scenario(path) -> ScenarioFile:
 
 def config_to_dict(config: EngineConfig) -> dict:
     """JSON-ready echo of an engine config; inverse of config_from_dict."""
-    return {
-        "theta": config.theta,
-        "theta_compression": config.theta_compression,
-        "p_mx": config.p_mx,
-        "hot_populations": list(config.hot_populations),
-        "cold_populations": list(config.cold_populations),
-        "battery_init": list(config.battery_init),
-        "noise": {
-            "battery_dephasing_per_reset": config.noise.battery_dephasing_per_reset,
-            "battery_t2_per_cycle": config.noise.battery_t2_per_cycle,
-        },
-        "cycles": config.cycles,
-    }
+    return asdict(config)
+
+
+def _reject_unknown(what: str, data: dict, cls) -> None:
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
 def config_from_dict(data: dict) -> EngineConfig:
     """Rebuild an EngineConfig from its JSON echo, rejecting unknown keys."""
-    known = {
-        "theta",
-        "theta_compression",
-        "p_mx",
-        "hot_populations",
-        "cold_populations",
-        "battery_init",
-        "noise",
-        "cycles",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    _reject_unknown("config", data, EngineConfig)
     kwargs = dict(data)
     if "noise" in kwargs:
-        noise = kwargs.pop("noise")
-        extra = set(noise) - {"battery_dephasing_per_reset", "battery_t2_per_cycle"}
-        if extra:
-            raise ConfigError(f"unknown noise keys: {', '.join(sorted(extra))}")
-        kwargs["noise"] = NoiseConfig(**noise)
-    if kwargs.get("hot_populations") is not None:
-        kwargs["hot_populations"] = tuple(kwargs["hot_populations"])
-    if kwargs.get("cold_populations") is not None:
-        kwargs["cold_populations"] = tuple(kwargs["cold_populations"])
-    if kwargs.get("battery_init") is not None:
-        kwargs["battery_init"] = Polarization(*kwargs["battery_init"])
+        _reject_unknown("noise", kwargs["noise"], NoiseConfig)
+        kwargs["noise"] = NoiseConfig(**kwargs["noise"])
     return EngineConfig(**kwargs)
 
 
@@ -397,59 +362,12 @@ def _fig2_preset() -> ScenarioFile:
     )
 
 
-def _fig3_preset() -> ScenarioFile:
-    """Twenty-cycle coherent-vs-incoherent comparison with the experimental
-    bath diagonals and a fitted noise level.
-
-    The noise factors are fitted so the coherent engine's cumulative work
-    peaks at cycle 8. Its lead over the incoherent engine's cumulative work
-    stays positive on cycles 2-20 (0.035 at cycle 2, largest 0.175 at cycle 7,
-    0.119 at cycle 20), while the per-cycle advantage ratio is negative on
-    cycles 8-18. This is a qualitative reproduction, not a fit to measured data.
-    """
-    return ScenarioFile(
-        schema_version=SCHEMA_VERSION,
-        kind="compare",
-        engine=EngineConfig(
-            theta=0.39,
-            p_mx=0.45,
-            hot_populations=(0.485, 0.515),
-            cold_populations=(0.03, 0.97),
-            battery_init=Polarization(0.0, 0.0, -0.5),
-            noise=NoiseConfig(
-                battery_dephasing_per_reset=0.95,
-                battery_t2_per_cycle=0.9,
-            ),
-            cycles=20,
-        ),
-        output=OutputSpec(prefix="fig3"),
-    )
-
-
-def _default_search_preset() -> ScenarioFile:
-    """Ideal-regime advantage search over a coarse interaction grid."""
-    return ScenarioFile(
-        schema_version=SCHEMA_VERSION,
-        kind="search-advantage",
-        engine=EngineConfig(
-            p_mx=0.0,
-            hot_populations=(0.5, 0.5),
-            cold_populations=(0.0, 1.0),
-            battery_init=Polarization(0.0, 0.0, -0.5),
-        ),
-        output=OutputSpec(prefix="search"),
-        search=SearchSpec(
-            theta=(0.2, 0.39, 0.6, math.pi / 4, 1.0, 1.2),
-            p_mx=(0.1, 0.25, 0.4, 0.5),
-            max_cycles=10,
-        ),
-    )
-
-
-PRESETS = {
-    "fig2": _fig2_preset,
-    "fig3": _fig3_preset,
-    "search-default": _default_search_preset,
+# fig2 stays in Python: it is the only scenario with variants, which the text
+# format has no syntax for. Every other preset is a packaged .scn file, named
+# by its stem.
+PRESETS = {"fig2": _fig2_preset} | {
+    path.stem: partial(load_scenario, path)
+    for path in sorted((Path(__file__).parent / "presets").glob("*.scn"))
 }
 
 

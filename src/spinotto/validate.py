@@ -14,8 +14,10 @@ What each check compares:
   against loop_engine, which pushes one joint state through every stage of
   every cycle, on every record field and the final joint state;
 - stroke_unitarity_and_sectors, reset_preserves_battery,
-  partial_trace_identities, eigensolver_residual and stage_validity_fuzz test
-  invariants of single stages and of chains of them;
+  partial_trace_identities and stage_validity_fuzz test invariants of single
+  stages and of chains of them;
+- cycle_is_completely_positive: the Choi matrix of the battery channel that
+  stacked cycle maps give is positive semidefinite on random noisy configs;
 - diagnostics_unit_truths and state_preparation_roundtrip compare the
   diagnostics and preparations with known values.
 """
@@ -31,9 +33,9 @@ import numpy as np
 from .diagnostics import (
     Polarization,
     concurrence,
+    correlator_sets,
     ergotropy,
     mean_energy,
-    pauli_correlators,
     polarization_vector,
     relative_entropy_of_coherence,
     von_neumann_entropy,
@@ -51,8 +53,9 @@ from .engine import (
     prepare_hot_medium,
     reset_medium,
 )
-from .linalg import hermitian_eig, kron, partial_trace
+from .linalg import kron, partial_trace, pauli
 from .multicycle import MAP_BLOCK, EngineTrace, cycle_map, dephase_battery, run_engines
+from .output import TRACE_COLUMNS, record_row
 
 DEFAULT_SEED = 20260809
 
@@ -110,11 +113,6 @@ def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) 
     return rho / np.trace(rho).real
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (x + x.conj().T) / 2
-
-
 def state_validity(rho: np.ndarray) -> tuple[float, float]:
     """(largest trace error, smallest eigenvalue) over a candidate density
     operator or a stack of them."""
@@ -137,6 +135,30 @@ def first_cycle_work(configs: Sequence[EngineConfig]) -> np.ndarray:
             np.einsum("kj,kj->k", cmap.A[:, 2], p0) + cmap.b[:, 2] - p0[:, 2]
         )
     return work
+
+
+# sigma_mu for mu = 0..3: the identity, then x, y and z.
+_PAULI_BASIS = np.array([pauli(axis) for axis in ("identity", "x", "y", "z")])
+
+
+def choi_negativity(configs: Sequence[EngineConfig]) -> float:
+    """Largest max(0, -lambda_min) over the Choi matrices of the battery
+    channels of one cycle of every config.
+
+    The cycle maps the battery Bloch vector P -> A P + b, so its channel Phi
+    takes I to I + 2 b.sigma and sigma_j to sum_k A_kj sigma_k. Phi is
+    completely positive exactly when its Choi matrix
+    J = 1/2 sum_mu conj(sigma_mu) (x) Phi(sigma_mu) is positive semidefinite
+    (Ruskai, Szarek and Werner, Lin. Alg. Appl. 347, 159 (2002)). A and b come
+    from one stacked cycle map per MAP_BLOCK configs; one eigvalsh takes every J.
+    """
+    maps = [cycle_map(configs[start:start + MAP_BLOCK])[:2] for start in range(0, len(configs), MAP_BLOCK)]
+    A, b = (np.concatenate(parts) for parts in zip(*maps))
+    images = np.empty((len(configs), 4, 2, 2), dtype=complex)  # Phi(sigma_mu)
+    images[:, 0] = _PAULI_BASIS[0] + 2 * np.einsum("kj,jab->kab", b, _PAULI_BASIS[1:])
+    images[:, 1:] = np.einsum("kij,iab->kjab", A, _PAULI_BASIS[1:])
+    choi = 0.5 * kron(_PAULI_BASIS.conj(), images).sum(axis=1)
+    return max(0.0, -float(np.linalg.eigvalsh(choi)[:, 0].min()))
 
 
 def max_oracle_gap(draws: int, seed: int = DEFAULT_SEED) -> float:
@@ -170,30 +192,11 @@ def loop_engine(config: EngineConfig) -> tuple[list[CycleRecord], np.ndarray]:
         joint = dephase_battery(power_stroke(joint, config.compression_theta), t2_f)
         battery = partial_trace(joint, "battery")
         p = polarization_vector(battery)
-        record = make_cycle_record(n, energy, cumulative, p, post_stroke, pauli_correlators(post_stroke))
+        correlators = correlator_sets(post_stroke[np.newaxis])[0]
+        record = make_cycle_record(n, energy, cumulative, p, post_stroke, correlators)
         records.append(record)
         energy, cumulative = p.pz, record.cumulative_work
     return records, joint
-
-
-def record_fields(r: CycleRecord) -> dict[str, float]:
-    """Every number of a cycle record, by name."""
-    c, e = r.correlators, r.ergotropy
-    fields = {
-        "cycle_index": r.cycle_index,
-        "cycle_work": r.cycle_work,
-        "cumulative_work": r.cumulative_work,
-        "coherence_rel_entropy": r.coherence_rel_entropy,
-        "concurrence_post_stroke": r.concurrence_post_stroke,
-        "ergotropy_total": e.total,
-        "ergotropy_incoherent": e.incoherent,
-        "ergotropy_coherent": e.coherent,
-    }
-    fields.update(zip(("p_bx", "p_by", "p_bz"), r.battery_polarization))
-    for group, values in (("m", c.medium), ("b", c.battery), ("", c.joint)):
-        names = ("xx", "yy", "zz") if not group else tuple(f"{group}{j}" for j in "xyz")
-        fields.update((f"corr_{name}", v) for name, v in zip(names, values))
-    return fields
 
 
 def stage_loop_gaps(mapped: EngineTrace) -> dict[str, float]:
@@ -203,9 +206,9 @@ def stage_loop_gaps(mapped: EngineTrace) -> dict[str, float]:
     records, joint = loop_engine(mapped.config)
     gaps = {"final_joint": float(np.max(np.abs(mapped.final_joint - joint)))}
     for r_map, r_loop in zip(mapped.records, records, strict=True):
-        a, b = record_fields(r_map), record_fields(r_loop)
-        for name in a:
-            gaps[name] = max(gaps.get(name, 0.0), abs(a[name] - b[name]))
+        a, b = [r_map.cycle_index] + record_row(r_map), [r_loop.cycle_index] + record_row(r_loop)
+        for name, x, y in zip(("cycle_index",) + TRACE_COLUMNS, a, b):
+            gaps[name] = max(gaps.get(name, 0.0), abs(x - y))
     return gaps
 
 
@@ -325,19 +328,13 @@ def run_all_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         )
     )
 
-    worst_rec = 0.0
-    worst_uni = 0.0
-    for _ in range(200):
-        dim = int(rng.choice([2, 4]))
-        h = random_hermitian(rng, dim)
-        w, v = hermitian_eig(h)
-        worst_rec = max(worst_rec, float(np.max(np.abs((v * w) @ v.conj().T - h))))
-        worst_uni = max(worst_uni, float(np.max(np.abs(v.conj().T @ v - np.eye(dim)))))
+    negativity = choi_negativity([random_noisy_config(rng, cycles=1) for _ in range(200)])
     checks.append(
         CheckResult(
-            "eigensolver_residual",
-            worst_rec < 1e-12 and worst_uni < 1e-12,
-            f"max reconstruction {worst_rec:.3e}, max unitarity defect {worst_uni:.3e}",
+            "cycle_is_completely_positive",
+            negativity < 1e-12,
+            f"max Choi-matrix negativity max(0, -lambda_min) = {negativity:.3e} "
+            "over 200 noisy cycle maps (tol 1e-12)",
         )
     )
 

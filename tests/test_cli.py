@@ -14,9 +14,8 @@ from spinotto.multicycle import (
     run_engine,
     run_engines,
 )
-from spinotto.output import ADVANTAGE_COLUMNS, TRACE_COLUMNS, dumps_stable, fmt_float, write_json
+from spinotto.output import ADVANTAGE_COLUMNS, TRACE_COLUMNS, dumps_stable, fmt_float, record_row, write_json
 from spinotto.scenario import config_from_dict
-from spinotto.validate import record_fields
 
 
 GOLDEN_TRACE_HEADER = (
@@ -229,7 +228,9 @@ def test_stacked_search_equals_per_config_compare(tmp_path, monkeypatch, n):
         single = compare_coherent_incoherent(run_engine(config), run_engine(config.with_p_mx(0.0)))
         assert (result.coherent.config, result.incoherent.config) == (config, config.with_p_mx(0.0))
         for got, want in ((result.coherent, single.coherent), (result.incoherent, single.incoherent)):
-            assert [record_fields(r) for r in got.records] == [record_fields(r) for r in want.records]
+            assert [[r.cycle_index] + record_row(r) for r in got.records] == [
+                [r.cycle_index] + record_row(r) for r in want.records
+            ]
             assert np.array_equal(got.final_joint, want.final_joint)
         assert result.advantage == single.advantage
         ratio, cycle = peak_advantage(single)

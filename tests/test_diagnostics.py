@@ -11,8 +11,6 @@ from spinotto.diagnostics import (
     correlator_sets,
     ergotropy,
     mean_energy,
-    passive_state,
-    pauli_correlators,
     polarization_vector,
     relative_entropy_of_coherence,
     von_neumann_entropy,
@@ -35,6 +33,11 @@ def random_density(rng, dim):
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = x @ x.conj().T
     return rho / np.trace(rho).real
+
+
+def correlators(joint):
+    """The CorrelatorSet of one two-qubit state."""
+    return correlator_sets(joint[np.newaxis])[0]
 
 
 def random_unitary(rng, dim):
@@ -137,20 +140,6 @@ def test_relative_entropy_of_coherence_nonnegative():
         assert relative_entropy_of_coherence(random_density(rng, 2)) >= -1e-14
 
 
-def test_passive_state():
-    assert np.allclose(passive_state(GROUND), GROUND, atol=1e-13)
-    assert np.allclose(passive_state(EXCITED), GROUND, atol=1e-13)
-    # pure |+x> has eigenvalues (1, 0): passivizes to the ground projector
-    assert np.allclose(passive_state(PLUS_X), GROUND, atol=1e-13)
-
-
-def test_passive_state_has_zero_ergotropy():
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        rho = random_density(rng, 2)
-        assert ergotropy(passive_state(rho)).total == pytest.approx(0.0, abs=1e-13)
-
-
 def test_ergotropy_cases():
     report = ergotropy(np.diag([0.2, 0.8]))
     assert report.total == pytest.approx(0.0, abs=1e-13)
@@ -174,20 +163,21 @@ def test_ergotropy_invariants():
         assert report.total >= -1e-13
         assert report.coherent >= -1e-13
         assert report.total == pytest.approx(report.incoherent + report.coherent, abs=1e-12)
+        # the passive state diag(1/2 - |P|, 1/2 + |P|) has energy -|P|
         assert report.total == pytest.approx(
-            mean_energy(rho) - mean_energy(passive_state(rho)), abs=1e-12
+            mean_energy(rho) + polarization_vector(rho).norm(), abs=1e-12
         )
         # diagonal states carry no coherent ergotropy
         assert ergotropy(np.diag(np.diag(rho))).coherent == pytest.approx(0.0, abs=1e-13)
 
 
 def test_correlators_product_of_mixed():
-    out = pauli_correlators(kron(MIXED, MIXED))
+    out = correlators(kron(MIXED, MIXED))
     assert all(abs(x) < 1e-14 for x in out.medium + out.battery + out.joint)
 
 
 def test_correlators_bell():
-    out = pauli_correlators(bell_state())
+    out = correlators(bell_state())
     assert out.joint[0] == pytest.approx(1.0, abs=1e-12)
     assert out.joint[1] == pytest.approx(1.0, abs=1e-12)
     assert out.joint[2] == pytest.approx(-1.0, abs=1e-12)
@@ -198,7 +188,7 @@ def test_correlators_factorize_on_products():
     for _ in range(30):
         a = random_density(rng, 2)
         b = random_density(rng, 2)
-        out = pauli_correlators(kron(a, b))
+        out = correlators(kron(a, b))
         for j in range(3):
             assert out.joint[j] == pytest.approx(out.medium[j] * out.battery[j], abs=1e-12)
         for x in out.medium + out.battery + out.joint:
@@ -219,7 +209,7 @@ def test_correlators_and_bloch_match_trace_oracle():
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
         for joint in (random_density(rng, 4), np.outer(psi, psi.conj())):
-            out = pauli_correlators(joint)
+            out = correlators(joint)
             got = out.medium + out.battery + out.joint
             for value, op in zip(got, ops):
                 assert abs(value - np.trace(joint @ op).real) <= 1e-15
@@ -231,7 +221,7 @@ def test_correlators_and_bloch_match_trace_oracle():
 def test_stacked_readouts_equal_single_state_calls():
     rng = np.random.default_rng(13)
     joints = np.array([random_density(rng, 4) for _ in range(8)])
-    assert correlator_sets(joints) == [pauli_correlators(j) for j in joints]
+    assert correlator_sets(joints) == [correlators(j) for j in joints]
     qubits = np.array([random_density(rng, 2) for _ in range(8)])
     assert bloch_vectors(qubits).tolist() == [list(polarization_vector(q)) for q in qubits]
     with pytest.raises(DimensionError):
@@ -303,7 +293,7 @@ def test_closed_forms_match_eigen_oracle():
         assert abs(report.total - want["total"]) <= 1e-14
         assert abs(report.incoherent - want["incoherent"]) <= 1e-14
         assert abs(report.coherent - want["coherent"]) <= 1e-14
-        assert np.max(np.abs(passive_state(rho) - want["passive"])) <= 1e-14
+        assert abs(-polarization_vector(rho).norm() - energy(want["passive"])) <= 1e-14
         assert abs(von_neumann_entropy(rho) - want["entropy"]) <= 1e-12
         assert abs(relative_entropy_of_coherence(rho) - want["coherence"]) <= 1e-12
 
@@ -313,7 +303,6 @@ def test_qubit_diagnostics_reject_other_states():
         polarization_vector,
         mean_energy,
         ergotropy,
-        passive_state,
         relative_entropy_of_coherence,
     )
     for fn in qubit_fns:

@@ -9,7 +9,6 @@ from spinotto.linalg import (
     DimensionError,
     ValidationError,
     clamp_spectrum,
-    hermitian_eig,
     kron,
     partial_trace,
     pauli,
@@ -132,42 +131,6 @@ def test_elementwise_ops():
     assert abs(np.trace(a @ b) - np.trace(b @ a)) < 1e-12
 
 
-def test_hermitian_eig_diagonal():
-    w, v = hermitian_eig(np.diag([3.0, 1.0, 2.0, 0.0]).astype(complex))
-    assert np.allclose(w, [0, 1, 2, 3], atol=1e-13)
-    assert np.allclose(v @ np.diag(w) @ v.conj().T, np.diag([3, 1, 2, 0]), atol=1e-12)
-
-
-def test_hermitian_eig_sigma_x():
-    w, _ = hermitian_eig(pauli("x"))
-    assert np.allclose(w, [-1, 1], atol=1e-13)
-
-
-def test_hermitian_eig_random_reconstruction():
-    rng = np.random.default_rng(6)
-    for _ in range(1000):
-        dim = int(rng.choice([2, 4]))
-        h = random_hermitian(rng, dim)
-        w, v = hermitian_eig(h)
-        assert np.all(np.diff(w) >= 0)
-        assert np.max(np.abs((v * w) @ v.conj().T - h)) < 1e-12
-        assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-12
-        # residual form: H V = V diag(w)
-        assert np.max(np.abs(h @ v - v @ np.diag(w))) < 1e-12
-
-
-def test_hermitian_eig_degenerate():
-    h = np.diag([1.0, 1.0, 2.0, 2.0]).astype(complex)
-    w, v = hermitian_eig(h)
-    assert np.allclose(w, [1, 1, 2, 2])
-    assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-12
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValidationError):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 def test_clamp_spectrum():
     assert np.array_equal(clamp_spectrum(np.array([-1e-12, 0.5])), [0.0, 0.5])
     with pytest.raises(ValidationError):
@@ -182,6 +145,8 @@ def test_validate_density():
         validate_density(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not hermitian
     with pytest.raises(ValidationError):
         validate_density(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
+    with pytest.raises(ValidationError, match="eigenvalue"):
+        validate_density(np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex))  # the 4x4 path
     with pytest.raises(DimensionError):
         validate_density(np.eye(8) / 8)
 

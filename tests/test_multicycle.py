@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spinotto import diagnostics, engine
+from spinotto import diagnostics, engine, validate
 from spinotto.diagnostics import polarization_vector
 from spinotto.engine import (
     ConfigError,
@@ -16,11 +16,10 @@ from spinotto.engine import (
     prepare_hot_medium,
     reset_medium,
 )
-from spinotto.linalg import ValidationError, hermitian_eig, kron, partial_trace, pauli
+from spinotto.linalg import ValidationError, kron, partial_trace, pauli
 from spinotto.multicycle import (
     MAP_BLOCK,
     CycleMap,
-    advantage_fixture,
     compare_coherent_incoherent,
     cycle_map,
     dephase_battery,
@@ -39,6 +38,25 @@ from spinotto.validate import (
 )
 
 IDEAL = dict(hot_populations=(0.5, 0.5), cold_populations=(0.0, 1.0))
+
+
+def advantage_fixture(cycles: int = 10) -> EngineConfig:
+    """Frozen grid-search result: an ideal-regime configuration with a large
+    early coherent work advantage.
+
+    Found by searching theta in (0, pi/2) and p_mx in (0, 0.5] under ideal
+    noise with a ground-state battery: at theta = pi/4, p_mx = 0.5 the
+    per-cycle advantage reaches 2.0 on cycle 2 and 4.0 on cycle 3. Kept as a
+    regression anchor; re-derivable with the search-default preset.
+    """
+    return EngineConfig(
+        theta=0.7853981633974483,
+        p_mx=0.5,
+        hot_populations=(0.5, 0.5),
+        cold_populations=(0.0, 1.0),
+        battery_init=(0.0, 0.0, -0.5),
+        cycles=cycles,
+    )
 
 
 def single_map(config):
@@ -91,7 +109,7 @@ class TestDephaseBattery:
             out = dephase_battery(joint, 0.7)
             assert abs(np.trace(out) - 1) < 1e-12
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
-            assert hermitian_eig(out).eigenvalues[0] > -1e-10
+            assert np.linalg.eigvalsh(out)[0] > -1e-10
 
     def test_equals_phase_flip_channel(self):
         # f-dephasing is the phase flip with probability (1 - f)/2
@@ -190,7 +208,7 @@ class TestCycleMap:
             battery = polarization_vector(partial_trace(joint, "battery"))
             assert np.max(np.abs(np.array(battery) - (cmap.A @ p + cmap.b))) < 1e-15
             post = (np.concatenate([[1.0], p]) @ cmap.post_stroke).reshape(4, 4)
-            assert abs(np.trace(post) - 1) < 1e-14 and hermitian_eig(post).eigenvalues[0] > -1e-14
+            assert abs(np.trace(post) - 1) < 1e-14 and np.linalg.eigvalsh(post)[0] > -1e-14
 
     def test_bloch_ball_checked_every_cycle(self, monkeypatch):
         # a map that pushes P out of the ball must be rejected, not recorded
@@ -239,6 +257,28 @@ def test_transposed_map_fails_both_oracles(monkeypatch):
     assert not verdicts["oracle_equivalence"]
     assert not verdicts["map_vs_stage_loop"]
     assert sum(verdicts.values()) == len(verdicts) - 2
+
+
+def test_flipped_x_row_fails_only_complete_positivity(monkeypatch):
+    # a seeded fault in the battery map: the cycle's A followed by the
+    # reflection x -> -x, which, like a transpose, no channel realizes. Only
+    # validate's binding is faulty, so map_vs_stage_loop (through multicycle)
+    # is untouched, and the work checks read only the z row of A
+    original = cycle_map
+
+    def flipped(configs):
+        cmap = original(configs)
+        A = cmap.A.copy()
+        A[:, 0] *= -1
+        return cmap._replace(A=A)
+
+    monkeypatch.setattr(validate, "cycle_map", flipped)
+    checks = run_all_checks()
+    assert [c.name for c in checks if not c.passed] == ["cycle_is_completely_positive"]
+    failed = next(c for c in checks if not c.passed)
+    assert float(re.search(r"= (\d\.\d{3}e[+-]\d\d)", failed.detail).group(1)) > 0.1
+    for c in checks:
+        assert re.search(r"\d\.\d{3}e[+-]\d\d", c.detail), c
 
 
 def test_run_engines_hands_each_config_the_next_map_fails_the_stage_loop(monkeypatch):
@@ -322,7 +362,7 @@ class TestRunEngine:
         )
         result = run_engine(cfg)
         assert abs(np.trace(result.final_joint) - 1) < 1e-12
-        assert hermitian_eig(result.final_joint).eigenvalues[0] > -1e-10
+        assert np.linalg.eigvalsh(result.final_joint)[0] > -1e-10
 
 
 class TestCompare:

@@ -1,5 +1,9 @@
 import json
 import math
+import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,6 @@ from spinotto.scenario import (
     THETA_GRID,
     config_from_dict,
     config_to_dict,
-    load_scenario,
     parse_scenario,
     resolve_scenario,
 )
@@ -172,6 +175,9 @@ def test_duplicate_search_values_rejected_naming_key_and_line(text, key, lineno)
         ("scenario = multicycle\n[sweep]\nfield = theta\nvalues = 0.1, , 0.3\n", "values", 4),
         (SEARCH + "theta = 0.2,,0.4\np_mx = 0.1\n", "theta", 3),
         (SEARCH + "theta = 0.2\np_mx =\n", "p_mx", 4),
+        ("scenario = compare\n[output]\nformats = csv,,json\n", "formats", 3),
+        ("scenario = compare\n[output]\nformats = ,\n", "formats", 3),
+        ("scenario = compare\n[output]\nformats = csv,\n", "formats", 3),
     ],
 )
 def test_empty_list_entry_rejected_naming_key_and_line(text, key, lineno):
@@ -210,16 +216,34 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict(data)
 
 
-def test_fig3_preset_matches_shipped_file():
-    preset = PRESETS["fig3"]()
-    from_file = load_scenario("scenarios/fig3.scn")
-    assert preset.engine == from_file.engine
-    assert preset.kind == from_file.kind
-    assert preset.output == from_file.output
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PRESET_DIR = ROOT / "src" / "spinotto" / "presets"
+
+
+def test_presets_are_fig2_and_the_packaged_files():
+    assert set(PRESETS) == {"fig2"} | {p.stem for p in PRESET_DIR.glob("*.scn")}
+    assert (PRESETS["fig3"]().kind, PRESETS["search-default"]().kind) == ("compare", "search-advantage")
+
+
+def test_build_ships_the_preset_files(tmp_path):
+    # setuptools copies only .py files unless package-data names the presets;
+    # build in a copy so that no egg-info lands in the source tree
+    project = tmp_path / "project"
+    shutil.copytree(ROOT / "src", project / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    shutil.copy(ROOT / "pyproject.toml", project)
+    out = tmp_path / "build"
+    subprocess.run(
+        [sys.executable, "-c", "from setuptools import setup; setup()", "-q", "build_py", "-d", str(out)],
+        cwd=project,
+        check=True,
+        capture_output=True,
+    )
+    shipped = {p.name for p in (out / "spinotto" / "presets").glob("*.scn")}
+    assert shipped == {"fig3.scn", "search-default.scn"}
 
 
 def test_fig3_preset_claims():
-    # the claims made by the fig3 preset docstring and scenarios/fig3.scn
+    # the claims made by the comment of src/spinotto/presets/fig3.scn
     config = PRESETS["fig3"]().engine
     result = compare_coherent_incoherent(*run_engines([config, config.with_p_mx(0.0)]))
     coherent, incoherent = result.coherent.records, result.incoherent.records
