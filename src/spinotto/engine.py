@@ -221,6 +221,14 @@ def prepare_battery(p: Polarization | Sequence[float]) -> np.ndarray:
     return validate_density(rho)
 
 
+def _cos_sin(theta) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of every stroke angle, each as an array of theta's shape.
+    A non-finite angle raises a ConfigError naming theta and the value."""
+    theta = np.asarray(theta, dtype=float)
+    angles = [_check_finite("theta", t) for t in theta.ravel().tolist()]
+    return tuple(np.array([f(t) for t in angles]).reshape(theta.shape) for f in (math.cos, math.sin))
+
+
 def flip_flop_propagator(theta) -> np.ndarray:
     """Unitary of one power stroke: rotation by theta on the {|01>,|10>} subspace.
 
@@ -230,27 +238,35 @@ def flip_flop_propagator(theta) -> np.ndarray:
     gives one unitary per angle, stacked along its axes. A non-finite angle
     raises a ConfigError naming theta and the value.
     """
-    theta = np.asarray(theta, dtype=float)
-    angles = [_check_finite("theta", t) for t in theta.ravel().tolist()]
-    u = np.empty((len(angles), 4, 4), dtype=complex)
-    u[:] = _IDENTITY4
-    u[:, 1, 1] = u[:, 2, 2] = [math.cos(t) for t in angles]
-    u[:, 1, 2] = u[:, 2, 1] = [-1j * math.sin(t) for t in angles]
-    return u.reshape(theta.shape + (4, 4))
+    cos, sin = _cos_sin(theta)
+    u = np.empty(cos.shape + (4, 4), dtype=complex)
+    u[...] = _IDENTITY4
+    u[..., 1, 1] = u[..., 2, 2] = cos
+    u[..., 1, 2] = u[..., 2, 1] = -1j * sin
+    return u
 
 
 def power_stroke(joint: np.ndarray, theta) -> np.ndarray:
-    """Conjugate the joint state by the flip-flop unitary.
+    """Conjugate the joint state by the flip-flop unitary U = flip_flop_propagator(theta).
 
-    theta is one angle, or an array of angles whose axes run along the leading
-    batch axes of joint (one angle per config of a (k, ..., 4, 4) stack).
+    U is the identity outside the one-excitation block, so only rows and
+    columns 1 and 2 change: each pair is mixed with cos theta and -i sin theta,
+    without the two dense 4x4 products (validate's stroke check compares the
+    result with the dense U joint U^dagger). theta is one angle, or an array of
+    angles whose axes run along the leading batch axes of joint (one angle per
+    config of a (k, ..., 4, 4) stack).
     """
     joint = validate_density(joint, check_spectrum=False)
-    u = flip_flop_propagator(theta)
-    if u.shape[:-2] != joint.shape[:-2][: u.ndim - 2]:
-        raise ValidationError(f"theta of shape {u.shape[:-2]} does not match states {joint.shape}")
-    u = u.reshape(u.shape[:-2] + (1,) * (joint.ndim - u.ndim) + (4, 4))
-    return u @ joint @ u.conj().swapaxes(-1, -2)
+    cos, sin = _cos_sin(theta)
+    if joint.shape[-1] != 4 or cos.shape != joint.shape[:-2][: cos.ndim]:
+        raise ValidationError(f"theta of shape {cos.shape} does not match two-qubit states {joint.shape}")
+    cos, isin = (x.reshape(x.shape + (1,) * (joint.ndim - x.ndim - 1)) for x in (cos, 1j * sin))
+    out = joint.copy()
+    r1, r2 = joint[..., 1, :], joint[..., 2, :]
+    out[..., 1, :], out[..., 2, :] = cos * r1 - isin * r2, cos * r2 - isin * r1  # U joint
+    c1, c2 = out[..., 1], out[..., 2]
+    out[..., 1], out[..., 2] = cos * c1 + isin * c2, cos * c2 + isin * c1  # (U joint) U^dagger
+    return out
 
 
 def reset_medium(joint: np.ndarray, fresh: np.ndarray) -> np.ndarray:

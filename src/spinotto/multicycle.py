@@ -38,8 +38,11 @@ Which checks run where:
   X_k, with w_0 = 1 - 2(px + py + pz) and w_j = 2 p_j; the weights sum to 1, so
   hermiticity and unit trace carry over from the images;
 - positivity does not carry over, so run_engine checks 1/2 - |P_n| >= PSD_CLAMP
-  for every cycle, and every recorded post-stroke state passes validate_density
-  and the positivity clamp inside concurrence.
+  for every cycle and names the first cycle n that fails, with its |P_n|, and
+  every recorded post-stroke state passes validate_density and the
+  positivity clamp inside concurrence;
+- validate.loop_engines, the stage-loop oracle, runs the same stages with no
+  map, on the stacked joint states of all configs with the same cycle count.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from .engine import (
     prepare_hot_medium,
     reset_medium,
 )
-from .linalg import ValidationError, clamp_spectrum, kron, partial_trace, pauli, validate_density
+from .linalg import PSD_CLAMP, ValidationError, kron, partial_trace, pauli, validate_density
 
 ADVANTAGE_FLOOR = 1e-12  # baseline work below this leaves the ratio undefined
 # Configs per stacked cycle_map call. On the 1,080 engine runs of a 270-point
@@ -198,7 +201,12 @@ def run_engine(config: EngineConfig, cmap: CycleMap | None = None) -> EngineTrac
     p[0] = start
     for n in range(config.cycles):
         p[n + 1] = A @ p[n] + b
-    clamp_spectrum(0.5 - np.sqrt((p[1:] ** 2).sum(axis=1)))  # |P_n| <= 1/2
+    norms = np.sqrt((p[1:] ** 2).sum(axis=1))
+    outside = np.flatnonzero(~(0.5 - norms >= PSD_CLAMP))  # NaN included
+    if outside.size:
+        n = outside[0]
+        message = f"cycle {n + 1}: battery Bloch vector has |P_n| = {norms[n]:.12g}, outside the Bloch ball"
+        raise ValidationError(f"{message} (1/2 - |P_n| below the PSD tolerance {PSD_CLAMP:.0e})")
 
     post_strokes = (x[:-1] @ post_stroke_map).reshape(-1, 4, 4)
     correlators = correlator_sets(post_strokes)

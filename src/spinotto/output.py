@@ -95,11 +95,15 @@ def write_trace_csv(
     axis_values: Sequence,
     records: Sequence[CycleRecord],
 ) -> None:
-    """One CSV row per record, keyed by the given axis column."""
+    """One CSV row per record, keyed by the given axis column. The axis cell
+    goes through _cell; the record fields are floats, all rendered by one %
+    format with fmt_float's 17 significant digits."""
     if len(axis_values) != len(records):
         raise ValueError("axis values and records must have equal length")
-    rows = ([axis] + record_row(record) for axis, record in zip(axis_values, records))
-    _write_csv(path, (axis_name,) + TRACE_COLUMNS, rows)
+    fields = ",%.17g" * len(TRACE_COLUMNS)
+    lines = [",".join((axis_name,) + TRACE_COLUMNS)]
+    lines += [_cell(axis) + fields % tuple(record_row(record)) for axis, record in zip(axis_values, records)]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_advantage_csv(path, rows: Iterable[tuple[int, float, float, float | None]]) -> None:

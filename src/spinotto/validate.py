@@ -10,16 +10,26 @@ What each check compares:
   analytic formula of the ideal regime;
 - classical_battery_first_cycle: W_1 from stacked cycle maps of a config with
   p_by = 0 against W_1 of its p_mx = 0 twin (no coherence cross term);
-- map_vs_stage_loop: run_engines, which iterates stacked affine cycle maps,
-  against loop_engine, which pushes one joint state through every stage of
-  every cycle, on every record field and the final joint state;
-- stroke_unitarity_and_sectors, reset_preserves_battery,
-  partial_trace_identities and stage_validity_fuzz test invariants of single
-  stages and of chains of them;
+- stroke_unitarity_and_sectors: power_stroke, which rotates only the
+  one-excitation block, against the dense conjugation U rho U+ by
+  U = flip_flop_propagator, with the unitarity of U and the |00>, |11>
+  populations, on 200 random states;
+- reset_preserves_battery and partial_trace_identities: the battery marginal
+  across a reset, and kron/partial-trace round trips, on random states;
+- stage_validity_fuzz: the trace and lowest eigenvalue of every state that
+  2000 random stages produce on FUZZ_CHAINS chains stepped together;
 - cycle_is_completely_positive: the Choi matrix of the battery channel that
   stacked cycle maps give is positive semidefinite on random noisy configs;
 - diagnostics_unit_truths and state_preparation_roundtrip compare the
-  diagnostics and preparations with known values.
+  diagnostics and preparations with known values;
+- map_vs_stage_loop: run_engines, which iterates stacked affine cycle maps,
+  against loop_engines, which pushes the joint states through every stage of
+  every cycle with no map, on every record field and the final joint state.
+
+The checks draw their random states one at a time, in a fixed order, and
+then run each stage once on the whole stack of draws. A check that raises
+becomes a failed result that names the exception; the checks after it still
+run.
 """
 
 from __future__ import annotations
@@ -119,8 +129,8 @@ def state_validity(rho: np.ndarray) -> tuple[float, float]:
     tr_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
     hermitian_part = rho.conj().swapaxes(-1, -2)  # a copy, updated in place below
     hermitian_part += rho
-    hermitian_part /= 2  # Hermitian bit for bit, so eigh needs no guard
-    return float(tr_err.max()), float(np.linalg.eigh(hermitian_part)[0][..., 0].min())
+    hermitian_part /= 2  # Hermitian bit for bit, so eigvalsh needs no guard
+    return float(tr_err.max()), float(np.linalg.eigvalsh(hermitian_part)[..., 0].min())
 
 
 def first_cycle_work(configs: Sequence[EngineConfig]) -> np.ndarray:
@@ -173,69 +183,97 @@ def max_oracle_gap(draws: int, seed: int = DEFAULT_SEED) -> float:
     return worst
 
 
-def loop_engine(config: EngineConfig) -> tuple[list[CycleRecord], np.ndarray]:
-    """Oracle for run_engine: the explicit per-cycle stage loop, one 4x4 joint
-    state pushed through every stage of every cycle.
+def loop_engines(configs: Sequence[EngineConfig]) -> list[EngineTrace]:
+    """Oracle for run_engines: the explicit per-cycle stage loop, with no
+    affine map.
 
-    Returns the cycle records and the joint state at the end of the last cycle.
+    The joint states of all configs that share a cycle count go through every
+    stage of every cycle as one (k, 4, 4) stack, with one angle and one
+    dephasing factor per config. Returns one trace per config, in order.
     """
-    battery = prepare_battery(config.battery_init)
-    hot = prepare_hot_medium(config.p_mx, config.hot_populations)
-    cold = prepare_cold_medium(config.cold_populations)
-    reset_f = config.noise.battery_dephasing_per_reset
-    t2_f = config.noise.battery_t2_per_cycle
-    records = []
-    energy, cumulative = polarization_vector(battery).pz, 0.0
-    for n in range(1, config.cycles + 1):
-        post_stroke = power_stroke(dephase_battery(kron(hot, battery), reset_f), config.theta)
-        joint = dephase_battery(reset_medium(post_stroke, cold), reset_f)
-        joint = dephase_battery(power_stroke(joint, config.compression_theta), t2_f)
-        battery = partial_trace(joint, "battery")
-        p = polarization_vector(battery)
-        correlators = correlator_sets(post_stroke[np.newaxis])[0]
-        record = make_cycle_record(n, energy, cumulative, p, post_stroke, correlators)
-        records.append(record)
-        energy, cumulative = p.pz, record.cumulative_work
-    return records, joint
+    traces: list[EngineTrace | None] = [None] * len(configs)
+    for cycles in sorted({c.cycles for c in configs}):
+        index = [i for i, c in enumerate(configs) if c.cycles == cycles]
+        group = [configs[i] for i in index]
+        battery = np.array([prepare_battery(c.battery_init) for c in group])
+        hot = prepare_hot_medium([c.p_mx for c in group], [c.hot_populations for c in group])
+        cold = prepare_cold_medium([c.cold_populations for c in group])
+        reset_f = [c.noise.battery_dephasing_per_reset for c in group]
+        t2_f = [c.noise.battery_t2_per_cycle for c in group]
+        theta, compression_theta = [c.theta for c in group], [c.compression_theta for c in group]
+        records: list[list[CycleRecord]] = [[] for _ in group]
+        energy, cumulative = [polarization_vector(b).pz for b in battery], [0.0] * len(group)
+        for n in range(1, cycles + 1):
+            post_stroke = power_stroke(dephase_battery(kron(hot, battery), reset_f), theta)
+            joint = dephase_battery(reset_medium(post_stroke, cold), reset_f)
+            joint = dephase_battery(power_stroke(joint, compression_theta), t2_f)
+            battery = partial_trace(joint, "battery")
+            for j, corr in enumerate(correlator_sets(post_stroke)):
+                p = polarization_vector(battery[j])
+                record = make_cycle_record(n, energy[j], cumulative[j], p, post_stroke[j], corr)
+                records[j].append(record)
+                energy[j], cumulative[j] = p.pz, record.cumulative_work
+        for j, i in enumerate(index):
+            traces[i] = EngineTrace(config=group[j], records=tuple(records[j]), final_joint=joint[j])
+    return traces
 
 
-def stage_loop_gaps(mapped: EngineTrace) -> dict[str, float]:
-    """Largest |mapped - loop_engine(mapped.config)| of every record field over
-    all cycles, and of the final joint state, for a trace that run_engine or
-    run_engines produced."""
-    records, joint = loop_engine(mapped.config)
-    gaps = {"final_joint": float(np.max(np.abs(mapped.final_joint - joint)))}
-    for r_map, r_loop in zip(mapped.records, records, strict=True):
-        a, b = [r_map.cycle_index] + record_row(r_map), [r_loop.cycle_index] + record_row(r_loop)
-        for name, x, y in zip(("cycle_index",) + TRACE_COLUMNS, a, b):
-            gaps[name] = max(gaps.get(name, 0.0), abs(x - y))
+def stage_loop_gaps(mapped: Sequence[EngineTrace]) -> dict[str, float]:
+    """Largest |mapped - loop_engines| of every record field over all cycles
+    of all traces, and of the final joint states, for traces that run_engine
+    or run_engines produced."""
+    gaps: dict[str, float] = {"final_joint": 0.0}
+    for t_map, t_loop in zip(mapped, loop_engines([t.config for t in mapped]), strict=True):
+        joint_gap = float(np.max(np.abs(t_map.final_joint - t_loop.final_joint)))
+        gaps["final_joint"] = max(gaps["final_joint"], joint_gap)
+        for r_map, r_loop in zip(t_map.records, t_loop.records, strict=True):
+            a, b = [r_map.cycle_index] + record_row(r_map), [r_loop.cycle_index] + record_row(r_loop)
+            for name, x, y in zip(("cycle_index",) + TRACE_COLUMNS, a, b):
+                gaps[name] = max(gaps.get(name, 0.0), abs(x - y))
     return gaps
+
+
+# Independent chains that fuzz_stage_validity steps together; the 2000 stages
+# of stage_validity_fuzz are 125 steps of 16 chains.
+FUZZ_CHAINS = 16
 
 
 def fuzz_stage_validity(applications: int, seed: int = DEFAULT_SEED) -> tuple[float, float]:
     """Chain random engine stages and return the worst trace error and the
-    most negative eigenvalue of the states they produced."""
+    most negative eigenvalue of the first `applications` states they produced.
+    Each step's states are checked as they come, so only one state per chain
+    is held.
+
+    FUZZ_CHAINS chains step together. At each step every chain draws whether
+    to restart from a random joint state (probability 0.02, so early stages
+    stay represented), which stage to apply and that stage's parameter; each
+    stage then runs once on the chains that drew it. Pure and singular states
+    are among the draws, so the PSD floor is exercised.
+    """
     rng = np.random.default_rng(seed)
-    outputs = np.empty((applications, 4, 4), dtype=complex)
+    tr_err, min_eig = 0.0, math.inf
 
-    def fresh_qubit():
-        # pure and singular states included so the PSD floor is exercised
-        return random_density(rng, 2, rank=int(rng.integers(1, 3)))
+    def fresh_qubits(n: int) -> np.ndarray:
+        return np.array([random_density(rng, 2, rank=int(rng.integers(1, 3))) for _ in range(n)])
 
-    joint = kron(fresh_qubit(), fresh_qubit())
-    for done in range(applications):
-        # restart the chain now and then so early stages stay represented
-        if rng.uniform() < 0.02:
-            joint = random_density(rng, 4, rank=int(rng.integers(1, 5)))
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            joint = power_stroke(joint, float(rng.uniform(0.0, math.pi)))
-        elif kind == 1:
-            joint = reset_medium(joint, fresh_qubit())
-        else:
-            joint = dephase_battery(joint, float(rng.uniform(0.0, 1.0)))
-        outputs[done] = joint
-    return state_validity(outputs)
+    stages = (
+        lambda states, p: power_stroke(states, math.pi * p),
+        lambda states, p: reset_medium(states, fresh_qubits(len(p))),
+        dephase_battery,
+    )
+    joint = kron(fresh_qubits(FUZZ_CHAINS), fresh_qubits(FUZZ_CHAINS))
+    for done in range(0, applications, FUZZ_CHAINS):
+        for i in np.flatnonzero(rng.uniform(size=FUZZ_CHAINS) < 0.02):
+            joint[i] = random_density(rng, 4, rank=int(rng.integers(1, 5)))
+        kind = rng.integers(0, len(stages), size=FUZZ_CHAINS)
+        param = rng.uniform(size=FUZZ_CHAINS)
+        for k, stage in enumerate(stages):
+            chains = np.flatnonzero(kind == k)
+            if chains.size:
+                joint[chains] = stage(joint[chains], param[chains])
+        err, eig = state_validity(joint[: applications - done])
+        tr_err, min_eig = max(tr_err, err), min(min_eig, eig)
+    return tr_err, min_eig
 
 
 def _bell_state() -> np.ndarray:
@@ -245,99 +283,70 @@ def _bell_state() -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def run_all_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    checks: list[CheckResult] = []
-
+def _oracle_equivalence(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
     gap = max_oracle_gap(1000, seed)
-    checks.append(
-        CheckResult(
-            "oracle_equivalence",
-            gap < 1e-10,
-            f"max |closed form - cycle-map W_1| = {gap:.3e} over 1000 draws (tol 1e-10)",
-        )
-    )
+    return gap < 1e-10, f"max |closed form - cycle-map W_1| = {gap:.3e} over 1000 draws (tol 1e-10)"
 
+
+def _classical_battery_first_cycle(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
     drawn = [random_ideal_config(rng) for _ in range(200)]
     coherent = [replace(c, battery_init=c.battery_init._replace(py=0.0)) for c in drawn]
     w_coh, w_inc = first_cycle_work(coherent + [c.with_p_mx(0.0) for c in coherent]).reshape(2, -1)
     worst = float(np.max(np.abs(w_coh - w_inc)))
-    checks.append(
-        CheckResult(
-            "classical_battery_first_cycle",
-            worst < 1e-12,
-            f"max coherent-incoherent work gap at p_by = 0: {worst:.3e} (tol 1e-12)",
-        )
+    return worst < 1e-12, f"max coherent-incoherent work gap at p_by = 0: {worst:.3e} (tol 1e-12)"
+
+
+def _stroke_unitarity_and_sectors(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
+    draws = [(float(rng.uniform(0.0, 2.0 * math.pi)), random_density(rng, 4)) for _ in range(200)]
+    theta, joints = (np.array(x) for x in zip(*draws))
+    u = flip_flop_propagator(theta)
+    u_dagger = u.conj().swapaxes(1, 2)
+    out = power_stroke(joints, theta)
+    worst_uni = float(np.max(np.abs(u_dagger @ u - np.eye(4))))
+    worst_dense = float(np.max(np.abs(out - u @ joints @ u_dagger)))
+    worst_sector = float(np.max(np.abs(out[:, [0, 3], [0, 3]] - joints[:, [0, 3], [0, 3]])))
+    return (
+        max(worst_uni, worst_dense, worst_sector) < 1e-12,
+        f"max |U+U - I| = {worst_uni:.3e}, max |power_stroke - U rho U+| = {worst_dense:.3e}, "
+        f"max sector-population drift = {worst_sector:.3e} (tol 1e-12)",
     )
 
-    worst_uni = 0.0
-    worst_sector = 0.0
-    for _ in range(200):
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        u = flip_flop_propagator(theta)
-        worst_uni = max(worst_uni, float(np.max(np.abs(u.conj().T @ u - np.eye(4)))))
-        joint = random_density(rng, 4)
-        out = power_stroke(joint, theta)
-        worst_sector = max(
-            worst_sector,
-            abs(out[0, 0] - joint[0, 0]),
-            abs(out[3, 3] - joint[3, 3]),
-        )
-    checks.append(
-        CheckResult(
-            "stroke_unitarity_and_sectors",
-            worst_uni < 1e-12 and worst_sector < 1e-12,
-            f"max |U+U - I| = {worst_uni:.3e}, max sector-population drift = {worst_sector:.3e}",
-        )
-    )
 
-    worst = 0.0
-    for _ in range(200):
-        joint = random_density(rng, 4)
-        before = partial_trace(joint, "battery")
-        after = partial_trace(reset_medium(joint, random_density(rng, 2)), "battery")
-        worst = max(worst, float(np.max(np.abs(after - before))))
-    checks.append(
-        CheckResult(
-            "reset_preserves_battery",
-            worst < 1e-12,
-            f"max battery-marginal change across resets: {worst:.3e} (tol 1e-12)",
-        )
-    )
+def _reset_preserves_battery(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
+    draws = [(random_density(rng, 4), random_density(rng, 2)) for _ in range(200)]
+    joints, fresh = (np.array(x) for x in zip(*draws))
+    before = partial_trace(joints, "battery")
+    worst = float(np.max(np.abs(partial_trace(reset_medium(joints, fresh), "battery") - before)))
+    return worst < 1e-12, f"max battery-marginal change across resets: {worst:.3e} (tol 1e-12)"
 
+
+def _stage_validity_fuzz(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
     tr_err, min_eig = fuzz_stage_validity(2000, seed)
-    checks.append(
-        CheckResult(
-            "stage_validity_fuzz",
-            tr_err < 1e-12 and min_eig > -1e-10,
-            f"2000 stages: worst trace error {tr_err:.3e}, lowest eigenvalue {min_eig:.3e}",
-        )
+    return (
+        tr_err < 1e-12 and min_eig > -1e-10,
+        f"2000 stages on {FUZZ_CHAINS} chains: worst trace error {tr_err:.3e}, "
+        f"lowest eigenvalue {min_eig:.3e}",
     )
 
-    worst = 0.0
-    for _ in range(50):
-        a = random_density(rng, 2)
-        b = random_density(rng, 2)
-        worst = max(worst, float(np.max(np.abs(partial_trace(kron(a, b), "medium") - a))))
-        worst = max(worst, float(np.max(np.abs(partial_trace(kron(a, b), "battery") - b))))
-    checks.append(
-        CheckResult(
-            "partial_trace_identities",
-            worst < 1e-12,
-            f"max kron/partial-trace round-trip error: {worst:.3e}",
-        )
-    )
 
+def _partial_trace_identities(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
+    a, b = (np.array(x) for x in zip(*[(random_density(rng, 2), random_density(rng, 2)) for _ in range(50)]))
+    ab = kron(a, b)
+    errors = (partial_trace(ab, "medium") - a, partial_trace(ab, "battery") - b)
+    worst = max(float(np.max(np.abs(e))) for e in errors)
+    return worst < 1e-12, f"max kron/partial-trace round-trip error: {worst:.3e}"
+
+
+def _cycle_is_completely_positive(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
     negativity = choi_negativity([random_noisy_config(rng, cycles=1) for _ in range(200)])
-    checks.append(
-        CheckResult(
-            "cycle_is_completely_positive",
-            negativity < 1e-12,
-            f"max Choi-matrix negativity max(0, -lambda_min) = {negativity:.3e} "
-            "over 200 noisy cycle maps (tol 1e-12)",
-        )
+    return (
+        negativity < 1e-12,
+        f"max Choi-matrix negativity max(0, -lambda_min) = {negativity:.3e} "
+        "over 200 noisy cycle maps (tol 1e-12)",
     )
 
+
+def _diagnostics_unit_truths(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
     bell = _bell_state()
     product = kron(random_density(rng, 2), random_density(rng, 2))
     werner = 0.5 * bell + 0.5 * np.eye(4) / 4.0
@@ -354,41 +363,55 @@ def run_all_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     ]
     failed = [name for name, err, tol in unit_truths if err > tol]
     worst_truth = max(err for _, err, _ in unit_truths)
-    checks.append(
-        CheckResult(
-            "diagnostics_unit_truths",
-            not failed,
-            f"worst deviation {worst_truth:.3e}"
-            + (f"; failed: {', '.join(failed)}" if failed else ""),
-        )
-    )
+    detail = f"worst deviation {worst_truth:.3e}"
+    return not failed, detail + (f"; failed: {', '.join(failed)}" if failed else "")
 
+
+def _map_vs_stage_loop(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
     traces = run_engines([random_noisy_config(rng, cycles=3) for _ in range(20)])
-    worst = max(max(stage_loop_gaps(t).values()) for t in traces)
-    checks.append(
-        CheckResult(
-            "map_vs_stage_loop",
-            worst < 1e-12,
-            f"max |run_engine - per-cycle stage loop| over records and final state: {worst:.3e} "
-            "over 20 noisy configs x 3 cycles (tol 1e-12)",
-        )
+    worst = max(stage_loop_gaps(traces).values())
+    return (
+        worst < 1e-12,
+        f"max |run_engine - per-cycle stage loop| over records and final state: {worst:.3e} "
+        "over 20 noisy configs x 3 cycles (tol 1e-12)",
     )
 
-    mixed = np.eye(2, dtype=complex) / 2
+
+def _state_preparation_roundtrip(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
     roundtrip = polarization_vector(prepare_battery(Polarization(0.1, -0.2, 0.3)))
-    pol_err = max(
-        abs(roundtrip.px - 0.1), abs(roundtrip.py + 0.2), abs(roundtrip.pz - 0.3)
-    )
-    energy_err = abs(mean_energy(mixed))
+    pol_err = max(abs(roundtrip.px - 0.1), abs(roundtrip.py + 0.2), abs(roundtrip.pz - 0.3))
+    energy_err = abs(mean_energy(np.eye(2, dtype=complex) / 2))
     hot = prepare_hot_medium(0.5, (0.5, 0.5))
     hot_err = float(np.max(np.abs(hot - np.array([[0.5, 0.5], [0.5, 0.5]]))))
     worst = max(pol_err, energy_err, hot_err)
-    checks.append(
-        CheckResult(
-            "state_preparation_roundtrip",
-            worst < 1e-12,
-            f"max preparation/readout deviation: {worst:.3e}",
-        )
-    )
+    return worst < 1e-12, f"max preparation/readout deviation: {worst:.3e}"
 
-    return checks
+
+# Every check in report order. Each takes the suite's generator, which the
+# checks draw from in this order, and the seed; it returns (passed, detail).
+CHECKS = (
+    ("oracle_equivalence", _oracle_equivalence),
+    ("classical_battery_first_cycle", _classical_battery_first_cycle),
+    ("stroke_unitarity_and_sectors", _stroke_unitarity_and_sectors),
+    ("reset_preserves_battery", _reset_preserves_battery),
+    ("stage_validity_fuzz", _stage_validity_fuzz),
+    ("partial_trace_identities", _partial_trace_identities),
+    ("cycle_is_completely_positive", _cycle_is_completely_positive),
+    ("diagnostics_unit_truths", _diagnostics_unit_truths),
+    ("map_vs_stage_loop", _map_vs_stage_loop),
+    ("state_preparation_roundtrip", _state_preparation_roundtrip),
+)
+
+
+def run_all_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Run every check of CHECKS. A check that raises becomes a failed result
+    naming the exception, and the checks after it still run."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for name, check in CHECKS:
+        try:
+            passed, detail = check(rng, seed)
+        except Exception as exc:  # any raise is a failed check, not a failed suite
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, passed, detail))
+    return results

@@ -17,6 +17,7 @@ from spinotto.diagnostics import (
 )
 from spinotto.engine import prepare_battery
 from spinotto.linalg import DimensionError, ValidationError, kron, pauli
+from spinotto.validate import random_density
 
 MIXED = np.eye(2, dtype=complex) / 2
 GROUND = np.diag([0.0, 1.0]).astype(complex)
@@ -27,12 +28,6 @@ PLUS_X = 0.5 * np.eye(2) + 0.5 * pauli("x")
 def bell_state():
     psi = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
     return np.outer(psi, psi.conj())
-
-
-def random_density(rng, dim):
-    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = x @ x.conj().T
-    return rho / np.trace(rho).real
 
 
 def correlators(joint):

@@ -18,13 +18,7 @@ from spinotto.engine import (
 )
 from spinotto.linalg import ValidationError, kron, partial_trace, pauli
 from spinotto.multicycle import run_engine
-from spinotto.validate import random_ideal_config
-
-
-def random_density(rng, dim):
-    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = x @ x.conj().T
-    return rho / np.trace(rho).real
+from spinotto.validate import random_density, random_ideal_config
 
 
 def ket(index):
@@ -135,6 +129,16 @@ class TestPowerStroke:
             out = power_stroke(joint, float(rng.uniform(0, math.pi)))
             assert abs(out[0, 0] - joint[0, 0]) < 1e-12
             assert abs(out[3, 3] - joint[3, 3]) < 1e-12
+
+    def test_equals_dense_conjugation_by_the_propagator(self):
+        # only the one-excitation block is rotated; the result is U rho U+
+        rng = np.random.default_rng(15)
+        ranks = rng.integers(1, 5, size=(64, 4))
+        joints = np.array([[random_density(rng, 4, rank=int(r)) for r in row] for row in ranks])
+        angles = rng.uniform(-2 * math.pi, 2 * math.pi, size=64)
+        u = flip_flop_propagator(angles)[:, None]
+        dense = u @ joints @ u.conj().swapaxes(-1, -2)
+        assert np.max(np.abs(power_stroke(joints, angles) - dense)) <= 1e-15
 
     def test_one_angle_per_config_equals_separate_calls(self):
         # angles run along the leading axis of a (k, 4, 4, 4) stack

@@ -14,17 +14,12 @@ from spinotto.linalg import (
     pauli,
     validate_density,
 )
+from spinotto.validate import random_density
 
 
 def random_hermitian(rng, dim):
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (x + x.conj().T) / 2
-
-
-def random_density(rng, dim):
-    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = x @ x.conj().T
-    return rho / np.trace(rho).real
 
 
 def test_pauli_matrices():

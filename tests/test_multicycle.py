@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spinotto import diagnostics, engine, validate
-from spinotto.diagnostics import polarization_vector
+from spinotto.diagnostics import Polarization, polarization_vector
 from spinotto.engine import (
     ConfigError,
     EngineConfig,
@@ -16,7 +16,8 @@ from spinotto.engine import (
     prepare_hot_medium,
     reset_medium,
 )
-from spinotto.linalg import ValidationError, kron, partial_trace, pauli
+from spinotto.cli import main
+from spinotto.linalg import PSD_CLAMP, ValidationError, kron, partial_trace, pauli
 from spinotto.multicycle import (
     MAP_BLOCK,
     CycleMap,
@@ -30,6 +31,7 @@ from spinotto.multicycle import (
 )
 from spinotto.scenario import PRESETS
 from spinotto.validate import (
+    loop_engines,
     random_density,
     random_noisy_config,
     random_polarization,
@@ -164,18 +166,24 @@ class TestDephaseBattery:
 class TestCycleMap:
     def test_matches_explicit_loop_on_fig3_and_fixture(self):
         for trace in run_engines([PRESETS["fig3"]().engine, advantage_fixture(10)]):
-            gaps = stage_loop_gaps(trace)
+            gaps = stage_loop_gaps([trace])
             assert max(gaps.values()) <= 1e-14, gaps
 
     def test_matches_explicit_loop_on_random_noisy_configs(self):
         rng = np.random.default_rng(11)
-        worst = {}
         configs = [random_noisy_config(rng, cycles=10) for _ in range(200)]
         configs += [random_noisy_config(rng, cycles=200) for _ in range(5)]
-        for trace in run_engines(configs):
-            for name, gap in stage_loop_gaps(trace).items():
-                worst[name] = max(worst.get(name, 0.0), gap)
+        worst = stage_loop_gaps(run_engines(configs))
         assert max(worst.values()) <= 1e-13, worst
+
+    def test_stage_loop_stack_equals_single_config_loops(self):
+        # configs of mixed cycle counts, stacked by count, in input order
+        rng = np.random.default_rng(17)
+        configs = [random_noisy_config(rng, cycles=int(n)) for n in rng.integers(1, 4, size=9)]
+        for stacked, config in zip(loop_engines(configs), configs, strict=True):
+            (single,) = loop_engines([config])
+            assert stacked.config is config and stacked.records == single.records
+            assert np.array_equal(stacked.final_joint, single.final_joint)
 
     def test_stack_equals_single_config_calls(self):
         # the config axis changes no bit, whichever way the stack is split
@@ -216,8 +224,35 @@ class TestCycleMap:
         cmap = cycle_map([config])
         bad = cmap._replace(A=2.0 * np.eye(3)[None], b=np.array([[0.0, 0.0, 0.2]]))
         monkeypatch.setattr(sys.modules["spinotto.multicycle"], "cycle_map", lambda _: bad)
-        with pytest.raises(ValidationError, match="eigenvalue"):
+        with pytest.raises(ValidationError, match=r"cycle 1: .*\|P_n\| = 0\.8,"):
             run_engine(config)
+
+    def test_bloch_ball_error_names_the_first_cycle_outside(self, monkeypatch):
+        # a seeded fault: the cycle's A scaled by 3 drives |P_n| out of the
+        # ball after a few cycles; the error names that cycle and its |P_n|
+        config = EngineConfig(cycles=12, battery_init=Polarization(0.0, 0.1, 0.1))
+        cmap = cycle_map([config])
+        bad = cmap._replace(A=3.0 * cmap.A)
+        monkeypatch.setattr(sys.modules["spinotto.multicycle"], "cycle_map", lambda _: bad)
+        p, norms = np.array(config.battery_init), []
+        while not norms or 0.5 - norms[-1] >= PSD_CLAMP:
+            p = bad.A[0] @ p + bad.b[0]
+            norms.append(float(np.linalg.norm(p)))
+        assert 1 < len(norms) <= config.cycles
+        with pytest.raises(ValidationError) as excinfo:
+            run_engine(config)
+        message = str(excinfo.value)
+        assert message.startswith(f"cycle {len(norms)}: ")
+        reported = float(re.search(r"\|P_n\| = ([0-9.e+-]+),", message).group(1))
+        assert reported == pytest.approx(norms[-1], rel=1e-11)
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Rebind original to replacement in every spinotto module that holds it."""
+    for mod in [m for name, m in sys.modules.items() if name.startswith("spinotto")]:
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, replacement)
 
 
 def test_one_record_and_one_concurrence_per_cycle(monkeypatch):
@@ -232,10 +267,8 @@ def test_one_record_and_one_concurrence_per_cycle(monkeypatch):
         return wrapped
 
     originals = {"make_cycle_record": engine.make_cycle_record, "concurrence": diagnostics.concurrence}
-    for mod in [m for name, m in sys.modules.items() if name.startswith("spinotto")]:
-        for name, fn in originals.items():
-            if getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, spy(name, fn))
+    for name, fn in originals.items():
+        patch_everywhere(monkeypatch, fn, spy(name, fn))
     run_engine(EngineConfig(cycles=7, noise=NoiseConfig(0.9, 0.8)))
     assert calls == {"make_cycle_record": 7, "concurrence": 7}
     compare(EngineConfig(cycles=5))
@@ -250,9 +283,7 @@ def test_transposed_map_fails_both_oracles(monkeypatch):
         cmap = original(configs)
         return cmap._replace(A=cmap.A.swapaxes(1, 2))
 
-    for mod in [m for name, m in sys.modules.items() if name.startswith("spinotto")]:
-        if getattr(mod, "cycle_map", None) is original:
-            monkeypatch.setattr(mod, "cycle_map", transposed)
+    patch_everywhere(monkeypatch, original, transposed)
     verdicts = {c.name: c.passed for c in run_all_checks()}
     assert not verdicts["oracle_equivalence"]
     assert not verdicts["map_vs_stage_loop"]
@@ -293,6 +324,54 @@ def test_run_engines_hands_each_config_the_next_map_fails_the_stage_loop(monkeyp
     assert [c.name for c in checks if not c.passed] == ["map_vs_stage_loop"]
     for c in checks:
         assert re.search(r"\d\.\d{3}e[+-]\d\d", c.detail), c
+
+
+def test_stroke_with_flipped_sine_fails_the_stroke_check(monkeypatch):
+    # a seeded fault: power_stroke rotates by -theta, so the sign of its sine
+    # flips; unitarity and the sector populations still hold, and within the
+    # stroke check only the comparison with the dense U rho U+ sees it
+    patch_everywhere(monkeypatch, power_stroke, lambda joint, theta: power_stroke(joint, -np.asarray(theta)))
+    stroke = next(c for c in run_all_checks() if c.name == "stroke_unitarity_and_sectors")
+    assert not stroke.passed
+    assert float(re.search(r"U rho U\+\| = (\S+),", stroke.detail).group(1)) > 0.1
+
+
+def partial_transpose_battery(joint):
+    return joint.reshape(joint.shape[:-2] + (2, 2, 2, 2)).swapaxes(-1, -3).reshape(joint.shape)
+
+
+def test_non_positive_stage_fails_the_fuzz(monkeypatch):
+    # a seeded fault: the battery partial transpose after every power stroke.
+    # It keeps hermiticity and trace, which is all the stages check, so the
+    # chains run on and the fuzz must report the eigenvalue floor
+    patch_everywhere(
+        monkeypatch, power_stroke, lambda joint, theta: partial_transpose_battery(power_stroke(joint, theta))
+    )
+    tr_err, min_eig = validate.fuzz_stage_validity(2000)
+    assert tr_err < 1e-12 and min_eig < -0.1
+    fuzz = next(c for c in run_all_checks() if c.name == "stage_validity_fuzz")
+    assert not fuzz.passed
+    assert f"lowest eigenvalue {min_eig:.3e}" in fuzz.detail
+
+
+def test_a_raising_check_becomes_a_failed_row(monkeypatch, tmp_path, capsys):
+    # a seeded fault: power_stroke's output scaled by 1.001, so the next stage
+    # that validates it raises. Each raising check reports the exception, the
+    # other checks still run, and validate exits 1 with all its rows printed
+    patch_everywhere(monkeypatch, power_stroke, lambda joint, theta: 1.001 * power_stroke(joint, theta))
+    checks = run_all_checks()
+    assert [c.name for c in checks] == [name for name, _ in validate.CHECKS]
+    raised = [c for c in checks if c.detail.startswith("raised ")]
+    assert "stage_validity_fuzz" in [c.name for c in raised]
+    for c in raised:
+        assert not c.passed
+        assert re.fullmatch(r"raised ValidationError: density operator trace 1\.001\S* differs from 1", c.detail)
+    assert {c.name for c in checks if c.passed} >= {"partial_trace_identities", "state_preparation_roundtrip"}
+
+    assert main(["validate", "--output-dir", str(tmp_path)]) == 1
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert len(rows) == len(validate.CHECKS)
+    assert any(row.startswith("FAIL  stage_validity_fuzz") and "raised ValidationError" in row for row in rows)
 
 
 class TestRunEngines:
