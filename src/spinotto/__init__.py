@@ -5,7 +5,6 @@ diagnostic toolbox (work split, ergotropy, coherence, concurrence)."""
 __version__ = "0.1.0"
 
 from .diagnostics import (
-    CorrelatorSet,
     ErgotropyReport,
     Polarization,
     concurrence,

@@ -12,7 +12,7 @@ import itertools
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import __version__
 from .engine import EngineConfig, NoiseConfig
@@ -32,6 +32,7 @@ from .output import (
 )
 from .scenario import (
     PRESETS,
+    SEARCH_AXES,
     OutputSpec,
     ScenarioError,
     ScenarioFile,
@@ -125,7 +126,7 @@ def _run_single_cycle_sweep(s: ScenarioFile, args) -> tuple[list[str], dict]:
     variant_labels = []
     formats = _formats(s, args)
     for label, config in s.variants or (("", s.engine),):
-        traces = sweep(replace(config, cycles=1), s.sweep.field, s.sweep.values)
+        traces = sweep(config, s.sweep.field, s.sweep.values)
         records = [t.records[0] for t in traces]
         name = f"{s.output.prefix}_{label}.csv" if label else f"{s.output.prefix}.csv"
         if "csv" in formats:
@@ -158,7 +159,7 @@ def _run_multicycle(s: ScenarioFile, args) -> tuple[list[str], dict]:
             name = f"{s.output.prefix}_s{i:02d}.csv"
             if "csv" in formats:
                 _write_cycle_trace(args, name, trace, outputs)
-            mapping.append({"index": i, "value": value, "file": name})
+            mapping.append({"index": i, "value": value, "file": name if "csv" in formats else None})
         results["sweep_field"] = s.sweep.field
         results["sweep_map"] = mapping
     return outputs, results
@@ -194,12 +195,13 @@ def _run_compare(s: ScenarioFile, args) -> tuple[list[str], dict]:
 
 def _search_grid(s: ScenarioFile):
     spec = s.search  # parse_scenario sorts each axis and rejects empty entries
-    axes = (spec.theta, spec.p_mx, spec.battery_dephasing_per_reset, spec.battery_t2_per_cycle)
-    points = list(itertools.product(*axes))
-    configs = [
-        replace(s.engine, theta=t, p_mx=p, noise=NoiseConfig(rd, t2), cycles=spec.max_cycles)
-        for (t, p, rd, t2) in points
-    ]
+    points = list(itertools.product(*(getattr(spec, axis) for axis in SEARCH_AXES)))
+    noise_axes = [f.name for f in fields(NoiseConfig)]
+    configs = []
+    for point in points:
+        values = dict(zip(SEARCH_AXES, point))
+        noise = NoiseConfig(**{axis: values.pop(axis) for axis in noise_axes})
+        configs.append(replace(s.engine, noise=noise, cycles=spec.max_cycles, **values))
     return points, configs
 
 
@@ -223,19 +225,8 @@ def _run_search(s: ScenarioFile, args) -> tuple[list[str], dict]:
     formats = _formats(s, args)
     if "csv" in formats:
         name = f"{s.output.prefix}_grid.csv"
-        write_grid_csv(
-            os.path.join(args.output_dir, name),
-            (
-                "theta",
-                "p_mx",
-                "battery_dephasing_per_reset",
-                "battery_t2_per_cycle",
-                "peak_ratio",
-                "peak_cycle",
-                "defined",
-            ),
-            rows,
-        )
+        header = SEARCH_AXES + ("peak_ratio", "peak_cycle", "defined")
+        write_grid_csv(os.path.join(args.output_dir, name), header, rows)
         outputs.append(name)
 
     if best is None:
@@ -244,17 +235,8 @@ def _run_search(s: ScenarioFile, args) -> tuple[list[str], dict]:
     else:
         ratio, cycle, idx = best
         t, p, rd, t2 = points[idx]
-        results = {
-            "grid_points": len(points),
-            "best": {
-                "theta": t,
-                "p_mx": p,
-                "battery_dephasing_per_reset": rd,
-                "battery_t2_per_cycle": t2,
-                "peak_ratio": ratio,
-                "peak_cycle": cycle,
-            },
-        }
+        best_point = dict(zip(SEARCH_AXES, points[idx])) | {"peak_ratio": ratio, "peak_cycle": cycle}
+        results = {"grid_points": len(points), "best": best_point}
         print(
             f"best grid point theta={t:.6g} p_mx={p:.6g} reset={rd:.6g} t2={t2:.6g}: "
             f"advantage {ratio:.4g} at cycle {cycle}"

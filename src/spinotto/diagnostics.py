@@ -9,7 +9,6 @@ level |0> sits at +1/2 and the ground level |1> at -1/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -36,23 +35,12 @@ class Polarization(NamedTuple):
         return math.sqrt(self.px**2 + self.py**2 + self.pz**2)
 
 
-@dataclass(frozen=True)
-class ErgotropyReport:
+class ErgotropyReport(NamedTuple):
     """Unitarily extractable work and its incoherent/coherent split."""
 
     total: float
     incoherent: float
     coherent: float
-
-
-@dataclass(frozen=True)
-class CorrelatorSet:
-    """Single-spin expectations <sigma^j> and same-axis pair correlators
-    <sigma_M^j sigma_B^j> for j in (x, y, z)."""
-
-    medium: tuple[float, float, float]
-    battery: tuple[float, float, float]
-    joint: tuple[float, float, float]
 
 
 _AXES = ("x", "y", "z")
@@ -163,9 +151,10 @@ def ergotropy_of_bloch(p: Polarization) -> ErgotropyReport:
     )
 
 
-def correlator_sets(joints: np.ndarray) -> list[CorrelatorSet]:
-    """All nine same-axis expectation values (the CorrelatorSet) of every
-    medium (x) battery state in a (k, 4, 4) stack.
+def correlator_sets(joints: np.ndarray) -> list[list[float]]:
+    """All nine same-axis expectation values of every medium (x) battery state
+    in a (k, 4, 4) stack: the single-spin <sigma_M^j>, then <sigma_B^j>, then
+    the pair correlators <sigma_M^j sigma_B^j>, each for j in (x, y, z).
 
     Each correlator is Tr[joint O], linear in the state, so one product with
     _CORRELATOR_ROWS gives all nine of every state without reduced states. The
@@ -174,8 +163,7 @@ def correlator_sets(joints: np.ndarray) -> list[CorrelatorSet]:
     joints = validate_density(joints, check_spectrum=False)
     if joints.ndim != 3 or joints.shape[1:] != (4, 4):
         raise DimensionError(f"correlator_sets expects a (k, 4, 4) stack, got {joints.shape}")
-    rows = (joints.reshape(-1, 1, 16) @ _CORRELATOR_ROWS.T)[:, 0].real.tolist()
-    return [CorrelatorSet(medium=tuple(v[0:3]), battery=tuple(v[3:6]), joint=tuple(v[6:9])) for v in rows]
+    return (joints.reshape(-1, 1, 16) @ _CORRELATOR_ROWS.T)[:, 0].real.tolist()
 
 
 def concurrence(joint: np.ndarray) -> float:

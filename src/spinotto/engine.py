@@ -19,13 +19,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .diagnostics import (
-    CorrelatorSet,
-    ErgotropyReport,
     Polarization,
     coherence_of_bloch,
     concurrence,
@@ -63,27 +61,28 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name in ("battery_dephasing_per_reset", "battery_t2_per_cycle"):
-            value = getattr(self, name)
+            value = _check_finite(name, getattr(self, name))
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+            object.__setattr__(self, name, value)
 
 
 def _check_finite(name: str, value) -> float:
-    """float(value), or a ConfigError naming the field if it is not a finite number."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}") from None
-    if not math.isfinite(x):
+    """float(value), or a ConfigError naming the field if value is not a finite
+    real number. Strings and bools are rejected, not converted. float and int
+    are tested before numbers.Real, whose abstract-class check is about ten
+    times slower."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)) or not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return x
+    return float(value)
 
 
 def _check_populations(name: str, pops) -> tuple[float, float]:
     try:
-        a, b = (float(x) for x in pops)
+        a, b = pops
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a pair of numbers, got {pops!r}") from None
+    a, b = _check_finite(name, a), _check_finite(name, b)
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ConfigError(f"{name} entries must lie in [0, 1], got ({a}, {b})")
     if abs(a + b - 1.0) > 1e-10:
@@ -135,7 +134,7 @@ class EngineConfig:
         for name in ("theta", "theta_compression"):
             value = getattr(self, name)
             if value is not None:
-                _check_finite(name, value)
+                object.__setattr__(self, name, _check_finite(name, value))
         cycles = self.cycles
         if isinstance(cycles, bool) or not isinstance(cycles, numbers.Integral) or cycles < 1:
             raise ConfigError(f"cycles must be a positive integer, got {cycles!r}")
@@ -143,7 +142,7 @@ class EngineConfig:
         object.__setattr__(self, "hot_populations", _check_populations("hot_populations", self.hot_populations))
         object.__setattr__(self, "cold_populations", _check_populations("cold_populations", self.cold_populations))
         object.__setattr__(self, "battery_init", _check_battery(self.battery_init))
-        _check_p_mx(self.p_mx, self.hot_populations)
+        object.__setattr__(self, "p_mx", _check_p_mx(self.p_mx, self.hot_populations))
 
     @property
     def compression_theta(self) -> float:
@@ -169,23 +168,37 @@ class WorkBreakdown:
     eq_regime: bool = True
 
 
-@dataclass(frozen=True)
-class CycleRecord:
-    """Every diagnostic recorded for one engine cycle.
+class CycleRecord(NamedTuple):
+    """Every diagnostic recorded for one engine cycle: its index, then the 19
+    columns of a trace CSV row under their column names.
 
     Correlators and concurrence are measured immediately after the first
-    power stroke (the state-verification point); the battery polarization,
-    ergotropy and coherence refer to the battery at the end of the cycle.
+    power stroke (the state-verification point); the battery polarization
+    p_b, ergotropy and coherence refer to the battery at the end of the cycle.
+    corr_mj and corr_bj are the single-spin <sigma^j> of medium and battery,
+    corr_jj the pair correlator <sigma_M^j sigma_B^j>.
     """
 
     cycle_index: int
     cycle_work: float
     cumulative_work: float
-    battery_polarization: Polarization
-    ergotropy: ErgotropyReport
-    coherence_rel_entropy: float
-    concurrence_post_stroke: float
-    correlators: CorrelatorSet
+    p_bx: float
+    p_by: float
+    p_bz: float
+    ergotropy_total: float
+    ergotropy_incoherent: float
+    ergotropy_coherent: float
+    rel_entropy_coherence: float
+    concurrence: float
+    corr_mx: float
+    corr_my: float
+    corr_mz: float
+    corr_bx: float
+    corr_by: float
+    corr_bz: float
+    corr_xx: float
+    corr_yy: float
+    corr_zz: float
 
 
 def prepare_hot_medium(p_mx, populations) -> np.ndarray:
@@ -312,24 +325,25 @@ def make_cycle_record(
     work_before: float,
     battery: Polarization,
     post_stroke_joint: np.ndarray,
-    correlators: CorrelatorSet,
+    correlators: Sequence[float],
 ) -> CycleRecord:
     """Assemble the full diagnostic record for one completed cycle.
 
     energy_in is the battery energy when the cycle began, work_before the
     cumulative work of the earlier cycles, battery the Bloch vector of the
-    battery at the end of the cycle, and correlators those of the state
-    right after the first power stroke. Work, ergotropy and coherence are
-    read off the Bloch vector; concurrence needs the post-stroke state itself.
+    battery at the end of the cycle, and correlators the nine of the state
+    right after the first power stroke, in correlator_sets order. Work,
+    ergotropy and coherence are read off the Bloch vector; concurrence needs
+    the post-stroke state itself.
     """
     work = battery.pz - energy_in
     return CycleRecord(
-        cycle_index=index,
-        cycle_work=work,
-        cumulative_work=work_before + work,
-        battery_polarization=battery,
-        ergotropy=ergotropy_of_bloch(battery),
-        coherence_rel_entropy=coherence_of_bloch(battery),
-        concurrence_post_stroke=concurrence(post_stroke_joint),
-        correlators=correlators,
+        index,
+        work,
+        work_before + work,
+        *battery,
+        *ergotropy_of_bloch(battery),
+        coherence_of_bloch(battery),
+        concurrence(post_stroke_joint),
+        *correlators,
     )

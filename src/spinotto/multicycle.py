@@ -47,7 +47,7 @@ Which checks run where:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -57,6 +57,7 @@ from .engine import (
     ConfigError,
     CycleRecord,
     EngineConfig,
+    NoiseConfig,
     make_cycle_record,
     power_stroke,
     prepare_battery,
@@ -218,7 +219,7 @@ def run_engine(config: EngineConfig, cmap: CycleMap | None = None) -> EngineTrac
     ):
         record = make_cycle_record(n, energy, cumulative, Polarization(*battery), post_stroke, corr)
         records.append(record)
-        energy, cumulative = record.battery_polarization.pz, record.cumulative_work
+        energy, cumulative = record.p_bz, record.cumulative_work
 
     final_joint = (x[-2] @ joint_map).reshape(4, 4)
     return EngineTrace(config=config, records=tuple(records), final_joint=final_joint)
@@ -265,36 +266,27 @@ def peak_advantage(result: ComparisonResult) -> tuple[float, int] | None:
     return best
 
 
+# The config fields a sweep sets: the engine's scalars, the components of
+# battery_init as battery_px/py/pz, the noise channels and the cycle count.
+_SCALAR_FIELDS = ("theta", "theta_compression", "p_mx")
+_BATTERY_FIELDS = tuple(f"battery_{axis}" for axis in Polarization._fields)
+_NOISE_FIELDS = tuple(f.name for f in fields(NoiseConfig))
+SWEEPABLE_FIELDS = _SCALAR_FIELDS + _BATTERY_FIELDS + _NOISE_FIELDS + ("cycles",)
+
+
 def _apply_sweep_value(config: EngineConfig, name: str, value) -> EngineConfig:
-    if name == "theta":
-        return replace(config, theta=float(value))
-    if name == "theta_compression":
-        return replace(config, theta_compression=float(value))
-    if name == "p_mx":
-        return replace(config, p_mx=float(value))
-    if name in ("battery_px", "battery_py", "battery_pz"):
-        p = config.battery_init._replace(**{name.removeprefix("battery_"): float(value)})
+    if name in _SCALAR_FIELDS:
+        return replace(config, **{name: value})
+    if name in _BATTERY_FIELDS:
+        p = config.battery_init._replace(**{name.removeprefix("battery_"): value})
         return replace(config, battery_init=p)
-    if name in ("battery_dephasing_per_reset", "battery_t2_per_cycle"):
-        return replace(config, noise=replace(config.noise, **{name: float(value)}))
+    if name in _NOISE_FIELDS:
+        return replace(config, noise=replace(config.noise, **{name: value}))
     if name == "cycles":
         if not float(value).is_integer():
             raise ConfigError(f"cycles must be a positive integer, got {value!r}")
         return replace(config, cycles=int(value))
     raise ConfigError(f"unknown sweep field {name!r}")
-
-
-SWEEPABLE_FIELDS = (
-    "theta",
-    "theta_compression",
-    "p_mx",
-    "battery_px",
-    "battery_py",
-    "battery_pz",
-    "battery_dephasing_per_reset",
-    "battery_t2_per_cycle",
-    "cycles",
-)
 
 
 def sweep(config: EngineConfig, field_name: str, values: Sequence) -> list[EngineTrace]:

@@ -1,5 +1,10 @@
 """Deterministic CSV and JSON serialization for engine results.
 
+A cycle record is its trace CSV row: the fields of engine.CycleRecord after
+cycle_index are the trace columns, under their column names and in their
+order, so TRACE_COLUMNS is read off the record type and a row is written
+straight from the record.
+
 Every number is written with 17 significant digits so repeated runs of the
 same configuration produce byte-identical artifacts suitable for golden-file
 regression.
@@ -15,27 +20,7 @@ from typing import Iterable, Sequence
 
 from .engine import CycleRecord
 
-TRACE_COLUMNS = (
-    "cycle_work",
-    "cumulative_work",
-    "p_bx",
-    "p_by",
-    "p_bz",
-    "ergotropy_total",
-    "ergotropy_incoherent",
-    "ergotropy_coherent",
-    "rel_entropy_coherence",
-    "concurrence",
-    "corr_mx",
-    "corr_my",
-    "corr_mz",
-    "corr_bx",
-    "corr_by",
-    "corr_bz",
-    "corr_xx",
-    "corr_yy",
-    "corr_zz",
-)
+TRACE_COLUMNS = CycleRecord._fields[1:]
 
 ADVANTAGE_COLUMNS = (
     "cycle_index",
@@ -49,28 +34,6 @@ ADVANTAGE_COLUMNS = (
 def fmt_float(x: float) -> str:
     """Render a float with 17 significant digits (exact round trip)."""
     return format(float(x), ".17g")
-
-
-def record_row(record: CycleRecord) -> list[float]:
-    """Flatten one cycle record into the TRACE_COLUMNS order."""
-    pol = record.battery_polarization
-    ergo = record.ergotropy
-    corr = record.correlators
-    return [
-        record.cycle_work,
-        record.cumulative_work,
-        pol.px,
-        pol.py,
-        pol.pz,
-        ergo.total,
-        ergo.incoherent,
-        ergo.coherent,
-        record.coherence_rel_entropy,
-        record.concurrence_post_stroke,
-        *corr.medium,
-        *corr.battery,
-        *corr.joint,
-    ]
 
 
 def _cell(value) -> str:
@@ -102,7 +65,7 @@ def write_trace_csv(
         raise ValueError("axis values and records must have equal length")
     fields = ",%.17g" * len(TRACE_COLUMNS)
     lines = [",".join((axis_name,) + TRACE_COLUMNS)]
-    lines += [_cell(axis) + fields % tuple(record_row(record)) for axis, record in zip(axis_values, records)]
+    lines += [_cell(axis) + fields % record[1:] for axis, record in zip(axis_values, records)]
     _write_text(path, "\n".join(lines) + "\n")
 
 

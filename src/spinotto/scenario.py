@@ -75,6 +75,10 @@ class SearchSpec:
     max_cycles: int = 10
 
 
+# The grid axes of a search, in grid order: the value-list fields of SearchSpec.
+SEARCH_AXES = tuple(f.name for f in fields(SearchSpec) if f.name != "max_cycles")
+
+
 @dataclass(frozen=True)
 class ScenarioFile:
     schema_version: str
@@ -250,9 +254,10 @@ def parse_scenario(text: str) -> ScenarioFile:
         sweep_spec = SweepSpec(field="theta", values=THETA_GRID)
 
     if kind == "single-cycle-sweep" and engine.cycles != 1:
-        raise ScenarioError(
-            f"scenario 'single-cycle-sweep' requires cycles = 1, got {engine.cycles}"
-        )
+        raise ScenarioError(f"scenario 'single-cycle-sweep' requires cycles = 1, got {engine.cycles}")
+    if kind == "single-cycle-sweep" and sweep_spec.field == "cycles":
+        message = "field 'cycles' is not sweepable in scenario 'single-cycle-sweep', which runs one cycle"
+        raise ScenarioError(message, table["sweep"]["field"][1])
 
     search_spec = None
     if kind == "search-advantage":
@@ -262,7 +267,7 @@ def parse_scenario(text: str) -> ScenarioFile:
         if "theta" not in entries or "p_mx" not in entries:
             raise ScenarioError("section [search] requires 'theta' and 'p_mx' value lists")
         axes = {}
-        for key in ("theta", "p_mx", "battery_dephasing_per_reset", "battery_t2_per_cycle"):
+        for key in SEARCH_AXES:
             if key in entries:
                 values = sorted(_to_floats(key, *entries[key]))
                 repeated = [a for a, b in zip(values, values[1:]) if a == b]
@@ -279,7 +284,10 @@ def parse_scenario(text: str) -> ScenarioFile:
     if "output" in table:
         entries = table["output"]
         if "prefix" in entries:
-            prefix = entries["prefix"][0]
+            prefix, lineno = entries["prefix"]
+            if not prefix or prefix.startswith(".") or "/" in prefix or "\\" in prefix:
+                message = f"prefix must be a file name with no leading '.' and no path separator, got {prefix!r}"
+                raise ScenarioError(message, lineno)
         if "formats" in entries:
             value, lineno = entries["formats"]
             formats = tuple(_split("formats", value, lineno))

@@ -65,7 +65,6 @@ from .engine import (
 )
 from .linalg import kron, partial_trace, pauli
 from .multicycle import MAP_BLOCK, EngineTrace, cycle_map, dephase_battery, run_engines
-from .output import TRACE_COLUMNS, record_row
 
 DEFAULT_SEED = 20260809
 
@@ -227,8 +226,7 @@ def stage_loop_gaps(mapped: Sequence[EngineTrace]) -> dict[str, float]:
         joint_gap = float(np.max(np.abs(t_map.final_joint - t_loop.final_joint)))
         gaps["final_joint"] = max(gaps["final_joint"], joint_gap)
         for r_map, r_loop in zip(t_map.records, t_loop.records, strict=True):
-            a, b = [r_map.cycle_index] + record_row(r_map), [r_loop.cycle_index] + record_row(r_loop)
-            for name, x, y in zip(("cycle_index",) + TRACE_COLUMNS, a, b):
+            for name, x, y in zip(CycleRecord._fields, r_map, r_loop):
                 gaps[name] = max(gaps.get(name, 0.0), abs(x - y))
     return gaps
 

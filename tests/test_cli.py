@@ -14,7 +14,7 @@ from spinotto.multicycle import (
     run_engine,
     run_engines,
 )
-from spinotto.output import ADVANTAGE_COLUMNS, TRACE_COLUMNS, dumps_stable, fmt_float, record_row, write_json
+from spinotto.output import ADVANTAGE_COLUMNS, TRACE_COLUMNS, dumps_stable, fmt_float, write_json
 from spinotto.scenario import config_from_dict
 
 
@@ -228,9 +228,7 @@ def test_stacked_search_equals_per_config_compare(tmp_path, monkeypatch, n):
         single = compare_coherent_incoherent(run_engine(config), run_engine(config.with_p_mx(0.0)))
         assert (result.coherent.config, result.incoherent.config) == (config, config.with_p_mx(0.0))
         for got, want in ((result.coherent, single.coherent), (result.incoherent, single.incoherent)):
-            assert [[r.cycle_index] + record_row(r) for r in got.records] == [
-                [r.cycle_index] + record_row(r) for r in want.records
-            ]
+            assert got.records == want.records
             assert np.array_equal(got.final_joint, want.final_joint)
         assert result.advantage == single.advantage
         ratio, cycle = peak_advantage(single)
@@ -250,6 +248,46 @@ def test_workers_flag_is_gone(tmp_path, capsys):
         main(["run", "fig3", "--output-dir", str(tmp_path), "--workers", "2"])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def named_files(obj):
+    """Every entry of an 'outputs' list and every non-null 'file' value in a
+    summary, at any depth."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if key == "outputs":
+                yield from value
+            elif key == "file":
+                yield from [value] if value is not None else []
+            else:
+                yield from named_files(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from named_files(value)
+
+
+@pytest.mark.parametrize("fmt", ["json", "both"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "scenario = multicycle\n[engine]\ncycles = 3\n[sweep]\nfield = theta\nvalues = 0.2, 0.4\n",
+        "scenario = multicycle\n[engine]\ncycles = 3\n",
+        "scenario = compare\n[engine]\ncycles = 3\n",
+        "scenario = single-cycle-sweep\n[sweep]\nfield = p_mx\nvalues = 0.1, 0.2\n",
+        "scenario = search-advantage\n[search]\ntheta = 0.3, 0.6\np_mx = 0.4\nmax_cycles = 3\n",
+    ],
+    ids=["sweep", "multicycle", "compare", "single-cycle-sweep", "search"],
+)
+def test_every_file_a_summary_names_exists(tmp_path, text, fmt):
+    scn = tmp_path / "run.scn"
+    scn.write_text(text + "[output]\nprefix = run\n")
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--output-dir", str(out), "--format", fmt]) == 0
+    summary = json.loads(read(out / "run_summary.json"))
+    # every named file exists, and every file but the summary is named
+    assert set(named_files(summary)) == set(os.listdir(out)) - {"run_summary.json"}
+    if "sweep_map" in summary["results"]:
+        assert all((entry["file"] is None) == (fmt == "json") for entry in summary["results"]["sweep_map"])
 
 
 def test_sweep_scenario_multiple_csvs(tmp_path):

@@ -31,7 +31,7 @@ def bell_state():
 
 
 def correlators(joint):
-    """The CorrelatorSet of one two-qubit state."""
+    """The nine correlators of one two-qubit state, in correlator_sets order."""
     return correlator_sets(joint[np.newaxis])[0]
 
 
@@ -168,14 +168,14 @@ def test_ergotropy_invariants():
 
 def test_correlators_product_of_mixed():
     out = correlators(kron(MIXED, MIXED))
-    assert all(abs(x) < 1e-14 for x in out.medium + out.battery + out.joint)
+    assert all(abs(x) < 1e-14 for x in out)
 
 
 def test_correlators_bell():
     out = correlators(bell_state())
-    assert out.joint[0] == pytest.approx(1.0, abs=1e-12)
-    assert out.joint[1] == pytest.approx(1.0, abs=1e-12)
-    assert out.joint[2] == pytest.approx(-1.0, abs=1e-12)
+    assert out[6] == pytest.approx(1.0, abs=1e-12)
+    assert out[7] == pytest.approx(1.0, abs=1e-12)
+    assert out[8] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_correlators_factorize_on_products():
@@ -185,8 +185,8 @@ def test_correlators_factorize_on_products():
         b = random_density(rng, 2)
         out = correlators(kron(a, b))
         for j in range(3):
-            assert out.joint[j] == pytest.approx(out.medium[j] * out.battery[j], abs=1e-12)
-        for x in out.medium + out.battery + out.joint:
+            assert out[6 + j] == pytest.approx(out[j] * out[3 + j], abs=1e-12)
+        for x in out:
             assert -1 - 1e-12 <= x <= 1 + 1e-12
 
 
@@ -204,8 +204,7 @@ def test_correlators_and_bloch_match_trace_oracle():
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
         for joint in (random_density(rng, 4), np.outer(psi, psi.conj())):
-            out = correlators(joint)
-            got = out.medium + out.battery + out.joint
+            got = correlators(joint)
             for value, op in zip(got, ops):
                 assert abs(value - np.trace(joint @ op).real) <= 1e-15
         rho = random_density(rng, 2)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -273,7 +274,7 @@ class TestSingleCycle:
         )
         record = run_engine(cfg).records[0]
         assert record.cycle_work == pytest.approx(0.0, abs=1e-13)
-        for got, expected in zip(record.battery_polarization, (0.1, 0.2, -0.3)):
+        for got, expected in zip((record.p_bx, record.p_by, record.p_bz), (0.1, 0.2, -0.3)):
             assert got == pytest.approx(expected, abs=1e-13)
 
     def test_classical_battery_first_cycle_indistinguishable(self):
@@ -323,7 +324,7 @@ class TestSingleCycle:
             battery_init=Polarization(0, 0, -0.5),
         )
         record = run_engine(cfg).records[0]
-        assert abs(record.battery_polarization.py) > 0.1
+        assert abs(record.p_by) > 0.1
 
     def test_stage_outputs_remain_valid(self):
         rng = np.random.default_rng(10)
@@ -363,11 +364,24 @@ class TestEngineConfig:
             ("cycles", dict(cycles=True)),
             ("p_mx", dict(p_mx=0.6)),
             ("battery_init", dict(battery_init=(0.5, 0.5, 0.5))),
+            # strings and bools are not numbers, even where float() accepts them
+            ("theta", dict(theta="0.5")),
+            ("theta", dict(theta=True)),
+            ("theta_compression", dict(theta_compression=False)),
+            ("p_mx", dict(p_mx="0.3")),
+            ("p_mx", dict(p_mx=True)),
+            ("hot_populations", dict(hot_populations=("0.5", "0.5"))),
+            ("battery_init", dict(battery_init=(0.0, "0.1", 0.0))),
+            ("battery_dephasing_per_reset", dict(battery_dephasing_per_reset="0.5")),
+            ("battery_dephasing_per_reset", dict(battery_dephasing_per_reset=True)),
+            ("battery_t2_per_cycle", dict(battery_t2_per_cycle=math.nan)),
+            ("battery_t2_per_cycle", dict(battery_t2_per_cycle=None)),
         ],
     )
     def test_bad_numbers_rejected_naming_the_field(self, field, kwargs):
+        config_type = NoiseConfig if field in {f.name for f in fields(NoiseConfig)} else EngineConfig
         with pytest.raises(ConfigError, match=field):
-            EngineConfig(**kwargs)
+            config_type(**kwargs)
         # the public preparations apply the same checks to the same values
         prepare = {
             "p_mx": lambda v: prepare_hot_medium(v, (0.485, 0.515)),
@@ -376,6 +390,15 @@ class TestEngineConfig:
         if field in prepare:
             with pytest.raises(ConfigError, match=field):
                 prepare[field](kwargs[field])
+
+    def test_numbers_are_stored_as_float(self):
+        cfg = EngineConfig(theta=1, theta_compression=np.float64(0.5), p_mx=np.int64(0),
+                           noise=NoiseConfig(1, np.float32(0.5)))
+        values = (cfg.theta, cfg.theta_compression, cfg.p_mx,
+                  cfg.noise.battery_dephasing_per_reset, cfg.noise.battery_t2_per_cycle)
+        assert values == (1.0, 0.5, 0.0, 1.0, 0.5)
+        assert all(type(v) is float for v in values)
+        assert closed_form_work(cfg).total == closed_form_work(EngineConfig(theta=1.0, p_mx=0.0)).total
 
     def test_compression_angle_defaults_to_theta(self):
         assert EngineConfig(theta=0.7).compression_theta == 0.7

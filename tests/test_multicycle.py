@@ -71,25 +71,6 @@ def compare(config):
     return compare_coherent_incoherent(*run_engines([config, config.with_p_mx(0.0)]))
 
 
-def records_equal(r1, r2):
-    if (r1.cycle_index, r1.cycle_work, r1.cumulative_work) != (
-        r2.cycle_index, r2.cycle_work, r2.cumulative_work
-    ):
-        return False
-    if r1.battery_polarization != r2.battery_polarization:
-        return False
-    if (r1.coherence_rel_entropy, r1.concurrence_post_stroke) != (
-        r2.coherence_rel_entropy, r2.concurrence_post_stroke
-    ):
-        return False
-    if (r1.correlators.medium, r1.correlators.battery, r1.correlators.joint) != (
-        r2.correlators.medium, r2.correlators.battery, r2.correlators.joint
-    ):
-        return False
-    e1, e2 = r1.ergotropy, r2.ergotropy
-    return (e1.total, e1.incoherent, e1.coherent) == (e2.total, e2.incoherent, e2.coherent)
-
-
 class TestDephaseBattery:
     def test_factor_one_is_identity(self):
         rng = np.random.default_rng(0)
@@ -393,7 +374,7 @@ class TestRunEngines:
         assert [t.config for t in stacked] == configs
         for trace, config in zip(stacked, configs, strict=True):
             single = run_engine(config)
-            assert all(records_equal(a, b) for a, b in zip(trace.records, single.records, strict=True))
+            assert trace.records == single.records
             assert np.array_equal(trace.final_joint, single.final_joint)
 
     def test_empty(self):
@@ -410,10 +391,10 @@ class TestRunEngine:
             start, cumulative = cfg.battery_init, 0.0
             for record in run_engine(cfg).records:
                 step = run_engine(replace(cfg, cycles=1, battery_init=start)).records[0]
-                start, cumulative = step.battery_polarization, cumulative + step.cycle_work
+                start, cumulative = (step.p_bx, step.p_by, step.p_bz), cumulative + step.cycle_work
                 assert abs(step.cycle_work - record.cycle_work) < 1e-12
                 assert abs(cumulative - record.cumulative_work) < 1e-12
-                for a, b in zip(start, record.battery_polarization):
+                for a, b in zip(start, (record.p_bx, record.p_by, record.p_bz)):
                     assert abs(a - b) < 1e-12
 
     def test_determinism_bit_exact(self):
@@ -422,7 +403,7 @@ class TestRunEngine:
         t1 = run_engine(cfg)
         t2 = run_engine(cfg)
         for r1, r2 in zip(t1.records, t2.records):
-            assert records_equal(r1, r2)
+            assert r1 == r2
         assert np.array_equal(t1.final_joint, t2.final_joint)
 
     def test_record_count_and_cumulative_sum(self):
@@ -475,8 +456,8 @@ class TestCompare:
         cfg = EngineConfig(theta=math.pi / 4, p_mx=0.5, cycles=3,
                            battery_init=(0, 0, -0.5), **IDEAL)
         result = compare(cfg)
-        assert abs(result.coherent.records[0].battery_polarization.py) > 0.1
-        assert abs(result.incoherent.records[0].battery_polarization.py) < 1e-14
+        assert abs(result.coherent.records[0].p_by) > 0.1
+        assert abs(result.incoherent.records[0].p_by) < 1e-14
 
     def test_maximally_mixed_battery_picks_up_coherence_on_later_cycles(self):
         # with P = 0 there is no z-polarization to convert on cycle 1; the
@@ -484,8 +465,8 @@ class TestCompare:
         cfg = EngineConfig(theta=math.pi / 4, p_mx=0.5, cycles=2,
                            battery_init=(0, 0, 0), **IDEAL)
         trace_out = run_engine(cfg)
-        assert abs(trace_out.records[0].battery_polarization.py) < 1e-14
-        assert abs(trace_out.records[1].battery_polarization.py) > 1e-3
+        assert abs(trace_out.records[0].p_by) < 1e-14
+        assert abs(trace_out.records[1].p_by) > 1e-3
 
 
 class TestFixture:
@@ -504,8 +485,8 @@ class TestFixture:
     def test_rise_then_fall_of_coherence(self):
         cfg = replace(advantage_fixture(30), noise=NoiseConfig(battery_t2_per_cycle=0.9))
         records = run_engine(cfg).records
-        coherences = [r.coherence_rel_entropy for r in records]
-        coherent_ergo = [r.ergotropy.coherent for r in records]
+        coherences = [r.rel_entropy_coherence for r in records]
+        coherent_ergo = [r.ergotropy_coherent for r in records]
         for series in (coherences, coherent_ergo):
             peak = max(range(len(series)), key=lambda i: series[i])
             assert 0 < peak < len(series) - 1
@@ -574,7 +555,7 @@ class TestSweep:
         assert len(traces) == len(values)
         for trace in traces:
             single = run_engine(trace.config)
-            assert all(records_equal(a, b) for a, b in zip(trace.records, single.records, strict=True))
+            assert trace.records == single.records
             assert np.array_equal(trace.final_joint, single.final_joint)
 
 

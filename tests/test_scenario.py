@@ -135,6 +135,13 @@ def test_single_cycle_sweep_requires_one_cycle():
         parse_scenario("scenario = single-cycle-sweep\n[engine]\ncycles = 3\n")
 
 
+def test_single_cycle_sweep_rejects_sweeping_cycles():
+    # one cycle per run: a cycles sweep would run every count but record cycle 1
+    text = "scenario = single-cycle-sweep\n[sweep]\nfield = cycles\nvalues = 1, 2\n"
+    with pytest.raises(ScenarioError, match="line 3: field 'cycles' is not sweepable"):
+        parse_scenario(text)
+
+
 def test_search_requires_grid():
     with pytest.raises(ScenarioError, match=r"\[search\]"):
         parse_scenario("scenario = search-advantage\n")
@@ -193,6 +200,15 @@ def test_output_section():
     assert s.output.formats == ("csv",)
     with pytest.raises(ScenarioError, match="format"):
         parse_scenario("scenario = compare\n[output]\nformats = yaml\n")
+
+
+@pytest.mark.parametrize("prefix", ["", ".", ".run", "../x/y", "runs/a", "runs\\a", "/tmp/a"])
+def test_unusable_prefix_rejected_naming_key_and_line(prefix):
+    # an empty prefix or a leading '.' writes hidden files (".csv", "._summary.json"),
+    # a path separator writes outside --output-dir
+    text = f"scenario = multicycle\n[output]\nprefix = {prefix}\n"
+    with pytest.raises(ScenarioError, match="line 3: prefix must be a file name"):
+        parse_scenario(text)
 
 
 def test_config_dict_roundtrip():
