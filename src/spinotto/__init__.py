@@ -1,6 +1,6 @@
 """spinotto: an exact simulator of a two-spin quantum Otto engine that charges
 a qubit battery through coherent flip-flop power strokes, with the full
-diagnostic toolbox (work split, ergotropy, coherence, concurrence)."""
+diagnostic toolbox (work, ergotropy, coherence, concurrence)."""
 
 __version__ = "0.1.0"
 
@@ -19,8 +19,6 @@ from .engine import (
     CycleRecord,
     EngineConfig,
     NoiseConfig,
-    WorkBreakdown,
-    closed_form_work,
     flip_flop_propagator,
     power_stroke,
     prepare_battery,
@@ -41,6 +39,7 @@ from .multicycle import (
     ComparisonResult,
     CycleMap,
     EngineTrace,
+    battery_map,
     compare_coherent_incoherent,
     cycle_map,
     dephase_battery,

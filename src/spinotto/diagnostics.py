@@ -160,7 +160,7 @@ def correlator_sets(joints: np.ndarray) -> list[list[float]]:
     _CORRELATOR_ROWS gives all nine of every state without reduced states. The
     product is stacked row by row, so each state gets the same bits as alone.
     """
-    joints = validate_density(joints, check_spectrum=False)
+    joints = validate_density(joints, check_spectrum=False, caller="correlator_sets")
     if joints.ndim != 3 or joints.shape[1:] != (4, 4):
         raise DimensionError(f"correlator_sets expects a (k, 4, 4) stack, got {joints.shape}")
     return (joints.reshape(-1, 1, 16) @ _CORRELATOR_ROWS.T)[:, 0].real.tolist()
@@ -177,7 +177,7 @@ def concurrence(joint: np.ndarray) -> float:
     values of A. Taking them directly avoids square roots of eigenvalues near
     zero, which cost about 1e-8 of accuracy on pure states.
     """
-    joint = validate_density(joint, check_spectrum=False)
+    joint = validate_density(joint, check_spectrum=False, caller="concurrence")
     if joint.shape != (4, 4):
         raise DimensionError("concurrence expects a two-qubit state")
     w, v = np.linalg.eigh(joint)  # validate_density has checked hermiticity

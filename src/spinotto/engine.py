@@ -1,5 +1,5 @@
-"""The four-stroke spin engine: state preparation, flip-flop power strokes,
-bath resets, and the closed-form work of one ideal cycle.
+"""The four-stroke spin engine: its configuration, state preparation,
+flip-flop power strokes, bath resets and the record of one cycle.
 
 One cycle runs hot preparation -> power stroke -> cold reset -> power stroke
 on the joint medium (x) battery state. Work is the change of the battery's
@@ -153,21 +153,6 @@ class EngineConfig:
         return replace(self, p_mx=p_mx)
 
 
-@dataclass(frozen=True)
-class WorkBreakdown:
-    """Cycle work split into its population part and its coherence cross term.
-
-    eq_regime is True when the closed-form assumptions hold (symmetric hot
-    populations, pure-ground cold bath, equal stroke angles); outside that
-    regime the numbers are an extrapolation and the flag is False.
-    """
-
-    total: float
-    classical: float
-    quantum: float
-    eq_regime: bool = True
-
-
 class CycleRecord(NamedTuple):
     """Every diagnostic recorded for one engine cycle: its index, then the 19
     columns of a trace CSV row under their column names.
@@ -269,7 +254,7 @@ def power_stroke(joint: np.ndarray, theta) -> np.ndarray:
     angles whose axes run along the leading batch axes of joint (one angle per
     config of a (k, ..., 4, 4) stack).
     """
-    joint = validate_density(joint, check_spectrum=False)
+    joint = validate_density(joint, check_spectrum=False, caller="power_stroke")
     cos, sin = _cos_sin(theta)
     if joint.shape[-1] != 4 or cos.shape != joint.shape[:-2][: cos.ndim]:
         raise ValidationError(f"theta of shape {cos.shape} does not match two-qubit states {joint.shape}")
@@ -288,35 +273,8 @@ def reset_medium(joint: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     Equivalent to a SWAP with an uncorrelated ancilla: the battery marginal is
     preserved exactly and all medium-battery correlations are discarded.
     """
-    joint = validate_density(joint, check_spectrum=False)
+    joint = validate_density(joint, check_spectrum=False, caller="reset_medium")
     return kron(fresh, partial_trace(joint, "battery"))
-
-
-def closed_form_work(config: EngineConfig) -> WorkBreakdown:
-    """Exact closed-form work of one ideal cycle, in units of hbar*omega_B.
-
-        W = 2*P_M^x*P_B^y*sin(t)cos^3(t) + P_B^z*(cos^4(t)-1) - sin^2(t)/2
-
-    The quantum part is the coherence cross term (first summand); the
-    classical part is the rest. The formula is derived for symmetric hot
-    populations (1/2, 1/2), a pure-ground cold bath (0, 1) and equal stroke
-    angles; eq_regime flags whether the supplied config satisfies that.
-    """
-    theta = config.theta
-    c, s = math.cos(theta), math.sin(theta)
-    quantum = 2.0 * config.p_mx * config.battery_init.py * s * c**3
-    classical = config.battery_init.pz * (c**4 - 1.0) - 0.5 * s**2
-    in_regime = (
-        abs(config.hot_populations[0] - 0.5) <= 1e-12
-        and abs(config.cold_populations[0]) <= 1e-12
-        and config.compression_theta == theta
-    )
-    return WorkBreakdown(
-        total=quantum + classical,
-        classical=classical,
-        quantum=quantum,
-        eq_regime=in_regime,
-    )
 
 
 def make_cycle_record(

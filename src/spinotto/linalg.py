@@ -104,27 +104,33 @@ def _lowest_qubit_eigenvalue(h: np.ndarray) -> np.ndarray:
     return 0.5 * (d00 + d11) - np.hypot(0.5 * (d00 - d11), np.abs(h[..., 0, 1]))
 
 
-def validate_density(rho: np.ndarray, check_spectrum: bool = True) -> np.ndarray:
+def validate_density(rho: np.ndarray, check_spectrum: bool = True, caller: str | None = None) -> np.ndarray:
     """Check that rho is a density operator of dimension 2 or 4, or a stack of them.
 
     Verifies shape, hermiticity and unit trace within VALIDATION_ATOL, and
     (optionally) that no eigenvalue lies below PSD_CLAMP. A qubit's smallest
     eigenvalue has a closed form, so only 4x4 states need an eigensolver.
-    Returns rho unchanged.
+    Returns rho unchanged. caller names the function whose input rho is; the
+    message of an error then starts with that name.
     """
-    rho = as_complex(rho)
-    dim = rho.shape[-1]
-    if dim not in (2, 4):
-        raise DimensionError(f"density operator must be 2x2 or 4x4, got {rho.shape}")
-    if not is_hermitian(rho):
-        raise ValidationError("density operator is not Hermitian")
-    tr = rho.trace(axis1=-2, axis2=-1)
-    trace_err = abs(tr - 1.0)
-    if trace_err.max() > VALIDATION_ATOL:
-        worst = complex(tr.flat[np.argmax(trace_err)])
-        raise ValidationError(f"density operator trace {worst:.12g} differs from 1")
-    if check_spectrum and dim == 2:
-        clamp_spectrum(_lowest_qubit_eigenvalue(rho))
-    elif check_spectrum:
-        clamp_spectrum(np.linalg.eigvalsh(rho))  # hermiticity checked above
+    try:
+        rho = as_complex(rho)
+        dim = rho.shape[-1]
+        if dim not in (2, 4):
+            raise DimensionError(f"density operator must be 2x2 or 4x4, got {rho.shape}")
+        if not is_hermitian(rho):
+            raise ValidationError("density operator is not Hermitian")
+        tr = rho.trace(axis1=-2, axis2=-1)
+        trace_err = abs(tr - 1.0)
+        if trace_err.max() > VALIDATION_ATOL:
+            worst = complex(tr.flat[np.argmax(trace_err)])
+            raise ValidationError(f"density operator trace {worst:.12g} differs from 1")
+        if check_spectrum and dim == 2:
+            clamp_spectrum(_lowest_qubit_eigenvalue(rho))
+        elif check_spectrum:
+            clamp_spectrum(np.linalg.eigvalsh(rho))  # hermiticity checked above
+    except LinalgError as exc:
+        if caller is None:
+            raise
+        raise type(exc)(f"{caller}: {exc}") from None
     return rho

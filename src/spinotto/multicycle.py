@@ -7,16 +7,30 @@ deterministic: identical configs produce bit-identical records.
 Every cycle starts by pairing a fresh hot medium with the battery, so the
 battery qubit is the only state carried from one cycle to the next, and one
 cycle is a qubit channel on it: an affine map P -> A P + b of its Bloch vector
-(King and Ruskai, IEEE TIT 47, 192 (2001)). Every stage is linear in the
-state, so the state after the first power stroke and the joint state at the
-end of the cycle are affine in the P the cycle started from, too.
+(King and Ruskai, IEEE TIT 47, 192 (2001)). With c, s = cos, sin theta and
+C, S = cos, sin theta_c (the compression angle), f_r and f_t the per-reset
+and per-cycle dephasing factors, p0 and q0 the first hot and cold populations
+and m = p_mx, the stages give
 
-cycle_map is the one implementation of the cycle. For each of k configs it
-pushes the four probe batteries I/2 and I/2 + sigma_j/2 (P = 0 and P = e_j/2)
-through the stages, all 4k of them as one (k, 4, 4, 4) stack, and reads every
-affine map off their images; each map carries a leading config axis. The
-stages take one angle and one dephasing factor per config along that axis, so
-a stacked map equals the maps of single-config calls bit for bit.
+    A = [[a, 0,               0               ],
+         [0, a,               -2 f_r f_t m s C],
+         [0, 2 f_r m s c C^2, c^2 C^2         ]],   a = f_r^2 f_t c C,
+    b = (0, 0, (p0 - 1/2) s^2 C^2 + (q0 - 1/2) S^2).
+
+So p_x decouples from the other two components, dephasing never acts on p_z
+directly, the fuel m enters only through the two y-z couplings, and b does
+not depend on m: A(m) = A(0) + m A_1, and at m = 0 A is diagonal.
+battery_map evaluates this formula as arrays over configs;
+validate.stage_map, which pushes probe batteries through every stage, is its
+oracle over the whole domain.
+
+The state right after the first power stroke is affine in P too. cycle_map
+reads that map off the images of the four probe batteries I/2 and
+I/2 + sigma_j/2 (P = 0 and P = e_j/2) after the first three stages (kron,
+dephase_battery, power_stroke), all 4k of them as one (k, 4, 4, 4) stack;
+each map carries a leading config axis. The stages take one angle and one
+dephasing factor per config along that axis, so a stacked map equals the
+maps of single-config calls bit for bit.
 
 Where maps are stacked: run_engines builds the maps of its configs MAP_BLOCK
 at a time with one cycle_map call per block, runs run_engine on each config's
@@ -25,18 +39,17 @@ every map of a grid at once. sweep, the CLI's compare and search runs and
 validate's map_vs_stage_loop go through it; a comparison stacks each config
 with its p_mx = 0 twin. run_engine given no map builds its own with
 cycle_map([config]). Either way it iterates P_n = A P_{n-1} + b and evaluates
-all post-stroke states with one matrix product. validate.first_cycle_work
-reads the first-cycle work of up to MAP_BLOCK configs off each stacked call.
+all post-stroke states with one matrix product.
 
 Which checks run where:
-- prepare_battery checks the starting battery state, and prepare_hot_medium
-  checks the whole stack of hot states, positivity included;
+- EngineConfig checks every number the formula reads, and
+  prepare_hot_medium checks the whole stack of hot states, positivity
+  included;
 - every stage validates its whole input stack (hermiticity and unit trace) and
-  every angle and dephasing factor of it, and bloch_vectors checks all 4k
-  battery images, positivity included;
-- a cycle's state is the affine combination sum_k w_k X_k of the probe images
-  X_k, with w_0 = 1 - 2(px + py + pz) and w_j = 2 p_j; the weights sum to 1, so
-  hermiticity and unit trace carry over from the images;
+  every angle and dephasing factor of it;
+- a post-stroke state is the affine combination sum_k w_k X_k of the probe
+  images X_k, with w_0 = 1 - 2(px + py + pz) and w_j = 2 p_j; the weights sum
+  to 1, so hermiticity and unit trace carry over from the images;
 - positivity does not carry over, so run_engine checks 1/2 - |P_n| >= PSD_CLAMP
   for every cycle and names the first cycle n that fails, with its |P_n|, and
   every recorded post-stroke state passes validate_density and the
@@ -52,7 +65,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .diagnostics import Polarization, bloch_vectors, correlator_sets, polarization_vector
+from .diagnostics import Polarization, correlator_sets, polarization_vector
 from .engine import (
     ConfigError,
     CycleRecord,
@@ -61,11 +74,9 @@ from .engine import (
     make_cycle_record,
     power_stroke,
     prepare_battery,
-    prepare_cold_medium,
     prepare_hot_medium,
-    reset_medium,
 )
-from .linalg import PSD_CLAMP, ValidationError, kron, partial_trace, pauli, validate_density
+from .linalg import PSD_CLAMP, ValidationError, kron, pauli, validate_density
 
 ADVANTAGE_FLOOR = 1e-12  # baseline work below this leaves the ratio undefined
 # Configs per stacked cycle_map call. On the 1,080 engine runs of a 270-point
@@ -78,16 +89,15 @@ ADVANTAGE_FLOOR = 1e-12  # baseline work below this leaves the ratio undefined
 MAP_BLOCK = 128
 
 # The probe batteries I/2 and I/2 + sigma_j/2: Bloch vectors 0 and e_j/2.
-_PROBES = np.array([pauli("identity") / 2] + [(pauli("identity") + pauli(j)) / 2 for j in "xyz"])
+PROBES = np.array([pauli("identity") / 2] + [(pauli("identity") + pauli(j)) / 2 for j in "xyz"])
 
 
 @dataclass(frozen=True)
 class EngineTrace:
-    """Per-cycle records of one engine run plus the final joint state."""
+    """Per-cycle records of one engine run."""
 
     config: EngineConfig
     records: tuple[CycleRecord, ...]
-    final_joint: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -116,7 +126,7 @@ def dephase_battery(joint: np.ndarray, factor) -> np.ndarray:
     bad = [x for x in f.ravel().tolist() if not 0.0 <= x <= 1.0]  # NaN included
     if bad:
         raise ValidationError(f"dephasing factor must lie in [0, 1], got {bad[0]}")
-    joint = validate_density(joint, check_spectrum=False)
+    joint = validate_density(joint, check_spectrum=False, caller="dephase_battery")
     if joint.shape[-2:] != (4, 4):
         raise ValidationError("dephase_battery expects a two-qubit state")
     if f.shape != joint.shape[:-2][: f.ndim]:
@@ -132,19 +142,36 @@ class CycleMap(NamedTuple):
     """Engine cycles as affine maps of the battery Bloch vector P they start from,
     one per config along the leading axis.
 
-    For config i, the battery at the end of the cycle is A[i] @ P + b[i]. With
-    x = (1, px, py, pz), the state right after the first power stroke is
-    (x @ post_stroke[i]).reshape(4, 4) and the joint state at the end of the
-    cycle is (x @ joint[i]).reshape(4, 4).
+    For config i, the battery at the end of the cycle is A[i] @ P + b[i], and
+    with x = (1, px, py, pz) the state right after the first power stroke is
+    (x @ post_stroke[i]).reshape(4, 4).
     """
 
     A: np.ndarray            # (k, 3, 3) real
     b: np.ndarray            # (k, 3) real
     post_stroke: np.ndarray  # (k, 4, 16) complex
-    joint: np.ndarray        # (k, 4, 16) complex
 
 
-def _affine(images: np.ndarray) -> np.ndarray:
+def battery_map(configs: Sequence[EngineConfig]) -> tuple[np.ndarray, np.ndarray]:
+    """A (k, 3, 3) and b (k, 3) of the battery map P -> A P + b of one cycle
+    of every config, from the closed form in the module docstring."""
+    theta, theta_c, m, p0, q0, f_r, f_t = np.array([
+        (c.theta, c.compression_theta, c.p_mx, c.hot_populations[0], c.cold_populations[0],
+         c.noise.battery_dephasing_per_reset, c.noise.battery_t2_per_cycle)
+        for c in configs
+    ]).T
+    cos, sin, cos_c, sin_c = np.cos(theta), np.sin(theta), np.cos(theta_c), np.sin(theta_c)
+    A = np.zeros((len(configs), 3, 3))
+    A[:, 0, 0] = A[:, 1, 1] = f_r * f_r * f_t * cos * cos_c
+    A[:, 1, 2] = -2.0 * f_r * f_t * m * sin * cos_c
+    A[:, 2, 1] = 2.0 * f_r * m * sin * cos * cos_c**2
+    A[:, 2, 2] = cos**2 * cos_c**2
+    b = np.zeros((len(configs), 3))
+    b[:, 2] = (p0 - 0.5) * sin**2 * cos_c**2 + (q0 - 0.5) * sin_c**2
+    return A, b
+
+
+def affine_from_probes(images: np.ndarray) -> np.ndarray:
     """Coefficients c with image(P) = c[0] + P @ c[1:], from the images of the
     probes P = 0 and P = e_j/2 (each image flattened to one row), for every
     config of a (k, 4, n) stack of images."""
@@ -154,33 +181,15 @@ def _affine(images: np.ndarray) -> np.ndarray:
 
 
 def cycle_map(configs: Sequence[EngineConfig]) -> CycleMap:
-    """Run the four probe batteries of every config through one cycle and read
-    off its affine maps.
-
-    Hot preparation -> power stroke -> cold reset -> power stroke, with the
-    per-reset battery dephasing after both medium preparations and the
-    per-cycle dephasing at the end. All 4k probe states go through each stage
-    as one (k, 4, 4, 4) stack.
+    """The battery map of every config from battery_map, and its post-stroke
+    map read off the four probe batteries after hot preparation, the
+    per-reset battery dephasing and the first power stroke. All 4k probe
+    states go through each stage as one (k, 4, 4, 4) stack.
     """
-    k = len(configs)
     hot = prepare_hot_medium([c.p_mx for c in configs], [c.hot_populations for c in configs])
-    cold = prepare_cold_medium([c.cold_populations for c in configs])
     reset_f = [c.noise.battery_dephasing_per_reset for c in configs]
-    t2_f = [c.noise.battery_t2_per_cycle for c in configs]
-    theta = [c.theta for c in configs]
-    compression_theta = [c.compression_theta for c in configs]
-
-    post_stroke = power_stroke(dephase_battery(kron(hot[:, None], _PROBES), reset_f), theta)
-    joint = dephase_battery(reset_medium(post_stroke, cold[:, None]), reset_f)
-    joint = dephase_battery(power_stroke(joint, compression_theta), t2_f)
-    batteries = bloch_vectors(partial_trace(joint, "battery").reshape(4 * k, 2, 2))
-    battery = _affine(batteries.reshape(k, 4, 3))
-    return CycleMap(
-        A=battery[:, 1:].swapaxes(1, 2),
-        b=battery[:, 0],
-        post_stroke=_affine(post_stroke.reshape(k, 4, 16)),
-        joint=_affine(joint.reshape(k, 4, 16)),
-    )
+    post_stroke = power_stroke(dephase_battery(kron(hot[:, None], PROBES), reset_f), [c.theta for c in configs])
+    return CycleMap(*battery_map(configs), affine_from_probes(post_stroke.reshape(len(configs), 4, 16)))
 
 
 def run_engine(config: EngineConfig, cmap: CycleMap | None = None) -> EngineTrace:
@@ -190,12 +199,12 @@ def run_engine(config: EngineConfig, cmap: CycleMap | None = None) -> EngineTrac
     run_engines slices it out of a stacked cycle_map call; when it is None,
     run_engine builds it with cycle_map([config]). The battery Bloch vectors
     come from iterating the map from the prepared battery; the post-stroke
-    states of all cycles, their correlators and the final joint state are each
-    one matrix product on the stacked vectors.
+    states of all cycles and their correlators are each one matrix product on
+    the stacked vectors.
     """
     if cmap is None:
         cmap = CycleMap(*(m[0] for m in cycle_map([config])))
-    A, b, post_stroke_map, joint_map = cmap
+    A, b, post_stroke_map = cmap
     start = polarization_vector(prepare_battery(config.battery_init))
     x = np.ones((config.cycles + 1, 4))  # row n is (1, P_n)
     p = x[:, 1:]
@@ -220,9 +229,7 @@ def run_engine(config: EngineConfig, cmap: CycleMap | None = None) -> EngineTrac
         record = make_cycle_record(n, energy, cumulative, Polarization(*battery), post_stroke, corr)
         records.append(record)
         energy, cumulative = record.p_bz, record.cumulative_work
-
-    final_joint = (x[-2] @ joint_map).reshape(4, 4)
-    return EngineTrace(config=config, records=tuple(records), final_joint=final_joint)
+    return EngineTrace(config=config, records=tuple(records))
 
 
 def run_engines(configs: Sequence[EngineConfig]) -> list[EngineTrace]:
@@ -283,9 +290,10 @@ def _apply_sweep_value(config: EngineConfig, name: str, value) -> EngineConfig:
     if name in _NOISE_FIELDS:
         return replace(config, noise=replace(config.noise, **{name: value}))
     if name == "cycles":
-        if not float(value).is_integer():
-            raise ConfigError(f"cycles must be a positive integer, got {value!r}")
-        return replace(config, cycles=int(value))
+        # scenario files give counts like 2.0; EngineConfig checks the rest
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        return replace(config, cycles=value)
     raise ConfigError(f"unknown sweep field {name!r}")
 
 

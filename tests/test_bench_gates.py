@@ -1,10 +1,12 @@
-"""The benchmark's exact call-count gates name functions the package has.
+"""The benchmark's exact call-count gates and per-layer metrics name
+functions the package has.
 
 bench/run.py::check_trace compares a traced call count only for functions
 that appear in the trace, so renaming or deleting a gated function (say
-engine.make_cycle_record) would switch its gate off without an error. These
-tests read the gates from the benchmark harness, imported without writing
-anything under bench/, and check each against the package.
+engine.make_cycle_record) would switch its gate off without an error, and a
+per-layer metric of a missing function reads 0. These tests read the gates
+and metrics from the benchmark harness, imported without writing anything
+under bench/, and check each against the package.
 """
 
 import importlib
@@ -34,15 +36,33 @@ def bench():
     return gen, run
 
 
+def is_public_function(key: str) -> bool:
+    """Whether 'layer.name' is a public function defined in spinotto.layer:
+    the functions the tracer wraps."""
+    layer, name = key.split(".")
+    module = importlib.import_module(f"spinotto.{layer}")
+    fn = getattr(module, name, None)
+    return inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_")
+
+
 @pytest.mark.parametrize("workload", ["trajectory", "grid", "selfcheck"])
 def test_every_gated_function_is_public_in_its_module(bench, workload):
-    # the tracer wraps exactly the public functions defined in each module
     gen, run = bench
     gated = run.expected_counts(gen.make_workload(workload, seed=1))
     assert gated
     for key in gated:
-        layer, name = key.split(".")
-        module = importlib.import_module(f"spinotto.{layer}")
-        fn = getattr(module, name, None)
-        assert inspect.isfunction(fn), f"{key} is gated but spinotto.{layer} has no function {name}"
-        assert fn.__module__ == module.__name__ and not name.startswith("_"), key
+        assert is_public_function(key), f"{key} is gated but is no public function of its module"
+
+
+def test_the_absent_per_layer_metrics_are_known(bench):
+    # bench/run.py reports a per-layer metric of a missing function as 0 and
+    # only prints its name; these are the ones a benchmark change must replace
+    _, run = bench
+    named = [fn for fn, _ in run.LAYER_METRICS] + list(run.PREPARE)
+    assert {key for key in named if not is_public_function(key)} == {
+        "diagnostics.pauli_correlators",
+        "engine.closed_form_work",
+        "engine.run_single_cycle",
+        "linalg.hermitian_eig",
+        "linalg.sqrtm_psd",
+    }

@@ -9,7 +9,6 @@ from spinotto.engine import (
     ConfigError,
     EngineConfig,
     NoiseConfig,
-    closed_form_work,
     flip_flop_propagator,
     power_stroke,
     prepare_battery,
@@ -18,8 +17,37 @@ from spinotto.engine import (
     reset_medium,
 )
 from spinotto.linalg import ValidationError, kron, partial_trace, pauli
-from spinotto.multicycle import run_engine
-from spinotto.validate import random_density, random_ideal_config
+from spinotto.multicycle import battery_map, run_engine
+from spinotto.validate import random_density, random_polarization
+
+IDEAL = dict(hot_populations=(0.5, 0.5), cold_populations=(0.0, 1.0))
+
+
+def ideal_config(rng):
+    """A random config of the ideal regime: symmetric hot bath, pure-ground
+    cold bath, equal stroke angles and no noise."""
+    return EngineConfig(
+        theta=float(rng.uniform(0.0, math.pi)),
+        p_mx=float(rng.uniform(-0.5, 0.5)),
+        battery_init=random_polarization(rng),
+        **IDEAL,
+    )
+
+
+def ideal_first_cycle_work(cfg):
+    """W_1 = 2 m P_y s c^3 + P_z (c^4 - 1) - s^2/2 of the ideal regime, with
+    c, s = cos, sin theta and m = p_mx: the coherence cross term, then the
+    population part."""
+    c, s = math.cos(cfg.theta), math.sin(cfg.theta)
+    p = cfg.battery_init
+    return 2.0 * cfg.p_mx * p.py * s * c**3 + p.pz * (c**4 - 1.0) - 0.5 * s**2
+
+
+def z_row_work(cfg):
+    """W_1 = (A P_0 + b)_z - P_0,z off the z row of the battery map."""
+    (A,), (b,) = battery_map([cfg])
+    p = np.array(cfg.battery_init)
+    return A[2] @ p + b[2] - p[2]
 
 
 def ket(index):
@@ -196,73 +224,42 @@ class TestResetMedium:
         assert y_after == pytest.approx(y_before, abs=1e-14)
 
 
-class TestClosedFormWork:
+class TestFirstCycleWork:
+    """The ideal-regime facts of W_1, read off the z row of battery_map."""
+
     def test_zero_angle_zero_work(self):
-        cfg = EngineConfig(theta=0.0, hot_populations=(0.5, 0.5), cold_populations=(0, 1))
-        assert closed_form_work(cfg).total == pytest.approx(0.0, abs=1e-15)
+        cfg = EngineConfig(theta=0.0, battery_init=Polarization(0.1, 0.3, -0.2), **IDEAL)
+        assert z_row_work(cfg) == pytest.approx(0.0, abs=1e-15)
 
-    def test_quantum_term_vanishes_without_medium_coherence(self):
+    def test_no_cross_term_without_medium_coherence(self):
+        # at p_mx = 0 the z row has no y entry, so p_by does no work
         for theta in (0.2, 0.9, 1.4):
-            cfg = EngineConfig(
-                theta=theta,
-                p_mx=0.0,
-                hot_populations=(0.5, 0.5),
-                cold_populations=(0, 1),
-                battery_init=Polarization(0, 0.4, 0.1),
-            )
-            assert closed_form_work(cfg).quantum == 0.0
+            cfg = EngineConfig(theta=theta, p_mx=0.0, battery_init=Polarization(0, 0.4, 0.1), **IDEAL)
+            (A,), _ = battery_map([cfg])
+            assert A[2, 1] == 0.0
+            assert z_row_work(cfg) == z_row_work(cfg.with_p_mx(0.0))
 
-    def test_quantum_term_vanishes_for_classical_battery(self):
+    def test_no_cross_term_for_classical_battery(self):
         for theta in (0.2, 0.9, 1.4):
-            cfg = EngineConfig(
-                theta=theta,
-                p_mx=0.5,
-                hot_populations=(0.5, 0.5),
-                cold_populations=(0, 1),
-                battery_init=Polarization(0.3, 0.0, -0.2),
-            )
-            assert closed_form_work(cfg).quantum == 0.0
+            cfg = EngineConfig(theta=theta, p_mx=0.5, battery_init=Polarization(0.3, 0.0, -0.2), **IDEAL)
+            assert z_row_work(cfg) == z_row_work(cfg.with_p_mx(0.0))
 
     def test_full_swap_value(self):
         # theta = pi/2 drains a z-unpolarized battery into the ground-state
         # cold bath: half a quantum out, none of it coherence-driven
-        cfg = EngineConfig(
-            theta=math.pi / 2,
-            p_mx=0.5,
-            hot_populations=(0.5, 0.5),
-            cold_populations=(0, 1),
-            battery_init=Polarization(0, 0.5, 0),
-        )
-        breakdown = closed_form_work(cfg)
-        assert breakdown.quantum == pytest.approx(0.0, abs=1e-15)
-        assert breakdown.total == pytest.approx(-0.5, abs=1e-12)
-
-    def test_split_sums_to_total(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            cfg = random_ideal_config(rng)
-            b = closed_form_work(cfg)
-            assert b.total == pytest.approx(b.classical + b.quantum, abs=1e-12)
-
-    def test_regime_flag(self):
-        assert closed_form_work(
-            EngineConfig(hot_populations=(0.5, 0.5), cold_populations=(0, 1))
-        ).eq_regime
-        assert not closed_form_work(EngineConfig()).eq_regime  # experimental baths
-        assert not closed_form_work(
-            EngineConfig(
-                hot_populations=(0.5, 0.5), cold_populations=(0, 1), theta_compression=0.2
-            )
-        ).eq_regime
+        cfg = EngineConfig(theta=math.pi / 2, p_mx=0.5, battery_init=Polarization(0, 0.5, 0), **IDEAL)
+        (A,), _ = battery_map([cfg])
+        assert A[2, 1] == pytest.approx(0.0, abs=1e-15)
+        assert z_row_work(cfg) == pytest.approx(-0.5, abs=1e-12)
 
 
 class TestSingleCycle:
     def test_oracle_equivalence(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
-            cfg = random_ideal_config(rng)
+            cfg = ideal_config(rng)
             record = run_engine(cfg).records[0]
-            assert abs(record.cycle_work - closed_form_work(cfg).total) < 1e-10
+            assert abs(record.cycle_work - ideal_first_cycle_work(cfg)) < 1e-10
 
     def test_zero_angle_cycle_is_identity_on_battery(self):
         cfg = EngineConfig(
@@ -280,7 +277,7 @@ class TestSingleCycle:
     def test_classical_battery_first_cycle_indistinguishable(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
-            cfg = random_ideal_config(rng)
+            cfg = ideal_config(rng)
             cfg = EngineConfig(
                 theta=cfg.theta,
                 p_mx=cfg.p_mx,
@@ -325,13 +322,6 @@ class TestSingleCycle:
         )
         record = run_engine(cfg).records[0]
         assert abs(record.p_by) > 0.1
-
-    def test_stage_outputs_remain_valid(self):
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            joint = run_engine(random_ideal_config(rng)).final_joint
-            assert abs(np.trace(joint) - 1) < 1e-12
-            assert np.linalg.eigvalsh(joint)[0] > -1e-10
 
 
 class TestEngineConfig:
@@ -398,7 +388,9 @@ class TestEngineConfig:
                   cfg.noise.battery_dephasing_per_reset, cfg.noise.battery_t2_per_cycle)
         assert values == (1.0, 0.5, 0.0, 1.0, 0.5)
         assert all(type(v) is float for v in values)
-        assert closed_form_work(cfg).total == closed_form_work(EngineConfig(theta=1.0, p_mx=0.0)).total
+        same = EngineConfig(theta=1.0, theta_compression=0.5, p_mx=0.0, noise=NoiseConfig(1.0, 0.5))
+        for x, y in zip(battery_map([cfg]), battery_map([same])):
+            assert np.array_equal(x, y)
 
     def test_compression_angle_defaults_to_theta(self):
         assert EngineConfig(theta=0.7).compression_theta == 0.7

@@ -13,6 +13,7 @@ from spinotto.engine import (
     EngineConfig,
     NoiseConfig,
     power_stroke,
+    prepare_battery,
     prepare_hot_medium,
     reset_medium,
 )
@@ -21,6 +22,7 @@ from spinotto.linalg import PSD_CLAMP, ValidationError, kron, partial_trace, pau
 from spinotto.multicycle import (
     MAP_BLOCK,
     CycleMap,
+    battery_map,
     compare_coherent_incoherent,
     cycle_map,
     dephase_battery,
@@ -31,12 +33,14 @@ from spinotto.multicycle import (
 )
 from spinotto.scenario import PRESETS
 from spinotto.validate import (
+    ORACLE_TOL,
     loop_engines,
     random_density,
     random_noisy_config,
     random_polarization,
     run_all_checks,
     stage_loop_gaps,
+    stage_map,
 )
 
 IDEAL = dict(hot_populations=(0.5, 0.5), cold_populations=(0.0, 1.0))
@@ -164,7 +168,6 @@ class TestCycleMap:
         for stacked, config in zip(loop_engines(configs), configs, strict=True):
             (single,) = loop_engines([config])
             assert stacked.config is config and stacked.records == single.records
-            assert np.array_equal(stacked.final_joint, single.final_joint)
 
     def test_stack_equals_single_config_calls(self):
         # the config axis changes no bit, whichever way the stack is split
@@ -186,18 +189,29 @@ class TestCycleMap:
         fixed = np.linalg.solve(np.eye(3) - cmap.A, cmap.b)
         assert np.max(np.abs(fixed - [0.0, 0.124703, -0.140634])) <= 1e-5
 
-    def test_post_stroke_and_joint_maps_match_their_battery_map(self):
-        # the battery marginal of the end-of-cycle joint map is the battery map
+    def test_post_stroke_map_gives_the_stage_states(self):
+        # the post-stroke map of a battery P is the first three stages run on it
         rng = np.random.default_rng(12)
         config = random_noisy_config(rng, cycles=1)
         cmap = single_map(config)
+        hot = prepare_hot_medium(config.p_mx, config.hot_populations)
         for _ in range(20):
-            p = np.array(random_polarization(rng))
-            joint = (np.concatenate([[1.0], p]) @ cmap.joint).reshape(4, 4)
-            battery = polarization_vector(partial_trace(joint, "battery"))
-            assert np.max(np.abs(np.array(battery) - (cmap.A @ p + cmap.b))) < 1e-15
+            p = random_polarization(rng)
             post = (np.concatenate([[1.0], p]) @ cmap.post_stroke).reshape(4, 4)
+            joint = dephase_battery(kron(hot, prepare_battery(p)), config.noise.battery_dephasing_per_reset)
+            assert np.max(np.abs(post - power_stroke(joint, config.theta))) < 1e-15
             assert abs(np.trace(post) - 1) < 1e-14 and np.linalg.eigvalsh(post)[0] > -1e-14
+
+    def test_cycle_map_makes_three_stage_calls(self, monkeypatch):
+        # A and b are closed form; only the post-stroke map needs the stages
+        calls = []
+        for fn in (kron, dephase_battery, power_stroke, reset_medium, partial_trace):
+            def spy(*args, _fn=fn):
+                calls.append(_fn.__name__)
+                return _fn(*args)
+            patch_everywhere(monkeypatch, fn, spy)
+        cycle_map([EngineConfig(), EngineConfig(theta=0.3)])
+        assert calls == ["kron", "dephase_battery", "power_stroke"]
 
     def test_bloch_ball_checked_every_cycle(self, monkeypatch):
         # a map that pushes P out of the ball must be rejected, not recorded
@@ -226,6 +240,47 @@ class TestCycleMap:
         assert message.startswith(f"cycle {len(norms)}: ")
         reported = float(re.search(r"\|P_n\| = ([0-9.e+-]+),", message).group(1))
         assert reported == pytest.approx(norms[-1], rel=1e-11)
+
+
+class TestBatteryMap:
+    """The closed form against validate.stage_map, which reads the map off
+    probe batteries pushed through every stage."""
+
+    def test_equals_the_stage_probes_on_noisy_configs(self):
+        rng = np.random.default_rng(30)
+        configs = [random_noisy_config(rng, cycles=1) for _ in range(300)]
+        for closed, probed in zip(battery_map(configs), stage_map(configs)):
+            assert np.max(np.abs(closed - probed)) <= ORACLE_TOL
+
+    def test_stack_equals_single_config_calls(self):
+        rng = np.random.default_rng(33)
+        configs = [random_noisy_config(rng, cycles=1) for _ in range(50)]
+        singles = [battery_map([c]) for c in configs]
+        for stacked, single in zip(battery_map(configs), zip(*singles)):
+            assert np.array_equal(stacked, np.concatenate(single))
+
+    @pytest.fixture(scope="class")
+    def fuel_twins(self):
+        # stage_map of 256 noisy configs at p_mx = m, m/2 and 0
+        rng = np.random.default_rng(31)
+        configs = [random_noisy_config(rng, cycles=1) for _ in range(256)]
+        return [stage_map([c.with_p_mx(f * c.p_mx) for c in configs]) for f in (1.0, 0.5, 0.0)]
+
+    def test_diagonal_without_fuel(self, fuel_twins):
+        # at m = 0 the channel is phase covariant
+        A0 = fuel_twins[2][0]
+        assert np.max(np.abs(A0[:, ~np.eye(3, dtype=bool)])) <= 1e-15
+
+    def test_fuel_enters_linearly_and_only_through_a(self, fuel_twins):
+        # A(m) - A(0) = m A_1, with m A_1 = 2 (A(m/2) - A(0)); b does not move
+        (A, b), (A_half, b_half), (A0, b0) = fuel_twins
+        assert np.max(np.abs((A - A0) - 2.0 * (A_half - A0))) <= 1e-15
+        assert np.max(np.abs(b - b0)) <= 1e-15 and np.max(np.abs(b_half - b0)) <= 1e-15
+
+    def test_x_decouples_and_b_lies_on_z(self, fuel_twins):
+        A, b = fuel_twins[0]
+        assert np.max(np.abs(A[:, [0, 0, 1, 2], [1, 2, 0, 0]])) <= 1e-15
+        assert np.max(np.abs(b[:, :2])) <= 1e-15
 
 
 def patch_everywhere(monkeypatch, original, replacement):
@@ -257,40 +312,72 @@ def test_one_record_and_one_concurrence_per_cycle(monkeypatch):
 
 
 def test_transposed_map_fails_both_oracles(monkeypatch):
-    # a seeded fault in the cycle map: each config's A transposed
-    original = cycle_map
+    # a seeded fault in the battery map: each config's A transposed
+    original = battery_map
 
     def transposed(configs):
-        cmap = original(configs)
-        return cmap._replace(A=cmap.A.swapaxes(1, 2))
+        A, b = original(configs)
+        return A.swapaxes(1, 2), b
 
     patch_everywhere(monkeypatch, original, transposed)
-    verdicts = {c.name: c.passed for c in run_all_checks()}
-    assert not verdicts["oracle_equivalence"]
-    assert not verdicts["map_vs_stage_loop"]
-    assert sum(verdicts.values()) == len(verdicts) - 2
+    checks = run_all_checks()
+    assert [c.name for c in checks if not c.passed] == ["oracle_equivalence", "map_vs_stage_loop"]
 
 
-def test_flipped_x_row_fails_only_complete_positivity(monkeypatch):
+def test_flipped_x_row_fails_the_oracle_and_complete_positivity(monkeypatch):
     # a seeded fault in the battery map: the cycle's A followed by the
     # reflection x -> -x, which, like a transpose, no channel realizes. Only
     # validate's binding is faulty, so map_vs_stage_loop (through multicycle)
-    # is untouched, and the work checks read only the z row of A
-    original = cycle_map
+    # is untouched
+    original = battery_map
 
     def flipped(configs):
-        cmap = original(configs)
-        A = cmap.A.copy()
+        A, b = original(configs)
         A[:, 0] *= -1
-        return cmap._replace(A=A)
+        return A, b
 
-    monkeypatch.setattr(validate, "cycle_map", flipped)
+    monkeypatch.setattr(validate, "battery_map", flipped)
     checks = run_all_checks()
-    assert [c.name for c in checks if not c.passed] == ["cycle_is_completely_positive"]
-    failed = next(c for c in checks if not c.passed)
-    assert float(re.search(r"= (\d\.\d{3}e[+-]\d\d)", failed.detail).group(1)) > 0.1
+    failed = [c for c in checks if not c.passed]
+    assert [c.name for c in failed] == ["oracle_equivalence", "cycle_is_completely_positive"]
+    for c in failed:
+        assert float(re.search(r"= (\d\.\d{3}e[+-]\d\d)", c.detail).group(1)) > 0.1
     for c in checks:
         assert re.search(r"\d\.\d{3}e[+-]\d\d", c.detail), c
+
+
+def flipped_yz_sign(A, b, configs):
+    A[:, 1, 2] *= -1
+
+
+def yz_without_reset_dephasing(A, b, configs):
+    A[:, 1, 2] = [
+        -2.0 * c.noise.battery_t2_per_cycle * c.p_mx * math.sin(c.theta) * math.cos(c.compression_theta)
+        for c in configs
+    ]
+
+
+def flipped_b_z_sign(A, b, configs):
+    b[:, 2] *= -1
+
+
+@pytest.mark.parametrize("fault", [flipped_yz_sign, yz_without_reset_dephasing, flipped_b_z_sign])
+def test_seeded_formula_fault_fails_the_oracle_and_the_stage_loop(monkeypatch, fault):
+    # a wrong entry of the closed form, seen by both the stage-probe oracle
+    # and the stage loop through run_engines
+    original = battery_map
+
+    def faulty(configs):
+        A, b = original(configs)
+        fault(A, b, configs)
+        return A, b
+
+    patch_everywhere(monkeypatch, original, faulty)
+    verdicts = {c.name: c.passed for c in run_all_checks()}
+    assert not verdicts["oracle_equivalence"]
+    assert not verdicts["map_vs_stage_loop"]
+    # no channel flips the y-z coupling alone
+    assert verdicts["cycle_is_completely_positive"] == (fault is not flipped_yz_sign)
 
 
 def test_run_engines_hands_each_config_the_next_map_fails_the_stage_loop(monkeypatch):
@@ -344,9 +431,18 @@ def test_a_raising_check_becomes_a_failed_row(monkeypatch, tmp_path, capsys):
     assert [c.name for c in checks] == [name for name, _ in validate.CHECKS]
     raised = [c for c in checks if c.detail.startswith("raised ")]
     assert "stage_validity_fuzz" in [c.name for c in raised]
+    rejecting = {}
     for c in raised:
         assert not c.passed
-        assert re.fullmatch(r"raised ValidationError: density operator trace 1\.001\S* differs from 1", c.detail)
+        match = re.fullmatch(r"raised ValidationError: (\w+): density operator trace 1\.001\S* differs from 1", c.detail)
+        rejecting[c.name] = match.group(1)
+    # the function whose input check rejected the scaled state names itself
+    assert rejecting == {
+        "oracle_equivalence": "reset_medium",
+        "classical_battery_first_cycle": "reset_medium",
+        "stage_validity_fuzz": "power_stroke",
+        "map_vs_stage_loop": "correlator_sets",
+    }
     assert {c.name for c in checks if c.passed} >= {"partial_trace_identities", "state_preparation_roundtrip"}
 
     assert main(["validate", "--output-dir", str(tmp_path)]) == 1
@@ -373,9 +469,7 @@ class TestRunEngines:
         monkeypatch.undo()
         assert [t.config for t in stacked] == configs
         for trace, config in zip(stacked, configs, strict=True):
-            single = run_engine(config)
-            assert trace.records == single.records
-            assert np.array_equal(trace.final_joint, single.final_joint)
+            assert trace.records == run_engine(config).records
 
     def test_empty(self):
         assert run_engines([]) == []
@@ -404,7 +498,6 @@ class TestRunEngine:
         t2 = run_engine(cfg)
         for r1, r2 in zip(t1.records, t2.records):
             assert r1 == r2
-        assert np.array_equal(t1.final_joint, t2.final_joint)
 
     def test_record_count_and_cumulative_sum(self):
         cfg = EngineConfig(theta=0.5, p_mx=0.4, cycles=15, **IDEAL)
@@ -420,9 +513,12 @@ class TestRunEngine:
             theta=0.7, p_mx=0.4, cycles=25,
             noise=NoiseConfig(battery_dephasing_per_reset=0.9, battery_t2_per_cycle=0.85),
         )
-        result = run_engine(cfg)
-        assert abs(np.trace(result.final_joint) - 1) < 1e-12
-        assert np.linalg.eigvalsh(result.final_joint)[0] > -1e-10
+        # every post-stroke state of the 25 cycles is a density operator
+        cmap = single_map(cfg)
+        starts = [cfg.battery_init] + [(r.p_bx, r.p_by, r.p_bz) for r in run_engine(cfg).records[:-1]]
+        states = (np.column_stack([np.ones(25), starts]) @ cmap.post_stroke).reshape(-1, 4, 4)
+        assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1)) < 1e-12
+        assert np.linalg.eigvalsh(states)[:, 0].min() > -1e-10
 
 
 class TestCompare:
@@ -526,9 +622,11 @@ class TestSweep:
 
     def test_non_integer_cycles_rejected(self):
         cfg = EngineConfig(cycles=2, **IDEAL)
-        for value in (2.7, math.nan):
+        for value in (2.7, math.nan, True):
             with pytest.raises(ConfigError, match="cycles"):
                 sweep(cfg, "cycles", [value])
+        # a scenario file's integral float is a count
+        assert [t.config.cycles for t in sweep(cfg, "cycles", [3.0, 1])] == [3, 1]
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
@@ -548,15 +646,13 @@ class TestSweep:
     )
     def test_equals_run_engine_per_value(self, field_name, values):
         # the records carry A and b (battery vectors) and post_stroke
-        # (correlators, concurrence); final_joint carries the joint map
+        # (correlators, concurrence)
         cfg = EngineConfig(theta=0.6, p_mx=0.3, cycles=4, battery_init=(0.1, 0.0, -0.35),
                            noise=NoiseConfig(0.95, 0.9))
         traces = sweep(cfg, field_name, values)
         assert len(traces) == len(values)
         for trace in traces:
-            single = run_engine(trace.config)
-            assert trace.records == single.records
-            assert np.array_equal(trace.final_joint, single.final_joint)
+            assert trace.records == run_engine(trace.config).records
 
 
 def test_reset_preserves_all_three_polarization_components():
