@@ -12,10 +12,8 @@ import itertools
 import os
 import sys
 import time
-from dataclasses import fields, replace
 
 from . import __version__
-from .engine import EngineConfig, NoiseConfig
 from .linalg import LinalgError
 from .multicycle import (
     compare_coherent_incoherent,
@@ -23,6 +21,7 @@ from .multicycle import (
     run_engine,
     run_engines,
     sweep,
+    with_fields,
 )
 from .output import (
     write_advantage_csv,
@@ -31,9 +30,9 @@ from .output import (
     write_trace_csv,
 )
 from .scenario import (
+    FORMATS,
     PRESETS,
     SEARCH_AXES,
-    OutputSpec,
     ScenarioError,
     ScenarioFile,
     SCHEMA_VERSION,
@@ -82,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _formats(s: ScenarioFile, args) -> tuple[str, ...]:
+def _formats(default: tuple[str, ...], args) -> tuple[str, ...]:
     if args.format is None:
-        return s.output.formats
+        return default
     if args.format == "both":
         return ("csv", "json")
     return (args.format,)
@@ -94,24 +93,18 @@ def _summary_path(outdir: str, prefix: str) -> str:
     return os.path.join(outdir, f"{prefix}_summary.json")
 
 
-def _finish(s, args, outputs, results, t0) -> int:
-    formats = _formats(s, args)
+def _finish(args, prefix: str, formats: tuple[str, ...], summary: dict, t0: float) -> None:
+    """Write the summary, whose "outputs" lists the files already written, as
+    <prefix>_summary.json when formats include json; then print every file
+    written and the elapsed time."""
+    outputs = summary["outputs"]
     if "json" in formats:
-        summary = {
-            "schema_version": SCHEMA_VERSION,
-            "package_version": __version__,
-            "scenario": s.kind,
-            "config": config_to_dict(s.engine),
-            "outputs": outputs,
-            "results": results,
-        }
-        path = _summary_path(args.output_dir, s.output.prefix)
-        write_json(path, summary)
+        path = _summary_path(args.output_dir, prefix)
+        write_json(path, {"schema_version": SCHEMA_VERSION, "package_version": __version__} | summary)
         outputs = outputs + [os.path.basename(path)]
     for name in outputs:
         print(f"wrote {os.path.join(args.output_dir, name)}")
     print(f"elapsed {time.perf_counter() - t0:.3f} s")
-    return 0
 
 
 def _write_cycle_trace(args, name: str, trace, outputs: list[str]) -> None:
@@ -121,10 +114,9 @@ def _write_cycle_trace(args, name: str, trace, outputs: list[str]) -> None:
     outputs.append(name)
 
 
-def _run_single_cycle_sweep(s: ScenarioFile, args) -> tuple[list[str], dict]:
+def _run_single_cycle_sweep(s: ScenarioFile, args, formats: tuple[str, ...]) -> tuple[list[str], dict]:
     outputs = []
     variant_labels = []
-    formats = _formats(s, args)
     for label, config in s.variants or (("", s.engine),):
         traces = sweep(config, s.sweep.field, s.sweep.values)
         records = [t.records[0] for t in traces]
@@ -143,9 +135,8 @@ def _run_single_cycle_sweep(s: ScenarioFile, args) -> tuple[list[str], dict]:
     return outputs, results
 
 
-def _run_multicycle(s: ScenarioFile, args) -> tuple[list[str], dict]:
+def _run_multicycle(s: ScenarioFile, args, formats: tuple[str, ...]) -> tuple[list[str], dict]:
     outputs = []
-    formats = _formats(s, args)
     results: dict = {}
     if s.sweep is None:
         trace = run_engine(s.engine)
@@ -165,10 +156,9 @@ def _run_multicycle(s: ScenarioFile, args) -> tuple[list[str], dict]:
     return outputs, results
 
 
-def _run_compare(s: ScenarioFile, args) -> tuple[list[str], dict]:
+def _run_compare(s: ScenarioFile, args, formats: tuple[str, ...]) -> tuple[list[str], dict]:
     result = compare_coherent_incoherent(*run_engines([s.engine, s.engine.with_p_mx(0.0)]))
     outputs = []
-    formats = _formats(s, args)
     if "csv" in formats:
         for tag, trace in (("coherent", result.coherent), ("incoherent", result.incoherent)):
             _write_cycle_trace(args, f"{s.output.prefix}_{tag}.csv", trace, outputs)
@@ -196,16 +186,11 @@ def _run_compare(s: ScenarioFile, args) -> tuple[list[str], dict]:
 def _search_grid(s: ScenarioFile):
     spec = s.search  # parse_scenario sorts each axis and rejects empty entries
     points = list(itertools.product(*(getattr(spec, axis) for axis in SEARCH_AXES)))
-    noise_axes = [f.name for f in fields(NoiseConfig)]
-    configs = []
-    for point in points:
-        values = dict(zip(SEARCH_AXES, point))
-        noise = NoiseConfig(**{axis: values.pop(axis) for axis in noise_axes})
-        configs.append(replace(s.engine, noise=noise, cycles=spec.max_cycles, **values))
+    configs = [with_fields(s.engine, cycles=spec.max_cycles, **dict(zip(SEARCH_AXES, point))) for point in points]
     return points, configs
 
 
-def _run_search(s: ScenarioFile, args) -> tuple[list[str], dict]:
+def _run_search(s: ScenarioFile, args, formats: tuple[str, ...]) -> tuple[list[str], dict]:
     points, configs = _search_grid(s)
     n = len(configs)
     traces = run_engines(configs + [c.with_p_mx(0.0) for c in configs])
@@ -222,7 +207,6 @@ def _run_search(s: ScenarioFile, args) -> tuple[list[str], dict]:
         )
 
     outputs = []
-    formats = _formats(s, args)
     if "csv" in formats:
         name = f"{s.output.prefix}_grid.csv"
         header = SEARCH_AXES + ("peak_ratio", "peak_cycle", "defined")
@@ -244,39 +228,22 @@ def _run_search(s: ScenarioFile, args) -> tuple[list[str], dict]:
     return outputs, results
 
 
-def _run_validate(s: ScenarioFile, args) -> tuple[int, list[str], dict]:
-    checks = run_all_checks()
-    width = max(len(c.name) for c in checks)
-    for c in checks:
-        print(f"{'PASS' if c.passed else 'FAIL'}  {c.name:<{width}}  {c.detail}")
-    all_passed = all(c.passed for c in checks)
-    results = {
-        "all_passed": all_passed,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-        ],
-    }
-    return (0 if all_passed else 1), [], results
+_RUNNERS = {
+    "single-cycle-sweep": _run_single_cycle_sweep,
+    "multicycle": _run_multicycle,
+    "compare": _run_compare,
+    "search-advantage": _run_search,
+}
 
 
 def _execute(s: ScenarioFile, args) -> int:
     t0 = time.perf_counter()
     os.makedirs(args.output_dir, exist_ok=True)
-    if s.kind == "validate":
-        code, outputs, results = _run_validate(s, args)
-        finish = _finish(s, args, outputs, results, t0)
-        return code or finish
-    if s.kind == "single-cycle-sweep":
-        outputs, results = _run_single_cycle_sweep(s, args)
-    elif s.kind == "multicycle":
-        outputs, results = _run_multicycle(s, args)
-    elif s.kind == "compare":
-        outputs, results = _run_compare(s, args)
-    elif s.kind == "search-advantage":
-        outputs, results = _run_search(s, args)
-    else:  # pragma: no cover - parse_scenario rejects unknown kinds
-        raise ScenarioError(f"unhandled scenario kind {s.kind!r}")
-    return _finish(s, args, outputs, results, t0)
+    formats = _formats(s.output.formats, args)
+    outputs, results = _RUNNERS[s.kind](s, args, formats)  # parse_scenario accepts only these kinds
+    summary = {"scenario": s.kind, "config": config_to_dict(s.engine), "outputs": outputs, "results": results}
+    _finish(args, s.output.prefix, formats, summary, t0)
+    return 0
 
 
 def cmd_run(args) -> int:
@@ -284,13 +251,22 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    s = ScenarioFile(
-        schema_version=SCHEMA_VERSION,
-        kind="validate",
-        engine=EngineConfig(),
-        output=OutputSpec(prefix="validate"),
-    )
-    return _execute(s, args)
+    """Run the self-check suite, print one row per check and exit 1 if any
+    check failed."""
+    t0 = time.perf_counter()
+    os.makedirs(args.output_dir, exist_ok=True)
+    checks = run_all_checks()
+    width = max(len(c.name) for c in checks)
+    for c in checks:
+        print(f"{'PASS' if c.passed else 'FAIL'}  {c.name:<{width}}  {c.detail}")
+    all_passed = all(c.passed for c in checks)
+    results = {
+        "all_passed": all_passed,
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
+    }
+    summary = {"scenario": "validate", "outputs": [], "results": results}
+    _finish(args, "validate", _formats(FORMATS, args), summary, t0)
+    return 0 if all_passed else 1
 
 
 def cmd_search(args) -> int:

@@ -281,20 +281,22 @@ _NOISE_FIELDS = tuple(f.name for f in fields(NoiseConfig))
 SWEEPABLE_FIELDS = _SCALAR_FIELDS + _BATTERY_FIELDS + _NOISE_FIELDS + ("cycles",)
 
 
-def _apply_sweep_value(config: EngineConfig, name: str, value) -> EngineConfig:
-    if name in _SCALAR_FIELDS:
-        return replace(config, **{name: value})
-    if name in _BATTERY_FIELDS:
-        p = config.battery_init._replace(**{name.removeprefix("battery_"): value})
-        return replace(config, battery_init=p)
-    if name in _NOISE_FIELDS:
-        return replace(config, noise=replace(config.noise, **{name: value}))
-    if name == "cycles":
-        # scenario files give counts like 2.0; EngineConfig checks the rest
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        return replace(config, cycles=value)
-    raise ConfigError(f"unknown sweep field {name!r}")
+def with_fields(config: EngineConfig, **values) -> EngineConfig:
+    """config with the named SWEEPABLE_FIELDS set to the given values, built
+    with one NoiseConfig and one EngineConfig however many names are given."""
+    unknown = [name for name in values if name not in SWEEPABLE_FIELDS]
+    if unknown:
+        raise ConfigError(f"unknown field {unknown[0]!r}; expected one of {', '.join(SWEEPABLE_FIELDS)}")
+    noise = {name: values.pop(name) for name in _NOISE_FIELDS if name in values}
+    battery = {name.removeprefix("battery_"): values.pop(name) for name in _BATTERY_FIELDS if name in values}
+    if noise:
+        values["noise"] = replace(config.noise, **noise)
+    if battery:
+        values["battery_init"] = config.battery_init._replace(**battery)
+    # scenario files give counts like 2.0; EngineConfig checks the rest
+    if isinstance(values.get("cycles"), float) and values["cycles"].is_integer():
+        values["cycles"] = int(values["cycles"])
+    return replace(config, **values)
 
 
 def sweep(config: EngineConfig, field_name: str, values: Sequence) -> list[EngineTrace]:
@@ -303,8 +305,4 @@ def sweep(config: EngineConfig, field_name: str, values: Sequence) -> list[Engin
 
     Results are returned in the order of `values`.
     """
-    if field_name not in SWEEPABLE_FIELDS:
-        raise ConfigError(
-            f"unknown sweep field {field_name!r}; expected one of {', '.join(SWEEPABLE_FIELDS)}"
-        )
-    return run_engines([_apply_sweep_value(config, field_name, v) for v in values])
+    return run_engines([with_fields(config, **{field_name: v}) for v in values])

@@ -81,7 +81,6 @@ SEARCH_AXES = tuple(f.name for f in fields(SearchSpec) if f.name != "max_cycles"
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    schema_version: str
     kind: str
     engine: EngineConfig
     output: OutputSpec
@@ -108,7 +107,6 @@ _SECTIONS_BY_KIND = {
     "single-cycle-sweep": ("engine", "noise", "sweep", "output"),
     "multicycle": ("engine", "noise", "sweep", "output"),
     "compare": ("engine", "noise", "output"),
-    "validate": ("output",),
     "search-advantage": ("engine", "noise", "search", "output"),
 }
 SCENARIO_KINDS = tuple(_SECTIONS_BY_KIND)
@@ -298,7 +296,6 @@ def parse_scenario(text: str) -> ScenarioFile:
                 )
 
     return ScenarioFile(
-        schema_version=version,
         kind=kind,
         engine=engine,
         output=OutputSpec(prefix=prefix, formats=formats),
@@ -361,7 +358,6 @@ def _fig2_preset() -> ScenarioFile:
                 )
             )
     return ScenarioFile(
-        schema_version=SCHEMA_VERSION,
         kind="single-cycle-sweep",
         engine=base,
         output=OutputSpec(prefix="fig2"),

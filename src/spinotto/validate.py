@@ -1,38 +1,33 @@
-"""Self-check suite: oracle equivalence, channel/state invariants, and
-diagnostic unit truths, all on deterministic pseudo-random draws.
+"""Self-check suite behind `spinotto validate`: oracle equivalence, channel
+and state invariants, and diagnostic unit truths, all on deterministic
+pseudo-random draws.
 
-The CLI `validate` command runs every check and reports a pass/fail table;
-the same helpers back the acceptance tests.
+Every check returns rows of (label, residual, tolerance), and one rule judges
+them all: a row passes when residual <= tolerance, so a NaN residual fails,
+and a check passes when every row passes. A check that raises fails with the
+exception as its detail; the checks after it still run.
 
-What each check compares:
-- oracle_equivalence: every entry of A and b of the battery map P -> A P + b
-  of one cycle, from the closed form multicycle.battery_map, against
-  stage_map, which reads them off four probe batteries pushed through every
-  stage, on 1000 random configs anywhere in the domain (noise, asymmetric
-  baths and a separate compression angle);
-- classical_battery_first_cycle: the first-cycle work
-  W_1 = (A P_0 + b)_z - P_0,z that stage_map gives for a random config with
-  p_by = 0 against W_1 of its p_mx = 0 twin (no coherence cross term);
-- stroke_unitarity_and_sectors: power_stroke, which rotates only the
-  one-excitation block, against the dense conjugation U rho U+ by
-  U = flip_flop_propagator, with the unitarity of U and the |00>, |11>
-  populations, on 200 random states;
-- reset_preserves_battery and partial_trace_identities: the battery marginal
-  across a reset, and kron/partial-trace round trips, on random states;
-- stage_validity_fuzz: the trace and lowest eigenvalue of every state that
-  2000 random stages produce on FUZZ_CHAINS chains stepped together;
-- cycle_is_completely_positive: the Choi matrix of the battery channel that
-  battery_map gives is positive semidefinite on random noisy configs;
-- diagnostics_unit_truths and state_preparation_roundtrip compare the
-  diagnostics and preparations with known values;
-- map_vs_stage_loop: run_engines, which iterates stacked affine cycle maps,
-  against loop_engines, which pushes the joint states through every stage of
-  every cycle with no map, on every record field.
+The residuals of each check, in report order:
+- oracle_equivalence: max |battery_map - stage_map| over every entry of A
+  and b of 1000 configs anywhere in the domain; stage_map reads the map off
+  probe batteries pushed through every stage;
+- classical_battery_first_cycle: the largest gap between the first-cycle work
+  of a config with p_by = 0 and that of its p_mx = 0 twin, over 200 configs;
+- stroke_unitarity_and_sectors: max |U+U - I|, max |power_stroke - U rho U+|
+  and the drift of the |00> and |11> populations, over 200 random states;
+- reset_preserves_battery: the change of the battery marginal across a reset;
+- stage_validity_fuzz: the worst trace error and the negativity
+  max(0, -lambda_min) of the states of 2000 random stages;
+- partial_trace_identities: the kron/partial-trace round-trip error;
+- cycle_is_completely_positive: the negativity of the Choi matrices of the
+  battery channels of 200 noisy configs;
+- diagnostics_unit_truths and state_preparation_roundtrip: the deviation of
+  each diagnostic and preparation from its known value;
+- map_vs_stage_loop: max |run_engines - loop_engines| over every record field
+  of 20 noisy 3-cycle configs.
 
 The checks draw their random states one at a time, in a fixed order, and
-then run each stage once on the whole stack of draws. A check that raises
-becomes a failed result that names the exception; the checks after it still
-run.
+then run each stage once on the whole stack of draws.
 """
 
 from __future__ import annotations
@@ -87,9 +82,15 @@ ORACLE_TOL = 80 * math.ulp(1.0)
 
 @dataclass(frozen=True)
 class CheckResult:
+    """The verdict of one check and its detail line."""
+
     name: str
     passed: bool
     detail: str
+
+
+# One row of a check: (label, residual, tolerance).
+Row = tuple[str, float, float]
 
 
 def random_polarization(rng: np.random.Generator, radius: float = 0.5) -> Polarization:
@@ -296,15 +297,12 @@ def _bell_state() -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _oracle_equivalence(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
+def _oracle_equivalence(rng: np.random.Generator, seed: int) -> list[Row]:
     gap = max_oracle_gap(1000, seed)
-    return (
-        gap <= ORACLE_TOL,
-        f"max |battery_map - stage_map| over A and b = {gap:.3e} over 1000 noisy configs (tol {ORACLE_TOL:.3e})",
-    )
+    return [("max |battery_map - stage_map| over A and b of 1000 noisy configs", gap, ORACLE_TOL)]
 
 
-def _classical_battery_first_cycle(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
+def _classical_battery_first_cycle(rng: np.random.Generator, seed: int) -> list[Row]:
     drawn = [random_noisy_config(rng, cycles=1) for _ in range(200)]
     coherent = [replace(c, battery_init=c.battery_init._replace(py=0.0)) for c in drawn]
     configs = coherent + [c.with_p_mx(0.0) for c in coherent]
@@ -312,103 +310,86 @@ def _classical_battery_first_cycle(rng: np.random.Generator, seed: int) -> tuple
     p0 = np.array([c.battery_init for c in configs])
     work = np.einsum("kj,kj->k", A[:, 2], p0) + b[:, 2] - p0[:, 2]
     w_coh, w_inc = work.reshape(2, -1)
-    worst = float(np.max(np.abs(w_coh - w_inc)))
-    return worst < 1e-12, f"max coherent-incoherent work gap at p_by = 0: {worst:.3e} (tol 1e-12)"
+    return [("max coherent-incoherent first-cycle work gap with p_by 0", np.max(np.abs(w_coh - w_inc)), 1e-12)]
 
 
-def _stroke_unitarity_and_sectors(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
+def _stroke_unitarity_and_sectors(rng: np.random.Generator, seed: int) -> list[Row]:
     draws = [(float(rng.uniform(0.0, 2.0 * math.pi)), random_density(rng, 4)) for _ in range(200)]
     theta, joints = (np.array(x) for x in zip(*draws))
     u = flip_flop_propagator(theta)
     u_dagger = u.conj().swapaxes(1, 2)
     out = power_stroke(joints, theta)
-    worst_uni = float(np.max(np.abs(u_dagger @ u - np.eye(4))))
-    worst_dense = float(np.max(np.abs(out - u @ joints @ u_dagger)))
-    worst_sector = float(np.max(np.abs(out[:, [0, 3], [0, 3]] - joints[:, [0, 3], [0, 3]])))
-    return (
-        max(worst_uni, worst_dense, worst_sector) < 1e-12,
-        f"max |U+U - I| = {worst_uni:.3e}, max |power_stroke - U rho U+| = {worst_dense:.3e}, "
-        f"max sector-population drift = {worst_sector:.3e} (tol 1e-12)",
-    )
+    return [
+        ("max |U+U - I|", np.max(np.abs(u_dagger @ u - np.eye(4))), 1e-12),
+        ("max |power_stroke - U rho U+|", np.max(np.abs(out - u @ joints @ u_dagger)), 1e-12),
+        ("max sector-population drift", np.max(np.abs(out[:, [0, 3], [0, 3]] - joints[:, [0, 3], [0, 3]])), 1e-12),
+    ]
 
 
-def _reset_preserves_battery(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
+def _reset_preserves_battery(rng: np.random.Generator, seed: int) -> list[Row]:
     draws = [(random_density(rng, 4), random_density(rng, 2)) for _ in range(200)]
     joints, fresh = (np.array(x) for x in zip(*draws))
     before = partial_trace(joints, "battery")
-    worst = float(np.max(np.abs(partial_trace(reset_medium(joints, fresh), "battery") - before)))
-    return worst < 1e-12, f"max battery-marginal change across resets: {worst:.3e} (tol 1e-12)"
+    change = np.max(np.abs(partial_trace(reset_medium(joints, fresh), "battery") - before))
+    return [("max battery-marginal change across resets", change, 1e-12)]
 
 
-def _stage_validity_fuzz(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
+def _stage_validity_fuzz(rng: np.random.Generator, seed: int) -> list[Row]:
     tr_err, min_eig = fuzz_stage_validity(2000, seed)
-    return (
-        tr_err < 1e-12 and min_eig > -1e-10,
-        f"2000 stages on {FUZZ_CHAINS} chains: worst trace error {tr_err:.3e}, "
-        f"lowest eigenvalue {min_eig:.3e}",
-    )
+    return [
+        (f"worst trace error of 2000 stages on {FUZZ_CHAINS} chains", tr_err, 1e-12),
+        ("lowest-eigenvalue negativity max(0, -lambda_min)", max(0.0, -min_eig), 1e-10),
+    ]
 
 
-def _partial_trace_identities(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
+def _partial_trace_identities(rng: np.random.Generator, seed: int) -> list[Row]:
     a, b = (np.array(x) for x in zip(*[(random_density(rng, 2), random_density(rng, 2)) for _ in range(50)]))
     ab = kron(a, b)
     errors = (partial_trace(ab, "medium") - a, partial_trace(ab, "battery") - b)
-    worst = max(float(np.max(np.abs(e))) for e in errors)
-    return worst < 1e-12, f"max kron/partial-trace round-trip error: {worst:.3e}"
+    return [("max kron/partial-trace round-trip error", max(np.max(np.abs(e)) for e in errors), 1e-12)]
 
 
-def _cycle_is_completely_positive(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
+def _cycle_is_completely_positive(rng: np.random.Generator, seed: int) -> list[Row]:
     negativity = choi_negativity([random_noisy_config(rng, cycles=1) for _ in range(200)])
-    return (
-        negativity < 1e-12,
-        f"max Choi-matrix negativity max(0, -lambda_min) = {negativity:.3e} "
-        "over 200 noisy cycle maps (tol 1e-12)",
-    )
+    return [("max Choi-matrix negativity max(0, -lambda_min) of 200 noisy cycle maps", negativity, 1e-12)]
 
 
-def _diagnostics_unit_truths(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
+def _diagnostics_unit_truths(rng: np.random.Generator, seed: int) -> list[Row]:
     bell = _bell_state()
     product = kron(random_density(rng, 2), random_density(rng, 2))
     werner = 0.5 * bell + 0.5 * np.eye(4) / 4.0
     plus = prepare_battery(Polarization(0.5, 0.0, 0.0))
     ergo_plus = ergotropy(plus)
-    unit_truths = [
-        ("concurrence(Bell)", abs(concurrence(bell) - 1.0), 1e-10),
+    return [
+        ("|concurrence(Bell) - 1|", abs(concurrence(bell) - 1.0), 1e-10),
         ("concurrence(product)", concurrence(product), 1e-10),
-        ("concurrence(Werner 1/2)", abs(concurrence(werner) - 0.25), 1e-10),
-        ("ergotropy(|+>).total", abs(ergo_plus.total - 0.5), 1e-12),
-        ("ergotropy(|+>).coherent", abs(ergo_plus.coherent - 0.5), 1e-12),
-        ("C_B(|+>)", abs(relative_entropy_of_coherence(plus) - math.log(2.0)), 1e-12),
-        ("S(I/2)", abs(von_neumann_entropy(np.eye(2) / 2) - math.log(2.0)), 1e-12),
+        ("|concurrence(Werner 1/2) - 1/4|", abs(concurrence(werner) - 0.25), 1e-10),
+        ("|ergotropy(|+>).total - 1/2|", abs(ergo_plus.total - 0.5), 1e-12),
+        ("|ergotropy(|+>).coherent - 1/2|", abs(ergo_plus.coherent - 0.5), 1e-12),
+        ("|C_B(|+>) - ln 2|", abs(relative_entropy_of_coherence(plus) - math.log(2.0)), 1e-12),
+        ("|S(I/2) - ln 2|", abs(von_neumann_entropy(np.eye(2) / 2) - math.log(2.0)), 1e-12),
     ]
-    failed = [name for name, err, tol in unit_truths if err > tol]
-    worst_truth = max(err for _, err, _ in unit_truths)
-    detail = f"worst deviation {worst_truth:.3e}"
-    return not failed, detail + (f"; failed: {', '.join(failed)}" if failed else "")
 
 
-def _map_vs_stage_loop(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
+def _map_vs_stage_loop(rng: np.random.Generator, seed: int) -> list[Row]:
     traces = run_engines([random_noisy_config(rng, cycles=3) for _ in range(20)])
-    worst = max(stage_loop_gaps(traces).values())
-    return (
-        worst < 1e-12,
-        f"max |run_engine - per-cycle stage loop| over records: {worst:.3e} "
-        "over 20 noisy configs x 3 cycles (tol 1e-12)",
-    )
+    label = "max |run_engine - per-cycle stage loop| over the records of 20 noisy configs x 3 cycles"
+    return [(label, max(stage_loop_gaps(traces).values()), 1e-12)]
 
 
-def _state_preparation_roundtrip(rng: np.random.Generator, seed: int) -> tuple[bool, str]:
-    roundtrip = polarization_vector(prepare_battery(Polarization(0.1, -0.2, 0.3)))
-    pol_err = max(abs(roundtrip.px - 0.1), abs(roundtrip.py + 0.2), abs(roundtrip.pz - 0.3))
-    energy_err = abs(mean_energy(np.eye(2, dtype=complex) / 2))
+def _state_preparation_roundtrip(rng: np.random.Generator, seed: int) -> list[Row]:
+    p = Polarization(0.1, -0.2, 0.3)
+    roundtrip = np.subtract(polarization_vector(prepare_battery(p)), p)
     hot = prepare_hot_medium(0.5, (0.5, 0.5))
-    hot_err = float(np.max(np.abs(hot - np.array([[0.5, 0.5], [0.5, 0.5]]))))
-    worst = max(pol_err, energy_err, hot_err)
-    return worst < 1e-12, f"max preparation/readout deviation: {worst:.3e}"
+    return [
+        ("max |polarization_vector(prepare_battery(P)) - P|", np.max(np.abs(roundtrip)), 1e-12),
+        ("|mean_energy(I/2)|", abs(mean_energy(np.eye(2, dtype=complex) / 2)), 1e-12),
+        ("max |prepare_hot_medium(1/2, (1/2, 1/2)) - 1/2|", np.max(np.abs(hot - 0.5)), 1e-12),
+    ]
 
 
 # Every check in report order. Each takes the suite's generator, which the
-# checks draw from in this order, and the seed; it returns (passed, detail).
+# checks draw from in this order, and the seed, and returns its rows.
 CHECKS = (
     ("oracle_equivalence", _oracle_equivalence),
     ("classical_battery_first_cycle", _classical_battery_first_cycle),
@@ -424,14 +405,21 @@ CHECKS = (
 
 
 def run_all_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run every check of CHECKS. A check that raises becomes a failed result
-    naming the exception, and the checks after it still run."""
+    """Run every check of CHECKS and judge its rows by the pass rule of the
+    module docstring. The detail of a check lists every row as
+    'label = residual (tol tolerance)' and ends with the labels of the rows
+    that failed; a check that raises fails with the exception as its detail."""
     rng = np.random.default_rng(seed)
     results = []
     for name, check in CHECKS:
         try:
-            passed, detail = check(rng, seed)
+            rows = [(label, float(residual), float(tol)) for label, residual, tol in check(rng, seed)]
         except Exception as exc:  # any raise is a failed check, not a failed suite
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, passed, detail))
+            results.append(CheckResult(name, False, f"raised {type(exc).__name__}: {exc}"))
+            continue
+        failed = [label for label, residual, tol in rows if not residual <= tol]  # NaN fails
+        detail = "; ".join(f"{label} = {residual:.3e} (tol {tol:.3e})" for label, residual, tol in rows)
+        if failed:
+            detail += f"; failed: {', '.join(failed)}"
+        results.append(CheckResult(name, not failed, detail))
     return results

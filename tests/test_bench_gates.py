@@ -6,7 +6,8 @@ that appear in the trace, so renaming or deleting a gated function (say
 engine.make_cycle_record) would switch its gate off without an error, and a
 per-layer metric of a missing function reads 0. These tests read the gates
 and metrics from the benchmark harness, imported without writing anything
-under bench/, and check each against the package.
+under bench/, and check each against the package. The last test ties the
+detail lines of validate to the reference that reads them back.
 """
 
 import importlib
@@ -14,7 +15,10 @@ import inspect
 import pathlib
 import sys
 
+import numpy as np
 import pytest
+
+from spinotto import validate
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -66,3 +70,15 @@ def test_the_absent_per_layer_metrics_are_known(bench):
         "linalg.hermitian_eig",
         "linalg.sqrtm_psd",
     }
+
+
+def test_validate_details_pass_the_selfcheck_reference(bench):
+    # bench/reference.py re-derives each verdict from every e-notation number
+    # in a passing detail, the stated tolerances included, so no check may
+    # state a tolerance above the reference's bound
+    _, run = bench
+    checks = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in validate.run_all_checks()]
+    assert run.reference.check_selfcheck(checks) == [None] * len(validate.CHECKS)
+    rng = np.random.default_rng(validate.DEFAULT_SEED)
+    tolerances = [tol for _, check in validate.CHECKS for _, _, tol in check(rng, validate.DEFAULT_SEED)]
+    assert max(tolerances) <= run.reference.SELFCHECK_TOL

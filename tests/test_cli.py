@@ -1,9 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from spinotto import cli, output
+from spinotto import cli, output, validate
 from spinotto.cli import main
 from spinotto.engine import EngineConfig, NoiseConfig
 from spinotto.multicycle import (
@@ -14,7 +15,7 @@ from spinotto.multicycle import (
     run_engines,
 )
 from spinotto.output import ADVANTAGE_COLUMNS, TRACE_COLUMNS, dumps_stable, fmt_float, write_json
-from spinotto.scenario import config_from_dict
+from spinotto.scenario import SCENARIO_KINDS, config_from_dict
 
 
 GOLDEN_TRACE_HEADER = (
@@ -145,6 +146,16 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_validate_is_a_command_not_a_scenario_kind(tmp_path, capsys):
+    scn = tmp_path / "validate.scn"
+    scn.write_text("scenario = validate\n")
+    assert main(["run", str(scn), "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown scenario 'validate'; expected one of" in err
+    assert all(kind in err for kind in SCENARIO_KINDS)
+    assert os.listdir(tmp_path) == ["validate.scn"]
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.scn")]) == 2
 
@@ -242,9 +253,24 @@ def test_search_runs_are_identical(tmp_path):
 
 def test_validate_writes_every_check_to_its_summary(tmp_path):
     assert main(["validate", "--output-dir", str(tmp_path)]) == 0
-    results = json.loads(read(tmp_path / "validate_summary.json"))["results"]
-    assert results["all_passed"] is True
-    assert [c["passed"] for c in results["checks"]] == [True] * 10
+    summary = json.loads(read(tmp_path / "validate_summary.json"))
+    assert list(summary) == ["schema_version", "package_version", "scenario", "outputs", "results"]
+    assert summary["results"]["all_passed"] is True
+    assert [c["passed"] for c in summary["results"]["checks"]] == [True] * 10
+
+
+@pytest.mark.parametrize("residual, passed", [(1e-13, True), (1e-12, True), (2e-12, False), (np.nan, False)])
+def test_numpy_scalar_rows_get_a_python_verdict(tmp_path, monkeypatch, residual, passed):
+    # a check whose residual and tolerance are numpy scalars: run_all_checks
+    # judges residual <= tolerance as a Python bool, so the summary is written
+    # and a NaN residual fails
+    name = validate.CHECKS[0][0]
+    rows = lambda rng, seed: [("numpy scalars", np.float64(residual), np.float64(1e-12))]
+    monkeypatch.setattr(validate, "CHECKS", ((name, rows),) + validate.CHECKS[1:])
+    assert main(["validate", "--output-dir", str(tmp_path)]) == (0 if passed else 1)
+    first = json.loads(read(tmp_path / "validate_summary.json"))["results"]["checks"][0]
+    detail = f"numpy scalars = {residual:.3e} (tol 1.000e-12)" + ("" if passed else "; failed: numpy scalars")
+    assert first == {"name": name, "passed": passed, "detail": detail}
 
 
 def test_workers_flag_is_gone(tmp_path, capsys):

@@ -30,6 +30,7 @@ from spinotto.multicycle import (
     run_engine,
     run_engines,
     sweep,
+    with_fields,
 )
 from spinotto.scenario import PRESETS
 from spinotto.validate import (
@@ -394,6 +395,11 @@ def test_run_engines_hands_each_config_the_next_map_fails_the_stage_loop(monkeyp
         assert re.search(r"\d\.\d{3}e[+-]\d\d", c.detail), c
 
 
+def residual(check, label: str) -> float:
+    """The residual that a check's detail reports under label."""
+    return float(re.search(re.escape(label) + r" = (\S+) \(tol ", check.detail).group(1))
+
+
 def test_stroke_with_flipped_sine_fails_the_stroke_check(monkeypatch):
     # a seeded fault: power_stroke rotates by -theta, so the sign of its sine
     # flips; unitarity and the sector populations still hold, and within the
@@ -401,7 +407,10 @@ def test_stroke_with_flipped_sine_fails_the_stroke_check(monkeypatch):
     patch_everywhere(monkeypatch, power_stroke, lambda joint, theta: power_stroke(joint, -np.asarray(theta)))
     stroke = next(c for c in run_all_checks() if c.name == "stroke_unitarity_and_sectors")
     assert not stroke.passed
-    assert float(re.search(r"U rho U\+\| = (\S+),", stroke.detail).group(1)) > 0.1
+    assert residual(stroke, "max |power_stroke - U rho U+|") > 0.1
+    assert stroke.detail.endswith("; failed: max |power_stroke - U rho U+|")
+    assert residual(stroke, "max |U+U - I|") <= 1e-12
+    assert residual(stroke, "max sector-population drift") <= 1e-12
 
 
 def partial_transpose_battery(joint):
@@ -419,7 +428,8 @@ def test_non_positive_stage_fails_the_fuzz(monkeypatch):
     assert tr_err < 1e-12 and min_eig < -0.1
     fuzz = next(c for c in run_all_checks() if c.name == "stage_validity_fuzz")
     assert not fuzz.passed
-    assert f"lowest eigenvalue {min_eig:.3e}" in fuzz.detail
+    assert residual(fuzz, "lowest-eigenvalue negativity max(0, -lambda_min)") == float(f"{-min_eig:.3e}")
+    assert fuzz.detail.endswith("; failed: lowest-eigenvalue negativity max(0, -lambda_min)")
 
 
 def test_a_raising_check_becomes_a_failed_row(monkeypatch, tmp_path, capsys):
@@ -631,6 +641,25 @@ class TestSweep:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             sweep(EngineConfig(), "coupling", [1.0])
+        with pytest.raises(ConfigError, match="unknown field 'coupling'"):
+            with_fields(EngineConfig(), theta=0.1, coupling=1.0)
+
+    def test_with_fields_builds_one_config_of_each_kind(self, monkeypatch):
+        # a search grid point sets engine scalars, noise channels and the cycle
+        # count at once, in one NoiseConfig and one EngineConfig construction
+        cfg = EngineConfig(cycles=2, battery_init=(0.0, 0.1, -0.4), **IDEAL)
+        built = []
+        for cls in (EngineConfig, NoiseConfig):
+            def counted(self, post_init=cls.__post_init__):
+                built.append(type(self).__name__)
+                post_init(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        got = with_fields(cfg, theta=0.3, p_mx=0.2, battery_px=0.1, battery_dephasing_per_reset=0.9,
+                          battery_t2_per_cycle=0.8, cycles=3.0)
+        assert sorted(built) == ["EngineConfig", "NoiseConfig"]
+        want = EngineConfig(theta=0.3, p_mx=0.2, battery_init=(0.1, 0.1, -0.4), noise=NoiseConfig(0.9, 0.8),
+                            cycles=3, **IDEAL)
+        assert got == want and type(got.cycles) is int
 
     @pytest.mark.parametrize(
         "field_name, values",

@@ -4,6 +4,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from spinotto.output import dumps_stable
 from spinotto.scenario import (
     PRESETS,
     ScenarioError,
+    ScenarioFile,
     THETA_GRID,
     config_from_dict,
     config_to_dict,
@@ -89,6 +91,8 @@ def test_unknown_scenario_kind():
 def test_schema_version_check():
     with pytest.raises(ScenarioError, match="schema_version"):
         parse_scenario("schema_version = 9\nscenario = multicycle\n")
+    # the one version a file may state is checked, not stored
+    assert "schema_version" not in {f.name for f in fields(ScenarioFile)}
 
 
 def test_positivity_bound_enforced_at_load():
