@@ -30,7 +30,6 @@ from .output import (
     write_trace_csv,
 )
 from .scenario import (
-    FORMATS,
     PRESETS,
     SEARCH_AXES,
     ScenarioError,
@@ -53,12 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output-dir", default=".", help="directory for result files")
-    common.add_argument(
-        "--format",
-        choices=("csv", "json", "both"),
-        default=None,
-        help="override the scenario's output formats",
-    )
 
     run_p = sub.add_parser(
         "run",
@@ -81,25 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _formats(default: tuple[str, ...], args) -> tuple[str, ...]:
-    if args.format is None:
-        return default
-    if args.format == "both":
-        return ("csv", "json")
-    return (args.format,)
-
-
-def _summary_path(outdir: str, prefix: str) -> str:
-    return os.path.join(outdir, f"{prefix}_summary.json")
-
-
-def _finish(args, prefix: str, formats: tuple[str, ...], summary: dict, t0: float) -> None:
+def _finish(args, prefix: str, summary: dict, t0: float, summary_file: bool = True) -> None:
     """Write the summary, whose "outputs" lists the files already written, as
-    <prefix>_summary.json when formats include json; then print every file
+    <prefix>_summary.json unless summary_file is false; then print every file
     written and the elapsed time."""
     outputs = summary["outputs"]
-    if "json" in formats:
-        path = _summary_path(args.output_dir, prefix)
+    if summary_file:
+        path = os.path.join(args.output_dir, f"{prefix}_summary.json")
         write_json(path, {"schema_version": SCHEMA_VERSION, "package_version": __version__} | summary)
         outputs = outputs + [os.path.basename(path)]
     for name in outputs:
@@ -114,14 +95,14 @@ def _write_cycle_trace(args, name: str, trace, outputs: list[str]) -> None:
     outputs.append(name)
 
 
-def _run_single_cycle_sweep(s: ScenarioFile, args, formats: tuple[str, ...]) -> tuple[list[str], dict]:
+def _run_single_cycle_sweep(s: ScenarioFile, args) -> tuple[list[str], dict]:
     outputs = []
     variant_labels = []
     for label, config in s.variants or (("", s.engine),):
         traces = sweep(config, s.sweep.field, s.sweep.values)
         records = [t.records[0] for t in traces]
         name = f"{s.output.prefix}_{label}.csv" if label else f"{s.output.prefix}.csv"
-        if "csv" in formats:
+        if "csv" in s.output.formats:
             write_trace_csv(
                 os.path.join(args.output_dir, name), s.sweep.field, s.sweep.values, records
             )
@@ -135,12 +116,13 @@ def _run_single_cycle_sweep(s: ScenarioFile, args, formats: tuple[str, ...]) -> 
     return outputs, results
 
 
-def _run_multicycle(s: ScenarioFile, args, formats: tuple[str, ...]) -> tuple[list[str], dict]:
+def _run_multicycle(s: ScenarioFile, args) -> tuple[list[str], dict]:
+    csv = "csv" in s.output.formats
     outputs = []
     results: dict = {}
     if s.sweep is None:
         trace = run_engine(s.engine)
-        if "csv" in formats:
+        if csv:
             _write_cycle_trace(args, f"{s.output.prefix}.csv", trace, outputs)
         results["cumulative_work"] = trace.records[-1].cumulative_work
     else:
@@ -148,18 +130,18 @@ def _run_multicycle(s: ScenarioFile, args, formats: tuple[str, ...]) -> tuple[li
         mapping = []
         for i, (value, trace) in enumerate(zip(s.sweep.values, traces)):
             name = f"{s.output.prefix}_s{i:02d}.csv"
-            if "csv" in formats:
+            if csv:
                 _write_cycle_trace(args, name, trace, outputs)
-            mapping.append({"index": i, "value": value, "file": name if "csv" in formats else None})
+            mapping.append({"index": i, "value": value, "file": name if csv else None})
         results["sweep_field"] = s.sweep.field
         results["sweep_map"] = mapping
     return outputs, results
 
 
-def _run_compare(s: ScenarioFile, args, formats: tuple[str, ...]) -> tuple[list[str], dict]:
+def _run_compare(s: ScenarioFile, args) -> tuple[list[str], dict]:
     result = compare_coherent_incoherent(*run_engines([s.engine, s.engine.with_p_mx(0.0)]))
     outputs = []
-    if "csv" in formats:
+    if "csv" in s.output.formats:
         for tag, trace in (("coherent", result.coherent), ("incoherent", result.incoherent)):
             _write_cycle_trace(args, f"{s.output.prefix}_{tag}.csv", trace, outputs)
         name = f"{s.output.prefix}_advantage.csv"
@@ -184,13 +166,13 @@ def _run_compare(s: ScenarioFile, args, formats: tuple[str, ...]) -> tuple[list[
 
 
 def _search_grid(s: ScenarioFile):
-    spec = s.search  # parse_scenario sorts each axis and rejects empty entries
-    points = list(itertools.product(*(getattr(spec, axis) for axis in SEARCH_AXES)))
-    configs = [with_fields(s.engine, cycles=spec.max_cycles, **dict(zip(SEARCH_AXES, point))) for point in points]
+    # parse_scenario sorts each axis and rejects empty entries
+    points = list(itertools.product(*(getattr(s.search, axis) for axis in SEARCH_AXES)))
+    configs = [with_fields(s.engine, **dict(zip(SEARCH_AXES, point))) for point in points]
     return points, configs
 
 
-def _run_search(s: ScenarioFile, args, formats: tuple[str, ...]) -> tuple[list[str], dict]:
+def _run_search(s: ScenarioFile, args) -> tuple[list[str], dict]:
     points, configs = _search_grid(s)
     n = len(configs)
     traces = run_engines(configs + [c.with_p_mx(0.0) for c in configs])
@@ -207,7 +189,7 @@ def _run_search(s: ScenarioFile, args, formats: tuple[str, ...]) -> tuple[list[s
         )
 
     outputs = []
-    if "csv" in formats:
+    if "csv" in s.output.formats:
         name = f"{s.output.prefix}_grid.csv"
         header = SEARCH_AXES + ("peak_ratio", "peak_cycle", "defined")
         write_grid_csv(os.path.join(args.output_dir, name), header, rows)
@@ -239,10 +221,9 @@ _RUNNERS = {
 def _execute(s: ScenarioFile, args) -> int:
     t0 = time.perf_counter()
     os.makedirs(args.output_dir, exist_ok=True)
-    formats = _formats(s.output.formats, args)
-    outputs, results = _RUNNERS[s.kind](s, args, formats)  # parse_scenario accepts only these kinds
+    outputs, results = _RUNNERS[s.kind](s, args)  # parse_scenario accepts only these kinds
     summary = {"scenario": s.kind, "config": config_to_dict(s.engine), "outputs": outputs, "results": results}
-    _finish(args, s.output.prefix, formats, summary, t0)
+    _finish(args, s.output.prefix, summary, t0, "json" in s.output.formats)
     return 0
 
 
@@ -265,7 +246,7 @@ def cmd_validate(args) -> int:
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
     }
     summary = {"scenario": "validate", "outputs": [], "results": results}
-    _finish(args, "validate", _formats(FORMATS, args), summary, t0)
+    _finish(args, "validate", summary, t0)
     return 0 if all_passed else 1
 
 

@@ -113,13 +113,9 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return _entropy_of(np.linalg.eigvalsh(rho).tolist())  # hermiticity checked above
 
 
-def relative_entropy_of_coherence(rho: np.ndarray) -> float:
-    """S(diag(rho)) - S(rho): energy-basis coherence in nats, always >= 0."""
-    return coherence_of_bloch(polarization_vector(rho))
-
-
-def coherence_of_bloch(p: Polarization) -> float:
-    """relative_entropy_of_coherence of the qubit state with Bloch vector p.
+def relative_entropy_of_coherence(p: Polarization) -> float:
+    """S(diag(rho)) - S(rho) of the qubit state rho with Bloch vector p: its
+    energy-basis coherence in nats, always >= 0.
 
     The dephased state has |P| = |pz|, so both entropies are binary entropies
     of 1/2 + |pz| and 1/2 + |P|.
@@ -128,8 +124,9 @@ def coherence_of_bloch(p: Polarization) -> float:
     return _entropy_of((0.5 - pz, 0.5 + pz)) - _entropy_of((0.5 - r, 0.5 + r))
 
 
-def ergotropy(rho: np.ndarray) -> ErgotropyReport:
-    """Maximum unitarily extractable work, split into incoherent and coherent parts.
+def ergotropy(p: Polarization) -> ErgotropyReport:
+    """Maximum unitarily extractable work of the qubit state with Bloch vector
+    p, split into incoherent and coherent parts.
 
     total      = Tr[(rho - passive(rho)) H] = pz + |P|, with H = sigma_z/2
                  (hbar*omega units)
@@ -138,11 +135,6 @@ def ergotropy(rho: np.ndarray) -> ErgotropyReport:
 
     (Allahverdyan, Balian and Nieuwenhuizen, EPL 67, 565 (2004).)
     """
-    return ergotropy_of_bloch(polarization_vector(rho))
-
-
-def ergotropy_of_bloch(p: Polarization) -> ErgotropyReport:
-    """ergotropy of the qubit state with Bloch vector p."""
     r = p.norm()
     return ErgotropyReport(
         total=p.pz + r,

@@ -25,9 +25,9 @@ import numpy as np
 
 from .diagnostics import (
     Polarization,
-    coherence_of_bloch,
     concurrence,
-    ergotropy_of_bloch,
+    ergotropy,
+    relative_entropy_of_coherence,
 )
 from .linalg import (
     ValidationError,
@@ -300,8 +300,8 @@ def make_cycle_record(
         work,
         work_before + work,
         *battery,
-        *ergotropy_of_bloch(battery),
-        coherence_of_bloch(battery),
+        *ergotropy(battery),
+        relative_entropy_of_coherence(battery),
         concurrence(post_stroke_joint),
         *correlators,
     )

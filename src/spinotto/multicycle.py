@@ -279,20 +279,25 @@ _SCALAR_FIELDS = ("theta", "theta_compression", "p_mx")
 _BATTERY_FIELDS = tuple(f"battery_{axis}" for axis in Polarization._fields)
 _NOISE_FIELDS = tuple(f.name for f in fields(NoiseConfig))
 SWEEPABLE_FIELDS = _SCALAR_FIELDS + _BATTERY_FIELDS + _NOISE_FIELDS + ("cycles",)
+# Every flat field name with_fields takes: the sweepable fields and the
+# [engine] keys of a scenario file that a sweep cannot vary.
+_CONFIG_FIELDS = SWEEPABLE_FIELDS + ("hot_populations", "cold_populations", "battery_init")
 
 
 def with_fields(config: EngineConfig, **values) -> EngineConfig:
-    """config with the named SWEEPABLE_FIELDS set to the given values, built
-    with one NoiseConfig and one EngineConfig however many names are given."""
-    unknown = [name for name in values if name not in SWEEPABLE_FIELDS]
+    """config with the named fields set to the given values: the one map from
+    flat field names (_CONFIG_FIELDS) to a config, built with one NoiseConfig
+    and one EngineConfig however many names are given. A battery component
+    applies on top of a battery_init given with it."""
+    unknown = [name for name in values if name not in _CONFIG_FIELDS]
     if unknown:
-        raise ConfigError(f"unknown field {unknown[0]!r}; expected one of {', '.join(SWEEPABLE_FIELDS)}")
+        raise ConfigError(f"unknown field {unknown[0]!r}; expected one of {', '.join(_CONFIG_FIELDS)}")
     noise = {name: values.pop(name) for name in _NOISE_FIELDS if name in values}
     battery = {name.removeprefix("battery_"): values.pop(name) for name in _BATTERY_FIELDS if name in values}
     if noise:
         values["noise"] = replace(config.noise, **noise)
     if battery:
-        values["battery_init"] = config.battery_init._replace(**battery)
+        values["battery_init"] = Polarization(*values.get("battery_init", config.battery_init))._replace(**battery)
     # scenario files give counts like 2.0; EngineConfig checks the rest
     if isinstance(values.get("cycles"), float) and values["cycles"].is_integer():
         values["cycles"] = int(values["cycles"])
@@ -305,4 +310,6 @@ def sweep(config: EngineConfig, field_name: str, values: Sequence) -> list[Engin
 
     Results are returned in the order of `values`.
     """
+    if field_name not in SWEEPABLE_FIELDS:
+        raise ConfigError(f"field {field_name!r} is not sweepable; expected one of {', '.join(SWEEPABLE_FIELDS)}")
     return run_engines([with_fields(config, **{field_name: v}) for v in values])

@@ -19,8 +19,13 @@ A scenario file has optional top-level keys followed by bracketed sections::
 
 Blank lines and full-line comments (starting with '#' or ';') are ignored.
 Parsing is strict: unknown sections, unknown keys, duplicate keys and
-malformed values are rejected with the offending line number. Missing engine
-keys fall back to the experimental defaults carried by EngineConfig.
+malformed values are rejected with the offending line number.
+
+A file states each field once, and its base config is the first run it
+describes: the [engine] and [noise] values, the first value of a swept field
+or of each [search] axis, and a search's max_cycles as cycles; every other
+field keeps the experimental default carried by EngineConfig. A key of
+[engine] or [noise] that the file's sweep or search also sets is rejected.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from pathlib import Path
 
 from .diagnostics import Polarization
 from .engine import ConfigError, EngineConfig, NoiseConfig
-from .multicycle import SWEEPABLE_FIELDS
+from .multicycle import SWEEPABLE_FIELDS, with_fields
 
 FORMATS = ("csv", "json")
 
@@ -66,17 +71,16 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Grid bounds for the advantage search; axes are sorted ascending."""
+    """Grid axes of the advantage search, each sorted ascending."""
 
     theta: tuple[float, ...]
     p_mx: tuple[float, ...]
-    battery_dephasing_per_reset: tuple[float, ...] = (1.0,)
-    battery_t2_per_cycle: tuple[float, ...] = (1.0,)
-    max_cycles: int = 10
+    battery_dephasing_per_reset: tuple[float, ...]
+    battery_t2_per_cycle: tuple[float, ...]
 
 
-# The grid axes of a search, in grid order: the value-list fields of SearchSpec.
-SEARCH_AXES = tuple(f.name for f in fields(SearchSpec) if f.name != "max_cycles")
+# The grid axes of a search, in grid order.
+SEARCH_AXES = tuple(f.name for f in fields(SearchSpec))
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,8 @@ class ScenarioFile:
 
 _TOP_KEYS = ("schema_version", "scenario")
 # The keys of each section are the fields of its dataclass, in field order;
-# [noise] is a section of its own rather than a key of [engine].
+# [noise] is a section of its own rather than a key of [engine], and [search]
+# also takes the run length of every grid point.
 _SECTION_KEYS = {
     section: tuple(f.name for f in fields(cls) if f.name != "noise")
     for section, cls in (
@@ -100,9 +105,8 @@ _SECTION_KEYS = {
         ("noise", NoiseConfig),
         ("sweep", SweepSpec),
         ("output", OutputSpec),
-        ("search", SearchSpec),
     )
-}
+} | {"search": SEARCH_AXES + ("max_cycles",)}
 _SECTIONS_BY_KIND = {
     "single-cycle-sweep": ("engine", "noise", "sweep", "output"),
     "multicycle": ("engine", "noise", "sweep", "output"),
@@ -185,23 +189,15 @@ def _to_floats(key: str, value: str, lineno: int, count: int | None = None) -> t
     return tuple(_to_float(p, lineno) for p in parts)
 
 
-def _engine_from_sections(table) -> EngineConfig:
-    kwargs = {}
-    for key, (value, lineno) in table.get("engine", {}).items():
-        if key in ("theta", "theta_compression", "p_mx"):
-            kwargs[key] = _to_float(value, lineno)
-        elif key in ("hot_populations", "cold_populations"):
-            kwargs[key] = _to_floats(key, value, lineno, count=2)
-        elif key == "battery_init":
-            kwargs[key] = Polarization(*_to_floats(key, value, lineno, count=3))
-        elif key == "cycles":
-            kwargs[key] = _to_int(value, lineno)
-    noise_kwargs = {}
-    for key, (value, lineno) in table.get("noise", {}).items():
-        noise_kwargs[key] = _to_float(value, lineno)
-    if noise_kwargs:
-        kwargs["noise"] = NoiseConfig(**noise_kwargs)
-    return EngineConfig(**kwargs)
+def _to_value(key: str, value: str, lineno: int):
+    """The value of one [engine] or [noise] key, converted for with_fields."""
+    if key in ("hot_populations", "cold_populations"):
+        return _to_floats(key, value, lineno, count=2)
+    if key == "battery_init":
+        return _to_floats(key, value, lineno, count=3)
+    if key == "cycles":
+        return _to_int(value, lineno)
+    return _to_float(value, lineno)
 
 
 def parse_scenario(text: str) -> ScenarioFile:
@@ -232,7 +228,9 @@ def parse_scenario(text: str) -> ScenarioFile:
                 f"section [{section}] is not accepted by scenario {kind!r}", first_line
             )
 
-    engine = _engine_from_sections(table)
+    # The fields the sweep or search sets, with their values in the first run,
+    # and what sets them.
+    first_run, set_by = {}, None
 
     sweep_spec = None
     if "sweep" in table:
@@ -246,25 +244,24 @@ def parse_scenario(text: str) -> ScenarioFile:
                 f"{', '.join(SWEEPABLE_FIELDS)}",
                 field_line,
             )
-        values = _to_floats("values", *entries["values"])
-        sweep_spec = SweepSpec(field=field_name, values=values)
+        if kind == "single-cycle-sweep" and field_name == "cycles":
+            message = "field 'cycles' is not sweepable in scenario 'single-cycle-sweep', which runs one cycle"
+            raise ScenarioError(message, field_line)
+        sweep_spec = SweepSpec(field=field_name, values=_to_floats("values", *entries["values"]))
+        set_by = "[sweep]"
     elif kind == "single-cycle-sweep":
         sweep_spec = SweepSpec(field="theta", values=THETA_GRID)
+        set_by = "the default theta sweep of scenario 'single-cycle-sweep'"
+    if sweep_spec is not None:
+        first_run = {sweep_spec.field: sweep_spec.values[0]}
 
-    if kind == "single-cycle-sweep" and engine.cycles != 1:
-        raise ScenarioError(f"scenario 'single-cycle-sweep' requires cycles = 1, got {engine.cycles}")
-    if kind == "single-cycle-sweep" and sweep_spec.field == "cycles":
-        message = "field 'cycles' is not sweepable in scenario 'single-cycle-sweep', which runs one cycle"
-        raise ScenarioError(message, table["sweep"]["field"][1])
-
-    search_spec = None
+    axes = {}
     if kind == "search-advantage":
         if "search" not in table:
             raise ScenarioError("scenario 'search-advantage' requires a [search] section")
         entries = table["search"]
         if "theta" not in entries or "p_mx" not in entries:
             raise ScenarioError("section [search] requires 'theta' and 'p_mx' value lists")
-        axes = {}
         for key in SEARCH_AXES:
             if key in entries:
                 values = sorted(_to_floats(key, *entries[key]))
@@ -275,7 +272,25 @@ def parse_scenario(text: str) -> ScenarioFile:
         max_cycles = _to_int(*entries["max_cycles"]) if "max_cycles" in entries else 10
         if max_cycles < 1:
             raise ScenarioError("max_cycles must be positive", entries["max_cycles"][1])
-        search_spec = SearchSpec(max_cycles=max_cycles, **axes)
+        first_run = {key: values[0] for key, values in axes.items()} | {"cycles": max_cycles}
+        set_by = "[search]"
+
+    stated = {}
+    for section in ("engine", "noise"):
+        for key, (value, lineno) in table.get(section, {}).items():
+            if key in first_run:
+                raise ScenarioError(f"{key} is set by {set_by}; a file states each field once", lineno)
+            stated[key] = _to_value(key, value, lineno)
+    engine = with_fields(EngineConfig(), **stated, **first_run)
+
+    if kind == "single-cycle-sweep" and engine.cycles != 1:
+        raise ScenarioError(f"scenario 'single-cycle-sweep' requires cycles = 1, got {engine.cycles}")
+
+    search_spec = None
+    if axes:
+        # theta and p_mx are required; a noise axis that [search] omits holds
+        # the base config's value
+        search_spec = SearchSpec(**{key: (getattr(engine.noise, key),) for key in _SECTION_KEYS["noise"]} | axes)
 
     prefix = kind
     formats = FORMATS
@@ -339,7 +354,7 @@ def _fig2_preset() -> ScenarioFile:
     coincide, the quantum-battery variants separate.
     """
     base = EngineConfig(
-        theta=THETA_GRID[1],
+        theta=THETA_GRID[0],
         p_mx=0.0,
         hot_populations=(0.5, 0.5),
         cold_populations=(0.0, 1.0),

@@ -358,7 +358,7 @@ def _diagnostics_unit_truths(rng: np.random.Generator, seed: int) -> list[Row]:
     bell = _bell_state()
     product = kron(random_density(rng, 2), random_density(rng, 2))
     werner = 0.5 * bell + 0.5 * np.eye(4) / 4.0
-    plus = prepare_battery(Polarization(0.5, 0.0, 0.0))
+    plus = polarization_vector(prepare_battery(Polarization(0.5, 0.0, 0.0)))
     ergo_plus = ergotropy(plus)
     return [
         ("|concurrence(Bell) - 1|", abs(concurrence(bell) - 1.0), 1e-10),

@@ -1,5 +1,7 @@
 import json
 import os
+import pathlib
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -129,14 +131,31 @@ def test_scenario_file_run(tmp_path):
     assert len(lines) == 6  # header + five cycles
 
 
+FIG3_SCN = (pathlib.Path(cli.__file__).parent / "presets" / "fig3.scn").read_text()
+
+
 def test_format_flag_selects_outputs(tmp_path):
+    # [output] formats is the one switch of the files a run writes
+    assert "formats = csv, json\n" in FIG3_SCN
+    for fmt in ("csv", "json"):
+        (tmp_path / f"{fmt}.scn").write_text(FIG3_SCN.replace("formats = csv, json\n", f"formats = {fmt}\n"))
     out_csv = tmp_path / "csv"
-    assert main(["run", "fig3", "--output-dir", str(out_csv), "--format", "csv"]) == 0
+    assert main(["run", str(tmp_path / "csv.scn"), "--output-dir", str(out_csv)]) == 0
     assert all(n.endswith(".csv") for n in os.listdir(out_csv))
 
     out_json = tmp_path / "json"
-    assert main(["run", "fig3", "--output-dir", str(out_json), "--format", "json"]) == 0
+    assert main(["run", str(tmp_path / "json.scn"), "--output-dir", str(out_json)]) == 0
     assert os.listdir(out_json) == ["fig3_summary.json"]
+
+
+@pytest.mark.parametrize("command", [["run", "fig3"], ["search", "search-default"], ["validate"]])
+def test_format_flag_is_gone(tmp_path, capsys, command):
+    # the flag repeated [output] formats; a leftover --format is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--output-dir", str(tmp_path), "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_parse_error_exits_2(tmp_path, capsys):
@@ -244,6 +263,82 @@ def test_stacked_search_equals_per_config_compare(tmp_path, monkeypatch, n):
         assert row.split(",")[4:6] == [fmt_float(ratio), str(cycle)]
 
 
+def test_search_summary_config_is_the_first_grid_row(tmp_path):
+    out = tmp_path / "out"
+    assert main(["search", "search-default", "--output-dir", str(out)]) == 0
+    config = config_from_dict(json.loads(read(out / "search_summary.json"))["config"])
+    first = read(out / "search_grid.csv").decode().splitlines()[1].split(",")
+    point = (config.theta, config.p_mx, *astuple(config.noise))
+    assert [fmt_float(x) for x in point] == first[:4]
+    ratio, cycle = peak_advantage(compare_coherent_incoherent(*run_engines([config, config.with_p_mx(0.0)])))
+    assert first[4:6] == [fmt_float(ratio), str(cycle)]
+
+
+# The positivity bound of this bath is sqrt(0.9 * 0.1) = 0.3, below the
+# default p_mx = 0.45, which none of these files runs.
+SKEWED_BATH = "[engine]\nhot_populations = 0.9, 0.1\n"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("run", "scenario = multicycle\n" + SKEWED_BATH + "cycles = 2\n[sweep]\nfield = p_mx\nvalues = 0.2, -0.1\n"),
+        ("search", "scenario = search-advantage\n" + SKEWED_BATH + "[search]\ntheta = 0.5\np_mx = 0.2, 0.25\n"),
+    ],
+    ids=["sweep", "search"],
+)
+def test_the_default_p_mx_does_not_bar_a_grid_that_never_runs_it(tmp_path, command, text):
+    scn = tmp_path / "run.scn"
+    scn.write_text(text + "[output]\nprefix = run\n")
+    out = tmp_path / "out"
+    assert main([command, str(scn), "--output-dir", str(out)]) == 0
+    assert json.loads(read(out / "run_summary.json"))["config"]["p_mx"] == 0.2
+
+
+def test_search_noise_reaches_the_grid(tmp_path):
+    # a [noise] value is the one value of the axis [search] omits, so the grid
+    # equals the one that lists it as an axis
+    grid = "[search]\ntheta = 0.3, 0.6\np_mx = 0.2\nbattery_dephasing_per_reset = 0.9, 1.0\nmax_cycles = 3\n"
+    texts = {
+        "noise": "[noise]\nbattery_t2_per_cycle = 0.5\n" + grid,
+        "axis": grid + "battery_t2_per_cycle = 0.5\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / f"{name}.scn").write_text(f"scenario = search-advantage\n{text}[output]\nprefix = s\nformats = csv\n")
+        assert main(["search", str(tmp_path / f"{name}.scn"), "--output-dir", str(tmp_path / name)]) == 0
+    rows = read(tmp_path / "noise" / "s_grid.csv").decode().splitlines()
+    assert rows[0].split(",")[3] == "battery_t2_per_cycle"
+    assert [row.split(",")[3] for row in rows[1:]] == ["0.5"] * 4
+    assert read(tmp_path / "noise" / "s_grid.csv") == read(tmp_path / "axis" / "s_grid.csv")
+
+
+SEARCH_GRID = "[search]\ntheta = 0.3, 0.6\np_mx = 0.2\nbattery_t2_per_cycle = 0.9\n"
+
+
+@pytest.mark.parametrize(
+    "text, key, lineno",
+    [
+        ("scenario = multicycle\n[engine]\ntheta = 0.3\n[sweep]\nfield = theta\nvalues = 0.1, 0.2\n", "theta", 3),
+        ("scenario = multicycle\n[noise]\nbattery_t2_per_cycle = 0.9\n[sweep]\nfield = battery_t2_per_cycle\n"
+         "values = 0.5\n", "battery_t2_per_cycle", 3),
+        ("scenario = single-cycle-sweep\n[engine]\np_mx = 0.1\ntheta = 0.3\n", "theta", 4),
+        ("scenario = search-advantage\n[engine]\ntheta = 0.3\n" + SEARCH_GRID, "theta", 3),
+        ("scenario = search-advantage\n[engine]\ncycles = 4\np_mx = 0.1\n" + SEARCH_GRID, "cycles", 3),
+        ("scenario = search-advantage\n[engine]\ntheta_compression = 0.2\np_mx = 0.1\n" + SEARCH_GRID, "p_mx", 4),
+        ("scenario = search-advantage\n[noise]\nbattery_t2_per_cycle = 0.5\n" + SEARCH_GRID, "battery_t2_per_cycle", 3),
+    ],
+    ids=["sweep-engine", "sweep-noise", "default-theta-grid", "search-theta", "search-cycles", "search-p_mx",
+         "search-noise"],
+)
+def test_a_key_the_sweep_or_search_sets_is_stated_once(tmp_path, capsys, text, key, lineno):
+    scn = tmp_path / "run.scn"
+    scn.write_text(text)
+    command = "search" if "search-advantage" in text else "run"
+    assert main([command, str(scn), "--output-dir", str(tmp_path / "out")]) == 2
+    assert f"error: line {lineno}: {key} is set by " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_search_runs_are_identical(tmp_path):
     for name in ("a", "b"):
         assert main(["search", "search-default", "--output-dir", str(tmp_path / name)]) == 0
@@ -297,7 +392,7 @@ def named_files(obj):
             yield from named_files(value)
 
 
-@pytest.mark.parametrize("fmt", ["json", "both"])
+@pytest.mark.parametrize("fmt", ["json", "csv, json"], ids=["json", "both"])
 @pytest.mark.parametrize(
     "text",
     [
@@ -311,9 +406,9 @@ def named_files(obj):
 )
 def test_every_file_a_summary_names_exists(tmp_path, text, fmt):
     scn = tmp_path / "run.scn"
-    scn.write_text(text + "[output]\nprefix = run\n")
+    scn.write_text(text + f"[output]\nprefix = run\nformats = {fmt}\n")
     out = tmp_path / "out"
-    assert main(["run", str(scn), "--output-dir", str(out), "--format", fmt]) == 0
+    assert main(["run", str(scn), "--output-dir", str(out)]) == 0
     summary = json.loads(read(out / "run_summary.json"))
     # every named file exists, and every file but the summary is named
     assert set(named_files(summary)) == set(os.listdir(out)) - {"run_summary.json"}

@@ -6,7 +6,6 @@ import pytest
 from spinotto.diagnostics import (
     Polarization,
     bloch_vectors,
-    coherence_of_bloch,
     concurrence,
     correlator_sets,
     ergotropy,
@@ -119,12 +118,12 @@ def test_von_neumann_entropy():
 
 
 def test_relative_entropy_of_coherence():
-    assert relative_entropy_of_coherence(np.diag([0.3, 0.7])) == pytest.approx(0.0, abs=1e-12)
-    assert relative_entropy_of_coherence(PLUS_X) == pytest.approx(math.log(2), abs=1e-12)
+    assert relative_entropy_of_coherence(polarization_vector(np.diag([0.3, 0.7]))) == pytest.approx(0.0, abs=1e-12)
+    assert relative_entropy_of_coherence(polarization_vector(PLUS_X)) == pytest.approx(math.log(2), abs=1e-12)
     # rho = I/2 + 0.3 sx has eigenvalues 0.8 and 0.2; its diagonal is I/2
     rho = 0.5 * np.eye(2) + 0.3 * pauli("x")
     expected = math.log(2) - (-0.8 * math.log(0.8) - 0.2 * math.log(0.2))
-    got = relative_entropy_of_coherence(rho)
+    got = relative_entropy_of_coherence(polarization_vector(rho))
     assert got == pytest.approx(expected, abs=1e-12)
     assert got >= 0.0
 
@@ -132,19 +131,19 @@ def test_relative_entropy_of_coherence():
 def test_relative_entropy_of_coherence_nonnegative():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        assert relative_entropy_of_coherence(random_density(rng, 2)) >= -1e-14
+        assert relative_entropy_of_coherence(polarization_vector(random_density(rng, 2))) >= -1e-14
 
 
 def test_ergotropy_cases():
-    report = ergotropy(np.diag([0.2, 0.8]))
+    report = ergotropy(polarization_vector(np.diag([0.2, 0.8])))
     assert report.total == pytest.approx(0.0, abs=1e-13)
 
-    report = ergotropy(EXCITED)
+    report = ergotropy(polarization_vector(EXCITED))
     assert report.total == pytest.approx(1.0, abs=1e-13)
     assert report.coherent == pytest.approx(0.0, abs=1e-13)
 
     # pure |+x>: dephased state is I/2 (passive), so everything is coherent
-    report = ergotropy(PLUS_X)
+    report = ergotropy(polarization_vector(PLUS_X))
     assert report.total == pytest.approx(0.5, abs=1e-12)
     assert report.incoherent == pytest.approx(0.0, abs=1e-12)
     assert report.coherent == pytest.approx(0.5, abs=1e-12)
@@ -154,7 +153,7 @@ def test_ergotropy_invariants():
     rng = np.random.default_rng(3)
     for _ in range(50):
         rho = random_density(rng, 2)
-        report = ergotropy(rho)
+        report = ergotropy(polarization_vector(rho))
         assert report.total >= -1e-13
         assert report.coherent >= -1e-13
         assert report.total == pytest.approx(report.incoherent + report.coherent, abs=1e-12)
@@ -163,7 +162,7 @@ def test_ergotropy_invariants():
             mean_energy(rho) + polarization_vector(rho).norm(), abs=1e-12
         )
         # diagonal states carry no coherent ergotropy
-        assert ergotropy(np.diag(np.diag(rho))).coherent == pytest.approx(0.0, abs=1e-13)
+        assert ergotropy(polarization_vector(np.diag(np.diag(rho)))).coherent == pytest.approx(0.0, abs=1e-13)
 
 
 def test_correlators_product_of_mixed():
@@ -232,17 +231,17 @@ def spectrum_entropy(r):
     return float(-sum(p * math.log(p) for p in w if p > 0.0))
 
 
-def test_coherence_of_bloch_keeps_the_spectrum_path_bit_for_bit():
+def test_coherence_keeps_the_spectrum_path_bit_for_bit():
     rng = np.random.default_rng(14)
     points = [Polarization(*(0.5 * v / np.linalg.norm(v))) for v in rng.normal(size=(50, 3))]
     points += [Polarization(*(r * 0.5 * v / np.linalg.norm(v)))
                for r, v in zip(rng.uniform(size=200), rng.normal(size=(200, 3)))]
     points += [Polarization(0.0, 0.0, 0.0), Polarization(0.0, 0.0, -0.5), Polarization(0.5, 0.0, 0.0)]
     for p in points:
-        assert coherence_of_bloch(p) == spectrum_entropy(abs(p.pz)) - spectrum_entropy(p.norm())
-    coherence_of_bloch(Polarization(0.5 + 0.9e-10, 0.0, 0.0))  # within the PSD clamp
+        assert relative_entropy_of_coherence(p) == spectrum_entropy(abs(p.pz)) - spectrum_entropy(p.norm())
+    relative_entropy_of_coherence(Polarization(0.5 + 0.9e-10, 0.0, 0.0))  # within the PSD clamp
     with pytest.raises(ValidationError, match="eigenvalue"):
-        coherence_of_bloch(Polarization(0.5 + 1.1e-10, 0.0, 0.0))
+        relative_entropy_of_coherence(Polarization(0.5 + 1.1e-10, 0.0, 0.0))
 
 
 def test_concurrence_product_states():
@@ -283,23 +282,18 @@ def test_closed_forms_match_eigen_oracle():
     # linear in the spectrum: a few ulps; entropies: log near p = 0 loses more
     for rho in oracle_states():
         want = eigen_oracle(rho)
-        report = ergotropy(rho)
+        report = ergotropy(polarization_vector(rho))
         assert abs(report.total - want["total"]) <= 1e-14
         assert abs(report.incoherent - want["incoherent"]) <= 1e-14
         assert abs(report.coherent - want["coherent"]) <= 1e-14
         assert abs(-polarization_vector(rho).norm() - energy(want["passive"])) <= 1e-14
         assert abs(von_neumann_entropy(rho) - want["entropy"]) <= 1e-12
-        assert abs(relative_entropy_of_coherence(rho) - want["coherence"]) <= 1e-12
+        assert abs(relative_entropy_of_coherence(polarization_vector(rho)) - want["coherence"]) <= 1e-12
 
 
 def test_qubit_diagnostics_reject_other_states():
-    qubit_fns = (
-        polarization_vector,
-        mean_energy,
-        ergotropy,
-        relative_entropy_of_coherence,
-    )
-    for fn in qubit_fns:
+    # ergotropy and coherence take the Bloch vector polarization_vector checks
+    for fn in (polarization_vector, mean_energy):
         with pytest.raises(DimensionError):
             fn(np.eye(4) / 4)
         with pytest.raises(ValidationError):

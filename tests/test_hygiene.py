@@ -11,7 +11,12 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # Code lines of src/spinotto, counted by code_lines: a ratchet on the size of
 # the package. Lower it when the package shrinks; a change that needs more
 # lines must say why.
-SRC_CODE_LINES = 1392
+SRC_CODE_LINES = 1377
+
+
+# The widest line of src/spinotto. Without this cap, joining statements onto
+# one long line would lower the code_lines ratchet without simplifying anything.
+MAX_LINE = 115
 
 
 def unused_imports(source: str) -> list[str]:
@@ -67,3 +72,13 @@ def test_code_line_counter():
 def test_src_code_lines_ratchet():
     total = sum(code_lines(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py"))
     assert total <= SRC_CODE_LINES, f"src/spinotto has {total} code lines, the ratchet allows {SRC_CODE_LINES}"
+
+
+def test_no_line_is_wider_than_max_line():
+    wide = [
+        f"{path.name}:{lineno} ({len(line)} chars)"
+        for path in sorted(SRC.glob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if len(line) > MAX_LINE
+    ]
+    assert wide == []

@@ -643,6 +643,9 @@ class TestSweep:
             sweep(EngineConfig(), "coupling", [1.0])
         with pytest.raises(ConfigError, match="unknown field 'coupling'"):
             with_fields(EngineConfig(), theta=0.1, coupling=1.0)
+        # with_fields also sets the bath and battery_init; a sweep varies none of them
+        with pytest.raises(ConfigError, match="'hot_populations' is not sweepable"):
+            sweep(EngineConfig(), "hot_populations", [(0.4, 0.6)])
 
     def test_with_fields_builds_one_config_of_each_kind(self, monkeypatch):
         # a search grid point sets engine scalars, noise channels and the cycle
@@ -660,6 +663,13 @@ class TestSweep:
         want = EngineConfig(theta=0.3, p_mx=0.2, battery_init=(0.1, 0.1, -0.4), noise=NoiseConfig(0.9, 0.8),
                             cycles=3, **IDEAL)
         assert got == want and type(got.cycles) is int
+
+    def test_with_fields_sets_a_battery_component_on_the_battery_init_given_with_it(self):
+        # a scenario's base config: [engine] keys and a swept component in one call
+        got = with_fields(EngineConfig(), battery_init=(0.1, 0.2, -0.3), battery_pz=-0.1,
+                          hot_populations=(0.4, 0.6), cold_populations=(0.1, 0.9))
+        want = EngineConfig(battery_init=(0.1, 0.2, -0.1), hot_populations=(0.4, 0.6), cold_populations=(0.1, 0.9))
+        assert got == want
 
     @pytest.mark.parametrize(
         "field_name, values",

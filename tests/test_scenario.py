@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from spinotto.engine import ConfigError, EngineConfig, NoiseConfig
 from spinotto.diagnostics import Polarization
-from spinotto.multicycle import compare_coherent_incoherent, run_engines
+from spinotto import cli
+from spinotto.multicycle import compare_coherent_incoherent, run_engines, with_fields
 from spinotto.output import dumps_stable
 from spinotto.scenario import (
     PRESETS,
@@ -156,7 +157,7 @@ def test_search_axes_sorted():
         "scenario = search-advantage\n[search]\ntheta = 0.9, 0.1\np_mx = 0.3\n"
     )
     assert s.search.theta == (0.1, 0.9)
-    assert s.search.max_cycles == 10
+    assert s.engine.cycles == 10  # the default max_cycles
 
 
 SEARCH = "scenario = search-advantage\n[search]\n"
@@ -277,6 +278,21 @@ def test_fig3_preset_claims():
     assert lead[6] == pytest.approx(0.175, abs=5e-4)
     assert lead[19] == pytest.approx(0.119, abs=5e-4)
     assert max(coherent, key=lambda r: r.cumulative_work).cycle_index == 8
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["scenarios/single_cycle.scn"])
+def test_the_base_config_is_the_first_run(name):
+    # the config a summary echoes is the first one the file runs
+    s = resolve_scenario(str(ROOT / name) if name.endswith(".scn") else name)
+    if s.search is not None:
+        first = cli._search_grid(s)[1][0]
+    elif s.sweep is not None:
+        first = with_fields(s.engine, **{s.sweep.field: s.sweep.values[0]})
+    else:
+        first = s.engine
+    assert first == s.engine
+    if s.variants is not None:
+        assert s.variants[0][1] == s.engine  # fig2 runs its variants
 
 
 def test_fig2_preset_variants():
