@@ -45,18 +45,26 @@ class ErgotropyReport(NamedTuple):
 
 _AXES = ("x", "y", "z")
 _SIGMA = {axis: pauli(axis) for axis in _AXES}
-_SIGMA_PAIR = {axis: kron(_SIGMA[axis], _SIGMA[axis]) for axis in _AXES}  # sigma^j (x) sigma^j
 # The operators of the correlators, sigma^j (x) I, I (x) sigma^j and
 # sigma^j (x) sigma^j, each transposed and flattened: Tr[rho O] = O^T.flat . rho.flat.
 _CORRELATOR_ROWS = (
     np.array(
         [kron(_SIGMA[j], pauli("identity")) for j in _AXES]
         + [kron(pauli("identity"), _SIGMA[j]) for j in _AXES]
-        + [_SIGMA_PAIR[j] for j in _AXES]
+        + [kron(_SIGMA[j], _SIGMA[j]) for j in _AXES]
     )
     .transpose(0, 2, 1)
     .reshape(9, 16)
 )
+
+# Y = sy x sy reverses the basis with these signs: Y X = _YY_SIGNS * X[::-1].
+_YY_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
+# Cholesky of a 4x4 matrix A succeeds on some A + dA with ||dA||_2 <= n gamma_{n+1} ||A||_2 ~ 10 eps ||A||_2
+# for n = 4 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3), and a state's
+# partial transpose has ||rho^{T_B}||_2 <= 1. So when rho^{T_B} - 64 eps I factors (64 eps ~ 1.4e-14),
+# lambda_min(rho^{T_B}) >= 64 eps - 10 eps > 0, and rho is separable. This holds for rho Hermitian to
+# rounding, as the engine's states are; LAPACK reads one triangle of each matrix.
+_PPT_MARGIN = 64 * np.finfo(float).eps * np.eye(4)
 
 # Column j is sigma_j transposed, flattened and halved: p_j = rho.flat . column j.
 _BLOCH_COLUMNS = np.array([_SIGMA[j].T.reshape(4) for j in _AXES]).T / 2
@@ -158,21 +166,45 @@ def correlator_sets(joints: np.ndarray) -> list[list[float]]:
     return (joints.reshape(-1, 1, 16) @ _CORRELATOR_ROWS.T)[:, 0].real.tolist()
 
 
+def _cholesky(a: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor of a Hermitian matrix, or None where LAPACK
+    finds it not positive definite."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def concurrence(joint: np.ndarray) -> float:
     """Wootters concurrence of a two-qubit state, in [0, 1].
 
     C = max(0, l1 - l2 - l3 - l4), where the l_i are the descending square
-    roots of the eigenvalues of sqrt(rho) rho_tilde sqrt(rho), with
-    rho_tilde = (sy x sy) conj(rho) (sy x sy) (Wootters, PRL 80, 2245 (1998)).
-    Since sy x sy is real, symmetric and its own inverse, that matrix is A A^dagger
-    with A = sqrt(rho) (sy x sy) conj(sqrt(rho)), so the l_i are the singular
-    values of A. Taking them directly avoids square roots of eigenvalues near
+    roots of the eigenvalues of rho rho_tilde, with rho_tilde = Y conj(rho) Y
+    and Y = sy x sy (Wootters, PRL 80, 2245 (1998)). The routes, in order:
+
+    - certificate: when rho is positive definite and so is its partial
+      transpose rho^{T_B} (checked with margin by Cholesky, see _PPT_MARGIN),
+      rho is separable (Peres, PRL 77, 1413 (1996); Horodecki, Horodecki and
+      Horodecki, PLA 223, 1 (1996)) and C is exactly 0.0;
+    - Cholesky factor: otherwise, for positive definite rho, B = cholesky(rho);
+    - eigen factor: for singular or non-positive rho, B = v sqrt(w) from eigh,
+      where clamp_spectrum rejects eigenvalues below PSD_CLAMP.
+
+    For any factor rho = B B^dagger, rho rho_tilde has the eigenvalues of
+    M M^dagger with M = B^dagger Y conj(B) (Y is real and symmetric, and XZ
+    has the eigenvalues of ZX), so l = svd(M). The code takes the singular
+    values of conj(M) = B^T Y B, which are the same, without conjugating B.
+    Taking singular values directly avoids square roots of eigenvalues near
     zero, which cost about 1e-8 of accuracy on pure states.
     """
     joint = validate_density(joint, check_spectrum=False, caller="concurrence")
     if joint.shape != (4, 4):
         raise DimensionError("concurrence expects a two-qubit state")
-    w, v = np.linalg.eigh(joint)  # validate_density has checked hermiticity
-    root = (v * np.sqrt(clamp_spectrum(w))) @ v.conj().T
-    lams = np.linalg.svd(root @ _SIGMA_PAIR["y"] @ root.conj(), compute_uv=False)
+    factor = _cholesky(joint)  # succeeds only if lambda_min(rho) >= -10 eps, far above PSD_CLAMP
+    if factor is None:
+        w, v = np.linalg.eigh(joint)  # validate_density has checked hermiticity
+        factor = v * np.sqrt(clamp_spectrum(w, caller="concurrence"))
+    elif _cholesky(joint.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4) - _PPT_MARGIN) is not None:
+        return 0.0
+    lams = np.linalg.svd(factor.T @ (_YY_SIGNS * factor[::-1]), compute_uv=False)
     return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))

@@ -33,7 +33,6 @@ from .linalg import (
     ValidationError,
     kron,
     partial_trace,
-    pauli,
     validate_density,
 )
 
@@ -215,8 +214,7 @@ def prepare_cold_medium(populations) -> np.ndarray:
 def prepare_battery(p: Polarization | Sequence[float]) -> np.ndarray:
     """Battery state I/2 + px*sx + py*sy + pz*sz for |P| <= 1/2."""
     p = _check_battery(p)
-    rho = 0.5 * pauli("identity") + p.px * pauli("x") + p.py * pauli("y") + p.pz * pauli("z")
-    return validate_density(rho)
+    return validate_density(np.array([[0.5 + p.pz, p.px - 1j * p.py], [p.px + 1j * p.py, 0.5 - p.pz]]))
 
 
 def _cos_sin(theta) -> tuple[np.ndarray, np.ndarray]:

@@ -88,12 +88,15 @@ def is_hermitian(a: np.ndarray, atol: float = VALIDATION_ATOL) -> bool:
     return float(abs(a - a.conj().swapaxes(-1, -2)).max()) <= atol
 
 
-def clamp_spectrum(w: np.ndarray) -> np.ndarray:
-    """Zero out tiny negative eigenvalues; reject ones below the noise floor."""
+def clamp_spectrum(w: np.ndarray, caller: str | None = None) -> np.ndarray:
+    """Zero out tiny negative eigenvalues; reject ones below the noise floor.
+    caller names the function whose input w is the spectrum of; the message
+    of an error then starts with that name."""
     w = np.asarray(w, dtype=float)
     lowest = float(w.min())
     if lowest < PSD_CLAMP:
-        raise ValidationError(f"eigenvalue {lowest:.3e} below the PSD tolerance {PSD_CLAMP:.0e}")
+        prefix = f"{caller}: " if caller else ""
+        raise ValidationError(f"{prefix}eigenvalue {lowest:.3e} below the PSD tolerance {PSD_CLAMP:.0e}")
     return np.maximum(w, 0.0)
 
 

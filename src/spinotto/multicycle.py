@@ -52,8 +52,10 @@ Which checks run where:
   to 1, so hermiticity and unit trace carry over from the images;
 - positivity does not carry over, so run_engine checks 1/2 - |P_n| >= PSD_CLAMP
   for every cycle and names the first cycle n that fails, with its |P_n|, and
-  every recorded post-stroke state passes validate_density and the
-  positivity clamp inside concurrence;
+  every recorded post-stroke state passes validate_density and a positivity
+  check inside concurrence: its Cholesky factor, which exists only if
+  lambda_min >= -10 eps, far above PSD_CLAMP, or where none exists (singular
+  or non-positive states) the eigen clamp, eigh and then clamp_spectrum;
 - validate.loop_engines, the stage-loop oracle, runs the same stages with no
   map, on the stacked joint states of all configs with the same cycle count.
 """

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinotto import diagnostics, engine
 from spinotto.diagnostics import (
     Polarization,
     bloch_vectors,
@@ -14,8 +15,10 @@ from spinotto.diagnostics import (
     relative_entropy_of_coherence,
     von_neumann_entropy,
 )
-from spinotto.engine import prepare_battery
+from spinotto.engine import EngineConfig, NoiseConfig, prepare_battery
 from spinotto.linalg import DimensionError, ValidationError, kron, pauli
+from spinotto.multicycle import run_engines
+from spinotto.scenario import PRESETS
 from spinotto.validate import random_density
 
 MIXED = np.eye(2, dtype=complex) / 2
@@ -309,3 +312,103 @@ def test_concurrence_pure_states_exact():
         psi /= np.linalg.norm(psi)
         expected = abs(psi @ yy @ psi)
         assert abs(concurrence(np.outer(psi, psi.conj())) - expected) <= 1e-13
+
+
+YY = kron(pauli("y"), pauli("y"))
+EPS = np.finfo(float).eps
+
+
+def partial_transpose(rho):
+    """rho^{T_B}: the transpose of the battery (right) factor."""
+    return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+
+
+def test_concurrence_names_itself_when_positivity_fails():
+    # rho has the eigenvalue 0.35 - 0.4 = -0.05 along the Bell state, while its
+    # partial transpose, 0.35 I - 0.4 SWAP/2, has the eigenvalues 0.15 and
+    # 0.55: positive definite, so a separability certificate tried before the
+    # positivity check would return 0 for this non-state
+    rho = 1.4 * np.eye(4) / 4 - 0.4 * bell_state()
+    np.linalg.cholesky(partial_transpose(rho))
+    with pytest.raises(ValidationError, match=r"^concurrence: eigenvalue -5\.000e-02 below"):
+        concurrence(rho)
+
+
+def wootters_oracle(rho):
+    """Textbook Wootters concurrence and a bound on its own rounding error.
+
+    The l_i are the square roots of the eigenvalues mu_i of
+    R = sqrt(rho) rho_tilde sqrt(rho), with sqrt(rho) from eigh. R has norm
+    <= 1, and its computed mu_i carry absolute errors of order eps: directly
+    from the products and eigvalsh, and at second order from the O(sqrt(eps))
+    error that clamping leaves in sqrt(rho) along its null space. With
+    d = 16 eps, l_i = sqrt(mu_i) then errs by at most about d / (l_i + sqrt(d)):
+    d / (2 l_i) for l_i >> sqrt(d), and sqrt(d) ~ 6e-8 for l_i ~ 0, the
+    conditioning of a square root at zero. C errs by at most their sum.
+    """
+    w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    mu = np.linalg.eigvalsh(root @ YY @ rho.conj() @ YY @ root)[::-1]
+    lams = np.sqrt(np.maximum(mu, 0.0))
+    d = 16 * EPS
+    return max(0.0, lams[0] - lams[1:].sum()), sum(d / (lam + math.sqrt(d)) for lam in lams)
+
+
+def post_stroke_states(monkeypatch, configs):
+    """Every post-stroke state that run_engines passes to concurrence."""
+    states = []
+    monkeypatch.setattr(engine, "concurrence", lambda joint: states.append(joint) or concurrence(joint))
+    run_engines(configs)
+    return states
+
+
+def test_concurrence_matches_textbook_wootters(monkeypatch):
+    rng = np.random.default_rng(15)
+    fig3 = PRESETS["fig3"]().engine
+    noisy = EngineConfig(theta=0.7, p_mx=0.4, battery_init=(0.2, 0.1, -0.3), noise=NoiseConfig(0.9, 0.8), cycles=40)
+    families = {
+        f"rank {rank}": [random_density(rng, 4, rank) for _ in range(100)] for rank in (1, 2, 3, 4)
+    }
+    families["product"] = [kron(random_density(rng, 2), random_density(rng, 2)) for _ in range(50)]
+    families["fig3"] = post_stroke_states(monkeypatch, [fig3, fig3.with_p_mx(0.0)])
+    families["noisy compare"] = post_stroke_states(monkeypatch, [noisy, noisy.with_p_mx(0.0)])
+
+    # which calls the separability certificate ends: both Cholesky factors exist
+    factored = []
+    cholesky = diagnostics._cholesky
+
+    def spy(a):
+        factor = cholesky(a)
+        factored.append(factor is not None)
+        return factor
+
+    monkeypatch.setattr(diagnostics, "_cholesky", spy)
+    for name, states in families.items():
+        certified = 0
+        for rho in states:
+            factored.clear()
+            got = concurrence(rho)
+            want, tol = wootters_oracle(rho)
+            assert abs(got - want) <= tol, (name, got, want, tol)
+            if factored == [True, True]:
+                certified += 1
+                assert got == 0.0 and want <= tol, (name, want)
+                assert np.linalg.eigvalsh(partial_transpose(rho))[0] > 0.0, name
+        if name in ("product", "fig3", "noisy compare"):
+            assert certified > 0, name
+
+
+@pytest.mark.parametrize("offset", [1e-3, 1e-6, 1e-9])
+def test_concurrence_werner_at_the_separability_edge(offset):
+    # C = max(0, (3p - 1)/2) for p Bell + (1 - p) I/4; at p < 1/3 the partial
+    # transpose has the smallest eigenvalue (1 - 3p)/4 > 0, so the certificate
+    # returns an exact 0
+    for p in (1 / 3 - offset, 1 / 3 + offset):
+        werner = p * bell_state() + (1 - p) * np.eye(4) / 4
+        want, tol = wootters_oracle(werner)
+        got = concurrence(werner)
+        assert abs(got - want) <= tol
+        if p < 1 / 3:
+            assert got == 0.0
+        else:
+            assert abs(got - (3 * p - 1) / 2) <= 1e-12

@@ -293,9 +293,10 @@ def patch_everywhere(monkeypatch, original, replacement):
 
 
 def test_one_record_and_one_concurrence_per_cycle(monkeypatch):
-    # bench/run.py --trace 1 counts both per cycle record; a batched path that
-    # skipped either would make the traced benchmark fail its count check
-    calls = {"make_cycle_record": 0, "concurrence": 0}
+    # bench/run.py --trace 1 counts both per cycle record, and prepare_battery
+    # once per run_engine call; a path that skipped or batched any of them
+    # would make the traced benchmark fail its count check
+    calls = {"make_cycle_record": 0, "concurrence": 0, "prepare_battery": 0}
 
     def spy(name, fn):
         def wrapped(*args, **kwargs):
@@ -303,13 +304,17 @@ def test_one_record_and_one_concurrence_per_cycle(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    originals = {"make_cycle_record": engine.make_cycle_record, "concurrence": diagnostics.concurrence}
+    originals = {
+        "make_cycle_record": engine.make_cycle_record,
+        "concurrence": diagnostics.concurrence,
+        "prepare_battery": engine.prepare_battery,
+    }
     for name, fn in originals.items():
         patch_everywhere(monkeypatch, fn, spy(name, fn))
     run_engine(EngineConfig(cycles=7, noise=NoiseConfig(0.9, 0.8)))
-    assert calls == {"make_cycle_record": 7, "concurrence": 7}
+    assert calls == {"make_cycle_record": 7, "concurrence": 7, "prepare_battery": 1}
     compare(EngineConfig(cycles=5))
-    assert calls == {"make_cycle_record": 17, "concurrence": 17}
+    assert calls == {"make_cycle_record": 17, "concurrence": 17, "prepare_battery": 3}
 
 
 def test_transposed_map_fails_both_oracles(monkeypatch):
