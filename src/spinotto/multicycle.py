@@ -32,14 +32,17 @@ each map carries a leading config axis. The stages take one angle and one
 dephasing factor per config along that axis, so a stacked map equals the
 maps of single-config calls bit for bit.
 
-Where maps are stacked: run_engines builds the maps of its configs MAP_BLOCK
-at a time with one cycle_map call per block, runs run_engine on each config's
-slice and drops the block's maps before the next block, so a run never holds
-every map of a grid at once. sweep, the CLI's compare and search runs and
-validate's map_vs_stage_loop go through it; a comparison stacks each config
-with its p_mx = 0 twin. run_engine given no map builds its own with
-cycle_map([config]). Either way it iterates P_n = A P_{n-1} + b and evaluates
-all post-stroke states with one matrix product.
+Where runs are stacked: run_engines hands its configs to stack_runs
+MAP_BLOCK at a time, runs run_engine on each config's share of the pass and
+drops the block before the next one, so a run never holds every map of a
+grid at once. sweep, the CLI's compare and search runs and validate's
+map_vs_stage_loop go through it; a comparison stacks each config with its
+p_mx = 0 twin. run_engine given no share makes its own with
+stack_runs([config]). A stack_runs pass makes one cycle_map call; the
+configs that share a cycle count iterate P_n = A P_{n-1} + b together and get
+all their post-stroke states from one matrix product; one correlator_sets
+call takes the correlators of every config; run_engine then only assembles
+the records.
 
 Which checks run where:
 - EngineConfig checks every number the formula reads, and
@@ -50,12 +53,15 @@ Which checks run where:
 - a post-stroke state is the affine combination sum_k w_k X_k of the probe
   images X_k, with w_0 = 1 - 2(px + py + pz) and w_j = 2 p_j; the weights sum
   to 1, so hermiticity and unit trace carry over from the images;
-- positivity does not carry over, so run_engine checks 1/2 - |P_n| >= PSD_CLAMP
-  for every cycle and names the first cycle n that fails, with its |P_n|, and
-  every recorded post-stroke state passes validate_density and a positivity
-  check inside concurrence: its Cholesky factor, which exists only if
-  lambda_min >= -10 eps, far above PSD_CLAMP, or where none exists (singular
-  or non-positive states) the eigen clamp, eigh and then clamp_spectrum;
+- positivity does not carry over, so stack_runs checks 1/2 - |P_n| >= PSD_CLAMP
+  for every cycle of every config before its correlator_sets call and
+  before any record is made; of the first config in input order that fails
+  it names the first cycle n that fails, with its |P_n|, just as run_engine
+  of that config alone would; and every recorded post-stroke state passes
+  validate_density and a positivity check inside concurrence: its Cholesky
+  factor, which exists only if lambda_min >= -10 eps, far above PSD_CLAMP,
+  or where none exists (singular or non-positive states) the eigen clamp,
+  eigh and then clamp_spectrum;
 - validate.loop_engines, the stage-loop oracle, runs the same stages with no
   map, on the stacked joint states of all configs with the same cycle count.
 """
@@ -81,13 +87,18 @@ from .engine import (
 from .linalg import PSD_CLAMP, ValidationError, kron, pauli, validate_density
 
 ADVANTAGE_FLOOR = 1e-12  # baseline work below this leaves the ratio undefined
-# Configs per stacked cycle_map call. On the 1,080 engine runs of a 270-point
-# grid of 2-cycle runs, run_engines takes 0.49 s in blocks of 1, 0.26 s in
-# blocks of 16 and 0.23-0.24 s from 64 configs up (2 cores, numpy 2.4.6).
-# Blocks of 128 hold about 0.7 MB of maps and stage stacks at a time
-# (tracemalloc), one block of all 1,080 configs about 1.6 MB; the peak of
-# validate.max_oracle_gap(1000) is 0.9 MB in blocks of 128 and 6.1 MB as one
-# stack of 1,000, at the same speed.
+# Configs per stack_runs pass. On the 540 engine runs of a 270-point grid of
+# 2-cycle runs and their twins, run_engines takes 0.16 s of CPU in blocks of 1,
+# 0.064 s in blocks of 16, 0.058 s in blocks of 64 and 0.057 s from 128
+# configs up (2 cores, numpy 2.4.6). A pass holds the block's maps, stage
+# stacks, battery vectors, post-stroke states (256 B per record) and
+# correlators at once: tracemalloc peaks at 0.54 MB for 128 2-cycle configs,
+# 2.0 MB for all 540, and 0.49 MB for two 200-cycle runs. No config is padded
+# to the block's longest run. On long runs the pass outweighs the maps:
+# run_engines on 128 1000-cycle runs peaks 61 MB (480 B per record) above the
+# 86 MB of records it returns, where one config at a time peaked 0.7 MB above
+# them. The peak of validate.max_oracle_gap(1000) is 0.9 MB in blocks of 128
+# and 6.1 MB as one stack of 1,000, at the same speed.
 MAP_BLOCK = 128
 
 # The probe batteries I/2 and I/2 + sigma_j/2: Bloch vectors 0 and e_j/2.
@@ -194,54 +205,69 @@ def cycle_map(configs: Sequence[EngineConfig]) -> CycleMap:
     return CycleMap(*battery_map(configs), affine_from_probes(post_stroke.reshape(len(configs), 4, 16)))
 
 
-def run_engine(config: EngineConfig, cmap: CycleMap | None = None) -> EngineTrace:
-    """Iterate config.cycles engine cycles and record every diagnostic.
+def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, list]]:
+    """Every config's share of one stacked pass over all of them, in order:
+    its battery Bloch vectors P_0 ... P_N as lists, the (N, 4, 4) stack of
+    its states right after each cycle's first power stroke, and their nine
+    correlators each, in correlator_sets order.
 
-    cmap is the cycle map of this config without the config axis, as
-    run_engines slices it out of a stacked cycle_map call; when it is None,
-    run_engine builds it with cycle_map([config]). The battery Bloch vectors
-    come from iterating the map from the prepared battery; the post-stroke
-    states of all cycles and their correlators are each one matrix product on
-    the stacked vectors.
+    P_0 is polarization_vector(prepare_battery(battery_init)). One cycle_map
+    call gives every map. The configs of one cycle count iterate
+    P_n = A P_{n-1} + b together and get their post-stroke states from one
+    stacked product; one correlator_sets call takes those of all configs.
+    The Bloch-ball check raises for the first config in input order with a
+    P_n outside. Every product is the one a config alone gets, so each number
+    equals that of stack_runs([config]) bit for bit.
     """
-    if cmap is None:
-        cmap = CycleMap(*(m[0] for m in cycle_map([config])))
-    A, b, post_stroke_map = cmap
-    start = polarization_vector(prepare_battery(config.battery_init))
-    x = np.ones((config.cycles + 1, 4))  # row n is (1, P_n)
-    p = x[:, 1:]
-    p[0] = start
-    for n in range(config.cycles):
-        p[n + 1] = A @ p[n] + b
-    norms = np.sqrt((p[1:] ** 2).sum(axis=1))
-    outside = np.flatnonzero(~(0.5 - norms >= PSD_CLAMP))  # NaN included
-    if outside.size:
-        n = outside[0]
-        message = f"cycle {n + 1}: battery Bloch vector has |P_n| = {norms[n]:.12g}, outside the Bloch ball"
+    A, b, post_stroke_map = cycle_map(configs)
+    cycles = [c.cycles for c in configs]
+    groups, post_strokes, outside = [], [], []
+    for c in dict.fromkeys(cycles):  # each cycle count c: its configs js and their rows (1, P_0) ... (1, P_c)
+        js = [i for i, n in enumerate(cycles) if n == c]
+        A_js, b_js, x = A[js], b[js], np.ones((len(js), c + 1, 4))
+        x[:, 0, 1:] = [polarization_vector(prepare_battery(configs[j].battery_init)) for j in js]
+        for n in range(1, c + 1):
+            x[:, n, 1:] = (A_js @ x[:, n - 1, 1:, None])[..., 0] + b_js
+        norms = np.sqrt((x[:, 1:, 1:] ** 2).sum(axis=2))  # the test below counts a NaN as outside
+        outside += [(js[j], n + 1, norms[j, n]) for j, n in np.argwhere(~(0.5 - norms >= PSD_CLAMP))]
+        post_strokes.append((x[:, :-1] @ post_stroke_map[js]).reshape(-1, 4, 4))
+        groups += zip(js, x[..., 1:].tolist())
+    if outside:  # the first config outside the Bloch ball, at its first cycle outside
+        _, n, norm = min(outside)
+        message = f"cycle {n}: battery Bloch vector has |P_n| = {norm:.12g}, outside the Bloch ball"
         raise ValidationError(f"{message} (1/2 - |P_n| below the PSD tolerance {PSD_CLAMP:.0e})")
+    post_strokes = np.concatenate(post_strokes)
+    corr = correlator_sets(post_strokes)
+    runs, start = [None] * len(configs), 0
+    for j, p in groups:  # post-stroke states and correlators run group by group, as groups lists the configs
+        runs[j] = (p, post_strokes[start:start + cycles[j]], corr[start:start + cycles[j]])
+        start += cycles[j]
+    return runs
 
-    post_strokes = (x[:-1] @ post_stroke_map).reshape(-1, 4, 4)
-    correlators = correlator_sets(post_strokes)
 
+def run_engine(config: EngineConfig, run: tuple | None = None) -> EngineTrace:
+    """Record every diagnostic of config.cycles engine cycles.
+
+    run is this config's share of a stack_runs pass, as run_engines hands it
+    over; when it is None, run_engine makes it with stack_runs([config]).
+    Each record is one make_cycle_record call on the cycle's battery vector,
+    post-stroke state and correlators.
+    """
+    batteries, post_strokes, correlators = stack_runs([config])[0] if run is None else run
     records: list[CycleRecord] = []
-    energy, cumulative = start.pz, 0.0
-    for n, (battery, post_stroke, corr) in enumerate(
-        zip(p[1:].tolist(), post_strokes, correlators), start=1
-    ):
-        record = make_cycle_record(n, energy, cumulative, Polarization(*battery), post_stroke, corr)
-        records.append(record)
-        energy, cumulative = record.p_bz, record.cumulative_work
+    for n, (before, after, post, corr) in enumerate(zip(batteries, batteries[1:], post_strokes, correlators), 1):
+        cumulative = records[-1].cumulative_work if records else 0.0
+        records.append(make_cycle_record(n, before[2], cumulative, Polarization(*after), post, corr))
     return EngineTrace(config=config, records=tuple(records))
 
 
 def run_engines(configs: Sequence[EngineConfig]) -> list[EngineTrace]:
-    """run_engine on every config, in order, with the cycle maps built by one
-    stacked cycle_map call per MAP_BLOCK configs."""
+    """run_engine on every config, in order, each with its share of one
+    stack_runs pass per MAP_BLOCK configs."""
     traces: list[EngineTrace] = []
     for start in range(0, len(configs), MAP_BLOCK):
         block = configs[start:start + MAP_BLOCK]
-        cmap = cycle_map(block)
-        traces.extend(run_engine(c, CycleMap(*(m[i] for m in cmap))) for i, c in enumerate(block))
+        traces.extend(run_engine(c, run) for c, run in zip(block, stack_runs(block)))
     return traces
 
 

@@ -6,14 +6,20 @@ that appear in the trace, so renaming or deleting a gated function (say
 engine.make_cycle_record) would switch its gate off without an error, and a
 per-layer metric of a missing function reads 0. These tests read the gates
 and metrics from the benchmark harness, imported without writing anything
-under bench/, and check each against the package. The last test ties the
-detail lines of validate to the reference that reads them back.
+under bench/, and check each against the package. The traced-worker test runs
+the exact call-count gates themselves, which the benchmark checks only with
+--trace 1. The last test ties the detail lines of validate to the reference
+that reads them back.
 """
 
 import importlib
 import inspect
+import json
+import os
 import pathlib
+import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -70,6 +76,39 @@ def test_the_absent_per_layer_metrics_are_known(bench):
         "linalg.hermitian_eig",
         "linalg.sqrtm_psd",
     }
+
+
+@pytest.mark.parametrize("workload", ["trajectory", "grid"])
+def test_traced_worker_passes_the_call_count_gates(bench, workload, tmp_path):
+    # one traced repetition of bench/worker.py, as `bench/run.py --trace 1`
+    # starts it, with its scenarios, job file and outputs under tmp_path
+    gen, run = bench
+    w = gen.make_workload(workload, 1)
+    for name, text in w.scenarios.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    outdirs = [str(tmp_path / "out" / name[:-4]) for name in w.scenarios]
+    job = {
+        "workload": w.name,
+        "seed": w.seed,
+        "src": str(BENCH.parent / "src"),
+        "scenarios": [str(tmp_path / name) for name in w.scenarios],
+        "outdirs": outdirs,
+        "trace": True,
+    }
+    (tmp_path / "job.json").write_text(json.dumps(job), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([job["src"], str(BENCH)]), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run(
+        [sys.executable, str(BENCH / "worker.py"), repr(time.monotonic()), str(tmp_path / "job.json")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert [(op["error"], op["value"]) for op in result["ops"]] == [(None, 0)] * len(w.scenarios)
+    run.check_trace(w, result["trace"])  # raises BenchError on a count mismatch
+    if workload == "grid":
+        errors = run.reference.check_grid(w, outdirs[0], result["ops"][0]["stdout"])
+    else:
+        errors = run.reference.check_trajectory(w, outdirs)
+    assert errors and errors == [None] * len(errors)
 
 
 def test_validate_details_pass_the_selfcheck_reference(bench):

@@ -489,6 +489,70 @@ class TestRunEngines:
     def test_empty(self):
         assert run_engines([]) == []
 
+    def test_one_stacked_pass_per_block_with_ragged_cycle_counts(self, monkeypatch):
+        # MAP_BLOCK + 1 configs of 1, 5 and 2 cycles in turn: one cycle_map and
+        # one correlator_sets call per block, one prepare_battery and one
+        # run_engine call per config, and every trace as run_engine alone makes it
+        rng = np.random.default_rng(40)
+        configs = [random_noisy_config(rng, cycles=(1, 5, 2)[i % 3]) for i in range(MAP_BLOCK + 1)]
+        module = sys.modules["spinotto.multicycle"]
+        calls = {"cycle_map": [], "correlator_sets": [], "prepare_battery": 0, "run_engine": 0}
+
+        def spy(name, fn, size=None):
+            def wrapped(*args, **kwargs):
+                if size is None:
+                    calls[name] += 1
+                else:
+                    calls[name].append(size(args[0]))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(module, "cycle_map", spy("cycle_map", cycle_map, len))
+        monkeypatch.setattr(module, "correlator_sets", spy("correlator_sets", diagnostics.correlator_sets, len))
+        monkeypatch.setattr(module, "run_engine", spy("run_engine", run_engine))
+        patch_everywhere(monkeypatch, engine.prepare_battery, spy("prepare_battery", engine.prepare_battery))
+        traces = run_engines(configs)
+        assert calls == {
+            "cycle_map": [MAP_BLOCK, 1],
+            "correlator_sets": [sum(c.cycles for c in configs[:MAP_BLOCK]), configs[-1].cycles],
+            "prepare_battery": MAP_BLOCK + 1,
+            "run_engine": MAP_BLOCK + 1,
+        }
+        monkeypatch.undo()
+        assert [t.config for t in traces] == configs
+        for trace, config in zip(traces, configs, strict=True):
+            alone = run_engine(config).records
+            assert len(trace.records) == config.cycles
+            assert np.array(trace.records).tobytes() == np.array(alone).tobytes()
+
+    def test_bloch_ball_failure_in_a_block_names_the_first_failing_config(self, monkeypatch):
+        # a seeded fault: configs 2 and 4 of a block of 5 run on A scaled by 3.
+        # Config 4 shares its cycle count with config 0, so its group is
+        # iterated first, and it leaves the ball at an earlier cycle; the error
+        # is still the one run_engine of config 2 alone reports: its first
+        # cycle outside, with its |P_n|
+        thetas, cycles = (0.5, 0.6, 0.9, 0.7, 0.3), (20, 4, 12, 2, 20)
+        start = Polarization(0.0, 0.1, 0.1)
+        configs = [EngineConfig(theta=t, cycles=n, battery_init=start) for t, n in zip(thetas, cycles)]
+        faulty = (configs[2], configs[4])
+
+        def scaled(block):
+            cmap = cycle_map(block)
+            return cmap._replace(A=cmap.A * np.array([3.0 if c in faulty else 1.0 for c in block])[:, None, None])
+
+        monkeypatch.setattr(sys.modules["spinotto.multicycle"], "cycle_map", scaled)
+        alone = []
+        for config in faulty:
+            with pytest.raises(ValidationError) as excinfo:
+                run_engine(config)
+            alone.append(str(excinfo.value))
+        first_cycle = [int(re.match(r"cycle (\d+): .*\|P_n\| = [0-9.e+-]+,", m).group(1)) for m in alone]
+        assert 1 < first_cycle[1] < first_cycle[0] <= configs[2].cycles
+        for block in (configs, configs[2:]):
+            with pytest.raises(ValidationError) as excinfo:
+                run_engines(block)
+            assert str(excinfo.value) == alone[0]
+
 
 class TestRunEngine:
     def test_trace_equals_chained_single_cycles(self):
