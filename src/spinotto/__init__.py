@@ -37,11 +37,9 @@ from .linalg import (
 )
 from .multicycle import (
     ComparisonResult,
-    CycleMap,
     EngineTrace,
     battery_map,
     compare_coherent_incoherent,
-    cycle_map,
     dephase_battery,
     peak_advantage,
     run_engine,

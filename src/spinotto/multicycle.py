@@ -24,52 +24,51 @@ battery_map evaluates this formula as arrays over configs;
 validate.stage_map, which pushes probe batteries through every stage, is its
 oracle over the whole domain.
 
-The state right after the first power stroke is affine in P too. cycle_map
-reads that map off the images of the four probe batteries I/2 and
-I/2 + sigma_j/2 (P = 0 and P = e_j/2) after the first three stages (kron,
-dephase_battery, power_stroke), all 4k of them as one (k, 4, 4, 4) stack;
-each map carries a leading config axis. The stages take one angle and one
-dephasing factor per config along that axis, so a stacked map equals the
-maps of single-config calls bit for bit.
+The battery map is the only map in the engine. The state right after a
+cycle's first power stroke is not carried over, so stack_runs makes each one
+it records from the battery vector that cycle starts from: the first three
+stages (kron, dephase_battery, power_stroke) on the product state
+hot (x) (I/2 + P_{n-1}.sigma), the stages of validate's stage loop.
 
 Where runs are stacked: run_engines hands its configs to stack_runs
 MAP_BLOCK at a time, runs run_engine on each config's share of the pass and
-drops the block before the next one, so a run never holds every map of a
+drops the block before the next one, so a run never holds every state of a
 grid at once. sweep, the CLI's compare and search runs and validate's
 map_vs_stage_loop go through it; a comparison stacks each config with its
 p_mx = 0 twin. run_engine given no share makes its own with
-stack_runs([config]). A stack_runs pass makes one cycle_map call; the
-configs that share a cycle count iterate P_n = A P_{n-1} + b together and get
-all their post-stroke states from one matrix product; one correlator_sets
-call takes the correlators of every config; run_engine then only assembles
-the records.
+stack_runs([config]). A stack_runs pass makes one battery_map call; the
+configs that share a cycle count iterate P_n = A P_{n-1} + b together and
+get all their post-stroke states from one call of each of the three stages;
+one correlator_sets call takes the correlators of every config; run_engine
+then only assembles the records.
 
 Which checks run where:
 - EngineConfig checks every number the formula reads, and
   prepare_hot_medium checks the whole stack of hot states, positivity
   included;
+- stack_runs checks 1/2 - |P_n| >= PSD_CLAMP for every cycle of every config
+  of the block (a NaN counts as outside) before it builds any state; of the
+  first config in input order that fails it names the first cycle n that
+  fails, with its |P_n|, just as run_engine of that config alone would. So
+  every battery I/2 + P_n.sigma that goes into the stages is a density
+  operator;
 - every stage validates its whole input stack (hermiticity and unit trace) and
-  every angle and dephasing factor of it;
-- a post-stroke state is the affine combination sum_k w_k X_k of the probe
-  images X_k, with w_0 = 1 - 2(px + py + pz) and w_j = 2 p_j; the weights sum
-  to 1, so hermiticity and unit trace carry over from the images;
-- positivity does not carry over, so stack_runs checks 1/2 - |P_n| >= PSD_CLAMP
-  for every cycle of every config before its correlator_sets call and
-  before any record is made; of the first config in input order that fails
-  it names the first cycle n that fails, with its |P_n|, just as run_engine
-  of that config alone would; and every recorded post-stroke state passes
-  validate_density and a positivity check inside concurrence: its Cholesky
-  factor, which exists only if lambda_min >= -10 eps, far above PSD_CLAMP,
-  or where none exists (singular or non-positive states) the eigen clamp,
-  eigh and then clamp_spectrum;
-- validate.loop_engines, the stage-loop oracle, runs the same stages with no
+  every angle and dephasing factor of it: dephase_battery the product states,
+  power_stroke the dephased ones, and correlator_sets the post-stroke states.
+  The stages are channels, so positivity carries over from the product
+  states;
+- every recorded post-stroke state passes a positivity check inside
+  concurrence: its Cholesky factor, which exists only if
+  lambda_min >= -10 eps, far above PSD_CLAMP, or where none exists (singular
+  or non-positive states) the eigen clamp, eigh and then clamp_spectrum;
+- validate.loop_engines, the stage-loop oracle, runs every stage with no
   map, on the stacked joint states of all configs with the same cycle count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,25 +83,23 @@ from .engine import (
     prepare_battery,
     prepare_hot_medium,
 )
-from .linalg import PSD_CLAMP, ValidationError, kron, pauli, validate_density
+from .linalg import PSD_CLAMP, ValidationError, kron, validate_density
 
 ADVANTAGE_FLOOR = 1e-12  # baseline work below this leaves the ratio undefined
 # Configs per stack_runs pass. On the 540 engine runs of a 270-point grid of
-# 2-cycle runs and their twins, run_engines takes 0.16 s of CPU in blocks of 1,
-# 0.064 s in blocks of 16, 0.058 s in blocks of 64 and 0.057 s from 128
-# configs up (2 cores, numpy 2.4.6). A pass holds the block's maps, stage
-# stacks, battery vectors, post-stroke states (256 B per record) and
-# correlators at once: tracemalloc peaks at 0.54 MB for 128 2-cycle configs,
-# 2.0 MB for all 540, and 0.49 MB for two 200-cycle runs. No config is padded
+# 2-cycle runs and their twins, run_engines takes 0.27 s of CPU in blocks of 1,
+# 0.087 s in blocks of 16 and 0.076-0.085 s from 64 configs up (minima of 9
+# runs on 2 shared cores, numpy 2.4.6). A pass holds the block's maps, battery
+# vectors, stage stacks, post-stroke states (256 B per record) and correlators
+# at once: tracemalloc peaks in stack_runs at 0.45 MB for 128 2-cycle configs,
+# 1.8 MB for all 540, and 0.56 MB for two 200-cycle runs. No config is padded
 # to the block's longest run. On long runs the pass outweighs the maps:
-# run_engines on 128 1000-cycle runs peaks 61 MB (480 B per record) above the
-# 86 MB of records it returns, where one config at a time peaked 0.7 MB above
-# them. The peak of validate.max_oracle_gap(1000) is 0.9 MB in blocks of 128
-# and 6.1 MB as one stack of 1,000, at the same speed.
+# stack_runs on 128 1000-cycle runs peaks at 145 MB (1,130 B per record, three
+# stage stacks at once), and run_engines peaks 62 MB (480 B per record) above
+# the 87 MB of records it returns, where one config at a time peaked 0.6 MB
+# above them. The peak of validate.max_oracle_gap(1000) is 0.9 MB in blocks of
+# 128 and 5.4 MB as one stack of 1,000, at the same speed.
 MAP_BLOCK = 128
-
-# The probe batteries I/2 and I/2 + sigma_j/2: Bloch vectors 0 and e_j/2.
-PROBES = np.array([pauli("identity") / 2] + [(pauli("identity") + pauli(j)) / 2 for j in "xyz"])
 
 
 @dataclass(frozen=True)
@@ -151,20 +148,6 @@ def dephase_battery(joint: np.ndarray, factor) -> np.ndarray:
     return out.reshape(joint.shape)
 
 
-class CycleMap(NamedTuple):
-    """Engine cycles as affine maps of the battery Bloch vector P they start from,
-    one per config along the leading axis.
-
-    For config i, the battery at the end of the cycle is A[i] @ P + b[i], and
-    with x = (1, px, py, pz) the state right after the first power stroke is
-    (x @ post_stroke[i]).reshape(4, 4).
-    """
-
-    A: np.ndarray            # (k, 3, 3) real
-    b: np.ndarray            # (k, 3) real
-    post_stroke: np.ndarray  # (k, 4, 16) complex
-
-
 def battery_map(configs: Sequence[EngineConfig]) -> tuple[np.ndarray, np.ndarray]:
     """A (k, 3, 3) and b (k, 3) of the battery map P -> A P + b of one cycle
     of every config, from the closed form in the module docstring."""
@@ -184,64 +167,54 @@ def battery_map(configs: Sequence[EngineConfig]) -> tuple[np.ndarray, np.ndarray
     return A, b
 
 
-def affine_from_probes(images: np.ndarray) -> np.ndarray:
-    """Coefficients c with image(P) = c[0] + P @ c[1:], from the images of the
-    probes P = 0 and P = e_j/2 (each image flattened to one row), for every
-    config of a (k, 4, n) stack of images."""
-    coefficients = 2.0 * (images - images[:, :1])
-    coefficients[:, 0] = images[:, 0]
-    return coefficients
-
-
-def cycle_map(configs: Sequence[EngineConfig]) -> CycleMap:
-    """The battery map of every config from battery_map, and its post-stroke
-    map read off the four probe batteries after hot preparation, the
-    per-reset battery dephasing and the first power stroke. All 4k probe
-    states go through each stage as one (k, 4, 4, 4) stack.
-    """
-    hot = prepare_hot_medium([c.p_mx for c in configs], [c.hot_populations for c in configs])
-    reset_f = [c.noise.battery_dephasing_per_reset for c in configs]
-    post_stroke = power_stroke(dephase_battery(kron(hot[:, None], PROBES), reset_f), [c.theta for c in configs])
-    return CycleMap(*battery_map(configs), affine_from_probes(post_stroke.reshape(len(configs), 4, 16)))
-
-
 def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, list]]:
     """Every config's share of one stacked pass over all of them, in order:
     its battery Bloch vectors P_0 ... P_N as lists, the (N, 4, 4) stack of
     its states right after each cycle's first power stroke, and their nine
     correlators each, in correlator_sets order.
 
-    P_0 is polarization_vector(prepare_battery(battery_init)). One cycle_map
-    call gives every map. The configs of one cycle count iterate
-    P_n = A P_{n-1} + b together and get their post-stroke states from one
-    stacked product; one correlator_sets call takes those of all configs.
-    The Bloch-ball check raises for the first config in input order with a
-    P_n outside. Every product is the one a config alone gets, so each number
-    equals that of stack_runs([config]) bit for bit.
+    P_0 is polarization_vector(prepare_battery(battery_init)). One
+    battery_map call gives every map, and the configs of one cycle count
+    iterate P_n = A P_{n-1} + b together. The Bloch-ball check of every P_n
+    of the block runs before any state is built, and raises for the first
+    config in input order with a P_n outside. Then each cycle-count group
+    makes one call each to kron, dephase_battery and power_stroke, the first
+    three stages of a cycle, on the product states hot (x) battery(P_{n-1})
+    of all its cycles, and one correlator_sets call takes the correlators of
+    every config. Every product is the one a config alone gets, so each
+    number equals that of stack_runs([config]) bit for bit.
     """
-    A, b, post_stroke_map = cycle_map(configs)
+    A, b = battery_map(configs)
     cycles = [c.cycles for c in configs]
-    groups, post_strokes, outside = [], [], []
-    for c in dict.fromkeys(cycles):  # each cycle count c: its configs js and their rows (1, P_0) ... (1, P_c)
+    groups, outside = [], []
+    for c in dict.fromkeys(cycles):  # each cycle count c: its configs js and their P_0 ... P_c
         js = [i for i, n in enumerate(cycles) if n == c]
-        A_js, b_js, x = A[js], b[js], np.ones((len(js), c + 1, 4))
-        x[:, 0, 1:] = [polarization_vector(prepare_battery(configs[j].battery_init)) for j in js]
+        A_js, b_js, p = A[js], b[js], np.empty((len(js), c + 1, 3))
+        p[:, 0] = [polarization_vector(prepare_battery(configs[j].battery_init)) for j in js]
         for n in range(1, c + 1):
-            x[:, n, 1:] = (A_js @ x[:, n - 1, 1:, None])[..., 0] + b_js
-        norms = np.sqrt((x[:, 1:, 1:] ** 2).sum(axis=2))  # the test below counts a NaN as outside
+            p[:, n] = (A_js @ p[:, n - 1, :, None])[..., 0] + b_js
+        norms = np.sqrt((p[:, 1:] ** 2).sum(axis=2))  # the test below counts a NaN as outside
         outside += [(js[j], n + 1, norms[j, n]) for j, n in np.argwhere(~(0.5 - norms >= PSD_CLAMP))]
-        post_strokes.append((x[:, :-1] @ post_stroke_map[js]).reshape(-1, 4, 4))
-        groups += zip(js, x[..., 1:].tolist())
+        groups.append((js, p))
     if outside:  # the first config outside the Bloch ball, at its first cycle outside
         _, n, norm = min(outside)
         message = f"cycle {n}: battery Bloch vector has |P_n| = {norm:.12g}, outside the Bloch ball"
         raise ValidationError(f"{message} (1/2 - |P_n| below the PSD tolerance {PSD_CLAMP:.0e})")
+    hot = prepare_hot_medium([c.p_mx for c in configs], [c.hot_populations for c in configs])
+    reset_f, theta = np.array([(c.noise.battery_dephasing_per_reset, c.theta) for c in configs]).T
+    post_strokes = []
+    for js, p in groups:  # the batteries I/2 + P_n.sigma that start cycles 1 ... c, then three stages
+        x, y, z = (p[:, :-1, j] for j in range(3))
+        battery = np.array([[0.5 + z, x - 1j * y], [x + 1j * y, 0.5 - z]]).transpose(2, 3, 0, 1)
+        joint = dephase_battery(kron(hot[js][:, None], battery), reset_f[js])
+        post_strokes.append(power_stroke(joint, theta[js]).reshape(-1, 4, 4))
     post_strokes = np.concatenate(post_strokes)
     corr = correlator_sets(post_strokes)
     runs, start = [None] * len(configs), 0
-    for j, p in groups:  # post-stroke states and correlators run group by group, as groups lists the configs
-        runs[j] = (p, post_strokes[start:start + cycles[j]], corr[start:start + cycles[j]])
-        start += cycles[j]
+    for js, p in groups:  # post-stroke states and correlators run group by group
+        for j, batteries in zip(js, p.tolist()):
+            runs[j] = (batteries, post_strokes[start:start + cycles[j]], corr[start:start + cycles[j]])
+            start += cycles[j]
     return runs
 
 
@@ -263,7 +236,8 @@ def run_engine(config: EngineConfig, run: tuple | None = None) -> EngineTrace:
 
 def run_engines(configs: Sequence[EngineConfig]) -> list[EngineTrace]:
     """run_engine on every config, in order, each with its share of one
-    stack_runs pass per MAP_BLOCK configs."""
+    stack_runs pass per MAP_BLOCK configs: one battery_map call per block, and
+    one call of each of the first three stages per cycle count in it."""
     traces: list[EngineTrace] = []
     for start in range(0, len(configs), MAP_BLOCK):
         block = configs[start:start + MAP_BLOCK]

@@ -320,9 +320,14 @@ def parse_scenario(text: str) -> ScenarioFile:
 
 
 def load_scenario(path) -> ScenarioFile:
-    """Read and parse a scenario file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    """Read and parse a scenario file from disk. A file that is not UTF-8
+    text raises ScenarioError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_scenario(text)
 
 
 def config_to_dict(config: EngineConfig) -> dict:

@@ -62,15 +62,7 @@ from .engine import (
     reset_medium,
 )
 from .linalg import kron, partial_trace, pauli
-from .multicycle import (
-    MAP_BLOCK,
-    PROBES,
-    EngineTrace,
-    affine_from_probes,
-    battery_map,
-    dephase_battery,
-    run_engines,
-)
+from .multicycle import MAP_BLOCK, EngineTrace, battery_map, dephase_battery, run_engines
 
 DEFAULT_SEED = 20260809
 # Tolerance of |battery_map - stage_map|. Every entry of A and b and of every
@@ -157,6 +149,19 @@ def _media(configs) -> tuple[np.ndarray, np.ndarray]:
     return hot, prepare_cold_medium([c.cold_populations for c in configs])
 
 
+# The probe batteries I/2 and I/2 + sigma_j/2: Bloch vectors 0 and e_j/2.
+_PROBES = np.array([pauli("identity") / 2] + [(pauli("identity") + pauli(j)) / 2 for j in "xyz"])
+
+
+def _affine_from_probes(images: np.ndarray) -> np.ndarray:
+    """Coefficients c with image(P) = c[0] + P @ c[1:], from the images of the
+    probes P = 0 and P = e_j/2 (each image flattened to one row), for every
+    config of a (k, 4, n) stack of images."""
+    coefficients = 2.0 * (images - images[:, :1])
+    coefficients[:, 0] = images[:, 0]
+    return coefficients
+
+
 def stage_map(configs: Sequence[EngineConfig]) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for multicycle.battery_map: A (k, 3, 3) and b (k, 3) read off
     the four probe batteries P = 0 and P = e_j/2 of every config, pushed
@@ -166,9 +171,9 @@ def stage_map(configs: Sequence[EngineConfig]) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, len(configs), MAP_BLOCK):
         block = configs[start:start + MAP_BLOCK]
         hot, cold = _media(block)
-        _, battery = _stage_cycle(block, hot[:, None], cold[:, None], PROBES)
+        _, battery = _stage_cycle(block, hot[:, None], cold[:, None], _PROBES)
         images.append(bloch_vectors(battery.reshape(-1, 2, 2)).reshape(len(block), 4, 3))
-    coefficients = affine_from_probes(np.concatenate(images))
+    coefficients = _affine_from_probes(np.concatenate(images))
     return coefficients[:, 1:].swapaxes(1, 2), coefficients[:, 0]
 
 

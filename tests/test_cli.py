@@ -179,6 +179,15 @@ def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.scn")]) == 2
 
 
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    scn = tmp_path / "binary.scn"
+    scn.write_bytes(b"\xff")
+    assert main(["run", str(scn), "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(scn) in err and "not UTF-8 text" in err
+    assert os.listdir(tmp_path) == ["binary.scn"]
+
+
 def test_validation_error_exits_1(tmp_path, capsys):
     scn = tmp_path / "bad.scn"
     scn.write_text("scenario = multicycle\n[engine]\np_mx = 0.6\n")

@@ -14,21 +14,19 @@ from spinotto.engine import (
     NoiseConfig,
     power_stroke,
     prepare_battery,
-    prepare_hot_medium,
     reset_medium,
 )
 from spinotto.cli import main
 from spinotto.linalg import PSD_CLAMP, ValidationError, kron, partial_trace, pauli
 from spinotto.multicycle import (
     MAP_BLOCK,
-    CycleMap,
     battery_map,
     compare_coherent_incoherent,
-    cycle_map,
     dephase_battery,
     peak_advantage,
     run_engine,
     run_engines,
+    stack_runs,
     sweep,
     with_fields,
 )
@@ -38,7 +36,6 @@ from spinotto.validate import (
     loop_engines,
     random_density,
     random_noisy_config,
-    random_polarization,
     run_all_checks,
     stage_loop_gaps,
     stage_map,
@@ -67,8 +64,9 @@ def advantage_fixture(cycles: int = 10) -> EngineConfig:
 
 
 def single_map(config):
-    """The cycle map of one config, without the leading config axis."""
-    return CycleMap(*(m[0] for m in cycle_map([config])))
+    """A and b of the battery map of one config, without the leading config axis."""
+    A, b = battery_map([config])
+    return A[0], b[0]
 
 
 def compare(config):
@@ -170,69 +168,56 @@ class TestCycleMap:
             (single,) = loop_engines([config])
             assert stacked.config is config and stacked.records == single.records
 
-    def test_stack_equals_single_config_calls(self):
-        # the config axis changes no bit, whichever way the stack is split
-        rng = np.random.default_rng(16)
-        configs = [random_noisy_config(rng, cycles=1) for _ in range(210)]
-        singles = [cycle_map([c]) for c in configs]
-        for splits in ((0, 210), (0, 1, 64, 65, 200, 210)):
-            blocks = [cycle_map(configs[a:b]) for a, b in zip(splits, splits[1:])]
-            for field in CycleMap._fields:
-                stacked = np.concatenate([getattr(m, field) for m in blocks])
-                single = np.concatenate([getattr(m, field) for m in singles])
-                assert np.array_equal(stacked, single), (splits, field)
-
     def test_fig3_map_spectrum_and_fixed_point(self):
-        cmap = single_map(PRESETS["fig3"]().engine)
-        eig = sorted(np.linalg.eigvals(cmap.A), key=lambda z: (z.imag, z.real))
+        A, b = single_map(PRESETS["fig3"]().engine)
+        eig = sorted(np.linalg.eigvals(A), key=lambda z: (z.imag, z.real))
         expected = [0.71333 - 0.26316j, 0.69484, 0.71333 + 0.26316j]
         assert np.max(np.abs(np.array(eig) - expected)) <= 1e-5
-        fixed = np.linalg.solve(np.eye(3) - cmap.A, cmap.b)
+        fixed = np.linalg.solve(np.eye(3) - A, b)
         assert np.max(np.abs(fixed - [0.0, 0.124703, -0.140634])) <= 1e-5
 
-    def test_post_stroke_map_gives_the_stage_states(self):
-        # the post-stroke map of a battery P is the first three stages run on it
-        rng = np.random.default_rng(12)
-        config = random_noisy_config(rng, cycles=1)
-        cmap = single_map(config)
-        hot = prepare_hot_medium(config.p_mx, config.hot_populations)
-        for _ in range(20):
-            p = random_polarization(rng)
-            post = (np.concatenate([[1.0], p]) @ cmap.post_stroke).reshape(4, 4)
-            joint = dephase_battery(kron(hot, prepare_battery(p)), config.noise.battery_dephasing_per_reset)
-            assert np.max(np.abs(post - power_stroke(joint, config.theta))) < 1e-15
-            assert abs(np.trace(post) - 1) < 1e-14 and np.linalg.eigvalsh(post)[0] > -1e-14
-
-    def test_cycle_map_makes_three_stage_calls(self, monkeypatch):
-        # A and b are closed form; only the post-stroke map needs the stages
+    def test_stack_runs_makes_three_stage_calls_per_cycle_count(self, monkeypatch):
+        # A and b are closed form; only the post-stroke states need the
+        # stages, one call each per cycle-count group
         calls = []
         for fn in (kron, dephase_battery, power_stroke, reset_medium, partial_trace):
             def spy(*args, _fn=fn):
                 calls.append(_fn.__name__)
                 return _fn(*args)
             patch_everywhere(monkeypatch, fn, spy)
-        cycle_map([EngineConfig(), EngineConfig(theta=0.3)])
+        stack_runs([EngineConfig(), EngineConfig(theta=0.3)])
         assert calls == ["kron", "dephase_battery", "power_stroke"]
+        calls.clear()
+        stack_runs([EngineConfig(cycles=3), EngineConfig(theta=0.3), EngineConfig(theta=0.4, cycles=3)])
+        assert calls == ["kron", "dephase_battery", "power_stroke"] * 2
 
     def test_bloch_ball_checked_every_cycle(self, monkeypatch):
         # a map that pushes P out of the ball must be rejected, not recorded
         config = EngineConfig(cycles=3)
-        cmap = cycle_map([config])
-        bad = cmap._replace(A=2.0 * np.eye(3)[None], b=np.array([[0.0, 0.0, 0.2]]))
-        monkeypatch.setattr(sys.modules["spinotto.multicycle"], "cycle_map", lambda _: bad)
+        bad = 2.0 * np.eye(3)[None], np.array([[0.0, 0.0, 0.2]])
+        monkeypatch.setattr(sys.modules["spinotto.multicycle"], "battery_map", lambda _: bad)
         with pytest.raises(ValidationError, match=r"cycle 1: .*\|P_n\| = 0\.8,"):
+            run_engine(config)
+
+    def test_bloch_ball_check_comes_before_the_stages(self, monkeypatch):
+        # a seeded fault: a NaN in A. The NaN counts as outside the ball, and
+        # the check rejects it before any stage sees a NaN state
+        config = EngineConfig(cycles=3)
+        A, b = battery_map([config])
+        A[0, 1, 2] = math.nan
+        monkeypatch.setattr(sys.modules["spinotto.multicycle"], "battery_map", lambda _: (A, b))
+        with pytest.raises(ValidationError, match=r"^cycle 1: .*\|P_n\| = nan, outside the Bloch ball"):
             run_engine(config)
 
     def test_bloch_ball_error_names_the_first_cycle_outside(self, monkeypatch):
         # a seeded fault: the cycle's A scaled by 3 drives |P_n| out of the
         # ball after a few cycles; the error names that cycle and its |P_n|
         config = EngineConfig(cycles=12, battery_init=Polarization(0.0, 0.1, 0.1))
-        cmap = cycle_map([config])
-        bad = cmap._replace(A=3.0 * cmap.A)
-        monkeypatch.setattr(sys.modules["spinotto.multicycle"], "cycle_map", lambda _: bad)
+        A, b = battery_map([config])
+        monkeypatch.setattr(sys.modules["spinotto.multicycle"], "battery_map", lambda _: (3.0 * A, b))
         p, norms = np.array(config.battery_init), []
         while not norms or 0.5 - norms[-1] >= PSD_CLAMP:
-            p = bad.A[0] @ p + bad.b[0]
+            p = 3.0 * A[0] @ p + b[0]
             norms.append(float(np.linalg.norm(p)))
         assert 1 < len(norms) <= config.cycles
         with pytest.raises(ValidationError) as excinfo:
@@ -388,12 +373,12 @@ def test_seeded_formula_fault_fails_the_oracle_and_the_stage_loop(monkeypatch, f
 
 def test_run_engines_hands_each_config_the_next_map_fails_the_stage_loop(monkeypatch):
     # a seeded fault in the stacked path: config i runs on the map of config i+1
-    original = cycle_map
+    original = battery_map
 
     def shifted(configs):
-        return CycleMap(*(np.roll(m, -1, axis=0) for m in original(configs)))
+        return tuple(np.roll(m, -1, axis=0) for m in original(configs))
 
-    monkeypatch.setattr(sys.modules["spinotto.multicycle"], "cycle_map", shifted)
+    monkeypatch.setattr(sys.modules["spinotto.multicycle"], "battery_map", shifted)
     checks = run_all_checks()
     assert [c.name for c in checks if not c.passed] == ["map_vs_stage_loop"]
     for c in checks:
@@ -475,9 +460,9 @@ class TestRunEngines:
 
         def spy(block):
             blocks.append(len(block))
-            return cycle_map(block)
+            return battery_map(block)
 
-        monkeypatch.setattr(sys.modules["spinotto.multicycle"], "cycle_map", spy)
+        monkeypatch.setattr(sys.modules["spinotto.multicycle"], "battery_map", spy)
         stacked = run_engines(configs)
         # one stacked call per block, and the blocks stream in order
         assert blocks == [min(MAP_BLOCK, k - a) for a in range(0, k, MAP_BLOCK)]
@@ -490,13 +475,13 @@ class TestRunEngines:
         assert run_engines([]) == []
 
     def test_one_stacked_pass_per_block_with_ragged_cycle_counts(self, monkeypatch):
-        # MAP_BLOCK + 1 configs of 1, 5 and 2 cycles in turn: one cycle_map and
+        # MAP_BLOCK + 1 configs of 1, 5 and 2 cycles in turn: one battery_map and
         # one correlator_sets call per block, one prepare_battery and one
         # run_engine call per config, and every trace as run_engine alone makes it
         rng = np.random.default_rng(40)
         configs = [random_noisy_config(rng, cycles=(1, 5, 2)[i % 3]) for i in range(MAP_BLOCK + 1)]
         module = sys.modules["spinotto.multicycle"]
-        calls = {"cycle_map": [], "correlator_sets": [], "prepare_battery": 0, "run_engine": 0}
+        calls = {"battery_map": [], "correlator_sets": [], "prepare_battery": 0, "run_engine": 0}
 
         def spy(name, fn, size=None):
             def wrapped(*args, **kwargs):
@@ -507,13 +492,13 @@ class TestRunEngines:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(module, "cycle_map", spy("cycle_map", cycle_map, len))
+        monkeypatch.setattr(module, "battery_map", spy("battery_map", battery_map, len))
         monkeypatch.setattr(module, "correlator_sets", spy("correlator_sets", diagnostics.correlator_sets, len))
         monkeypatch.setattr(module, "run_engine", spy("run_engine", run_engine))
         patch_everywhere(monkeypatch, engine.prepare_battery, spy("prepare_battery", engine.prepare_battery))
         traces = run_engines(configs)
         assert calls == {
-            "cycle_map": [MAP_BLOCK, 1],
+            "battery_map": [MAP_BLOCK, 1],
             "correlator_sets": [sum(c.cycles for c in configs[:MAP_BLOCK]), configs[-1].cycles],
             "prepare_battery": MAP_BLOCK + 1,
             "run_engine": MAP_BLOCK + 1,
@@ -537,10 +522,10 @@ class TestRunEngines:
         faulty = (configs[2], configs[4])
 
         def scaled(block):
-            cmap = cycle_map(block)
-            return cmap._replace(A=cmap.A * np.array([3.0 if c in faulty else 1.0 for c in block])[:, None, None])
+            A, b = battery_map(block)
+            return A * np.array([3.0 if c in faulty else 1.0 for c in block])[:, None, None], b
 
-        monkeypatch.setattr(sys.modules["spinotto.multicycle"], "cycle_map", scaled)
+        monkeypatch.setattr(sys.modules["spinotto.multicycle"], "battery_map", scaled)
         alone = []
         for config in faulty:
             with pytest.raises(ValidationError) as excinfo:
@@ -592,10 +577,14 @@ class TestRunEngine:
             theta=0.7, p_mx=0.4, cycles=25,
             noise=NoiseConfig(battery_dephasing_per_reset=0.9, battery_t2_per_cycle=0.85),
         )
-        # every post-stroke state of the 25 cycles is a density operator
-        cmap = single_map(cfg)
-        starts = [cfg.battery_init] + [(r.p_bx, r.p_by, r.p_bz) for r in run_engine(cfg).records[:-1]]
-        states = (np.column_stack([np.ones(25), starts]) @ cmap.post_stroke).reshape(-1, 4, 4)
+        # every battery of the 25 cycles is the battery map's iterate, and
+        # every post-stroke state is a density operator
+        A, b = single_map(cfg)
+        batteries, states, _ = stack_runs([cfg])[0]
+        iterates = [np.array(cfg.battery_init)]
+        for _ in range(25):
+            iterates.append(A @ iterates[-1] + b)
+        assert np.max(np.abs(np.subtract(batteries, iterates))) <= 1e-15
         assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1)) < 1e-12
         assert np.linalg.eigvalsh(states)[:, 0].min() > -1e-10
 
@@ -617,6 +606,25 @@ class TestCompare:
         w2c = result.coherent.records[1].cycle_work
         w2i = result.incoherent.records[1].cycle_work
         assert w2c - w2i > 1e-6
+
+    def test_fuel_criterion_from_the_ground_state(self):
+        # from P_0 = -z/2 a config and its p_mx = 0 twin do the same work on
+        # cycle 1, and on cycle 2 the coherent run leads by
+        # 2 f_r^2 f_t p_mx^2 sin^2(theta) cos(theta) cos^3(theta_c): the fuel
+        # helps quadratically in p_mx and only where cos(theta) cos(theta_c) > 0
+        rng = np.random.default_rng(50)
+        configs = [
+            replace(random_noisy_config(rng, cycles=2), battery_init=Polarization(0.0, 0.0, -0.5))
+            for _ in range(200)
+        ]
+        traces = run_engines(configs + [c.with_p_mx(0.0) for c in configs])
+        for config, coherent, incoherent in zip(configs, traces[:len(configs)], traces[len(configs):], strict=True):
+            f_r, f_t = config.noise.battery_dephasing_per_reset, config.noise.battery_t2_per_cycle
+            s, c, c_c = math.sin(config.theta), math.cos(config.theta), math.cos(config.compression_theta)
+            lead = 2 * f_r**2 * f_t * config.p_mx**2 * s**2 * c * c_c**3
+            w_coh, w_inc = ([r.cycle_work for r in t.records] for t in (coherent, incoherent))
+            assert abs(w_coh[0] - w_inc[0]) <= 1e-15
+            assert abs((w_coh[1] - w_inc[1]) - lead) <= 1e-15
 
     def test_full_swap_angle_gives_no_quantum_work_any_cycle(self):
         # cos(theta) = 0 kills the coherence cross term, so the work series
