@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, FileNotFoundError) as exc:
+    except (ScenarioError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (LinalgError, OSError) as exc:  # a ConfigError is a LinalgError

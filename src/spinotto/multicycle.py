@@ -36,18 +36,21 @@ drops the block before the next one, so a run never holds every state of a
 grid at once. sweep, the CLI's compare and search runs and validate's
 map_vs_stage_loop go through it; a comparison stacks each config with its
 p_mx = 0 twin. run_engine given no share makes its own with
-stack_runs([config]). A stack_runs pass makes one battery_map call; the
-configs that share a cycle count iterate P_n = A P_{n-1} + b together and
-get all their post-stroke states from one call of each of the three stages;
-one correlator_sets call takes the correlators of every config; run_engine
-then only assembles the records.
+stack_runs([config]). A stack_runs pass makes one battery_map call; every
+config of the block iterates P_n = A P_{n-1} + b to the block's longest run,
+since a run's cycles 1 ... n do not depend on how many cycles follow; the
+cycles each config records (its own first c) get all their post-stroke
+states from one call of each of the three stages on one flat stack, and one
+correlator_sets call on it; run_engine then only assembles the records.
 
 Which checks run where:
 - EngineConfig checks every number the formula reads, and
   prepare_hot_medium checks the whole stack of hot states, positivity
   included;
-- stack_runs checks 1/2 - |P_n| >= PSD_CLAMP for every cycle of every config
-  of the block (a NaN counts as outside) before it builds any state; of the
+- stack_runs checks 1/2 - |P_n| >= PSD_CLAMP for every recorded cycle of
+  every config of the block (a NaN counts as outside) before it builds any
+  state; the cycles past a config's own count, iterated only because the
+  block runs to its longest run, are neither checked nor recorded. Of the
   first config in input order that fails it names the first cycle n that
   fails, with its |P_n|, just as run_engine of that config alone would. So
   every battery I/2 + P_n.sigma that goes into the stages is a density
@@ -91,14 +94,18 @@ ADVANTAGE_FLOOR = 1e-12  # baseline work below this leaves the ratio undefined
 # 0.087 s in blocks of 16 and 0.076-0.085 s from 64 configs up (minima of 9
 # runs on 2 shared cores, numpy 2.4.6). A pass holds the block's maps, battery
 # vectors, stage stacks, post-stroke states (256 B per record) and correlators
-# at once: tracemalloc peaks in stack_runs at 0.45 MB for 128 2-cycle configs,
-# 1.8 MB for all 540, and 0.56 MB for two 200-cycle runs. No config is padded
-# to the block's longest run. On long runs the pass outweighs the maps:
-# stack_runs on 128 1000-cycle runs peaks at 145 MB (1,130 B per record, three
-# stage stacks at once), and run_engines peaks 62 MB (480 B per record) above
-# the 87 MB of records it returns, where one config at a time peaked 0.6 MB
-# above them. The peak of validate.max_oracle_gap(1000) is 0.9 MB in blocks of
-# 128 and 5.4 MB as one stack of 1,000, at the same speed.
+# at once. Every config's battery vectors run to the block's longest run: 25 B
+# per config per cycle of that run (24 B of P, 1 B of the recorded mask), where
+# a recorded cycle costs about 900 B. tracemalloc peaks in stack_runs (seed 7)
+# at 0.37 MB for 128 2-cycle configs, 1.5 MB for all 540, 0.47 MB for two
+# 200-cycle runs and 116 MB for 128 1000-cycle runs (906 B per record, three
+# stage stacks at once). Mixed counts pay for the padding: 7.9 MB for one
+# config of each count 1 ... 128, and 41 MB for 127 1-cycle configs with one
+# of 10,000 cycles, 32 MB of it P and the mask. run_engines on the 128
+# 1000-cycle runs peaks 62 MB (480 B per record) above the 87 MB of records it
+# returns, where one config at a time peaked 0.6 MB above them. The peak of
+# validate.max_oracle_gap(1000) is 0.9 MB in blocks of 128 and 5.4 MB as one
+# stack of 1,000, at the same speed.
 MAP_BLOCK = 128
 
 
@@ -174,48 +181,41 @@ def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, 
     correlators each, in correlator_sets order.
 
     P_0 is polarization_vector(prepare_battery(battery_init)). One
-    battery_map call gives every map, and the configs of one cycle count
-    iterate P_n = A P_{n-1} + b together. The Bloch-ball check of every P_n
-    of the block runs before any state is built, and raises for the first
-    config in input order with a P_n outside. Then each cycle-count group
-    makes one call each to kron, dephase_battery and power_stroke, the first
-    three stages of a cycle, on the product states hot (x) battery(P_{n-1})
-    of all its cycles, and one correlator_sets call takes the correlators of
-    every config. Every product is the one a config alone gets, so each
-    number equals that of stack_runs([config]) bit for bit.
+    battery_map call gives every map, and every config iterates
+    P_n = A P_{n-1} + b up to the block's longest run; the mask `recorded`
+    marks each config's own cycles 1 ... c, and only those are used. The
+    Bloch-ball check of every recorded P_n runs before any state is built,
+    and raises for the first config in input order with a P_n outside. Then
+    one call each to kron, dephase_battery and power_stroke, the first three
+    stages of a cycle, runs on the flat stack of the product states
+    hot (x) battery(P_{n-1}) of every recorded cycle, config after config,
+    with each cycle's own hot state, reset factor and angle, and one
+    correlator_sets call takes their correlators. Every product is the one a
+    config alone gets, so each number equals that of stack_runs([config])
+    bit for bit.
     """
     A, b = battery_map(configs)
-    cycles = [c.cycles for c in configs]
-    groups, outside = [], []
-    for c in dict.fromkeys(cycles):  # each cycle count c: its configs js and their P_0 ... P_c
-        js = [i for i, n in enumerate(cycles) if n == c]
-        A_js, b_js, p = A[js], b[js], np.empty((len(js), c + 1, 3))
-        p[:, 0] = [polarization_vector(prepare_battery(configs[j].battery_init)) for j in js]
-        for n in range(1, c + 1):
-            p[:, n] = (A_js @ p[:, n - 1, :, None])[..., 0] + b_js
-        norms = np.sqrt((p[:, 1:] ** 2).sum(axis=2))  # the test below counts a NaN as outside
-        outside += [(js[j], n + 1, norms[j, n]) for j, n in np.argwhere(~(0.5 - norms >= PSD_CLAMP))]
-        groups.append((js, p))
-    if outside:  # the first config outside the Bloch ball, at its first cycle outside
-        _, n, norm = min(outside)
-        message = f"cycle {n}: battery Bloch vector has |P_n| = {norm:.12g}, outside the Bloch ball"
+    cycles = np.array([c.cycles for c in configs])
+    p = np.empty((len(configs), cycles.max() + 1, 3))  # P_0 ... P_c of every config, padded to the longest run
+    p[:, 0] = [polarization_vector(prepare_battery(c.battery_init)) for c in configs]
+    for n in range(1, cycles.max() + 1):
+        p[:, n] = (A @ p[:, n - 1, :, None])[..., 0] + b
+    recorded = np.arange(cycles.max()) < cycles[:, None]  # cycle n + 1 of config j is one of its own
+    owner = np.repeat(np.arange(len(configs)), cycles)  # the config of each recorded cycle, in order
+    norms = np.sqrt((p[:, 1:][recorded] ** 2).sum(axis=1))  # the test below counts a NaN as outside
+    outside = np.flatnonzero(~(0.5 - norms >= PSD_CLAMP))
+    if len(outside):  # the first config outside the Bloch ball, at its first cycle outside
+        n, norm = np.argwhere(recorded)[outside[0], 1], norms[outside[0]]
+        message = f"cycle {n + 1}: battery Bloch vector has |P_n| = {norm:.12g}, outside the Bloch ball"
         raise ValidationError(f"{message} (1/2 - |P_n| below the PSD tolerance {PSD_CLAMP:.0e})")
     hot = prepare_hot_medium([c.p_mx for c in configs], [c.hot_populations for c in configs])
     reset_f, theta = np.array([(c.noise.battery_dephasing_per_reset, c.theta) for c in configs]).T
-    post_strokes = []
-    for js, p in groups:  # the batteries I/2 + P_n.sigma that start cycles 1 ... c, then three stages
-        x, y, z = (p[:, :-1, j] for j in range(3))
-        battery = np.array([[0.5 + z, x - 1j * y], [x + 1j * y, 0.5 - z]]).transpose(2, 3, 0, 1)
-        joint = dephase_battery(kron(hot[js][:, None], battery), reset_f[js])
-        post_strokes.append(power_stroke(joint, theta[js]).reshape(-1, 4, 4))
-    post_strokes = np.concatenate(post_strokes)
+    x, y, z = p[:, :-1][recorded].T  # the batteries I/2 + P_n.sigma that start the recorded cycles
+    battery = np.array([[0.5 + z, x - 1j * y], [x + 1j * y, 0.5 - z]]).transpose(2, 0, 1)
+    post_strokes = power_stroke(dephase_battery(kron(hot[owner], battery), reset_f[owner]), theta[owner])
     corr = correlator_sets(post_strokes)
-    runs, start = [None] * len(configs), 0
-    for js, p in groups:  # post-stroke states and correlators run group by group
-        for j, batteries in zip(js, p.tolist()):
-            runs[j] = (batteries, post_strokes[start:start + cycles[j]], corr[start:start + cycles[j]])
-            start += cycles[j]
-    return runs
+    return [(p[j, :c + 1].tolist(), post_strokes[f:f + c], corr[f:f + c])
+            for j, (c, f) in enumerate(zip(cycles.tolist(), (np.cumsum(cycles) - cycles).tolist()))]
 
 
 def run_engine(config: EngineConfig, run: tuple | None = None) -> EngineTrace:
@@ -236,8 +236,8 @@ def run_engine(config: EngineConfig, run: tuple | None = None) -> EngineTrace:
 
 def run_engines(configs: Sequence[EngineConfig]) -> list[EngineTrace]:
     """run_engine on every config, in order, each with its share of one
-    stack_runs pass per MAP_BLOCK configs: one battery_map call per block, and
-    one call of each of the first three stages per cycle count in it."""
+    stack_runs pass per MAP_BLOCK configs: one battery_map call and one call
+    of each of the first three stages per block, whatever its cycle counts."""
     traces: list[EngineTrace] = []
     for start in range(0, len(configs), MAP_BLOCK):
         block = configs[start:start + MAP_BLOCK]

@@ -179,6 +179,13 @@ def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.scn")]) == 2
 
 
+def test_directory_given_as_scenario_exits_2(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     scn = tmp_path / "binary.scn"
     scn.write_bytes(b"\xff")

@@ -176,9 +176,10 @@ class TestCycleMap:
         fixed = np.linalg.solve(np.eye(3) - A, b)
         assert np.max(np.abs(fixed - [0.0, 0.124703, -0.140634])) <= 1e-5
 
-    def test_stack_runs_makes_three_stage_calls_per_cycle_count(self, monkeypatch):
+    def test_stack_runs_makes_three_stage_calls_per_block(self, monkeypatch):
         # A and b are closed form; only the post-stroke states need the
-        # stages, one call each per cycle-count group
+        # stages, one call each on the flat stack of every recorded cycle of
+        # the block, whatever its cycle counts
         calls = []
         for fn in (kron, dephase_battery, power_stroke, reset_medium, partial_trace):
             def spy(*args, _fn=fn):
@@ -188,8 +189,8 @@ class TestCycleMap:
         stack_runs([EngineConfig(), EngineConfig(theta=0.3)])
         assert calls == ["kron", "dephase_battery", "power_stroke"]
         calls.clear()
-        stack_runs([EngineConfig(cycles=3), EngineConfig(theta=0.3), EngineConfig(theta=0.4, cycles=3)])
-        assert calls == ["kron", "dephase_battery", "power_stroke"] * 2
+        stack_runs([EngineConfig(cycles=3), EngineConfig(theta=0.3, cycles=1), EngineConfig(theta=0.4, cycles=3)])
+        assert calls == ["kron", "dephase_battery", "power_stroke"]
 
     def test_bloch_ball_checked_every_cycle(self, monkeypatch):
         # a map that pushes P out of the ball must be rejected, not recorded
@@ -512,10 +513,10 @@ class TestRunEngines:
 
     def test_bloch_ball_failure_in_a_block_names_the_first_failing_config(self, monkeypatch):
         # a seeded fault: configs 2 and 4 of a block of 5 run on A scaled by 3.
-        # Config 4 shares its cycle count with config 0, so its group is
-        # iterated first, and it leaves the ball at an earlier cycle; the error
-        # is still the one run_engine of config 2 alone reports: its first
-        # cycle outside, with its |P_n|
+        # Config 4 leaves the ball at an earlier cycle than config 2, but the
+        # block is checked config by config in input order, so the error is
+        # the one run_engine of config 2 alone reports: its first cycle
+        # outside, with its |P_n|
         thetas, cycles = (0.5, 0.6, 0.9, 0.7, 0.3), (20, 4, 12, 2, 20)
         start = Polarization(0.0, 0.1, 0.1)
         configs = [EngineConfig(theta=t, cycles=n, battery_init=start) for t, n in zip(thetas, cycles)]
@@ -537,6 +538,35 @@ class TestRunEngines:
             with pytest.raises(ValidationError) as excinfo:
                 run_engines(block)
             assert str(excinfo.value) == alone[0]
+
+    def test_padded_cycles_are_neither_checked_nor_recorded(self, monkeypatch):
+        # a seeded fault: the short config runs on A scaled by 3, which keeps
+        # its P in the ball up to its own last cycle and drives it out on the
+        # next one. Stacked with a 20-cycle config, its P is iterated on past
+        # that cycle; those padded cycles must not fail the block or reach
+        # its trace
+        start = Polarization(0.0, 0.1, 0.1)
+        A, b = battery_map([EngineConfig(battery_init=start)])
+        p, outside = np.array(start), 0  # the first cycle outside the ball
+        while 0.5 - np.linalg.norm(p) >= PSD_CLAMP:
+            p, outside = 3.0 * A[0] @ p + b[0], outside + 1
+        assert 1 < outside < 20
+        short = EngineConfig(cycles=outside - 1, battery_init=start)
+        configs = [short, EngineConfig(theta=0.3, cycles=20, battery_init=start)]
+
+        def scaled(block):
+            A, b = battery_map(block)
+            return A * np.array([3.0 if c.theta == short.theta else 1.0 for c in block])[:, None, None], b
+
+        monkeypatch.setattr(sys.modules["spinotto.multicycle"], "battery_map", scaled)
+        with pytest.raises(ValidationError, match=f"^cycle {outside}: "):
+            run_engine(replace(short, cycles=outside))
+        traces = run_engines(configs)
+        assert [t.config for t in traces] == configs
+        for trace, config in zip(traces, configs, strict=True):
+            alone = run_engine(config).records
+            assert len(trace.records) == config.cycles
+            assert np.array(trace.records).tobytes() == np.array(alone).tobytes()
 
 
 class TestRunEngine:
