@@ -15,6 +15,7 @@ from .diagnostics import (
     von_neumann_entropy,
 )
 from .engine import (
+    ConfigBatch,
     ConfigError,
     CycleRecord,
     EngineConfig,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -110,6 +110,40 @@ def _check_battery(p) -> Polarization:
     return p
 
 
+def _reject(name: str, bad: np.ndarray, values: np.ndarray, rule: str) -> None:
+    """Raise a ConfigError naming the field, the first row where bad holds
+    and that row of values, if bad holds anywhere."""
+    if bad.any():
+        row = int(bad.argmax())
+        raise ConfigError(f"{name}[{row}] {rule}, got {values[row].tolist()}")
+
+
+def _numbers(name: str, value, shape: tuple[int, ...], counts: bool = False) -> np.ndarray:
+    """value as a read-only float array of the given shape whose entries are
+    all finite, or a ConfigError naming the field; with counts, an int array
+    of whole numbers >= 1. Strings and bools are rejected, not converted."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "fiu" or a.shape != shape:
+        raise ConfigError(f"{name} must be an array of numbers of shape {shape}, got {a.dtype} of shape {a.shape}")
+    a = a.astype(float)
+    _reject(name, ~np.isfinite(a).all(axis=tuple(range(1, a.ndim))), a, "must be finite")  # NaN included
+    if counts:
+        _reject(name, (a < 1.0) | (a % 1.0 != 0.0), a, "must be a positive integer")
+        a = a.astype(int)
+    a.flags.writeable = False
+    return a
+
+
+def _check_population_rows(name: str, pops: np.ndarray) -> None:
+    _reject(name, ((pops < 0.0) | (pops > 1.0)).any(axis=1), pops, "entries must lie in [0, 1]")
+    _reject(name, abs(pops.sum(axis=1) - 1.0) > 1e-10, pops, "must sum to 1")
+
+
+def _check_p_mx_rows(p_mx: np.ndarray, pops: np.ndarray) -> None:
+    bound = np.sqrt(pops[:, 0] * pops[:, 1]) + 1e-12
+    _reject("p_mx", abs(p_mx) > bound, p_mx, "exceeds the positivity bound sqrt(p0*p1) of its hot populations")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """All physical and protocol parameters of an engine run.
@@ -152,6 +186,69 @@ class EngineConfig:
         return replace(self, p_mx=p_mx)
 
 
+# The shape of one row of each ConfigBatch field that is not a scalar.
+_ROW_SHAPES = {"hot_populations": (2,), "cold_populations": (2,), "battery_init": (3,)}
+
+
+@dataclass(frozen=True, eq=False)
+class ConfigBatch:
+    """EngineConfig's fields as arrays, one row per config: the input of every
+    stacked map. theta, compression_theta (resolved), p_mx, the two noise
+    factors and cycles have shape (k,), the populations (k, 2) and
+    battery_init (k, 3).
+
+    The constructor checks every rule of EngineConfig and NoiseConfig once
+    over the whole batch; a failure raises a ConfigError that names the field,
+    the first bad row and its value. A NaN counts as bad, and a cycle count
+    must be a whole number >= 1. The arrays are stored read-only (cycles as
+    int), so a batch stays checked; dataclasses.replace checks anew.
+    ConfigBatch.of(configs) and batch.configs() are the conversions.
+    """
+
+    theta: np.ndarray
+    compression_theta: np.ndarray
+    p_mx: np.ndarray
+    hot_populations: np.ndarray
+    cold_populations: np.ndarray
+    battery_init: np.ndarray
+    battery_dephasing_per_reset: np.ndarray
+    battery_t2_per_cycle: np.ndarray
+    cycles: np.ndarray
+
+    def __post_init__(self):
+        rows = (np.size(self.theta),)
+        for f in fields(self):
+            value = _numbers(f.name, getattr(self, f.name), rows + _ROW_SHAPES.get(f.name, ()), f.name == "cycles")
+            object.__setattr__(self, f.name, value)
+        _check_population_rows("hot_populations", self.hot_populations)
+        _check_population_rows("cold_populations", self.cold_populations)
+        norm = np.sqrt((self.battery_init**2).sum(axis=1))
+        _reject("battery_init", norm > 0.5 + 1e-12, self.battery_init, "has a polarization magnitude above 1/2")
+        _check_p_mx_rows(self.p_mx, self.hot_populations)
+        for name in ("battery_dephasing_per_reset", "battery_t2_per_cycle"):
+            factor = getattr(self, name)
+            _reject(name, (factor < 0.0) | (factor > 1.0), factor, "must lie in [0, 1]")
+
+    @classmethod
+    def of(cls, configs: Sequence[EngineConfig]) -> "ConfigBatch":
+        """The batch of one or more configs, one row each, in order."""
+        rows = [(c.theta, c.compression_theta, c.p_mx, c.hot_populations, c.cold_populations, c.battery_init,
+                 c.noise.battery_dephasing_per_reset, c.noise.battery_t2_per_cycle, c.cycles) for c in configs]
+        return cls(*zip(*rows))
+
+    def configs(self) -> list[EngineConfig]:
+        """One EngineConfig per row, in order; theta_compression is set to the
+        row's compression_theta."""
+        columns = (getattr(self, f.name).tolist() for f in fields(self))
+        return [
+            EngineConfig(t, t_c, m, tuple(hot), tuple(cold), Polarization(*p), NoiseConfig(f_r, f_t), n)
+            for t, t_c, m, hot, cold, p, f_r, f_t, n in zip(*columns)
+        ]
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+
 class CycleRecord(NamedTuple):
     """Every diagnostic recorded for one engine cycle: its index, then the 19
     columns of a trace CSV row under their column names.
@@ -189,25 +286,30 @@ def prepare_hot_medium(p_mx, populations) -> np.ndarray:
     """Coherently heated medium state diag(p0, p1) + p_mx * sigma_x.
 
     Positivity requires |p_mx| <= sqrt(p0*p1); violating inputs raise a
-    ConfigError naming that bound. A sequence of k values of p_mx with k
-    population pairs gives the (k, 2, 2) stack of their states.
+    ConfigError naming that bound. An array of k values of p_mx with a (k, 2)
+    array of population pairs gives the (k, 2, 2) stack of their states, all
+    checked at once with the rules of ConfigBatch.
     """
     stacked = np.ndim(p_mx) > 0
-    p_mx, populations = (p_mx, populations) if stacked else ([p_mx], [populations])
-    pops = [_check_populations("hot_populations", p) for p in populations]
-    coherences = [_check_p_mx(x, p) for x, p in zip(p_mx, pops, strict=True)]
-    rho = validate_density(
-        np.array([[[p0, x], [x, p1]] for (p0, p1), x in zip(pops, coherences)], dtype=complex)
-    )
+    p_mx = _numbers("p_mx", p_mx if stacked else [p_mx], (np.size(p_mx),))
+    pops = _numbers("hot_populations", populations if stacked else [populations], (len(p_mx), 2))
+    _check_population_rows("hot_populations", pops)
+    _check_p_mx_rows(p_mx, pops)
+    rho = np.zeros((len(p_mx), 2, 2), dtype=complex)
+    rho[:, 0, 0], rho[:, 1, 1] = pops.T
+    rho[:, 0, 1] = rho[:, 1, 0] = p_mx
+    rho = validate_density(rho)
     return rho if stacked else rho[0]
 
 
 def prepare_cold_medium(populations) -> np.ndarray:
-    """Diagonal cold-bath state diag(q0, q1); a sequence of k population pairs
-    gives the (k, 2, 2) stack of their states."""
+    """Diagonal cold-bath state diag(q0, q1); a (k, 2) array of population
+    pairs gives the (k, 2, 2) stack of their states."""
     stacked = np.ndim(populations) > 1
-    pops = [_check_populations("cold_populations", p) for p in (populations if stacked else [populations])]
-    rho = np.array([[[q0, 0.0], [0.0, q1]] for q0, q1 in pops], dtype=complex)
+    pops = _numbers("cold_populations", populations if stacked else [populations], (np.size(populations) // 2, 2))
+    _check_population_rows("cold_populations", pops)
+    rho = np.zeros((len(pops), 2, 2), dtype=complex)
+    rho[:, 0, 0], rho[:, 1, 1] = pops.T
     return rho if stacked else rho[0]
 
 
@@ -218,11 +320,16 @@ def prepare_battery(p: Polarization | Sequence[float]) -> np.ndarray:
 
 
 def _cos_sin(theta) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of every stroke angle, each as an array of theta's shape.
-    A non-finite angle raises a ConfigError naming theta and the value."""
+    """cos and sin of every stroke angle, each as an array of theta's shape,
+    taken with math.cos and math.sin once per distinct angle (distinct bit
+    patterns, so -0.0 keeps its sine). A non-finite angle raises a
+    ConfigError naming theta, the flat index of the first one and its value."""
     theta = np.asarray(theta, dtype=float)
-    angles = [_check_finite("theta", t) for t in theta.ravel().tolist()]
-    return tuple(np.array([f(t) for t in angles]).reshape(theta.shape) for f in (math.cos, math.sin))
+    flat = theta.ravel()
+    _reject("theta", ~np.isfinite(flat), flat, "must be a finite number")
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    angles = bits.view(float).tolist()
+    return tuple(np.array([f(t) for t in angles])[inverse].reshape(theta.shape) for f in (math.cos, math.sin))
 
 
 def flip_flop_propagator(theta) -> np.ndarray:

@@ -20,9 +20,9 @@ and m = p_mx, the stages give
 So p_x decouples from the other two components, dephasing never acts on p_z
 directly, the fuel m enters only through the two y-z couplings, and b does
 not depend on m: A(m) = A(0) + m A_1, and at m = 0 A is diagonal.
-battery_map evaluates this formula as arrays over configs;
-validate.stage_map, which pushes probe batteries through every stage, is its
-oracle over the whole domain.
+battery_map evaluates this formula on the arrays of a ConfigBatch, one row
+per config; validate.stage_map, which pushes probe batteries through every
+stage, is its oracle over the whole domain.
 
 The battery map is the only map in the engine. The state right after a
 cycle's first power stroke is not carried over, so stack_runs makes each one
@@ -36,17 +36,22 @@ drops the block before the next one, so a run never holds every state of a
 grid at once. sweep, the CLI's compare and search runs and validate's
 map_vs_stage_loop go through it; a comparison stacks each config with its
 p_mx = 0 twin. run_engine given no share makes its own with
-stack_runs([config]). A stack_runs pass makes one battery_map call; every
-config of the block iterates P_n = A P_{n-1} + b to the block's longest run,
-since a run's cycles 1 ... n do not depend on how many cycles follow; the
-cycles each config records (its own first c) get all their post-stroke
-states from one call of each of the three stages on one flat stack, and one
-correlator_sets call on it; run_engine then only assembles the records.
+stack_runs([config]). A stack_runs pass turns its block into one
+ConfigBatch, from which every stacked step reads its parameters, and makes
+one battery_map call on it; every config of the block iterates
+P_n = A P_{n-1} + b to the block's longest run, since a run's cycles 1 ... n
+do not depend on how many cycles follow; the cycles each config records (its
+own first c) get all their post-stroke states from one call of each of the
+three stages on one flat stack, and one correlator_sets call on it;
+run_engine then only assembles the records.
 
 Which checks run where:
-- EngineConfig checks every number the formula reads, and
-  prepare_hot_medium checks the whole stack of hot states, positivity
-  included;
+- EngineConfig checks every field of one config as it is built, and the
+  ConfigBatch of a block checks every number the formula reads again, each
+  rule once over the whole batch (a NaN counts as bad), so battery_map and
+  the stages never see an unchecked parameter; prepare_hot_medium applies
+  the same array rules to the stack of hot states it builds and checks the
+  stack, positivity included;
 - stack_runs checks 1/2 - |P_n| >= PSD_CLAMP for every recorded cycle of
   every config of the block (a NaN counts as outside) before it builds any
   state; the cycles past a config's own count, iterated only because the
@@ -77,10 +82,12 @@ import numpy as np
 
 from .diagnostics import Polarization, correlator_sets, polarization_vector
 from .engine import (
+    ConfigBatch,
     ConfigError,
     CycleRecord,
     EngineConfig,
     NoiseConfig,
+    _reject,
     make_cycle_record,
     power_stroke,
     prepare_battery,
@@ -104,8 +111,9 @@ ADVANTAGE_FLOOR = 1e-12  # baseline work below this leaves the ratio undefined
 # of 10,000 cycles, 32 MB of it P and the mask. run_engines on the 128
 # 1000-cycle runs peaks 62 MB (480 B per record) above the 87 MB of records it
 # returns, where one config at a time peaked 0.6 MB above them. The peak of
-# validate.max_oracle_gap(1000) is 0.9 MB in blocks of 128 and 5.4 MB as one
-# stack of 1,000, at the same speed.
+# validate.max_oracle_gap(1000), which draws one ConfigBatch per block, is
+# 0.71 MB in blocks of 128 and 4.6 MB as one stack of 1,000, at the same
+# speed (21-29 ms either way, minima of 7 runs).
 MAP_BLOCK = 128
 
 
@@ -140,9 +148,8 @@ def dephase_battery(joint: np.ndarray, factor) -> np.ndarray:
     of a (k, ..., 4, 4) stack); every entry must lie in [0, 1].
     """
     f = np.asarray(factor, dtype=float)
-    bad = [x for x in f.ravel().tolist() if not 0.0 <= x <= 1.0]  # NaN included
-    if bad:
-        raise ValidationError(f"dephasing factor must lie in [0, 1], got {bad[0]}")
+    flat = f.ravel()
+    _reject("dephasing factor", ~((flat >= 0.0) & (flat <= 1.0)), flat, "must lie in [0, 1]")  # NaN included
     joint = validate_density(joint, check_spectrum=False, caller="dephase_battery")
     if joint.shape[-2:] != (4, 4):
         raise ValidationError("dephase_battery expects a two-qubit state")
@@ -155,21 +162,20 @@ def dephase_battery(joint: np.ndarray, factor) -> np.ndarray:
     return out.reshape(joint.shape)
 
 
-def battery_map(configs: Sequence[EngineConfig]) -> tuple[np.ndarray, np.ndarray]:
+def battery_map(batch: ConfigBatch) -> tuple[np.ndarray, np.ndarray]:
     """A (k, 3, 3) and b (k, 3) of the battery map P -> A P + b of one cycle
-    of every config, from the closed form in the module docstring."""
-    theta, theta_c, m, p0, q0, f_r, f_t = np.array([
-        (c.theta, c.compression_theta, c.p_mx, c.hot_populations[0], c.cold_populations[0],
-         c.noise.battery_dephasing_per_reset, c.noise.battery_t2_per_cycle)
-        for c in configs
-    ]).T
+    of every row of the batch, from the closed form in the module docstring,
+    read straight off the batch's checked arrays."""
+    theta, theta_c, m = batch.theta, batch.compression_theta, batch.p_mx
+    p0, q0 = batch.hot_populations[:, 0], batch.cold_populations[:, 0]
+    f_r, f_t = batch.battery_dephasing_per_reset, batch.battery_t2_per_cycle
     cos, sin, cos_c, sin_c = np.cos(theta), np.sin(theta), np.cos(theta_c), np.sin(theta_c)
-    A = np.zeros((len(configs), 3, 3))
+    A = np.zeros((len(batch), 3, 3))
     A[:, 0, 0] = A[:, 1, 1] = f_r * f_r * f_t * cos * cos_c
     A[:, 1, 2] = -2.0 * f_r * f_t * m * sin * cos_c
     A[:, 2, 1] = 2.0 * f_r * m * sin * cos * cos_c**2
     A[:, 2, 2] = cos**2 * cos_c**2
-    b = np.zeros((len(configs), 3))
+    b = np.zeros((len(batch), 3))
     b[:, 2] = (p0 - 0.5) * sin**2 * cos_c**2 + (q0 - 0.5) * sin_c**2
     return A, b
 
@@ -180,8 +186,10 @@ def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, 
     its states right after each cycle's first power stroke, and their nine
     correlators each, in correlator_sets order.
 
-    P_0 is polarization_vector(prepare_battery(battery_init)). One
-    battery_map call gives every map, and every config iterates
+    The block is one ConfigBatch.of(configs): battery_map, the hot states,
+    the reset factors and the angles all read its checked arrays. Only P_0
+    is taken per config, as polarization_vector(prepare_battery(battery_init)).
+    One battery_map call gives every map, and every config iterates
     P_n = A P_{n-1} + b up to the block's longest run; the mask `recorded`
     marks each config's own cycles 1 ... c, and only those are used. The
     Bloch-ball check of every recorded P_n runs before any state is built,
@@ -194,25 +202,26 @@ def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, 
     config alone gets, so each number equals that of stack_runs([config])
     bit for bit.
     """
-    A, b = battery_map(configs)
-    cycles = np.array([c.cycles for c in configs])
-    p = np.empty((len(configs), cycles.max() + 1, 3))  # P_0 ... P_c of every config, padded to the longest run
+    batch = ConfigBatch.of(configs)
+    A, b = battery_map(batch)
+    cycles = batch.cycles
+    p = np.empty((len(batch), cycles.max() + 1, 3))  # P_0 ... P_c of every config, padded to the longest run
     p[:, 0] = [polarization_vector(prepare_battery(c.battery_init)) for c in configs]
     for n in range(1, cycles.max() + 1):
         p[:, n] = (A @ p[:, n - 1, :, None])[..., 0] + b
     recorded = np.arange(cycles.max()) < cycles[:, None]  # cycle n + 1 of config j is one of its own
-    owner = np.repeat(np.arange(len(configs)), cycles)  # the config of each recorded cycle, in order
+    owner = np.repeat(np.arange(len(batch)), cycles)  # the config of each recorded cycle, in order
     norms = np.sqrt((p[:, 1:][recorded] ** 2).sum(axis=1))  # the test below counts a NaN as outside
     outside = np.flatnonzero(~(0.5 - norms >= PSD_CLAMP))
     if len(outside):  # the first config outside the Bloch ball, at its first cycle outside
         n, norm = np.argwhere(recorded)[outside[0], 1], norms[outside[0]]
         message = f"cycle {n + 1}: battery Bloch vector has |P_n| = {norm:.12g}, outside the Bloch ball"
         raise ValidationError(f"{message} (1/2 - |P_n| below the PSD tolerance {PSD_CLAMP:.0e})")
-    hot = prepare_hot_medium([c.p_mx for c in configs], [c.hot_populations for c in configs])
-    reset_f, theta = np.array([(c.noise.battery_dephasing_per_reset, c.theta) for c in configs]).T
+    hot = prepare_hot_medium(batch.p_mx, batch.hot_populations)[owner]
     x, y, z = p[:, :-1][recorded].T  # the batteries I/2 + P_n.sigma that start the recorded cycles
     battery = np.array([[0.5 + z, x - 1j * y], [x + 1j * y, 0.5 - z]]).transpose(2, 0, 1)
-    post_strokes = power_stroke(dephase_battery(kron(hot[owner], battery), reset_f[owner]), theta[owner])
+    dephased = dephase_battery(kron(hot, battery), batch.battery_dephasing_per_reset[owner])
+    post_strokes = power_stroke(dephased, batch.theta[owner])
     corr = correlator_sets(post_strokes)
     return [(p[j, :c + 1].tolist(), post_strokes[f:f + c], corr[f:f + c])
             for j, (c, f) in enumerate(zip(cycles.tolist(), (np.cumsum(cycles) - cycles).tolist()))]

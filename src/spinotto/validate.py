@@ -26,8 +26,10 @@ The residuals of each check, in report order:
 - map_vs_stage_loop: max |run_engines - loop_engines| over every record field
   of 20 noisy 3-cycle configs.
 
-The checks draw their random states one at a time, in a fixed order, and
-then run each stage once on the whole stack of draws.
+The checks draw their random configs and states as stacks, each field or
+stack with one generator call, in a fixed order, and then run each stage
+once on the whole stack of draws. Configs are drawn as a ConfigBatch, which
+every stacked map here reads directly.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ from .diagnostics import (
     von_neumann_entropy,
 )
 from .engine import (
+    ConfigBatch,
     CycleRecord,
     EngineConfig,
-    NoiseConfig,
     flip_flop_propagator,
     make_cycle_record,
     power_stroke,
@@ -85,38 +87,38 @@ class CheckResult:
 Row = tuple[str, float, float]
 
 
-def random_polarization(rng: np.random.Generator, radius: float = 0.5) -> Polarization:
-    """Uniform draw from the Bloch ball of the given radius."""
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    r = radius * rng.uniform() ** (1.0 / 3.0)
-    return Polarization(*(r * direction))
-
-
-def random_noisy_config(rng: np.random.Generator, cycles: int) -> EngineConfig:
-    """Random parameters anywhere in the engine's domain: any hot and cold
-    bath, a separate compression angle and both dephasing channels."""
-    p0, q0 = (float(x) for x in rng.uniform(size=2))
-    bound = math.sqrt(p0 * (1.0 - p0))
-    return EngineConfig(
-        theta=float(rng.uniform(0.0, math.pi)),
-        theta_compression=float(rng.uniform(0.0, math.pi)),
-        p_mx=float(rng.uniform(-bound, bound)),
-        hot_populations=(p0, 1.0 - p0),
-        cold_populations=(q0, 1.0 - q0),
-        battery_init=random_polarization(rng),
-        noise=NoiseConfig(*(float(x) for x in rng.uniform(size=2))),
-        cycles=cycles,
+def random_noisy_configs(rng: np.random.Generator, n: int, cycles: int) -> ConfigBatch:
+    """n random configs anywhere in the engine's domain: any hot and cold
+    bath, a separate compression angle, both dephasing channels and a
+    battery drawn uniformly from the Bloch ball, each field drawn with one
+    generator call."""
+    p0, q0 = rng.uniform(size=(2, n))
+    bound = np.sqrt(p0 * (1.0 - p0))
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    return ConfigBatch(
+        theta=rng.uniform(0.0, math.pi, size=n),
+        compression_theta=rng.uniform(0.0, math.pi, size=n),
+        p_mx=rng.uniform(-bound, bound),
+        hot_populations=np.column_stack([p0, 1.0 - p0]),
+        cold_populations=np.column_stack([q0, 1.0 - q0]),
+        battery_init=0.5 * rng.uniform(size=(n, 1)) ** (1.0 / 3.0) * direction,
+        battery_dephasing_per_reset=rng.uniform(size=n),
+        battery_t2_per_cycle=rng.uniform(size=n),
+        cycles=np.full(n, cycles),
     )
 
 
-def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
+def random_density(rng: np.random.Generator, dim: int, rank=None, n: int | None = None) -> np.ndarray:
     """Random density operator (Wishart construction); rank < dim gives
-    singular states, rank 1 a pure state."""
-    rank = dim if rank is None else rank
-    x = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = x @ x.conj().T
-    return rho / np.trace(rho).real
+    singular states, rank 1 a pure state. Given n, an (n, dim, dim) stack
+    drawn in one call, where rank is one rank for all or one per state."""
+    shape = (1 if n is None else n, dim, dim)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    x *= np.arange(dim) < np.reshape(dim if rank is None else rank, (-1, 1, 1))  # keep the first rank columns
+    rho = x @ x.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    return rho[0] if n is None else rho
 
 
 def state_validity(rho: np.ndarray) -> tuple[float, float]:
@@ -129,61 +131,49 @@ def state_validity(rho: np.ndarray) -> tuple[float, float]:
     return float(tr_err.max()), float(np.linalg.eigvalsh(hermitian_part)[..., 0].min())
 
 
-def _stage_cycle(configs, hot, cold, battery) -> tuple[np.ndarray, np.ndarray]:
-    """One cycle of the stages on the joint states hot (x) battery, one config
-    per entry of the leading axis: per-reset dephasing, power stroke, cold
-    reset, per-reset dephasing, compression stroke and per-cycle dephasing.
-    Returns the states right after the first power stroke and the battery
-    states at the end of the cycle."""
-    reset_f = [c.noise.battery_dephasing_per_reset for c in configs]
-    post_stroke = power_stroke(dephase_battery(kron(hot, battery), reset_f), [c.theta for c in configs])
+def _stage_cycle(batch: ConfigBatch, hot, cold, battery) -> tuple[np.ndarray, np.ndarray]:
+    """One cycle of the stages on the joint states hot (x) battery, one row of
+    the batch per entry of the leading axis: per-reset dephasing, power
+    stroke, cold reset, per-reset dephasing, compression stroke and per-cycle
+    dephasing. Returns the states right after the first power stroke and the
+    battery states at the end of the cycle."""
+    reset_f = batch.battery_dephasing_per_reset
+    post_stroke = power_stroke(dephase_battery(kron(hot, battery), reset_f), batch.theta)
     joint = dephase_battery(reset_medium(post_stroke, cold), reset_f)
-    joint = power_stroke(joint, [c.compression_theta for c in configs])
-    joint = dephase_battery(joint, [c.noise.battery_t2_per_cycle for c in configs])
+    joint = power_stroke(joint, batch.compression_theta)
+    joint = dephase_battery(joint, batch.battery_t2_per_cycle)
     return post_stroke, partial_trace(joint, "battery")
 
 
-def _media(configs) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, 2, 2) stacks of hot and cold media of the configs."""
-    hot = prepare_hot_medium([c.p_mx for c in configs], [c.hot_populations for c in configs])
-    return hot, prepare_cold_medium([c.cold_populations for c in configs])
+def _media(batch: ConfigBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 2, 2) stacks of hot and cold media of the batch's rows."""
+    return prepare_hot_medium(batch.p_mx, batch.hot_populations), prepare_cold_medium(batch.cold_populations)
 
 
 # The probe batteries I/2 and I/2 + sigma_j/2: Bloch vectors 0 and e_j/2.
 _PROBES = np.array([pauli("identity") / 2] + [(pauli("identity") + pauli(j)) / 2 for j in "xyz"])
 
 
-def _affine_from_probes(images: np.ndarray) -> np.ndarray:
-    """Coefficients c with image(P) = c[0] + P @ c[1:], from the images of the
-    probes P = 0 and P = e_j/2 (each image flattened to one row), for every
-    config of a (k, 4, n) stack of images."""
-    coefficients = 2.0 * (images - images[:, :1])
-    coefficients[:, 0] = images[:, 0]
-    return coefficients
-
-
-def stage_map(configs: Sequence[EngineConfig]) -> tuple[np.ndarray, np.ndarray]:
+def stage_map(batch: ConfigBatch) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for multicycle.battery_map: A (k, 3, 3) and b (k, 3) read off
-    the four probe batteries P = 0 and P = e_j/2 of every config, pushed
-    through every stage of one cycle, MAP_BLOCK configs (4 MAP_BLOCK states)
-    at a time."""
-    images = []
-    for start in range(0, len(configs), MAP_BLOCK):
-        block = configs[start:start + MAP_BLOCK]
-        hot, cold = _media(block)
-        _, battery = _stage_cycle(block, hot[:, None], cold[:, None], _PROBES)
-        images.append(bloch_vectors(battery.reshape(-1, 2, 2)).reshape(len(block), 4, 3))
-    coefficients = _affine_from_probes(np.concatenate(images))
-    return coefficients[:, 1:].swapaxes(1, 2), coefficients[:, 0]
+    the four probe batteries P = 0 and P = e_j/2 of every row of the batch,
+    pushed through every stage of one cycle as one stack of 4 k states; each
+    stage takes its angles and factors straight from the batch's arrays.
+    max_oracle_gap hands it one MAP_BLOCK of draws at a time."""
+    hot, cold = _media(batch)
+    _, battery = _stage_cycle(batch, hot[:, None], cold[:, None], _PROBES)
+    images = bloch_vectors(battery.reshape(-1, 2, 2)).reshape(len(batch), 4, 3)
+    # image(P) = image(0) + A P, so column j of A is 2 (image(e_j/2) - image(0))
+    return 2.0 * (images[:, 1:] - images[:, :1]).swapaxes(1, 2), images[:, 0]
 
 
 # sigma_mu for mu = 0..3: the identity, then x, y and z.
 _PAULI_BASIS = np.array([pauli(axis) for axis in ("identity", "x", "y", "z")])
 
 
-def choi_negativity(configs: Sequence[EngineConfig]) -> float:
+def choi_negativity(batch: ConfigBatch) -> float:
     """Largest max(0, -lambda_min) over the Choi matrices of the battery
-    channels of one cycle of every config.
+    channels of one cycle of every row of the batch.
 
     The cycle maps the battery Bloch vector P -> A P + b, so its channel Phi
     takes I to I + 2 b.sigma and sigma_j to sum_k A_kj sigma_k. Phi is
@@ -192,8 +182,8 @@ def choi_negativity(configs: Sequence[EngineConfig]) -> float:
     (Ruskai, Szarek and Werner, Lin. Alg. Appl. 347, 159 (2002)). A and b come
     from battery_map; one eigvalsh takes every J.
     """
-    A, b = battery_map(configs)
-    images = np.empty((len(configs), 4, 2, 2), dtype=complex)  # Phi(sigma_mu)
+    A, b = battery_map(batch)
+    images = np.empty((len(batch), 4, 2, 2), dtype=complex)  # Phi(sigma_mu)
     images[:, 0] = _PAULI_BASIS[0] + 2 * np.einsum("kj,jab->kab", b, _PAULI_BASIS[1:])
     images[:, 1:] = np.einsum("kij,iab->kjab", A, _PAULI_BASIS[1:])
     choi = 0.5 * kron(_PAULI_BASIS.conj(), images).sum(axis=1)
@@ -202,13 +192,13 @@ def choi_negativity(configs: Sequence[EngineConfig]) -> float:
 
 def max_oracle_gap(draws: int, seed: int = DEFAULT_SEED) -> float:
     """Largest |battery_map - stage_map| over every entry of A and b of
-    random_noisy_config draws, drawn MAP_BLOCK at a time so that only one
-    block of configs is held."""
+    random_noisy_configs draws, one batch of MAP_BLOCK configs at a time so
+    that only one block is held."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for start in range(0, draws, MAP_BLOCK):
-        configs = [random_noisy_config(rng, cycles=1) for _ in range(min(MAP_BLOCK, draws - start))]
-        gaps = [np.abs(x - y).max() for x, y in zip(battery_map(configs), stage_map(configs))]
+        batch = random_noisy_configs(rng, min(MAP_BLOCK, draws - start), cycles=1)
+        gaps = [np.abs(x - y).max() for x, y in zip(battery_map(batch), stage_map(batch))]
         worst = max(worst, *map(float, gaps))
     return worst
 
@@ -219,25 +209,26 @@ def loop_engines(configs: Sequence[EngineConfig]) -> list[EngineTrace]:
 
     The joint states of all configs that share a cycle count go through every
     stage of every cycle as one (k, 4, 4) stack, with one angle and one
-    dephasing factor per config. Returns one trace per config, in order.
+    dephasing factor per config from their ConfigBatch. Returns one trace per
+    config, in order.
     """
     traces: list[EngineTrace | None] = [None] * len(configs)
     for cycles in sorted({c.cycles for c in configs}):
         index = [i for i, c in enumerate(configs) if c.cycles == cycles]
-        group = [configs[i] for i in index]
-        battery = np.array([prepare_battery(c.battery_init) for c in group])
-        hot, cold = _media(group)
-        records: list[list[CycleRecord]] = [[] for _ in group]
-        energy, cumulative = [polarization_vector(b).pz for b in battery], [0.0] * len(group)
+        batch = ConfigBatch.of([configs[i] for i in index])
+        battery = np.array([prepare_battery(configs[i].battery_init) for i in index])
+        hot, cold = _media(batch)
+        records: list[list[CycleRecord]] = [[] for _ in index]
+        energy, cumulative = [polarization_vector(b).pz for b in battery], [0.0] * len(index)
         for n in range(1, cycles + 1):
-            post_stroke, battery = _stage_cycle(group, hot, cold, battery)
+            post_stroke, battery = _stage_cycle(batch, hot, cold, battery)
             for j, corr in enumerate(correlator_sets(post_stroke)):
                 p = polarization_vector(battery[j])
                 record = make_cycle_record(n, energy[j], cumulative[j], p, post_stroke[j], corr)
                 records[j].append(record)
                 energy[j], cumulative[j] = p.pz, record.cumulative_work
         for j, i in enumerate(index):
-            traces[i] = EngineTrace(config=group[j], records=tuple(records[j]))
+            traces[i] = EngineTrace(config=configs[i], records=tuple(records[j]))
     return traces
 
 
@@ -273,7 +264,7 @@ def fuzz_stage_validity(applications: int, seed: int = DEFAULT_SEED) -> tuple[fl
     tr_err, min_eig = 0.0, math.inf
 
     def fresh_qubits(n: int) -> np.ndarray:
-        return np.array([random_density(rng, 2, rank=int(rng.integers(1, 3))) for _ in range(n)])
+        return random_density(rng, 2, rank=rng.integers(1, 3, size=n), n=n)
 
     stages = (
         lambda states, p: power_stroke(states, math.pi * p),
@@ -282,8 +273,9 @@ def fuzz_stage_validity(applications: int, seed: int = DEFAULT_SEED) -> tuple[fl
     )
     joint = kron(fresh_qubits(FUZZ_CHAINS), fresh_qubits(FUZZ_CHAINS))
     for done in range(0, applications, FUZZ_CHAINS):
-        for i in np.flatnonzero(rng.uniform(size=FUZZ_CHAINS) < 0.02):
-            joint[i] = random_density(rng, 4, rank=int(rng.integers(1, 5)))
+        restart = np.flatnonzero(rng.uniform(size=FUZZ_CHAINS) < 0.02)
+        if restart.size:
+            joint[restart] = random_density(rng, 4, rank=rng.integers(1, 5, size=restart.size), n=restart.size)
         kind = rng.integers(0, len(stages), size=FUZZ_CHAINS)
         param = rng.uniform(size=FUZZ_CHAINS)
         for k, stage in enumerate(stages):
@@ -308,19 +300,18 @@ def _oracle_equivalence(rng: np.random.Generator, seed: int) -> list[Row]:
 
 
 def _classical_battery_first_cycle(rng: np.random.Generator, seed: int) -> list[Row]:
-    drawn = [random_noisy_config(rng, cycles=1) for _ in range(200)]
-    coherent = [replace(c, battery_init=c.battery_init._replace(py=0.0)) for c in drawn]
-    configs = coherent + [c.with_p_mx(0.0) for c in coherent]
-    A, b = stage_map(configs)
-    p0 = np.array([c.battery_init for c in configs])
-    work = np.einsum("kj,kj->k", A[:, 2], p0) + b[:, 2] - p0[:, 2]
-    w_coh, w_inc = work.reshape(2, -1)
+    drawn = random_noisy_configs(rng, 200, cycles=1)
+    coherent = replace(drawn, battery_init=drawn.battery_init * (1.0, 0.0, 1.0))  # p_by = 0
+    p0 = coherent.battery_init
+    w_coh, w_inc = (
+        np.einsum("kj,kj->k", A[:, 2], p0) + b[:, 2] - p0[:, 2]
+        for A, b in (stage_map(coherent), stage_map(replace(coherent, p_mx=np.zeros(200))))
+    )
     return [("max coherent-incoherent first-cycle work gap with p_by 0", np.max(np.abs(w_coh - w_inc)), 1e-12)]
 
 
 def _stroke_unitarity_and_sectors(rng: np.random.Generator, seed: int) -> list[Row]:
-    draws = [(float(rng.uniform(0.0, 2.0 * math.pi)), random_density(rng, 4)) for _ in range(200)]
-    theta, joints = (np.array(x) for x in zip(*draws))
+    theta, joints = rng.uniform(0.0, 2.0 * math.pi, size=200), random_density(rng, 4, n=200)
     u = flip_flop_propagator(theta)
     u_dagger = u.conj().swapaxes(1, 2)
     out = power_stroke(joints, theta)
@@ -332,8 +323,7 @@ def _stroke_unitarity_and_sectors(rng: np.random.Generator, seed: int) -> list[R
 
 
 def _reset_preserves_battery(rng: np.random.Generator, seed: int) -> list[Row]:
-    draws = [(random_density(rng, 4), random_density(rng, 2)) for _ in range(200)]
-    joints, fresh = (np.array(x) for x in zip(*draws))
+    joints, fresh = random_density(rng, 4, n=200), random_density(rng, 2, n=200)
     before = partial_trace(joints, "battery")
     change = np.max(np.abs(partial_trace(reset_medium(joints, fresh), "battery") - before))
     return [("max battery-marginal change across resets", change, 1e-12)]
@@ -348,14 +338,14 @@ def _stage_validity_fuzz(rng: np.random.Generator, seed: int) -> list[Row]:
 
 
 def _partial_trace_identities(rng: np.random.Generator, seed: int) -> list[Row]:
-    a, b = (np.array(x) for x in zip(*[(random_density(rng, 2), random_density(rng, 2)) for _ in range(50)]))
+    a, b = random_density(rng, 2, n=50), random_density(rng, 2, n=50)
     ab = kron(a, b)
     errors = (partial_trace(ab, "medium") - a, partial_trace(ab, "battery") - b)
     return [("max kron/partial-trace round-trip error", max(np.max(np.abs(e)) for e in errors), 1e-12)]
 
 
 def _cycle_is_completely_positive(rng: np.random.Generator, seed: int) -> list[Row]:
-    negativity = choi_negativity([random_noisy_config(rng, cycles=1) for _ in range(200)])
+    negativity = choi_negativity(random_noisy_configs(rng, 200, cycles=1))
     return [("max Choi-matrix negativity max(0, -lambda_min) of 200 noisy cycle maps", negativity, 1e-12)]
 
 
@@ -377,7 +367,7 @@ def _diagnostics_unit_truths(rng: np.random.Generator, seed: int) -> list[Row]:
 
 
 def _map_vs_stage_loop(rng: np.random.Generator, seed: int) -> list[Row]:
-    traces = run_engines([random_noisy_config(rng, cycles=3) for _ in range(20)])
+    traces = run_engines(random_noisy_configs(rng, 20, cycles=3).configs())
     label = "max |run_engine - per-cycle stage loop| over the records of 20 noisy configs x 3 cycles"
     return [(label, max(stage_loop_gaps(traces).values()), 1e-12)]
 

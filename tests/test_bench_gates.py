@@ -78,7 +78,7 @@ def test_the_absent_per_layer_metrics_are_known(bench):
     }
 
 
-@pytest.mark.parametrize("workload", ["trajectory", "grid"])
+@pytest.mark.parametrize("workload", ["trajectory", "grid", "selfcheck"])
 def test_traced_worker_passes_the_call_count_gates(bench, workload, tmp_path):
     # one traced repetition of bench/worker.py, as `bench/run.py --trace 1`
     # starts it, with its scenarios, job file and outputs under tmp_path
@@ -102,11 +102,15 @@ def test_traced_worker_passes_the_call_count_gates(bench, workload, tmp_path):
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     result = json.loads(out.stdout.strip().splitlines()[-1])
-    assert [(op["error"], op["value"]) for op in result["ops"]] == [(None, 0)] * len(w.scenarios)
     run.check_trace(w, result["trace"])  # raises BenchError on a count mismatch
+    if workload == "selfcheck":  # one run_all_checks op, whose value is the check rows
+        assert [op["error"] for op in result["ops"]] == [None]
+        errors = run.reference.check_selfcheck(result["ops"][0]["value"])
+    else:
+        assert [(op["error"], op["value"]) for op in result["ops"]] == [(None, 0)] * len(w.scenarios)
     if workload == "grid":
         errors = run.reference.check_grid(w, outdirs[0], result["ops"][0]["stdout"])
-    else:
+    elif workload == "trajectory":
         errors = run.reference.check_trajectory(w, outdirs)
     assert errors and errors == [None] * len(errors)
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from spinotto.diagnostics import Polarization, mean_energy, polarization_vector
 from spinotto.engine import (
+    ConfigBatch,
     ConfigError,
     EngineConfig,
     NoiseConfig,
@@ -18,7 +20,7 @@ from spinotto.engine import (
 )
 from spinotto.linalg import ValidationError, kron, partial_trace, pauli
 from spinotto.multicycle import battery_map, run_engine
-from spinotto.validate import random_density, random_polarization
+from spinotto.validate import random_density, random_noisy_configs
 
 IDEAL = dict(hot_populations=(0.5, 0.5), cold_populations=(0.0, 1.0))
 
@@ -29,7 +31,7 @@ def ideal_config(rng):
     return EngineConfig(
         theta=float(rng.uniform(0.0, math.pi)),
         p_mx=float(rng.uniform(-0.5, 0.5)),
-        battery_init=random_polarization(rng),
+        battery_init=Polarization(*random_noisy_configs(rng, 1, cycles=1).battery_init[0]),
         **IDEAL,
     )
 
@@ -45,9 +47,17 @@ def ideal_first_cycle_work(cfg):
 
 def z_row_work(cfg):
     """W_1 = (A P_0 + b)_z - P_0,z off the z row of the battery map."""
-    (A,), (b,) = battery_map([cfg])
+    (A,), (b,) = battery_map(ConfigBatch.of([cfg]))
     p = np.array(cfg.battery_init)
     return A[2] @ p + b[2] - p[2]
+
+
+def batch_with_row_1(field, value):
+    """A ConfigBatch of three default configs, with value in row 1 of field."""
+    columns = {f.name: np.array(getattr(ConfigBatch.of([EngineConfig()] * 3), f.name), dtype=float)
+               for f in fields(ConfigBatch)}
+    columns[field][1] = value
+    return ConfigBatch(**columns)
 
 
 def ket(index):
@@ -192,6 +202,18 @@ class TestPowerStroke:
         with pytest.raises(ValidationError, match=f"theta.*{bad}"):
             flip_flop_propagator(np.array(angles))
 
+    def test_first_bad_angle_of_a_stack_is_named_with_its_index(self):
+        with pytest.raises(ValidationError, match=r"^theta\[1\] .*got -inf$"):
+            power_stroke(np.array([np.eye(4) / 4] * 4), [0.1, -math.inf, math.nan, 0.2])
+        with pytest.raises(ValidationError, match=r"^theta\[3\] .*got nan$"):
+            flip_flop_propagator(np.array([[0.1, 0.2], [0.3, math.nan]]))
+
+    def test_repeated_and_signed_zero_angles_equal_single_calls_bit_for_bit(self):
+        # cos and sin are taken once per distinct angle; -0.0 is distinct
+        angles = np.array([0.3, -0.0, 0.3, 0.0, 2.0, -0.0])
+        units = flip_flop_propagator(angles)
+        assert units.tobytes() == np.array([flip_flop_propagator(float(t)) for t in angles]).tobytes()
+
     def test_angles_must_match_the_stack(self):
         with pytest.raises(ValidationError, match="theta of shape"):
             power_stroke(np.array([np.eye(4) / 4] * 4), [0.1, 0.2, 0.3])
@@ -235,7 +257,7 @@ class TestFirstCycleWork:
         # at p_mx = 0 the z row has no y entry, so p_by does no work
         for theta in (0.2, 0.9, 1.4):
             cfg = EngineConfig(theta=theta, p_mx=0.0, battery_init=Polarization(0, 0.4, 0.1), **IDEAL)
-            (A,), _ = battery_map([cfg])
+            (A,), _ = battery_map(ConfigBatch.of([cfg]))
             assert A[2, 1] == 0.0
             assert z_row_work(cfg) == z_row_work(cfg.with_p_mx(0.0))
 
@@ -248,7 +270,7 @@ class TestFirstCycleWork:
         # theta = pi/2 drains a z-unpolarized battery into the ground-state
         # cold bath: half a quantum out, none of it coherence-driven
         cfg = EngineConfig(theta=math.pi / 2, p_mx=0.5, battery_init=Polarization(0, 0.5, 0), **IDEAL)
-        (A,), _ = battery_map([cfg])
+        (A,), _ = battery_map(ConfigBatch.of([cfg]))
         assert A[2, 1] == pytest.approx(0.0, abs=1e-15)
         assert z_row_work(cfg) == pytest.approx(-0.5, abs=1e-12)
 
@@ -324,6 +346,49 @@ class TestSingleCycle:
         assert abs(record.p_by) > 0.1
 
 
+class TestConfigBatch:
+    def test_of_and_configs_round_trip(self):
+        configs = [
+            EngineConfig(theta=0.3, theta_compression=0.7, p_mx=-0.2, hot_populations=(0.9, 0.1),
+                         cold_populations=(0.2, 0.8), battery_init=(0.1, -0.2, 0.3), noise=NoiseConfig(0.5, 0.25),
+                         cycles=7),
+            EngineConfig(theta=1.1, theta_compression=1.1),
+        ]
+        batch = ConfigBatch.of(configs)
+        assert len(batch) == 2 and batch.cycles.dtype.kind == "i"
+        assert batch.configs() == configs
+        assert ConfigBatch.of([EngineConfig(theta=0.4)]).compression_theta.tolist() == [0.4]
+
+    def test_draws_are_checked_configs(self):
+        batch = random_noisy_configs(np.random.default_rng(3), 64, cycles=2)
+        assert ConfigBatch.of(batch.configs()).configs() == batch.configs()
+        for a, b in zip(battery_map(batch), battery_map(ConfigBatch.of(batch.configs()))):
+            assert np.array_equal(a, b)
+
+    def test_arrays_are_read_only(self):
+        batch = ConfigBatch.of([EngineConfig()])
+        with pytest.raises(ValueError):
+            batch.theta[0] = 2.0
+        with pytest.raises(ValueError):
+            batch.hot_populations[0, 0] = 0.9
+
+    def test_shapes_must_match_the_rows(self):
+        columns = {f.name: getattr(ConfigBatch.of([EngineConfig()] * 2), f.name) for f in fields(ConfigBatch)}
+        with pytest.raises(ConfigError, match=r"battery_init must be an array of numbers of shape \(2, 3\)"):
+            ConfigBatch(**dict(columns, battery_init=np.zeros((2, 2))))
+        with pytest.raises(ConfigError, match="p_mx"):
+            ConfigBatch(**dict(columns, p_mx=[0.1]))
+
+    def test_first_bad_row_is_named(self):
+        columns = {f.name: np.array(getattr(ConfigBatch.of([EngineConfig()] * 4), f.name)) for f in fields(ConfigBatch)}
+        columns["battery_t2_per_cycle"][[2, 3]] = (1.5, math.nan)
+        with pytest.raises(ConfigError, match=re.escape("battery_t2_per_cycle[3] must be finite, got nan")):
+            ConfigBatch(**columns)
+        columns["battery_t2_per_cycle"][3] = -1.0
+        with pytest.raises(ConfigError, match=re.escape("battery_t2_per_cycle[2] must lie in [0, 1], got 1.5")):
+            ConfigBatch(**columns)
+
+
 class TestEngineConfig:
     def test_defaults_are_valid(self):
         cfg = EngineConfig()
@@ -366,6 +431,25 @@ class TestEngineConfig:
             ("battery_dephasing_per_reset", dict(battery_dephasing_per_reset=True)),
             ("battery_t2_per_cycle", dict(battery_t2_per_cycle=math.nan)),
             ("battery_t2_per_cycle", dict(battery_t2_per_cycle=None)),
+            # every other kind of bad number: NaN, inf, out of range, a count
+            # that is not a positive integer, |p_mx| above sqrt(p0 p1) of the
+            # default hot bath, |P| > 1/2, noise outside [0, 1]
+            ("theta", dict(theta=math.nan)),
+            ("theta_compression", dict(theta_compression=-math.inf)),
+            ("p_mx", dict(p_mx=-0.6)),
+            ("p_mx", dict(p_mx=math.inf)),
+            ("hot_populations", dict(hot_populations=(0.7, 0.7))),
+            ("hot_populations", dict(hot_populations=(1.5, -0.5))),
+            ("hot_populations", dict(hot_populations=(math.inf, 0.5))),
+            ("cold_populations", dict(cold_populations=(-0.1, 1.1))),
+            ("cold_populations", dict(cold_populations=(math.nan, 1.0))),
+            ("battery_init", dict(battery_init=(0.0, 0.0, math.inf))),
+            ("cycles", dict(cycles=0)),
+            ("cycles", dict(cycles=-3)),
+            ("battery_dephasing_per_reset", dict(battery_dephasing_per_reset=1.5)),
+            ("battery_dephasing_per_reset", dict(battery_dephasing_per_reset=-0.25)),
+            ("battery_dephasing_per_reset", dict(battery_dephasing_per_reset=math.inf)),
+            ("battery_t2_per_cycle", dict(battery_t2_per_cycle=1.0 + 1e-9)),
         ],
     )
     def test_bad_numbers_rejected_naming_the_field(self, field, kwargs):
@@ -375,11 +459,20 @@ class TestEngineConfig:
         # the public preparations apply the same checks to the same values
         prepare = {
             "p_mx": lambda v: prepare_hot_medium(v, (0.485, 0.515)),
+            "hot_populations": lambda v: prepare_hot_medium(0.0, v),
+            "cold_populations": prepare_cold_medium,
             "battery_init": prepare_battery,
         }
         if field in prepare:
             with pytest.raises(ConfigError, match=field):
                 prepare[field](kwargs[field])
+        # a batch, the other rule set, rejects every bad number, naming the
+        # field and the row it sits in
+        value = kwargs[field]
+        if all(type(v) in (int, float) for v in (value if isinstance(value, tuple) else (value,))):
+            batch_field = "compression_theta" if field == "theta_compression" else field
+            with pytest.raises(ConfigError, match=re.escape(f"{batch_field}[1] ")):
+                batch_with_row_1(batch_field, value)
 
     def test_numbers_are_stored_as_float(self):
         cfg = EngineConfig(theta=1, theta_compression=np.float64(0.5), p_mx=np.int64(0),
@@ -389,7 +482,7 @@ class TestEngineConfig:
         assert values == (1.0, 0.5, 0.0, 1.0, 0.5)
         assert all(type(v) is float for v in values)
         same = EngineConfig(theta=1.0, theta_compression=0.5, p_mx=0.0, noise=NoiseConfig(1.0, 0.5))
-        for x, y in zip(battery_map([cfg]), battery_map([same])):
+        for x, y in zip(battery_map(ConfigBatch.of([cfg])), battery_map(ConfigBatch.of([same]))):
             assert np.array_equal(x, y)
 
     def test_compression_angle_defaults_to_theta(self):
