@@ -178,15 +178,10 @@ def _run_search(s: ScenarioFile, args) -> tuple[list[str], dict]:
     traces = run_engines(configs + [c.with_p_mx(0.0) for c in configs])
     comparisons = [compare_coherent_incoherent(c, i) for c, i in zip(traces[:n], traces[n:])]
 
-    best = None  # (ratio, cycle, point index); strict > keeps the lex-smallest point
-    rows = []
-    for i, (point, comparison) in enumerate(zip(points, comparisons)):
-        peak = peak_advantage(comparison)
-        if peak is not None and (best is None or peak[0] > best[0]):
-            best = (peak[0], peak[1], i)
-        rows.append(
-            point + ((peak[0], peak[1], True) if peak is not None else (None, 0, False))
-        )
+    peaks = [peak_advantage(comparison) for comparison in comparisons]
+    rows = [point + ((*peak, True) if peak else (None, 0, False)) for point, peak in zip(points, peaks)]
+    # the point of the largest ratio; max keeps the first of equal ratios, the lex-smallest point
+    best = max((i for i, peak in enumerate(peaks) if peak is not None), key=lambda i: peaks[i][0], default=None)
 
     outputs = []
     if "csv" in s.output.formats:
@@ -199,9 +194,9 @@ def _run_search(s: ScenarioFile, args) -> tuple[list[str], dict]:
         results = {"grid_points": len(points), "best": None}
         print("no grid point had a defined advantage ratio")
     else:
-        ratio, cycle, idx = best
-        t, p, rd, t2 = points[idx]
-        best_point = dict(zip(SEARCH_AXES, points[idx])) | {"peak_ratio": ratio, "peak_cycle": cycle}
+        ratio, cycle = peaks[best]
+        t, p, rd, t2 = points[best]
+        best_point = dict(zip(SEARCH_AXES, points[best])) | {"peak_ratio": ratio, "peak_cycle": cycle}
         results = {"grid_points": len(points), "best": best_point}
         print(
             f"best grid point theta={t:.6g} p_mx={p:.6g} reset={rd:.6g} t2={t2:.6g}: "

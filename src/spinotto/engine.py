@@ -60,88 +60,112 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name in ("battery_dephasing_per_reset", "battery_t2_per_cycle"):
-            value = _check_finite(name, getattr(self, name))
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
+            _check_factor(name, getattr(self, name))
 
 
-def _check_finite(name: str, value) -> float:
-    """float(value), or a ConfigError naming the field if value is not a finite
-    real number. Strings and bools are rejected, not converted. float and int
-    are tested before numbers.Real, whose abstract-class check is about ten
-    times slower."""
-    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)) or not math.isfinite(value):
+# The shape of one row of each ConfigBatch field that is not a scalar.
+_ROW_SHAPES = {"hot_populations": (2,), "cold_populations": (2,), "battery_init": (3,)}
+
+
+# Conversions: each takes a field's name and a value, and returns the value as
+# the field stores it, or raises a ConfigError naming the field. Strings and
+# bools are rejected, not converted.
+def _number(name: str, value) -> float:
+    """float(value) for a real number. float and int are tested before
+    numbers.Real, whose abstract-class check is about ten times slower."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _check_populations(name: str, pops) -> tuple[float, float]:
+def _count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _numbers(name: str, values, n: int) -> tuple[float, ...]:
     try:
-        a, b = pops
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a pair of numbers, got {pops!r}") from None
-    a, b = _check_finite(name, a), _check_finite(name, b)
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ConfigError(f"{name} entries must lie in [0, 1], got ({a}, {b})")
-    if abs(a + b - 1.0) > 1e-10:
-        raise ConfigError(f"{name} must sum to 1, got {a} + {b} = {a + b}")
-    return (a, b)
+        if len(values) == n:
+            return tuple(_number(name, x) for x in values)
+    except TypeError:  # no len(): not a sequence
+        pass
+    raise ConfigError(f"{name} must be {n} numbers, got {values!r}")
 
 
-def _check_p_mx(p_mx, populations: tuple[float, float]) -> float:
-    """p_mx as a float, or a ConfigError naming it if it breaks positivity."""
-    p_mx = _check_finite("p_mx", p_mx)
-    p0, p1 = populations
-    bound = math.sqrt(p0 * p1)
-    if abs(p_mx) > bound + 1e-12:
-        raise ConfigError(
-            f"p_mx: |p_mx| = {abs(p_mx)} exceeds the positivity bound "
-            f"sqrt(p0*p1) = {bound:.12g} for hot populations ({p0}, {p1})"
-        )
-    return p_mx
-
-
-def _check_battery(p) -> Polarization:
-    """p as a Polarization, or a ConfigError naming battery_init if |P| > 1/2."""
-    p = Polarization(*(_check_finite("battery_init", x) for x in p))
-    if p.norm() > 0.5 + 1e-12:
-        raise ConfigError(f"battery_init: polarization magnitude {p.norm():.12g} exceeds 1/2")
-    return p
-
-
-def _reject(name: str, bad: np.ndarray, values: np.ndarray, rule: str) -> None:
-    """Raise a ConfigError naming the field, the first row where bad holds
-    and that row of values, if bad holds anywhere."""
-    if bad.any():
-        row = int(bad.argmax())
-        raise ConfigError(f"{name}[{row}] {rule}, got {values[row].tolist()}")
-
-
-def _numbers(name: str, value, shape: tuple[int, ...], counts: bool = False) -> np.ndarray:
-    """value as a read-only float array of the given shape whose entries are
-    all finite, or a ConfigError naming the field; with counts, an int array
-    of whole numbers >= 1. Strings and bools are rejected, not converted."""
-    a = np.asarray(value)
-    if a.dtype.kind not in "fiu" or a.shape != shape:
-        raise ConfigError(f"{name} must be an array of numbers of shape {shape}, got {a.dtype} of shape {a.shape}")
-    a = a.astype(float)
-    _reject(name, ~np.isfinite(a).all(axis=tuple(range(1, a.ndim))), a, "must be finite")  # NaN included
-    if counts:
-        _reject(name, (a < 1.0) | (a % 1.0 != 0.0), a, "must be a positive integer")
-        a = a.astype(int)
+def _column(name: str, value, rows: int) -> np.ndarray:
+    """value as the read-only array that ConfigBatch holds under name, with
+    the given number of rows: ints for cycles, floats for the rest. The
+    entries of a list or tuple go through _count or _number one by one; an
+    array must hold integers or numbers."""
+    shape, count = (rows,) + _ROW_SHAPES.get(name, ()), name == "cycles"
+    a = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
+    if a.shape != shape:
+        raise ConfigError(f"{name} must be an array of numbers of shape {shape}, got {a.shape}")
+    if a.dtype == object:
+        for i, row in enumerate(a.reshape(len(a), -1).tolist()):
+            for x in row:
+                (_count if count else _number)(f"{name}[{i}]", x)
+    elif a.dtype.kind not in ("iu" if count else "fiu"):
+        raise ConfigError(f"{name} must be an array of {'integers' if count else 'numbers'}, got {a.dtype}")
+    a = a.astype(int if count else float)
     a.flags.writeable = False
     return a
 
 
-def _check_population_rows(name: str, pops: np.ndarray) -> None:
-    _reject(name, ((pops < 0.0) | (pops > 1.0)).any(axis=1), pops, "entries must lie in [0, 1]")
-    _reject(name, abs(pops.sum(axis=1) - 1.0) > 1e-10, pops, "must sum to 1")
+# The rules. Each takes one config's numbers (floats, a pair, a Polarization)
+# or a batch's columns (arrays with one row per config), so a config and a
+# batch obey the same rules, evaluated once over the whole batch. A NaN breaks
+# every rule.
+def _require(name: str, ok, values, rule: str) -> None:
+    """Raise a ConfigError naming the field and its value where ok is False;
+    for arrays, the first row where it is False, and that row's value."""
+    if not isinstance(ok, np.ndarray):
+        if not ok:
+            raise ConfigError(f"{name} {rule}, got {values!r}")
+    elif not ok.all():
+        row = int(ok.argmin())
+        raise ConfigError(f"{name}[{row}] {rule}, got {values[row].tolist()}")
 
 
-def _check_p_mx_rows(p_mx: np.ndarray, pops: np.ndarray) -> None:
-    bound = np.sqrt(pops[:, 0] * pops[:, 1]) + 1e-12
-    _reject("p_mx", abs(p_mx) > bound, p_mx, "exceeds the positivity bound sqrt(p0*p1) of its hot populations")
+def _parts(v):
+    """The components of a pair or vector, or the columns of a batch's (k, n) array."""
+    return v.T if isinstance(v, np.ndarray) else v
+
+
+def _check_factor(name: str, f) -> None:
+    _require(name, (0.0 <= f) & (f <= 1.0), f, "must lie in [0, 1]")
+
+
+def _check_populations(name: str, pops) -> None:
+    a, b = _parts(pops)
+    ok = (0.0 <= a) & (a <= 1.0) & (0.0 <= b) & (b <= 1.0) & (abs(a + b - 1.0) <= 1e-10)
+    _require(name, ok, pops, "must be two numbers in [0, 1] that sum to 1")
+
+
+def _check_hot(p_mx, pops) -> None:
+    """The hot populations, and p_mx within the bound sqrt(p0*p1) that keeps
+    the hot state positive."""
+    _check_populations("hot_populations", pops)
+    a, b = _parts(pops)
+    _require("p_mx", abs(p_mx) <= (a * b) ** 0.5 + 1e-12, p_mx, "exceeds the positivity bound sqrt(p0*p1)")
+
+
+def _check_battery(p) -> None:
+    x, y, z = _parts(p)
+    _require("battery_init", (x * x + y * y + z * z) ** 0.5 <= 0.5 + 1e-12, p, "has |P| above 1/2")
+
+
+def _check_config(c, compression: str = "compression_theta") -> None:
+    """Every rule of an EngineConfig or a ConfigBatch c but those of its
+    noise; compression names the second stroke's angle."""
+    _require("theta", abs(c.theta) < math.inf, c.theta, "must be a finite number")
+    _require(compression, abs(c.compression_theta) < math.inf, c.compression_theta, "must be a finite number")
+    _check_hot(c.p_mx, c.hot_populations)
+    _check_populations("cold_populations", c.cold_populations)
+    _check_battery(c.battery_init)
+    _require("cycles", c.cycles >= 1, c.cycles, "must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -164,18 +188,15 @@ class EngineConfig:
     cycles: int = 1
 
     def __post_init__(self):
-        for name in ("theta", "theta_compression"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _check_finite(name, value))
-        cycles = self.cycles
-        if isinstance(cycles, bool) or not isinstance(cycles, numbers.Integral) or cycles < 1:
-            raise ConfigError(f"cycles must be a positive integer, got {cycles!r}")
-        object.__setattr__(self, "cycles", int(cycles))
-        object.__setattr__(self, "hot_populations", _check_populations("hot_populations", self.hot_populations))
-        object.__setattr__(self, "cold_populations", _check_populations("cold_populations", self.cold_populations))
-        object.__setattr__(self, "battery_init", _check_battery(self.battery_init))
-        object.__setattr__(self, "p_mx", _check_p_mx(self.p_mx, self.hot_populations))
+        for name in ("theta", "p_mx"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
+        if self.theta_compression is not None:
+            object.__setattr__(self, "theta_compression", _number("theta_compression", self.theta_compression))
+        for name in ("hot_populations", "cold_populations"):
+            object.__setattr__(self, name, _numbers(name, getattr(self, name), 2))
+        object.__setattr__(self, "battery_init", Polarization(*_numbers("battery_init", self.battery_init, 3)))
+        object.__setattr__(self, "cycles", _count("cycles", self.cycles))
+        _check_config(self, "theta_compression")
 
     @property
     def compression_theta(self) -> float:
@@ -186,10 +207,6 @@ class EngineConfig:
         return replace(self, p_mx=p_mx)
 
 
-# The shape of one row of each ConfigBatch field that is not a scalar.
-_ROW_SHAPES = {"hot_populations": (2,), "cold_populations": (2,), "battery_init": (3,)}
-
-
 @dataclass(frozen=True, eq=False)
 class ConfigBatch:
     """EngineConfig's fields as arrays, one row per config: the input of every
@@ -197,12 +214,15 @@ class ConfigBatch:
     factors and cycles have shape (k,), the populations (k, 2) and
     battery_init (k, 3).
 
-    The constructor checks every rule of EngineConfig and NoiseConfig once
-    over the whole batch; a failure raises a ConfigError that names the field,
-    the first bad row and its value. A NaN counts as bad, and a cycle count
-    must be a whole number >= 1. The arrays are stored read-only (cycles as
-    int), so a batch stays checked; dataclasses.replace checks anew.
-    ConfigBatch.of(configs) and batch.configs() are the conversions.
+    The constructor checks the batch by the rules of EngineConfig and
+    NoiseConfig, each evaluated once over all rows; a failure raises a
+    ConfigError that names the field, the first bad row and its value. A list
+    entry that is no number (a bool, a string) is rejected, and cycles must be
+    integers. The arrays are stored read-only (cycles as int), so a batch
+    stays checked; dataclasses.replace checks anew. ConfigBatch.of(configs)
+    and batch.configs() are the conversions. of hands the constructor arrays,
+    so checking its configs' numbers again costs a few numpy calls per rule
+    and no Python work per config.
     """
 
     theta: np.ndarray
@@ -216,34 +236,25 @@ class ConfigBatch:
     cycles: np.ndarray
 
     def __post_init__(self):
-        rows = (np.size(self.theta),)
         for f in fields(self):
-            value = _numbers(f.name, getattr(self, f.name), rows + _ROW_SHAPES.get(f.name, ()), f.name == "cycles")
-            object.__setattr__(self, f.name, value)
-        _check_population_rows("hot_populations", self.hot_populations)
-        _check_population_rows("cold_populations", self.cold_populations)
-        norm = np.sqrt((self.battery_init**2).sum(axis=1))
-        _reject("battery_init", norm > 0.5 + 1e-12, self.battery_init, "has a polarization magnitude above 1/2")
-        _check_p_mx_rows(self.p_mx, self.hot_populations)
-        for name in ("battery_dephasing_per_reset", "battery_t2_per_cycle"):
-            factor = getattr(self, name)
-            _reject(name, (factor < 0.0) | (factor > 1.0), factor, "must lie in [0, 1]")
+            object.__setattr__(self, f.name, _column(f.name, getattr(self, f.name), np.size(self.theta)))
+        _check_config(self)
+        _check_factor("battery_dephasing_per_reset", self.battery_dephasing_per_reset)
+        _check_factor("battery_t2_per_cycle", self.battery_t2_per_cycle)
 
     @classmethod
     def of(cls, configs: Sequence[EngineConfig]) -> "ConfigBatch":
         """The batch of one or more configs, one row each, in order."""
         rows = [(c.theta, c.compression_theta, c.p_mx, c.hot_populations, c.cold_populations, c.battery_init,
                  c.noise.battery_dephasing_per_reset, c.noise.battery_t2_per_cycle, c.cycles) for c in configs]
-        return cls(*zip(*rows))
+        return cls(*(np.array(column) for column in zip(*rows)))
 
     def configs(self) -> list[EngineConfig]:
         """One EngineConfig per row, in order; theta_compression is set to the
         row's compression_theta."""
-        columns = (getattr(self, f.name).tolist() for f in fields(self))
-        return [
-            EngineConfig(t, t_c, m, tuple(hot), tuple(cold), Polarization(*p), NoiseConfig(f_r, f_t), n)
-            for t, t_c, m, hot, cold, p, f_r, f_t, n in zip(*columns)
-        ]
+        rows = zip(*(getattr(self, f.name).tolist() for f in fields(self)))
+        return [EngineConfig(t, t_c, m, tuple(hot), tuple(cold), Polarization(*p), NoiseConfig(f_r, f_t), n)
+                for t, t_c, m, hot, cold, p, f_r, f_t, n in rows]
 
     def __len__(self) -> int:
         return len(self.theta)
@@ -286,15 +297,14 @@ def prepare_hot_medium(p_mx, populations) -> np.ndarray:
     """Coherently heated medium state diag(p0, p1) + p_mx * sigma_x.
 
     Positivity requires |p_mx| <= sqrt(p0*p1); violating inputs raise a
-    ConfigError naming that bound. An array of k values of p_mx with a (k, 2)
-    array of population pairs gives the (k, 2, 2) stack of their states, all
-    checked at once with the rules of ConfigBatch.
+    ConfigError naming that bound. A sequence of k values of p_mx with k
+    population pairs gives the (k, 2, 2) stack of their states, checked by
+    the rules of ConfigBatch.
     """
     stacked = np.ndim(p_mx) > 0
-    p_mx = _numbers("p_mx", p_mx if stacked else [p_mx], (np.size(p_mx),))
-    pops = _numbers("hot_populations", populations if stacked else [populations], (len(p_mx), 2))
-    _check_population_rows("hot_populations", pops)
-    _check_p_mx_rows(p_mx, pops)
+    p_mx = _column("p_mx", p_mx if stacked else [p_mx], np.size(p_mx))
+    pops = _column("hot_populations", populations if stacked else [populations], len(p_mx))
+    _check_hot(p_mx, pops)
     rho = np.zeros((len(p_mx), 2, 2), dtype=complex)
     rho[:, 0, 0], rho[:, 1, 1] = pops.T
     rho[:, 0, 1] = rho[:, 1, 0] = p_mx
@@ -303,11 +313,11 @@ def prepare_hot_medium(p_mx, populations) -> np.ndarray:
 
 
 def prepare_cold_medium(populations) -> np.ndarray:
-    """Diagonal cold-bath state diag(q0, q1); a (k, 2) array of population
-    pairs gives the (k, 2, 2) stack of their states."""
+    """Diagonal cold-bath state diag(q0, q1); a sequence of k population pairs
+    gives the (k, 2, 2) stack of their states."""
     stacked = np.ndim(populations) > 1
-    pops = _numbers("cold_populations", populations if stacked else [populations], (np.size(populations) // 2, 2))
-    _check_population_rows("cold_populations", pops)
+    pops = _column("cold_populations", populations if stacked else [populations], np.size(populations) // 2)
+    _check_populations("cold_populations", pops)
     rho = np.zeros((len(pops), 2, 2), dtype=complex)
     rho[:, 0, 0], rho[:, 1, 1] = pops.T
     return rho if stacked else rho[0]
@@ -315,21 +325,20 @@ def prepare_cold_medium(populations) -> np.ndarray:
 
 def prepare_battery(p: Polarization | Sequence[float]) -> np.ndarray:
     """Battery state I/2 + px*sx + py*sy + pz*sz for |P| <= 1/2."""
-    p = _check_battery(p)
+    p = Polarization(*_numbers("battery_init", p, 3))
+    _check_battery(p)
     return validate_density(np.array([[0.5 + p.pz, p.px - 1j * p.py], [p.px + 1j * p.py, 0.5 - p.pz]]))
 
 
 def _cos_sin(theta) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of every stroke angle, each as an array of theta's shape,
-    taken with math.cos and math.sin once per distinct angle (distinct bit
-    patterns, so -0.0 keeps its sine). A non-finite angle raises a
-    ConfigError naming theta, the flat index of the first one and its value."""
+    """cos and sin of every stroke angle, each as an array of theta's shape.
+    A non-finite angle raises a ConfigError naming theta, the flat index of
+    the first one and its value."""
     theta = np.asarray(theta, dtype=float)
     flat = theta.ravel()
-    _reject("theta", ~np.isfinite(flat), flat, "must be a finite number")
-    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    angles = bits.view(float).tolist()
-    return tuple(np.array([f(t) for t in angles])[inverse].reshape(theta.shape) for f in (math.cos, math.sin))
+    _require("theta", np.isfinite(flat), flat, "must be a finite number")
+    angles = flat.tolist()
+    return tuple(np.array([f(t) for t in angles]).reshape(theta.shape) for f in (math.cos, math.sin))
 
 
 def flip_flop_propagator(theta) -> np.ndarray:

@@ -46,12 +46,13 @@ three stages on one flat stack, and one correlator_sets call on it;
 run_engine then only assembles the records.
 
 Which checks run where:
-- EngineConfig checks every field of one config as it is built, and the
-  ConfigBatch of a block checks every number the formula reads again, each
-  rule once over the whole batch (a NaN counts as bad), so battery_map and
-  the stages never see an unchecked parameter; prepare_hot_medium applies
-  the same array rules to the stack of hot states it builds and checks the
-  stack, positivity included;
+- every number the formula reads obeys one set of rules (engine's
+  _check_config), the bound |p_mx| <= sqrt(p0 p1) that makes the hot state
+  positive included: EngineConfig applies them to each config as it is
+  built, and ConfigBatch, ConfigBatch.of included, to a whole batch, each
+  rule once over all rows (a NaN breaks every rule). So battery_map and the
+  stages never see an unchecked parameter, and stack_runs builds the hot
+  states straight from its batch;
 - stack_runs checks 1/2 - |P_n| >= PSD_CLAMP for every recorded cycle of
   every config of the block (a NaN counts as outside) before it builds any
   state; the cycles past a config's own count, iterated only because the
@@ -87,11 +88,10 @@ from .engine import (
     CycleRecord,
     EngineConfig,
     NoiseConfig,
-    _reject,
+    _require,
     make_cycle_record,
     power_stroke,
     prepare_battery,
-    prepare_hot_medium,
 )
 from .linalg import PSD_CLAMP, ValidationError, kron, validate_density
 
@@ -149,7 +149,7 @@ def dephase_battery(joint: np.ndarray, factor) -> np.ndarray:
     """
     f = np.asarray(factor, dtype=float)
     flat = f.ravel()
-    _reject("dephasing factor", ~((flat >= 0.0) & (flat <= 1.0)), flat, "must lie in [0, 1]")  # NaN included
+    _require("dephasing factor", (flat >= 0.0) & (flat <= 1.0), flat, "must lie in [0, 1]")  # NaN included
     joint = validate_density(joint, check_spectrum=False, caller="dephase_battery")
     if joint.shape[-2:] != (4, 4):
         raise ValidationError("dephase_battery expects a two-qubit state")
@@ -187,7 +187,7 @@ def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, 
     correlators each, in correlator_sets order.
 
     The block is one ConfigBatch.of(configs): battery_map, the hot states,
-    the reset factors and the angles all read its checked arrays. Only P_0
+    the reset factors and the angles all read its arrays. Only P_0
     is taken per config, as polarization_vector(prepare_battery(battery_init)).
     One battery_map call gives every map, and every config iterates
     P_n = A P_{n-1} + b up to the block's longest run; the mask `recorded`
@@ -217,10 +217,11 @@ def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, 
         n, norm = np.argwhere(recorded)[outside[0], 1], norms[outside[0]]
         message = f"cycle {n + 1}: battery Bloch vector has |P_n| = {norm:.12g}, outside the Bloch ball"
         raise ValidationError(f"{message} (1/2 - |P_n| below the PSD tolerance {PSD_CLAMP:.0e})")
-    hot = prepare_hot_medium(batch.p_mx, batch.hot_populations)[owner]
+    hot = np.zeros((len(batch), 2, 2), dtype=complex)  # diag(p0, p1) + p_mx sigma_x of each row of the batch
+    hot[:, [0, 1], [0, 1]], hot[:, [0, 1], [1, 0]] = batch.hot_populations, batch.p_mx[:, None]
     x, y, z = p[:, :-1][recorded].T  # the batteries I/2 + P_n.sigma that start the recorded cycles
     battery = np.array([[0.5 + z, x - 1j * y], [x + 1j * y, 0.5 - z]]).transpose(2, 0, 1)
-    dephased = dephase_battery(kron(hot, battery), batch.battery_dephasing_per_reset[owner])
+    dephased = dephase_battery(kron(hot[owner], battery), batch.battery_dephasing_per_reset[owner])
     post_strokes = power_stroke(dephased, batch.theta[owner])
     corr = correlator_sets(post_strokes)
     return [(p[j, :c + 1].tolist(), post_strokes[f:f + c], corr[f:f + c])
@@ -260,28 +261,21 @@ def compare_coherent_incoherent(coherent: EngineTrace, incoherent: EngineTrace) 
     Callers run both engines through one run_engines call,
     run_engines([config, config.with_p_mx(0.0)]), so their maps are stacked.
     """
-    advantage = []
-    for rc, ri in zip(coherent.records, incoherent.records, strict=True):
-        if ri.cycle_work <= ADVANTAGE_FLOOR:
-            advantage.append(None)
-        else:
-            advantage.append((rc.cycle_work - ri.cycle_work) / ri.cycle_work)
-    return ComparisonResult(coherent=coherent, incoherent=incoherent, advantage=tuple(advantage))
+    advantage = tuple(
+        None if ri.cycle_work <= ADVANTAGE_FLOOR else (rc.cycle_work - ri.cycle_work) / ri.cycle_work
+        for rc, ri in zip(coherent.records, incoherent.records, strict=True)
+    )
+    return ComparisonResult(coherent=coherent, incoherent=incoherent, advantage=advantage)
 
 
 def peak_advantage(result: ComparisonResult) -> tuple[float, int] | None:
     """Largest defined advantage ratio and the 1-based cycle where it occurs.
 
     Returns None when no cycle has a defined ratio. Ties keep the earliest
-    cycle, so the answer is deterministic.
+    cycle (max keeps the first of equal keys), so the answer is deterministic.
     """
-    best: tuple[float, int] | None = None
-    for record, ratio in zip(result.coherent.records, result.advantage):
-        if ratio is None:
-            continue
-        if best is None or ratio > best[0]:
-            best = (ratio, record.cycle_index)
-    return best
+    defined = [(x, r.cycle_index) for r, x in zip(result.coherent.records, result.advantage) if x is not None]
+    return max(defined, key=lambda peak: peak[0], default=None)
 
 
 # The config fields a sweep sets: the engine's scalars, the components of

@@ -145,11 +145,6 @@ def _stage_cycle(batch: ConfigBatch, hot, cold, battery) -> tuple[np.ndarray, np
     return post_stroke, partial_trace(joint, "battery")
 
 
-def _media(batch: ConfigBatch) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, 2, 2) stacks of hot and cold media of the batch's rows."""
-    return prepare_hot_medium(batch.p_mx, batch.hot_populations), prepare_cold_medium(batch.cold_populations)
-
-
 # The probe batteries I/2 and I/2 + sigma_j/2: Bloch vectors 0 and e_j/2.
 _PROBES = np.array([pauli("identity") / 2] + [(pauli("identity") + pauli(j)) / 2 for j in "xyz"])
 
@@ -160,7 +155,7 @@ def stage_map(batch: ConfigBatch) -> tuple[np.ndarray, np.ndarray]:
     pushed through every stage of one cycle as one stack of 4 k states; each
     stage takes its angles and factors straight from the batch's arrays.
     max_oracle_gap hands it one MAP_BLOCK of draws at a time."""
-    hot, cold = _media(batch)
+    hot, cold = prepare_hot_medium(batch.p_mx, batch.hot_populations), prepare_cold_medium(batch.cold_populations)
     _, battery = _stage_cycle(batch, hot[:, None], cold[:, None], _PROBES)
     images = bloch_vectors(battery.reshape(-1, 2, 2)).reshape(len(batch), 4, 3)
     # image(P) = image(0) + A P, so column j of A is 2 (image(e_j/2) - image(0))
@@ -207,29 +202,25 @@ def loop_engines(configs: Sequence[EngineConfig]) -> list[EngineTrace]:
     """Oracle for run_engines: the explicit per-cycle stage loop, with no
     affine map.
 
-    The joint states of all configs that share a cycle count go through every
-    stage of every cycle as one (k, 4, 4) stack, with one angle and one
-    dephasing factor per config from their ConfigBatch. Returns one trace per
-    config, in order.
+    The joint states of all configs go through every stage of every cycle as
+    one (k, 4, 4) stack, with one angle and one dephasing factor per config
+    from their ConfigBatch, up to the longest run; each config records only
+    its own cycles. Returns one trace per config, in order.
     """
-    traces: list[EngineTrace | None] = [None] * len(configs)
-    for cycles in sorted({c.cycles for c in configs}):
-        index = [i for i, c in enumerate(configs) if c.cycles == cycles]
-        batch = ConfigBatch.of([configs[i] for i in index])
-        battery = np.array([prepare_battery(configs[i].battery_init) for i in index])
-        hot, cold = _media(batch)
-        records: list[list[CycleRecord]] = [[] for _ in index]
-        energy, cumulative = [polarization_vector(b).pz for b in battery], [0.0] * len(index)
-        for n in range(1, cycles + 1):
-            post_stroke, battery = _stage_cycle(batch, hot, cold, battery)
-            for j, corr in enumerate(correlator_sets(post_stroke)):
-                p = polarization_vector(battery[j])
-                record = make_cycle_record(n, energy[j], cumulative[j], p, post_stroke[j], corr)
-                records[j].append(record)
-                energy[j], cumulative[j] = p.pz, record.cumulative_work
-        for j, i in enumerate(index):
-            traces[i] = EngineTrace(config=configs[i], records=tuple(records[j]))
-    return traces
+    batch = ConfigBatch.of(configs)
+    battery = np.array([prepare_battery(c.battery_init) for c in configs])
+    hot, cold = prepare_hot_medium(batch.p_mx, batch.hot_populations), prepare_cold_medium(batch.cold_populations)
+    records: list[list[CycleRecord]] = [[] for _ in configs]
+    energy, cumulative = [polarization_vector(b).pz for b in battery], [0.0] * len(configs)
+    for n in range(1, batch.cycles.max() + 1):
+        post_stroke, battery = _stage_cycle(batch, hot, cold, battery)
+        corr = correlator_sets(post_stroke)
+        for j in np.flatnonzero(batch.cycles >= n).tolist():  # the configs whose own run has cycle n
+            p = polarization_vector(battery[j])
+            record = make_cycle_record(n, energy[j], cumulative[j], p, post_stroke[j], corr[j])
+            records[j].append(record)
+            energy[j], cumulative[j] = p.pz, record.cumulative_work
+    return [EngineTrace(config=c, records=tuple(r)) for c, r in zip(configs, records)]
 
 
 def stage_loop_gaps(mapped: Sequence[EngineTrace]) -> dict[str, float]:

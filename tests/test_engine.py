@@ -53,9 +53,9 @@ def z_row_work(cfg):
 
 
 def batch_with_row_1(field, value):
-    """A ConfigBatch of three default configs, with value in row 1 of field."""
-    columns = {f.name: np.array(getattr(ConfigBatch.of([EngineConfig()] * 3), f.name), dtype=float)
-               for f in fields(ConfigBatch)}
+    """A ConfigBatch of three default configs given as lists, with value, as
+    given, in row 1 of field."""
+    columns = {f.name: getattr(ConfigBatch.of([EngineConfig()] * 3), f.name).tolist() for f in fields(ConfigBatch)}
     columns[field][1] = value
     return ConfigBatch(**columns)
 
@@ -209,7 +209,7 @@ class TestPowerStroke:
             flip_flop_propagator(np.array([[0.1, 0.2], [0.3, math.nan]]))
 
     def test_repeated_and_signed_zero_angles_equal_single_calls_bit_for_bit(self):
-        # cos and sin are taken once per distinct angle; -0.0 is distinct
+        # a stack of angles gives the bits of one call per angle; sin(-0.0) is -0.0
         angles = np.array([0.3, -0.0, 0.3, 0.0, 2.0, -0.0])
         units = flip_flop_propagator(angles)
         assert units.tobytes() == np.array([flip_flop_propagator(float(t)) for t in angles]).tobytes()
@@ -382,11 +382,22 @@ class TestConfigBatch:
     def test_first_bad_row_is_named(self):
         columns = {f.name: np.array(getattr(ConfigBatch.of([EngineConfig()] * 4), f.name)) for f in fields(ConfigBatch)}
         columns["battery_t2_per_cycle"][[2, 3]] = (1.5, math.nan)
-        with pytest.raises(ConfigError, match=re.escape("battery_t2_per_cycle[3] must be finite, got nan")):
-            ConfigBatch(**columns)
-        columns["battery_t2_per_cycle"][3] = -1.0
         with pytest.raises(ConfigError, match=re.escape("battery_t2_per_cycle[2] must lie in [0, 1], got 1.5")):
             ConfigBatch(**columns)
+        columns["battery_t2_per_cycle"][2] = 1.0
+        with pytest.raises(ConfigError, match=re.escape("battery_t2_per_cycle[3] must lie in [0, 1], got nan")):
+            ConfigBatch(**columns)
+
+    def test_bools_in_arrays_are_rejected_not_converted(self):
+        columns = {f.name: getattr(ConfigBatch.of([EngineConfig()] * 2), f.name) for f in fields(ConfigBatch)}
+        with pytest.raises(ConfigError, match=re.escape("cycles[1] must be a positive integer, got True")):
+            ConfigBatch(**dict(columns, cycles=[2, True]))
+        with pytest.raises(ConfigError, match=re.escape("cycles must be an array of integers, got float64")):
+            ConfigBatch(**dict(columns, cycles=np.array([2.0, 2.0])))
+        with pytest.raises(ConfigError, match=re.escape("battery_t2_per_cycle must be an array of numbers, got bool")):
+            ConfigBatch(**dict(columns, battery_t2_per_cycle=np.array([True, True])))
+        with pytest.raises(ConfigError, match=re.escape("p_mx[1] must be a finite number, got True")):
+            ConfigBatch(**dict(columns, p_mx=[0.1, True]))
 
 
 class TestEngineConfig:
@@ -450,6 +461,14 @@ class TestEngineConfig:
             ("battery_dephasing_per_reset", dict(battery_dephasing_per_reset=-0.25)),
             ("battery_dephasing_per_reset", dict(battery_dephasing_per_reset=math.inf)),
             ("battery_t2_per_cycle", dict(battery_t2_per_cycle=1.0 + 1e-9)),
+            # a count must be an integer, and a bool inside a sequence or a
+            # numpy bool is no number either
+            ("cycles", dict(cycles=2.0)),
+            ("hot_populations", dict(hot_populations=(True, False))),
+            ("cold_populations", dict(cold_populations=(True, False))),
+            ("battery_init", dict(battery_init=(0.0, True, 0.0))),
+            ("p_mx", dict(p_mx=np.True_)),
+            ("battery_t2_per_cycle", dict(battery_t2_per_cycle=np.True_)),
         ],
     )
     def test_bad_numbers_rejected_naming_the_field(self, field, kwargs):
@@ -463,16 +482,23 @@ class TestEngineConfig:
             "cold_populations": prepare_cold_medium,
             "battery_init": prepare_battery,
         }
+        # and so do their stacked forms, with the value in row 1 of 3
+        stacked = {
+            "p_mx": lambda v: prepare_hot_medium([0.0, v, 0.0], [(0.485, 0.515)] * 3),
+            "hot_populations": lambda v: prepare_hot_medium([0.0] * 3, [(0.5, 0.5), v, (0.5, 0.5)]),
+            "cold_populations": lambda v: prepare_cold_medium([(0.5, 0.5), v, (0.5, 0.5)]),
+        }
         if field in prepare:
             with pytest.raises(ConfigError, match=field):
                 prepare[field](kwargs[field])
-        # a batch, the other rule set, rejects every bad number, naming the
-        # field and the row it sits in
-        value = kwargs[field]
-        if all(type(v) in (int, float) for v in (value if isinstance(value, tuple) else (value,))):
-            batch_field = "compression_theta" if field == "theta_compression" else field
-            with pytest.raises(ConfigError, match=re.escape(f"{batch_field}[1] ")):
-                batch_with_row_1(batch_field, value)
+        if field in stacked:
+            with pytest.raises(ConfigError, match=field):
+                stacked[field](kwargs[field])
+        # a batch checks each row by the same rules, so it rejects every bad
+        # value, naming the field and the row it sits in
+        batch_field = "compression_theta" if field == "theta_compression" else field
+        with pytest.raises(ConfigError, match=re.escape(f"{batch_field}[1]") + "[ :]"):
+            batch_with_row_1(batch_field, kwargs[field])
 
     def test_numbers_are_stored_as_float(self):
         cfg = EngineConfig(theta=1, theta_compression=np.float64(0.5), p_mx=np.int64(0),

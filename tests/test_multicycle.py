@@ -314,9 +314,10 @@ def test_one_record_and_one_concurrence_per_cycle(monkeypatch):
 
 def test_transposed_map_fails_both_oracles(monkeypatch):
     # a seeded fault in the battery map: each config's A transposed. The
-    # transpose swaps the two y-z couplings, and on some of the 200 drawn
-    # configs (Choi negativity 1.1e-3 at the default seed) no channel
-    # realizes it, so the complete-positivity check fails too
+    # transpose swaps the two y-z couplings. Whether some draw of the
+    # complete-positivity check gets a transposed map that no channel
+    # realizes depends on the draws, so that check may fail too; nothing
+    # else may
     original = battery_map
 
     def transposed(batch):
@@ -324,9 +325,9 @@ def test_transposed_map_fails_both_oracles(monkeypatch):
         return A.swapaxes(1, 2), b
 
     patch_everywhere(monkeypatch, original, transposed)
-    checks = run_all_checks()
-    assert [c.name for c in checks if not c.passed] == [
-        "oracle_equivalence", "cycle_is_completely_positive", "map_vs_stage_loop"
+    failed = [c.name for c in run_all_checks() if not c.passed]
+    assert [name for name in failed if name != "cycle_is_completely_positive"] == [
+        "oracle_equivalence", "map_vs_stage_loop"
     ]
 
 
