@@ -80,7 +80,7 @@ def _number(name: str, value) -> float:
 
 
 def _count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 
@@ -324,10 +324,17 @@ def prepare_cold_medium(populations) -> np.ndarray:
 
 
 def prepare_battery(p: Polarization | Sequence[float]) -> np.ndarray:
-    """Battery state I/2 + px*sx + py*sy + pz*sz for |P| <= 1/2."""
+    """Battery state I/2 + px*sx + py*sy + pz*sz for |P| <= 1/2.
+
+    It needs no validate_density: the matrix is Hermitian by construction
+    (its off-diagonal entries are complex conjugates), its trace is
+    (1/2 + pz) + (1/2 - pz), within one ulp of 1, and its eigenvalues are
+    1/2 +- |P|, so the check |P| <= 1/2 + 1e-12 keeps lambda_min >= -1e-12,
+    above PSD_CLAMP.
+    """
     p = Polarization(*_numbers("battery_init", p, 3))
     _check_battery(p)
-    return validate_density(np.array([[0.5 + p.pz, p.px - 1j * p.py], [p.px + 1j * p.py, 0.5 - p.pz]]))
+    return np.array([[0.5 + p.pz, p.px - 1j * p.py], [p.px + 1j * p.py, 0.5 - p.pz]])
 
 
 def _cos_sin(theta) -> tuple[np.ndarray, np.ndarray]:

@@ -37,13 +37,14 @@ grid at once. sweep, the CLI's compare and search runs and validate's
 map_vs_stage_loop go through it; a comparison stacks each config with its
 p_mx = 0 twin. run_engine given no share makes its own with
 stack_runs([config]). A stack_runs pass turns its block into one
-ConfigBatch, from which every stacked step reads its parameters, and makes
-one battery_map call on it; every config of the block iterates
-P_n = A P_{n-1} + b to the block's longest run, since a run's cycles 1 ... n
-do not depend on how many cycles follow; the cycles each config records (its
-own first c) get all their post-stroke states from one call of each of the
-three stages on one flat stack, and one correlator_sets call on it;
-run_engine then only assembles the records.
+ConfigBatch, from which every stacked step reads its parameters, makes one
+battery_map call on it and reads every P_0 with one bloch_vectors call;
+every config of the block iterates P_n = A P_{n-1} + b to the block's
+longest run, since a run's cycles 1 ... n do not depend on how many cycles
+follow; the cycles each config records (its own first c) get all their
+post-stroke states from one call of each of the three stages on one flat
+stack, and one correlator_sets call on it; run_engine then only assembles
+the records.
 
 Which checks run where:
 - every number the formula reads obeys one set of rules (engine's
@@ -53,6 +54,9 @@ Which checks run where:
   rule once over all rows (a NaN breaks every rule). So battery_map and the
   stages never see an unchecked parameter, and stack_runs builds the hot
   states straight from its batch;
+- prepare_battery builds each config's battery state from its checked
+  battery_init, and the one bloch_vectors call of a block validates the
+  stack of them, hermiticity, trace and spectrum, before P_0 is read off;
 - stack_runs checks 1/2 - |P_n| >= PSD_CLAMP for every recorded cycle of
   every config of the block (a NaN counts as outside) before it builds any
   state; the cycles past a config's own count, iterated only because the
@@ -71,7 +75,7 @@ Which checks run where:
   lambda_min >= -10 eps, far above PSD_CLAMP, or where none exists (singular
   or non-positive states) the eigen clamp, eigh and then clamp_spectrum;
 - validate.loop_engines, the stage-loop oracle, runs every stage with no
-  map, on the stacked joint states of all configs with the same cycle count.
+  map, on the stacked joint states of all its configs.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import Polarization, correlator_sets, polarization_vector
+from .diagnostics import Polarization, bloch_vectors, correlator_sets
 from .engine import (
     ConfigBatch,
     ConfigError,
@@ -187,13 +191,15 @@ def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, 
     correlators each, in correlator_sets order.
 
     The block is one ConfigBatch.of(configs): battery_map, the hot states,
-    the reset factors and the angles all read its arrays. Only P_0
-    is taken per config, as polarization_vector(prepare_battery(battery_init)).
-    One battery_map call gives every map, and every config iterates
-    P_n = A P_{n-1} + b up to the block's longest run; the mask `recorded`
-    marks each config's own cycles 1 ... c, and only those are used. The
-    Bloch-ball check of every recorded P_n runs before any state is built,
-    and raises for the first config in input order with a P_n outside. Then
+    the reset factors and the angles all read its arrays. Only the battery
+    states are built per config, one prepare_battery(battery_init) each, and
+    one bloch_vectors call reads every P_0 off their stack, bit for bit the
+    P_0 of polarization_vector. One battery_map call gives every map, and
+    every config iterates P_n = A P_{n-1} + b up to the block's longest run;
+    the mask `recorded` marks each config's own cycles 1 ... c, and only
+    those are used. The Bloch-ball check of every recorded P_n runs before
+    any state is built, and raises for the first config in input order with
+    a P_n outside. Then
     one call each to kron, dephase_battery and power_stroke, the first three
     stages of a cycle, runs on the flat stack of the product states
     hot (x) battery(P_{n-1}) of every recorded cycle, config after config,
@@ -206,7 +212,7 @@ def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, 
     A, b = battery_map(batch)
     cycles = batch.cycles
     p = np.empty((len(batch), cycles.max() + 1, 3))  # P_0 ... P_c of every config, padded to the longest run
-    p[:, 0] = [polarization_vector(prepare_battery(c.battery_init)) for c in configs]
+    p[:, 0] = bloch_vectors(np.array([prepare_battery(c.battery_init) for c in configs]))
     for n in range(1, cycles.max() + 1):
         p[:, n] = (A @ p[:, n - 1, :, None])[..., 0] + b
     recorded = np.arange(cycles.max()) < cycles[:, None]  # cycle n + 1 of config j is one of its own

@@ -368,15 +368,11 @@ def _fig2_preset() -> ScenarioFile:
     )
     classical = Polarization(0.0, 0.0, -0.5)
     quantum = Polarization(0.0, 0.5, 0.0)
-    variants = []
-    for p_mx in (0.0, 0.5):
-        for label, battery in (("pby0.0", classical), ("pby0.5", quantum)):
-            variants.append(
-                (
-                    f"pmx{p_mx}_{label}",
-                    replace(base, p_mx=p_mx, battery_init=battery),
-                )
-            )
+    variants = [
+        (f"pmx{p_mx}_{label}", replace(base, p_mx=p_mx, battery_init=battery))
+        for p_mx in (0.0, 0.5)
+        for label, battery in (("pby0.0", classical), ("pby0.5", quantum))
+    ]
     return ScenarioFile(
         kind="single-cycle-sweep",
         engine=base,

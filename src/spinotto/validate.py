@@ -29,7 +29,12 @@ The residuals of each check, in report order:
 The checks draw their random configs and states as stacks, each field or
 stack with one generator call, in a fixed order, and then run each stage
 once on the whole stack of draws. Configs are drawn as a ConfigBatch, which
-every stacked map here reads directly.
+every stacked map here reads directly. The fuzz, whose chains must step one
+after another, draws all its steps up front: restart flags, stage kinds and
+parameters as (steps, chains) arrays, then every restart state and every
+qubit with one random_density call each. It keeps every state it produces
+(256 B each, 0.5 MB for its 2000) and judges them with one state_validity
+call.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .engine import (
     ConfigBatch,
     CycleRecord,
     EngineConfig,
+    _count,
     flip_flop_propagator,
     make_cycle_record,
     power_stroke,
@@ -188,7 +194,9 @@ def choi_negativity(batch: ConfigBatch) -> float:
 def max_oracle_gap(draws: int, seed: int = DEFAULT_SEED) -> float:
     """Largest |battery_map - stage_map| over every entry of A and b of
     random_noisy_configs draws, one batch of MAP_BLOCK configs at a time so
-    that only one block is held."""
+    that only one block is held. draws must be a positive integer; a
+    ConfigError names it otherwise."""
+    draws = _count("draws", draws)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for start in range(0, draws, MAP_BLOCK):
@@ -241,47 +249,58 @@ FUZZ_CHAINS = 16
 
 def fuzz_stage_validity(applications: int, seed: int = DEFAULT_SEED) -> tuple[float, float]:
     """Chain random engine stages and return the worst trace error and the
-    most negative eigenvalue of the first `applications` states they produced.
-    Each step's states are checked as they come, so only one state per chain
-    is held.
+    most negative eigenvalue of the first `applications` states they
+    produce. applications must be a positive integer; a ConfigError names it
+    otherwise.
 
-    FUZZ_CHAINS chains step together. At each step every chain draws whether
-    to restart from a random joint state (probability 0.02, so early stages
-    stay represented), which stage to apply and that stage's parameter; each
-    stage then runs once on the chains that drew it. Pure and singular states
-    are among the draws, so the PSD floor is exercised.
+    FUZZ_CHAINS chains step together, for ceil(applications / FUZZ_CHAINS)
+    steps. Every draw is made up front, in this order, as (steps, chains)
+    arrays: whether a chain restarts from a random joint state before its
+    step (probability 0.02, so early stages stay represented), which stage it
+    applies and that stage's parameter. Then one random_density call draws
+    every restart state and one every qubit, the first 2 FUZZ_CHAINS of which
+    make the chains' starting product states and the rest the fresh baths of
+    the resets, in step order; np.split hands each step its share. At each
+    step each stage runs once on the chains that drew it. Pure and singular
+    states are among the draws, so the PSD floor is exercised.
+
+    Every produced state is kept in one (steps, chains, 4, 4) stack, 256 B
+    per application (0.5 MB for the suite's 2000), and one state_validity
+    call judges the first `applications` of them.
     """
+    applications = _count("applications", applications)
     rng = np.random.default_rng(seed)
-    tr_err, min_eig = 0.0, math.inf
+    steps = -(-applications // FUZZ_CHAINS)
+    restart = rng.uniform(size=(steps, FUZZ_CHAINS)) < 0.02
+    kind = rng.integers(0, 3, size=(steps, FUZZ_CHAINS))
+    param = rng.uniform(size=(steps, FUZZ_CHAINS))
 
-    def fresh_qubits(n: int) -> np.ndarray:
-        return random_density(rng, 2, rank=rng.integers(1, 3, size=n), n=n)
+    def draws(dim: int, counts: np.ndarray) -> list[np.ndarray]:
+        """counts[i] states of dimension dim of any rank for piece i, from one random_density call."""
+        ranks = rng.integers(1, dim + 1, size=counts.sum())
+        return np.split(random_density(rng, dim, rank=ranks, n=len(ranks)), np.cumsum(counts)[:-1])
 
+    starts = draws(4, restart.sum(axis=1))
+    first, *baths = draws(2, np.r_[2 * FUZZ_CHAINS, (kind == 1).sum(axis=1)])
+    joint = kron(first[:FUZZ_CHAINS], first[FUZZ_CHAINS:])
     stages = (
-        lambda states, p: power_stroke(states, math.pi * p),
-        lambda states, p: reset_medium(states, fresh_qubits(len(p))),
-        dephase_battery,
+        lambda states, p, bath: power_stroke(states, math.pi * p),
+        lambda states, p, bath: reset_medium(states, bath),
+        lambda states, p, bath: dephase_battery(states, p),
     )
-    joint = kron(fresh_qubits(FUZZ_CHAINS), fresh_qubits(FUZZ_CHAINS))
-    for done in range(0, applications, FUZZ_CHAINS):
-        restart = np.flatnonzero(rng.uniform(size=FUZZ_CHAINS) < 0.02)
-        if restart.size:
-            joint[restart] = random_density(rng, 4, rank=rng.integers(1, 5, size=restart.size), n=restart.size)
-        kind = rng.integers(0, len(stages), size=FUZZ_CHAINS)
-        param = rng.uniform(size=FUZZ_CHAINS)
+    produced = np.empty((steps, FUZZ_CHAINS, 4, 4), dtype=complex)
+    for s, (start, bath) in enumerate(zip(starts, baths)):
+        joint[restart[s]] = start
         for k, stage in enumerate(stages):
-            chains = np.flatnonzero(kind == k)
+            chains = np.flatnonzero(kind[s] == k)
             if chains.size:
-                joint[chains] = stage(joint[chains], param[chains])
-        err, eig = state_validity(joint[: applications - done])
-        tr_err, min_eig = max(tr_err, err), min(min_eig, eig)
-    return tr_err, min_eig
+                joint[chains] = stage(joint[chains], param[s, chains], bath)
+        produced[s] = joint
+    return state_validity(produced.reshape(-1, 4, 4)[:applications])
 
 
 def _bell_state() -> np.ndarray:
-    psi = np.zeros(4, dtype=complex)
-    psi[1] = 1.0 / math.sqrt(2.0)
-    psi[2] = 1.0 / math.sqrt(2.0)
+    psi = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
     return np.outer(psi, psi.conj())
 
 

@@ -98,6 +98,31 @@ class TestPreparations:
         with pytest.raises(ConfigError):
             prepare_battery((0.4, 0.4, 0.4))
 
+    def test_battery_state_is_a_density_operator_by_construction(self):
+        # prepare_battery runs no validate_density, so its matrix must be
+        # exactly Hermitian, of trace within 1 ulp of 1 and lambda_min >= -1e-12
+        # on the Bloch ball, its surface and the 1e-12 slack of the |P| check
+        rng = np.random.default_rng(11)
+        direction = rng.normal(size=(2000, 3))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        radius = np.concatenate([0.5 * rng.uniform(size=1000) ** (1 / 3), 0.5 + 0.99e-12 * rng.uniform(size=1000)])
+        draws = (radius[:, None] * direction).tolist() + [(0.0, 0.0, 0.5), (-0.0, -0.0, -0.5), (0.5, 0.0, 0.0)]
+        for p in draws:
+            rho = prepare_battery(p)
+            assert rho.dtype == complex
+            assert np.array_equal(rho, rho.conj().T)
+            assert abs(np.trace(rho).real - 1.0) <= math.ulp(1.0) and np.trace(rho).imag == 0.0
+            assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+
+    @pytest.mark.parametrize(
+        "p",
+        [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf), (0.3, 0.3, 0.3),
+         (0.0, 0.0, 0.5 + 1e-9), (0.0, 0.5), (0.0, 0.0, 0.0, 0.0), (True, 0.0, 0.0), (0.0, "0.1", 0.0), "abc"],
+    )
+    def test_bad_battery_rejected_naming_battery_init(self, p):
+        with pytest.raises(ConfigError, match="battery_init"):
+            prepare_battery(p)
+
     def test_stacked_preparations_equal_single_calls(self):
         p_mx = [0.3, -0.2, 0.0]
         hot_pops = [(0.5, 0.5), (0.485, 0.515), (0.9, 0.1)]

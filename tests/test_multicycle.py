@@ -464,6 +464,96 @@ def test_a_raising_check_becomes_a_failed_row(monkeypatch, tmp_path, capsys):
     assert any(row.startswith("FAIL  stage_validity_fuzz") and "raised ValidationError" in row for row in rows)
 
 
+@pytest.mark.parametrize("count", [0, -3, True, 2.0, "5", None])
+def test_fuzz_and_oracle_gap_reject_a_count_that_is_not_a_positive_integer(count):
+    # a count below 1 once checked nothing and passed, and True counted as 1
+    with pytest.raises(ConfigError, match="applications must be a positive integer"):
+        validate.fuzz_stage_validity(count)
+    with pytest.raises(ConfigError, match="draws must be a positive integer"):
+        validate.max_oracle_gap(count)
+
+
+class TestFuzz:
+    @staticmethod
+    def spy_on_fuzz(monkeypatch, n: int) -> dict:
+        """Run fuzz_stage_validity(n) with validate's stages, random_density
+        and state_validity wrapped; returns what each call was handed."""
+        seen = {"power_stroke": [], "reset_medium": [], "dephase_battery": [], "random_density": [],
+                "state_validity": []}
+
+        def spy(name, fn, record):
+            def wrapped(*args, **kwargs):
+                seen[name].append(record(*args, **kwargs))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(validate, name, wrapped)
+
+        for stage in (power_stroke, reset_medium, dephase_battery):
+            spy(stage.__name__, stage, lambda states, arg: len(states))
+        spy("random_density", random_density, lambda rng, dim, rank=None, n=None: (dim, n))
+        spy("state_validity", validate.state_validity, lambda rho: rho.shape)
+        seen["result"] = validate.fuzz_stage_validity(n)
+        return seen
+
+    def test_every_chain_takes_one_stage_per_step_and_every_kind_occurs(self, monkeypatch):
+        seen = self.spy_on_fuzz(monkeypatch, 2000)
+        stage_calls = [seen[name] for name in ("power_stroke", "reset_medium", "dephase_battery")]
+        assert sum(map(sum, stage_calls)) == 125 * validate.FUZZ_CHAINS
+        assert all(stage_calls)
+        assert max(len(calls) for calls in stage_calls) <= 125
+        # one draw of every restart state, at least one, then one of every qubit
+        (dim_starts, restarts), (dim_qubits, qubits) = seen["random_density"]
+        assert (dim_starts, dim_qubits) == (4, 2) and restarts >= 1
+        assert qubits == 2 * validate.FUZZ_CHAINS + sum(seen["reset_medium"])
+        assert seen["result"][0] <= 1e-12 and seen["result"][1] >= -1e-10
+
+    @pytest.mark.parametrize("n", [2000, 2001, 17])
+    def test_state_validity_judges_exactly_the_first_n_states_at_once(self, monkeypatch, n):
+        seen = self.spy_on_fuzz(monkeypatch, n)
+        assert seen["state_validity"] == [(n, 4, 4)]
+        steps = -(-n // validate.FUZZ_CHAINS)
+        assert sum(map(sum, (seen[s] for s in ("power_stroke", "reset_medium", "dephase_battery")))) == (
+            steps * validate.FUZZ_CHAINS
+        )
+
+
+class TestStartVectors:
+    @staticmethod
+    def start_draws() -> list[tuple[float, float, float]]:
+        rng = np.random.default_rng(19)
+        direction = rng.normal(size=(400, 3))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        ball = 0.5 * rng.uniform(size=(200, 1)) ** (1 / 3) * direction[:200]
+        surface = 0.5 * direction[200:]  # |P| = 1/2 up to rounding
+        zeros = [(x, y, z) for x in (0.0, -0.0) for y in (0.0, -0.0) for z in (0.0, -0.0, 0.5, -0.5)]
+        return ball.tolist() + surface.tolist() + zeros
+
+    def test_p0_equals_polarization_vector_bit_for_bit(self):
+        draws = self.start_draws()
+        configs = [EngineConfig(battery_init=p, cycles=1) for p in draws]
+        for p, (batteries, _, _) in zip(draws, stack_runs(configs), strict=True):
+            want = np.array(polarization_vector(prepare_battery(p)))
+            assert np.array(batteries[0]).tobytes() == want.tobytes(), p
+
+    def test_one_bloch_vectors_call_per_block(self, monkeypatch):
+        # P_0 of a block is one stacked read; prepare_battery stays once per run
+        module = sys.modules["spinotto.multicycle"]
+        calls = {"bloch_vectors": [], "prepare_battery": 0}
+
+        def bloch(states):
+            calls["bloch_vectors"].append(len(states))
+            return diagnostics.bloch_vectors(states)
+
+        def prepare(p):
+            calls["prepare_battery"] += 1
+            return prepare_battery(p)
+
+        monkeypatch.setattr(module, "bloch_vectors", bloch)
+        monkeypatch.setattr(module, "prepare_battery", prepare)
+        configs = random_noisy_configs(np.random.default_rng(3), MAP_BLOCK + 2, cycles=2).configs()
+        run_engines(configs)
+        assert calls == {"bloch_vectors": [MAP_BLOCK, 2], "prepare_battery": MAP_BLOCK + 2}
+
+
 class TestRunEngines:
     @pytest.mark.parametrize("k", [1, MAP_BLOCK - 1, MAP_BLOCK, MAP_BLOCK + 1])
     def test_equals_run_engine_per_config(self, k, monkeypatch):
