@@ -19,7 +19,6 @@ from .engine import (
     ConfigError,
     CycleRecord,
     EngineConfig,
-    NoiseConfig,
     flip_flop_propagator,
     power_stroke,
     prepare_battery,

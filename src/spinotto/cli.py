@@ -12,6 +12,7 @@ import itertools
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
 from .linalg import LinalgError
@@ -21,7 +22,6 @@ from .multicycle import (
     run_engine,
     run_engines,
     sweep,
-    with_fields,
 )
 from .output import (
     write_advantage_csv,
@@ -166,9 +166,9 @@ def _run_compare(s: ScenarioFile, args) -> tuple[list[str], dict]:
 
 
 def _search_grid(s: ScenarioFile):
-    # parse_scenario sorts each axis and rejects empty entries
+    # parse_scenario sorts each axis and rejects empty entries; every axis is an EngineConfig field
     points = list(itertools.product(*(getattr(s.search, axis) for axis in SEARCH_AXES)))
-    configs = [with_fields(s.engine, **dict(zip(SEARCH_AXES, point))) for point in points]
+    configs = [replace(s.engine, **dict(zip(SEARCH_AXES, point))) for point in points]
     return points, configs
 
 

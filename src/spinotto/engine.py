@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -44,28 +44,14 @@ class ConfigError(ValidationError):
     """An engine configuration violates one of its invariants."""
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Phenomenological imperfection channels for multi-cycle runs.
-
-    battery_dephasing_per_reset multiplies the battery's energy-basis
-    coherences at each medium reset (hot and cold), standing in for residual
-    transverse coupling during the reset. battery_t2_per_cycle applies the
-    same channel once per cycle for ambient decoherence. Both equal to 1 is
-    the ideal (noise-free) engine.
-    """
-
-    battery_dephasing_per_reset: float = 1.0
-    battery_t2_per_cycle: float = 1.0
-
-    def __post_init__(self):
-        for name in ("battery_dephasing_per_reset", "battery_t2_per_cycle"):
-            object.__setattr__(self, name, _number(name, getattr(self, name)))
-            _check_factor(name, getattr(self, name))
-
-
 # The shape of one row of each ConfigBatch field that is not a scalar.
 _ROW_SHAPES = {"hot_populations": (2,), "cold_populations": (2,), "battery_init": (3,)}
+# The largest count _check_count admits: (MAX_COUNT + 1) * 3 * 8 bytes is the
+# most that fits below numpy's array size limit of 2**63 - 1 bytes.
+MAX_COUNT = (2**63 - 1) // 24 - 1
+# The fields of the two imperfection channels; a scenario file states them in
+# [noise], and a summary JSON echoes them under "noise".
+NOISE_FIELDS = ("battery_dephasing_per_reset", "battery_t2_per_cycle")
 
 
 # Conversions: each takes a field's name and a value, and returns the value as
@@ -80,8 +66,9 @@ def _number(name: str, value) -> float:
 
 
 def _count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    _check_count(name, value)
     return int(value)
 
 
@@ -98,7 +85,8 @@ def _column(name: str, value, rows: int) -> np.ndarray:
     """value as the read-only array that ConfigBatch holds under name, with
     the given number of rows: ints for cycles, floats for the rest. The
     entries of a list or tuple go through _count or _number one by one; an
-    array must hold integers or numbers."""
+    array must hold integers or numbers, and an array of counts obeys
+    _check_count before it is converted to int64."""
     shape, count = (rows,) + _ROW_SHAPES.get(name, ()), name == "cycles"
     a = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
     if a.shape != shape:
@@ -109,6 +97,8 @@ def _column(name: str, value, rows: int) -> np.ndarray:
                 (_count if count else _number)(f"{name}[{i}]", x)
     elif a.dtype.kind not in ("iu" if count else "fiu"):
         raise ConfigError(f"{name} must be an array of {'integers' if count else 'numbers'}, got {a.dtype}")
+    elif count:
+        _check_count(name, a)
     a = a.astype(int if count else float)
     a.flags.writeable = False
     return a
@@ -132,6 +122,15 @@ def _require(name: str, ok, values, rule: str) -> None:
 def _parts(v):
     """The components of a pair or vector, or the columns of a batch's (k, n) array."""
     return v.T if isinstance(v, np.ndarray) else v
+
+
+def _check_count(name: str, n) -> None:
+    """A count of cycles, draws or applications: at least 1, and small
+    enough that numpy can describe the (n + 1, 3) float64 array of the
+    battery vectors P_0 ... P_n of an n-cycle run (below 2**63 bytes). A
+    smaller count can still be too large for memory, and raises MemoryError
+    when the run allocates it."""
+    _require(name, (1 <= n) & (n <= MAX_COUNT), n, f"must be a positive integer up to {MAX_COUNT}")
 
 
 def _check_factor(name: str, f) -> None:
@@ -158,14 +157,16 @@ def _check_battery(p) -> None:
 
 
 def _check_config(c, compression: str = "compression_theta") -> None:
-    """Every rule of an EngineConfig or a ConfigBatch c but those of its
-    noise; compression names the second stroke's angle."""
+    """Every rule of an EngineConfig or a ConfigBatch c; compression names
+    the second stroke's angle. The cycle count obeys _check_count as it is
+    converted, before any rule runs."""
     _require("theta", abs(c.theta) < math.inf, c.theta, "must be a finite number")
     _require(compression, abs(c.compression_theta) < math.inf, c.compression_theta, "must be a finite number")
     _check_hot(c.p_mx, c.hot_populations)
     _check_populations("cold_populations", c.cold_populations)
     _check_battery(c.battery_init)
-    _require("cycles", c.cycles >= 1, c.cycles, "must be a positive integer")
+    for name in NOISE_FIELDS:
+        _check_factor(name, getattr(c, name))
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,13 @@ class EngineConfig:
     qubit, so the qubit frequencies never enter. Bath populations are listed in
     basis order (excited, ground); the defaults are the experimental bath
     diagonals diag(0.485, 0.515) and diag(0.03, 0.97).
+
+    The two noise factors are phenomenological imperfection channels for
+    multi-cycle runs. battery_dephasing_per_reset multiplies the battery's
+    energy-basis coherences at each medium reset (hot and cold), standing in
+    for residual transverse coupling during the reset. battery_t2_per_cycle
+    applies the same channel once per cycle for ambient decoherence. Both lie
+    in [0, 1], and both equal to 1 is the ideal (noise-free) engine.
     """
 
     theta: float = math.pi / 4
@@ -184,11 +192,12 @@ class EngineConfig:
     hot_populations: tuple[float, float] = (0.485, 0.515)
     cold_populations: tuple[float, float] = (0.03, 0.97)
     battery_init: Polarization = Polarization(0.0, 0.0, -0.5)
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
+    battery_dephasing_per_reset: float = 1.0
+    battery_t2_per_cycle: float = 1.0
     cycles: int = 1
 
     def __post_init__(self):
-        for name in ("theta", "p_mx"):
+        for name in ("theta", "p_mx", *NOISE_FIELDS):
             object.__setattr__(self, name, _number(name, getattr(self, name)))
         if self.theta_compression is not None:
             object.__setattr__(self, "theta_compression", _number("theta_compression", self.theta_compression))
@@ -207,15 +216,42 @@ class EngineConfig:
         return replace(self, p_mx=p_mx)
 
 
+# The config fields a sweep sets: every EngineConfig field but the populations
+# and battery_init, whose components it sets as battery_px/py/pz.
+_BATTERY_COMPONENTS = tuple(f"battery_{axis}" for axis in Polarization._fields)
+SWEEPABLE_FIELDS = ("theta", "theta_compression", "p_mx") + _BATTERY_COMPONENTS + NOISE_FIELDS + ("cycles",)
+# Every name with_fields takes: the sweepable fields and the [engine] keys of
+# a scenario file that a sweep cannot vary.
+_CONFIG_FIELDS = SWEEPABLE_FIELDS + ("hot_populations", "cold_populations", "battery_init")
+
+
+def with_fields(config: EngineConfig, **values) -> EngineConfig:
+    """config with the named fields set to the given values: EngineConfig's
+    fields and the battery components (_CONFIG_FIELDS), in one EngineConfig
+    construction however many names are given. A battery component applies
+    on top of a battery_init given with it."""
+    unknown = [name for name in values if name not in _CONFIG_FIELDS]
+    if unknown:
+        raise ConfigError(f"unknown field {unknown[0]!r}; expected one of {', '.join(_CONFIG_FIELDS)}")
+    battery = {name.removeprefix("battery_"): values.pop(name) for name in _BATTERY_COMPONENTS if name in values}
+    if battery:
+        values["battery_init"] = Polarization(*values.get("battery_init", config.battery_init))._replace(**battery)
+    # scenario files give counts like 2.0; EngineConfig checks the rest
+    if isinstance(values.get("cycles"), float) and values["cycles"].is_integer():
+        values["cycles"] = int(values["cycles"])
+    return replace(config, **values)
+
+
 @dataclass(frozen=True, eq=False)
 class ConfigBatch:
-    """EngineConfig's fields as arrays, one row per config: the input of every
-    stacked map. theta, compression_theta (resolved), p_mx, the two noise
+    """EngineConfig's fields as arrays, one row per config, in EngineConfig's
+    order: the input of every stacked map. theta, compression_theta (the
+    resolved angle, in place of theta_compression), p_mx, the two noise
     factors and cycles have shape (k,), the populations (k, 2) and
     battery_init (k, 3).
 
-    The constructor checks the batch by the rules of EngineConfig and
-    NoiseConfig, each evaluated once over all rows; a failure raises a
+    The constructor checks the batch by the rules of EngineConfig (the one
+    _check_config), each evaluated once over all rows; a failure raises a
     ConfigError that names the field, the first bad row and its value. A list
     entry that is no number (a bool, a string) is rejected, and cycles must be
     integers. The arrays are stored read-only (cycles as int), so a batch
@@ -239,22 +275,16 @@ class ConfigBatch:
         for f in fields(self):
             object.__setattr__(self, f.name, _column(f.name, getattr(self, f.name), np.size(self.theta)))
         _check_config(self)
-        _check_factor("battery_dephasing_per_reset", self.battery_dephasing_per_reset)
-        _check_factor("battery_t2_per_cycle", self.battery_t2_per_cycle)
 
     @classmethod
     def of(cls, configs: Sequence[EngineConfig]) -> "ConfigBatch":
         """The batch of one or more configs, one row each, in order."""
-        rows = [(c.theta, c.compression_theta, c.p_mx, c.hot_populations, c.cold_populations, c.battery_init,
-                 c.noise.battery_dephasing_per_reset, c.noise.battery_t2_per_cycle, c.cycles) for c in configs]
-        return cls(*(np.array(column) for column in zip(*rows)))
+        return cls(*(np.array([getattr(c, f.name) for c in configs]) for f in fields(cls)))
 
     def configs(self) -> list[EngineConfig]:
         """One EngineConfig per row, in order; theta_compression is set to the
         row's compression_theta."""
-        rows = zip(*(getattr(self, f.name).tolist() for f in fields(self)))
-        return [EngineConfig(t, t_c, m, tuple(hot), tuple(cold), Polarization(*p), NoiseConfig(f_r, f_t), n)
-                for t, t_c, m, hot, cold, p, f_r, f_t, n in rows]
+        return [EngineConfig(*row) for row in zip(*(getattr(self, f.name).tolist() for f in fields(self)))]
 
     def __len__(self) -> int:
         return len(self.theta)

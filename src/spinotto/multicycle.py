@@ -49,11 +49,13 @@ the records.
 Which checks run where:
 - every number the formula reads obeys one set of rules (engine's
   _check_config), the bound |p_mx| <= sqrt(p0 p1) that makes the hot state
-  positive included: EngineConfig applies them to each config as it is
-  built, and ConfigBatch, ConfigBatch.of included, to a whole batch, each
-  rule once over all rows (a NaN breaks every rule). So battery_map and the
-  stages never see an unchecked parameter, and stack_runs builds the hot
-  states straight from its batch;
+  positive and the range [0, 1] of both noise factors included, and every
+  cycle count obeys _check_count, which keeps the block's array of battery
+  vectors within numpy's size limit: EngineConfig applies them to each
+  config as it is built, and ConfigBatch, ConfigBatch.of included, to a
+  whole batch, each rule once over all rows (a NaN breaks every rule). So
+  battery_map and the stages never see an unchecked parameter, and
+  stack_runs builds the hot states straight from its batch;
 - prepare_battery builds each config's battery state from its checked
   battery_init, and the one bloch_vectors call of a block validates the
   stack of them, hermiticity, trace and spectrum, before P_0 is read off;
@@ -80,22 +82,23 @@ Which checks run where:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .diagnostics import Polarization, bloch_vectors, correlator_sets
 from .engine import (
+    SWEEPABLE_FIELDS,
     ConfigBatch,
     ConfigError,
     CycleRecord,
     EngineConfig,
-    NoiseConfig,
     _require,
     make_cycle_record,
     power_stroke,
     prepare_battery,
+    with_fields,
 )
 from .linalg import PSD_CLAMP, ValidationError, kron, validate_density
 
@@ -282,37 +285,6 @@ def peak_advantage(result: ComparisonResult) -> tuple[float, int] | None:
     """
     defined = [(x, r.cycle_index) for r, x in zip(result.coherent.records, result.advantage) if x is not None]
     return max(defined, key=lambda peak: peak[0], default=None)
-
-
-# The config fields a sweep sets: the engine's scalars, the components of
-# battery_init as battery_px/py/pz, the noise channels and the cycle count.
-_SCALAR_FIELDS = ("theta", "theta_compression", "p_mx")
-_BATTERY_FIELDS = tuple(f"battery_{axis}" for axis in Polarization._fields)
-_NOISE_FIELDS = tuple(f.name for f in fields(NoiseConfig))
-SWEEPABLE_FIELDS = _SCALAR_FIELDS + _BATTERY_FIELDS + _NOISE_FIELDS + ("cycles",)
-# Every flat field name with_fields takes: the sweepable fields and the
-# [engine] keys of a scenario file that a sweep cannot vary.
-_CONFIG_FIELDS = SWEEPABLE_FIELDS + ("hot_populations", "cold_populations", "battery_init")
-
-
-def with_fields(config: EngineConfig, **values) -> EngineConfig:
-    """config with the named fields set to the given values: the one map from
-    flat field names (_CONFIG_FIELDS) to a config, built with one NoiseConfig
-    and one EngineConfig however many names are given. A battery component
-    applies on top of a battery_init given with it."""
-    unknown = [name for name in values if name not in _CONFIG_FIELDS]
-    if unknown:
-        raise ConfigError(f"unknown field {unknown[0]!r}; expected one of {', '.join(_CONFIG_FIELDS)}")
-    noise = {name: values.pop(name) for name in _NOISE_FIELDS if name in values}
-    battery = {name.removeprefix("battery_"): values.pop(name) for name in _BATTERY_FIELDS if name in values}
-    if noise:
-        values["noise"] = replace(config.noise, **noise)
-    if battery:
-        values["battery_init"] = Polarization(*values.get("battery_init", config.battery_init))._replace(**battery)
-    # scenario files give counts like 2.0; EngineConfig checks the rest
-    if isinstance(values.get("cycles"), float) and values["cycles"].is_integer():
-        values["cycles"] = int(values["cycles"])
-    return replace(config, **values)
 
 
 def sweep(config: EngineConfig, field_name: str, values: Sequence) -> list[EngineTrace]:

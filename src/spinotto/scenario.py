@@ -36,8 +36,7 @@ from functools import partial
 from pathlib import Path
 
 from .diagnostics import Polarization
-from .engine import ConfigError, EngineConfig, NoiseConfig
-from .multicycle import SWEEPABLE_FIELDS, with_fields
+from .engine import MAX_COUNT, NOISE_FIELDS, SWEEPABLE_FIELDS, ConfigError, EngineConfig, with_fields
 
 FORMATS = ("csv", "json")
 
@@ -95,18 +94,17 @@ class ScenarioFile:
 
 
 _TOP_KEYS = ("schema_version", "scenario")
-# The keys of each section are the fields of its dataclass, in field order;
-# [noise] is a section of its own rather than a key of [engine], and [search]
-# also takes the run length of every grid point.
+# The keys of each section are the fields of its dataclass, in field order.
+# [engine] and [noise] split EngineConfig's fields: [noise] takes the two
+# noise factors (NOISE_FIELDS) and [engine] every other field. [search] also
+# takes the run length of every grid point.
 _SECTION_KEYS = {
-    section: tuple(f.name for f in fields(cls) if f.name != "noise")
-    for section, cls in (
-        ("engine", EngineConfig),
-        ("noise", NoiseConfig),
-        ("sweep", SweepSpec),
-        ("output", OutputSpec),
-    )
-} | {"search": SEARCH_AXES + ("max_cycles",)}
+    "engine": tuple(f.name for f in fields(EngineConfig) if f.name not in NOISE_FIELDS),
+    "noise": NOISE_FIELDS,
+    "sweep": tuple(f.name for f in fields(SweepSpec)),
+    "output": tuple(f.name for f in fields(OutputSpec)),
+    "search": SEARCH_AXES + ("max_cycles",),
+}
 _SECTIONS_BY_KIND = {
     "single-cycle-sweep": ("engine", "noise", "sweep", "output"),
     "multicycle": ("engine", "noise", "sweep", "output"),
@@ -270,8 +268,9 @@ def parse_scenario(text: str) -> ScenarioFile:
                     raise ScenarioError(f"{key}: duplicate value {repeated[0]!r}", entries[key][1])
                 axes[key] = tuple(values)
         max_cycles = _to_int(*entries["max_cycles"]) if "max_cycles" in entries else 10
-        if max_cycles < 1:
-            raise ScenarioError("max_cycles must be positive", entries["max_cycles"][1])
+        if not 1 <= max_cycles <= MAX_COUNT:
+            message = f"max_cycles must be a positive integer up to {MAX_COUNT}, got {max_cycles}"
+            raise ScenarioError(message, entries["max_cycles"][1])
         first_run = {key: values[0] for key, values in axes.items()} | {"cycles": max_cycles}
         set_by = "[search]"
 
@@ -290,7 +289,7 @@ def parse_scenario(text: str) -> ScenarioFile:
     if axes:
         # theta and p_mx are required; a noise axis that [search] omits holds
         # the base config's value
-        search_spec = SearchSpec(**{key: (getattr(engine.noise, key),) for key in _SECTION_KEYS["noise"]} | axes)
+        search_spec = SearchSpec(**{key: (getattr(engine, key),) for key in NOISE_FIELDS} | axes)
 
     prefix = kind
     formats = FORMATS
@@ -331,24 +330,31 @@ def load_scenario(path) -> ScenarioFile:
 
 
 def config_to_dict(config: EngineConfig) -> dict:
-    """JSON-ready echo of an engine config; inverse of config_from_dict."""
-    return asdict(config)
+    """JSON-ready echo of an engine config, the "config" block of a summary
+    JSON: EngineConfig's fields in order, but the two noise factors grouped
+    under "noise", just before "cycles", as a scenario file's [noise] section
+    groups them. config_from_dict is its inverse."""
+    data = asdict(config)
+    noise = {name: data.pop(name) for name in NOISE_FIELDS}
+    cycles = data.pop("cycles")
+    return data | {"noise": noise, "cycles": cycles}
 
 
-def _reject_unknown(what: str, data: dict, cls) -> None:
-    unknown = set(data) - {f.name for f in fields(cls)}
+def _reject_unknown(what: str, data: dict, names) -> None:
+    unknown = set(data) - set(names)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
 def config_from_dict(data: dict) -> EngineConfig:
-    """Rebuild an EngineConfig from its JSON echo, rejecting unknown keys."""
-    _reject_unknown("config", data, EngineConfig)
+    """Rebuild an EngineConfig from a summary JSON's "config" block, as
+    config_to_dict writes it. Unknown keys are rejected, at the top level and
+    under "noise", and so is a noise factor given at the top level."""
     kwargs = dict(data)
-    if "noise" in kwargs:
-        _reject_unknown("noise", kwargs["noise"], NoiseConfig)
-        kwargs["noise"] = NoiseConfig(**kwargs["noise"])
-    return EngineConfig(**kwargs)
+    noise = kwargs.pop("noise", {})
+    _reject_unknown("config", kwargs, _SECTION_KEYS["engine"])
+    _reject_unknown("noise", noise, NOISE_FIELDS)
+    return EngineConfig(**kwargs, **noise)
 
 
 def _fig2_preset() -> ScenarioFile:

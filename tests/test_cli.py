@@ -1,14 +1,13 @@
 import json
 import os
 import pathlib
-from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from spinotto import cli, output, validate
 from spinotto.cli import main
-from spinotto.engine import EngineConfig, NoiseConfig
+from spinotto.engine import EngineConfig
 from spinotto.multicycle import (
     MAP_BLOCK,
     compare_coherent_incoherent,
@@ -209,6 +208,29 @@ def test_non_integer_cycles_sweep_exits_1(tmp_path, capsys):
     assert "cycles must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [
+    "[engine]\ncycles = 100000000000000000000\n",
+    "[engine]\ncycles = 9223372036854775807\n",
+    "[sweep]\nfield = cycles\nvalues = 2, 1e20\n",
+])
+def test_a_cycle_count_too_large_to_run_exits_1_naming_the_field(tmp_path, capsys, body):
+    # such a count was once accepted and then crashed inside numpy with a traceback
+    scn = tmp_path / "big.scn"
+    scn.write_text("scenario = multicycle\n" + body)
+    assert main(["run", str(scn), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cycles must be a positive integer up to ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [scn]
+
+
+def test_a_max_cycles_too_large_to_run_exits_2_naming_the_key_and_line(tmp_path, capsys):
+    scn = tmp_path / "big.scn"
+    scn.write_text("scenario = search-advantage\n[search]\ntheta = 0.5\np_mx = 0.2\n"
+                   "max_cycles = 100000000000000000000\n")
+    assert main(["search", str(scn), "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 5: max_cycles must be a positive integer up to ")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -269,7 +291,8 @@ def test_stacked_search_equals_per_config_compare(tmp_path, monkeypatch, n):
     rows = read(tmp_path / "grid_grid.csv").decode().splitlines()[1:]
     assert len(seen) == len(rows) == n
     for theta, result, row in zip(thetas, seen, rows, strict=True):
-        config = EngineConfig(theta=theta, p_mx=0.3, noise=NoiseConfig(0.95, 0.9), cycles=3)
+        config = EngineConfig(theta=theta, p_mx=0.3, battery_dephasing_per_reset=0.95, battery_t2_per_cycle=0.9,
+                              cycles=3)
         single = compare_coherent_incoherent(run_engine(config), run_engine(config.with_p_mx(0.0)))
         assert (result.coherent.config, result.incoherent.config) == (config, config.with_p_mx(0.0))
         for got, want in ((result.coherent, single.coherent), (result.incoherent, single.incoherent)):
@@ -284,7 +307,7 @@ def test_search_summary_config_is_the_first_grid_row(tmp_path):
     assert main(["search", "search-default", "--output-dir", str(out)]) == 0
     config = config_from_dict(json.loads(read(out / "search_summary.json"))["config"])
     first = read(out / "search_grid.csv").decode().splitlines()[1].split(",")
-    point = (config.theta, config.p_mx, *astuple(config.noise))
+    point = (config.theta, config.p_mx, config.battery_dephasing_per_reset, config.battery_t2_per_cycle)
     assert [fmt_float(x) for x in point] == first[:4]
     ratio, cycle = peak_advantage(compare_coherent_incoherent(*run_engines([config, config.with_p_mx(0.0)])))
     assert first[4:6] == [fmt_float(ratio), str(cycle)]

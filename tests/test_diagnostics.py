@@ -15,7 +15,7 @@ from spinotto.diagnostics import (
     relative_entropy_of_coherence,
     von_neumann_entropy,
 )
-from spinotto.engine import EngineConfig, NoiseConfig, prepare_battery
+from spinotto.engine import EngineConfig, prepare_battery
 from spinotto.linalg import DimensionError, ValidationError, kron, pauli
 from spinotto.multicycle import run_engines
 from spinotto.scenario import PRESETS
@@ -365,7 +365,8 @@ def post_stroke_states(monkeypatch, configs):
 def test_concurrence_matches_textbook_wootters(monkeypatch):
     rng = np.random.default_rng(15)
     fig3 = PRESETS["fig3"]().engine
-    noisy = EngineConfig(theta=0.7, p_mx=0.4, battery_init=(0.2, 0.1, -0.3), noise=NoiseConfig(0.9, 0.8), cycles=40)
+    noisy = EngineConfig(theta=0.7, p_mx=0.4, battery_init=(0.2, 0.1, -0.3), battery_dephasing_per_reset=0.9,
+                         battery_t2_per_cycle=0.8, cycles=40)
     families = {
         f"rank {rank}": [random_density(rng, 4, rank) for _ in range(100)] for rank in (1, 2, 3, 4)
     }

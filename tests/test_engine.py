@@ -7,10 +7,10 @@ import pytest
 
 from spinotto.diagnostics import Polarization, mean_energy, polarization_vector
 from spinotto.engine import (
+    MAX_COUNT,
     ConfigBatch,
     ConfigError,
     EngineConfig,
-    NoiseConfig,
     flip_flop_propagator,
     power_stroke,
     prepare_battery,
@@ -375,8 +375,8 @@ class TestConfigBatch:
     def test_of_and_configs_round_trip(self):
         configs = [
             EngineConfig(theta=0.3, theta_compression=0.7, p_mx=-0.2, hot_populations=(0.9, 0.1),
-                         cold_populations=(0.2, 0.8), battery_init=(0.1, -0.2, 0.3), noise=NoiseConfig(0.5, 0.25),
-                         cycles=7),
+                         cold_populations=(0.2, 0.8), battery_init=(0.1, -0.2, 0.3), battery_dephasing_per_reset=0.5,
+                         battery_t2_per_cycle=0.25, cycles=7),
             EngineConfig(theta=1.1, theta_compression=1.1),
         ]
         batch = ConfigBatch.of(configs)
@@ -424,13 +424,45 @@ class TestConfigBatch:
         with pytest.raises(ConfigError, match=re.escape("p_mx[1] must be a finite number, got True")):
             ConfigBatch(**dict(columns, p_mx=[0.1, True]))
 
+    def test_fields_are_engine_configs_in_order(self):
+        # one field list: the batch holds the resolved compression angle in
+        # place of theta_compression, and every other field under its own name
+        rename = {"theta_compression": "compression_theta"}
+        assert [f.name for f in fields(ConfigBatch)] == [rename.get(f.name, f.name) for f in fields(EngineConfig)]
+
+
+class TestCountBound:
+    # A count above MAX_COUNT was once accepted and then failed inside
+    # run_engine: an OverflowError converting the column, or "negative
+    # dimensions" from cycles.max() + 1.
+
+    def test_max_count_is_the_longest_run_numpy_can_describe(self):
+        # a broadcast view has the shape of P_0 ... P_n without allocating it
+        np.broadcast_to(np.zeros(3), (MAX_COUNT + 1, 3))
+        with pytest.raises(ValueError, match="too big"):
+            np.broadcast_to(np.zeros(3), (MAX_COUNT + 2, 3))
+
+    @pytest.mark.parametrize("cycles", [np.array([1, MAX_COUNT + 1, 1]), np.array([1, 2**63 - 1, 1]),
+                                        np.array([1, 2**64 - 1, 1], dtype=np.uint64)])
+    def test_an_array_of_counts_is_checked_before_it_becomes_int64(self, cycles):
+        columns = {f.name: getattr(ConfigBatch.of([EngineConfig()] * 3), f.name) for f in fields(ConfigBatch)}
+        rule = f"must be a positive integer up to {MAX_COUNT}, got {cycles[1]}"
+        with pytest.raises(ConfigError, match=re.escape(f"cycles[1] {rule}")):
+            ConfigBatch(**dict(columns, cycles=cycles))
+
+    def test_the_largest_count_is_admitted(self):
+        # not run: its battery vectors alone would take 9.2e18 bytes
+        columns = {f.name: getattr(ConfigBatch.of([EngineConfig()] * 2), f.name) for f in fields(ConfigBatch)}
+        assert EngineConfig(cycles=MAX_COUNT).cycles == MAX_COUNT
+        assert ConfigBatch(**dict(columns, cycles=np.array([1, MAX_COUNT]))).cycles[1] == MAX_COUNT
+
 
 class TestEngineConfig:
     def test_defaults_are_valid(self):
         cfg = EngineConfig()
         assert cfg.hot_populations == (0.485, 0.515)
         assert cfg.cold_populations == (0.03, 0.97)
-        assert (cfg.noise.battery_dephasing_per_reset, cfg.noise.battery_t2_per_cycle) == (1.0, 1.0)
+        assert (cfg.battery_dephasing_per_reset, cfg.battery_t2_per_cycle) == (1.0, 1.0)
 
     def test_invalid_configs_raise(self):
         with pytest.raises(ConfigError):
@@ -442,7 +474,7 @@ class TestEngineConfig:
         with pytest.raises(ConfigError):
             EngineConfig(hot_populations=(0.7, 0.7))
         with pytest.raises(ConfigError):
-            NoiseConfig(battery_t2_per_cycle=1.5)
+            EngineConfig(battery_t2_per_cycle=1.5)
 
     @pytest.mark.parametrize(
         "field, kwargs",
@@ -489,6 +521,10 @@ class TestEngineConfig:
             # a count must be an integer, and a bool inside a sequence or a
             # numpy bool is no number either
             ("cycles", dict(cycles=2.0)),
+            # a count too large for numpy to describe its run's battery vectors
+            ("cycles", dict(cycles=MAX_COUNT + 1)),
+            ("cycles", dict(cycles=2**63 - 1)),
+            ("cycles", dict(cycles=2**70)),
             ("hot_populations", dict(hot_populations=(True, False))),
             ("cold_populations", dict(cold_populations=(True, False))),
             ("battery_init", dict(battery_init=(0.0, True, 0.0))),
@@ -497,9 +533,8 @@ class TestEngineConfig:
         ],
     )
     def test_bad_numbers_rejected_naming_the_field(self, field, kwargs):
-        config_type = NoiseConfig if field in {f.name for f in fields(NoiseConfig)} else EngineConfig
         with pytest.raises(ConfigError, match=field):
-            config_type(**kwargs)
+            EngineConfig(**kwargs)
         # the public preparations apply the same checks to the same values
         prepare = {
             "p_mx": lambda v: prepare_hot_medium(v, (0.485, 0.515)),
@@ -527,12 +562,13 @@ class TestEngineConfig:
 
     def test_numbers_are_stored_as_float(self):
         cfg = EngineConfig(theta=1, theta_compression=np.float64(0.5), p_mx=np.int64(0),
-                           noise=NoiseConfig(1, np.float32(0.5)))
+                           battery_dephasing_per_reset=1, battery_t2_per_cycle=np.float32(0.5))
         values = (cfg.theta, cfg.theta_compression, cfg.p_mx,
-                  cfg.noise.battery_dephasing_per_reset, cfg.noise.battery_t2_per_cycle)
+                  cfg.battery_dephasing_per_reset, cfg.battery_t2_per_cycle)
         assert values == (1.0, 0.5, 0.0, 1.0, 0.5)
         assert all(type(v) is float for v in values)
-        same = EngineConfig(theta=1.0, theta_compression=0.5, p_mx=0.0, noise=NoiseConfig(1.0, 0.5))
+        same = EngineConfig(theta=1.0, theta_compression=0.5, p_mx=0.0, battery_dephasing_per_reset=1.0,
+                            battery_t2_per_cycle=0.5)
         for x, y in zip(battery_map(ConfigBatch.of([cfg])), battery_map(ConfigBatch.of([same]))):
             assert np.array_equal(x, y)
 

@@ -12,10 +12,10 @@ from spinotto.engine import (
     ConfigBatch,
     ConfigError,
     EngineConfig,
-    NoiseConfig,
     power_stroke,
     prepare_battery,
     reset_medium,
+    with_fields,
 )
 from spinotto.cli import main
 from spinotto.linalg import PSD_CLAMP, ValidationError, kron, partial_trace, pauli
@@ -29,7 +29,6 @@ from spinotto.multicycle import (
     run_engines,
     stack_runs,
     sweep,
-    with_fields,
 )
 from spinotto.scenario import PRESETS
 from spinotto.validate import (
@@ -306,7 +305,7 @@ def test_one_record_and_one_concurrence_per_cycle(monkeypatch):
     }
     for name, fn in originals.items():
         patch_everywhere(monkeypatch, fn, spy(name, fn))
-    run_engine(EngineConfig(cycles=7, noise=NoiseConfig(0.9, 0.8)))
+    run_engine(EngineConfig(cycles=7, battery_dephasing_per_reset=0.9, battery_t2_per_cycle=0.8))
     assert calls == {"make_cycle_record": 7, "concurrence": 7, "prepare_battery": 1}
     compare(EngineConfig(cycles=5))
     assert calls == {"make_cycle_record": 17, "concurrence": 17, "prepare_battery": 3}
@@ -471,6 +470,14 @@ def test_fuzz_and_oracle_gap_reject_a_count_that_is_not_a_positive_integer(count
         validate.fuzz_stage_validity(count)
     with pytest.raises(ConfigError, match="draws must be a positive integer"):
         validate.max_oracle_gap(count)
+
+
+def test_fuzz_and_oracle_gap_reject_a_count_too_large_to_run():
+    # 2**70 applications once reached numpy, and 2**70 draws looped for ever
+    with pytest.raises(ConfigError, match=f"applications must be a positive integer up to {engine.MAX_COUNT}"):
+        validate.fuzz_stage_validity(2**70)
+    with pytest.raises(ConfigError, match=f"draws must be a positive integer up to {engine.MAX_COUNT}"):
+        validate.max_oracle_gap(2**70)
 
 
 class TestFuzz:
@@ -689,7 +696,7 @@ class TestRunEngine:
 
     def test_determinism_bit_exact(self):
         cfg = EngineConfig(theta=0.6, p_mx=0.3, cycles=12,
-                           noise=NoiseConfig(0.97, 0.93))
+                           battery_dephasing_per_reset=0.97, battery_t2_per_cycle=0.93)
         t1 = run_engine(cfg)
         t2 = run_engine(cfg)
         for r1, r2 in zip(t1.records, t2.records):
@@ -707,7 +714,7 @@ class TestRunEngine:
     def test_states_stay_valid_with_noise(self):
         cfg = EngineConfig(
             theta=0.7, p_mx=0.4, cycles=25,
-            noise=NoiseConfig(battery_dephasing_per_reset=0.9, battery_t2_per_cycle=0.85),
+            battery_dephasing_per_reset=0.9, battery_t2_per_cycle=0.85,
         )
         # every battery of the 25 cycles is the battery map's iterate, and
         # every post-stroke state is a density operator
@@ -751,7 +758,7 @@ class TestCompare:
         ]
         traces = run_engines(configs + [c.with_p_mx(0.0) for c in configs])
         for config, coherent, incoherent in zip(configs, traces[:len(configs)], traces[len(configs):], strict=True):
-            f_r, f_t = config.noise.battery_dephasing_per_reset, config.noise.battery_t2_per_cycle
+            f_r, f_t = config.battery_dephasing_per_reset, config.battery_t2_per_cycle
             s, c, c_c = math.sin(config.theta), math.cos(config.theta), math.cos(config.compression_theta)
             lead = 2 * f_r**2 * f_t * config.p_mx**2 * s**2 * c * c_c**3
             w_coh, w_inc = ([r.cycle_work for r in t.records] for t in (coherent, incoherent))
@@ -798,7 +805,7 @@ class TestFixture:
         assert cycle <= 10 and ratio >= 1.5
 
     def test_rise_then_fall_of_coherence(self):
-        cfg = replace(advantage_fixture(30), noise=NoiseConfig(battery_t2_per_cycle=0.9))
+        cfg = replace(advantage_fixture(30), battery_t2_per_cycle=0.9)
         records = run_engine(cfg).records
         coherences = [r.rel_entropy_coherence for r in records]
         coherent_ergo = [r.ergotropy_coherent for r in records]
@@ -811,7 +818,7 @@ class TestFixture:
     def test_dephasing_monotonically_reduces_work(self):
         totals = []
         for t2 in (1.0, 0.9, 0.7):
-            cfg = replace(advantage_fixture(30), noise=NoiseConfig(battery_t2_per_cycle=t2))
+            cfg = replace(advantage_fixture(30), battery_t2_per_cycle=t2)
             totals.append(run_engine(cfg).records[-1].cumulative_work)
         assert totals[0] >= totals[1] >= totals[2]
 
@@ -835,7 +842,7 @@ class TestSweep:
         assert sweep(cfg, "battery_py", [0.25])[0].config.battery_init.py == 0.25
         assert sweep(cfg, "cycles", [4])[0].config.cycles == 4
         assert (
-            sweep(cfg, "battery_t2_per_cycle", [0.8])[0].config.noise.battery_t2_per_cycle
+            sweep(cfg, "battery_t2_per_cycle", [0.8])[0].config.battery_t2_per_cycle
             == 0.8
         )
 
@@ -858,19 +865,18 @@ class TestSweep:
 
     def test_with_fields_builds_one_config_of_each_kind(self, monkeypatch):
         # a search grid point sets engine scalars, noise channels and the cycle
-        # count at once, in one NoiseConfig and one EngineConfig construction
+        # count at once, in one EngineConfig construction
         cfg = EngineConfig(cycles=2, battery_init=(0.0, 0.1, -0.4), **IDEAL)
         built = []
-        for cls in (EngineConfig, NoiseConfig):
-            def counted(self, post_init=cls.__post_init__):
-                built.append(type(self).__name__)
-                post_init(self)
-            monkeypatch.setattr(cls, "__post_init__", counted)
+        def counted(self, post_init=EngineConfig.__post_init__):
+            built.append(type(self).__name__)
+            post_init(self)
+        monkeypatch.setattr(EngineConfig, "__post_init__", counted)
         got = with_fields(cfg, theta=0.3, p_mx=0.2, battery_px=0.1, battery_dephasing_per_reset=0.9,
                           battery_t2_per_cycle=0.8, cycles=3.0)
-        assert sorted(built) == ["EngineConfig", "NoiseConfig"]
-        want = EngineConfig(theta=0.3, p_mx=0.2, battery_init=(0.1, 0.1, -0.4), noise=NoiseConfig(0.9, 0.8),
-                            cycles=3, **IDEAL)
+        assert built == ["EngineConfig"]
+        want = EngineConfig(theta=0.3, p_mx=0.2, battery_init=(0.1, 0.1, -0.4), battery_dephasing_per_reset=0.9,
+                            battery_t2_per_cycle=0.8, cycles=3, **IDEAL)
         assert got == want and type(got.cycles) is int
 
     def test_with_fields_sets_a_battery_component_on_the_battery_init_given_with_it(self):
@@ -896,7 +902,7 @@ class TestSweep:
         # the records carry A and b (battery vectors) and post_stroke
         # (correlators, concurrence)
         cfg = EngineConfig(theta=0.6, p_mx=0.3, cycles=4, battery_init=(0.1, 0.0, -0.35),
-                           noise=NoiseConfig(0.95, 0.9))
+                           battery_dephasing_per_reset=0.95, battery_t2_per_cycle=0.9)
         traces = sweep(cfg, field_name, values)
         assert len(traces) == len(values)
         for trace in traces:

@@ -10,16 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinotto.engine import ConfigError, EngineConfig, NoiseConfig
+from spinotto.engine import ConfigError, EngineConfig, with_fields
 from spinotto.diagnostics import Polarization
 from spinotto import cli
-from spinotto.multicycle import compare_coherent_incoherent, run_engines, with_fields
+from spinotto.multicycle import compare_coherent_incoherent, run_engines
 from spinotto.output import dumps_stable
 from spinotto.scenario import (
     PRESETS,
     ScenarioError,
     ScenarioFile,
     THETA_GRID,
+    _SECTION_KEYS,
     config_from_dict,
     config_to_dict,
     parse_scenario,
@@ -34,7 +35,7 @@ def test_minimal_multicycle_file():
     # defaults: experimental bath diagonals
     assert s.engine.hot_populations == (0.485, 0.515)
     assert s.engine.cold_populations == (0.03, 0.97)
-    assert s.engine.noise == NoiseConfig()
+    assert (s.engine.battery_dephasing_per_reset, s.engine.battery_t2_per_cycle) == (1.0, 1.0)
     assert s.output.formats == ("csv", "json")
 
 
@@ -224,10 +225,67 @@ def test_config_dict_roundtrip():
         hot_populations=(0.45, 0.55),
         cold_populations=(0.1, 0.9),
         battery_init=Polarization(0.05, -0.1, 0.2),
-        noise=NoiseConfig(0.93, 0.88),
+        battery_dephasing_per_reset=0.93,
+        battery_t2_per_cycle=0.88,
         cycles=7,
     )
     assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def test_engine_and_noise_keys_partition_the_config_fields():
+    engine, noise = _SECTION_KEYS["engine"], _SECTION_KEYS["noise"]
+    assert set(engine).isdisjoint(noise)
+    assert sorted(engine + noise) == sorted(f.name for f in fields(EngineConfig))
+
+
+# The "config" block of a summary JSON, byte for byte as earlier versions
+# wrote it: the format stays fixed, so every summary reads back the same.
+SUMMARY_CONFIG = """{
+  "theta": 0.69999999999999996,
+  "theta_compression": 0.25,
+  "p_mx": 0.29999999999999999,
+  "hot_populations": [
+    0.59999999999999998,
+    0.40000000000000002
+  ],
+  "cold_populations": [
+    0.125,
+    0.875
+  ],
+  "battery_init": [
+    0.10000000000000001,
+    -0.20000000000000001,
+    0.25
+  ],
+  "noise": {
+    "battery_dephasing_per_reset": 0.90000000000000002,
+    "battery_t2_per_cycle": 0.75
+  },
+  "cycles": 12
+}"""
+
+
+def test_summary_config_block_is_unchanged():
+    cfg = EngineConfig(theta=0.7, theta_compression=0.25, p_mx=0.3, hot_populations=(0.6, 0.4),
+                       cold_populations=(0.125, 0.875), battery_init=(0.1, -0.2, 0.25),
+                       battery_dephasing_per_reset=0.9, battery_t2_per_cycle=0.75, cycles=12)
+    assert dumps_stable(config_to_dict(cfg)) == SUMMARY_CONFIG
+    assert config_from_dict(json.loads(SUMMARY_CONFIG)) == cfg
+
+
+def test_config_from_dict_rejects_a_key_out_of_place():
+    good = config_to_dict(EngineConfig())
+    flat = {key: value for key, value in good.items() if key != "noise"}
+    cases = [
+        (good | {"voltage": 3.3}, "config", "voltage"),
+        (good | {"noise": good["noise"] | {"gamma": 0.5}}, "noise", "gamma"),
+        # a noise factor belongs under "noise", whether or not the block is there
+        (good | {"battery_t2_per_cycle": 0.9}, "config", "battery_t2_per_cycle"),
+        (flat | good["noise"], "config", "battery_dephasing_per_reset, battery_t2_per_cycle"),
+    ]
+    for data, level, keys in cases:
+        with pytest.raises(ConfigError, match=f"^unknown {level} keys: {keys}$"):
+            config_from_dict(data)
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -333,7 +391,8 @@ def engine_configs(draw):
         hot_populations=hot,
         cold_populations=(q0, 1.0 - q0),
         battery_init=battery,
-        noise=NoiseConfig(draw(_unit), draw(_unit)),
+        battery_dephasing_per_reset=draw(_unit),
+        battery_t2_per_cycle=draw(_unit),
         cycles=draw(st.integers(1, 10_000)),
     )
 
