@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 import time
@@ -146,7 +147,7 @@ def _run_compare(s: ScenarioFile, args) -> tuple[list[str], dict]:
             _write_cycle_trace(args, f"{s.output.prefix}_{tag}.csv", trace, outputs)
         name = f"{s.output.prefix}_advantage.csv"
         rows = [
-            (rc.cycle_index, rc.cycle_work, ri.cycle_work, ratio)
+            (rc.cycle_index, rc.cycle_work, ri.cycle_work, math.nan if ratio is None else ratio)
             for rc, ri, ratio in zip(
                 result.coherent.records, result.incoherent.records, result.advantage
             )
@@ -179,7 +180,7 @@ def _run_search(s: ScenarioFile, args) -> tuple[list[str], dict]:
     comparisons = [compare_coherent_incoherent(c, i) for c, i in zip(traces[:n], traces[n:])]
 
     peaks = [peak_advantage(comparison) for comparison in comparisons]
-    rows = [point + ((*peak, True) if peak else (None, 0, False)) for point, peak in zip(points, peaks)]
+    rows = [point + ((*peak, True) if peak else (math.nan, 0, False)) for point, peak in zip(points, peaks)]
     # the point of the largest ratio; max keeps the first of equal ratios, the lex-smallest point
     best = max((i for i, peak in enumerate(peaks) if peak is not None), key=lambda i: peaks[i][0], default=None)
 
@@ -261,8 +262,8 @@ def main(argv=None) -> int:
     except (ScenarioError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LinalgError, OSError) as exc:  # a ConfigError is a LinalgError
-        print(f"error: {exc}", file=sys.stderr)
+    except (LinalgError, OSError, MemoryError) as exc:  # a ConfigError is a LinalgError
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -128,8 +128,8 @@ def _check_count(name: str, n) -> None:
     """A count of cycles, draws or applications: at least 1, and small
     enough that numpy can describe the (n + 1, 3) float64 array of the
     battery vectors P_0 ... P_n of an n-cycle run (below 2**63 bytes). A
-    smaller count can still be too large for memory, and raises MemoryError
-    when the run allocates it."""
+    smaller count, or a block of runs padded to it, can still be too large
+    for memory: multicycle.stack_runs then raises a ConfigError."""
     _require(name, (1 <= n) & (n <= MAX_COUNT), n, f"must be a positive integer up to {MAX_COUNT}")
 
 

@@ -50,12 +50,15 @@ Which checks run where:
 - every number the formula reads obeys one set of rules (engine's
   _check_config), the bound |p_mx| <= sqrt(p0 p1) that makes the hot state
   positive and the range [0, 1] of both noise factors included, and every
-  cycle count obeys _check_count, which keeps the block's array of battery
+  cycle count obeys _check_count, which keeps one run's array of battery
   vectors within numpy's size limit: EngineConfig applies them to each
   config as it is built, and ConfigBatch, ConfigBatch.of included, to a
   whole batch, each rule once over all rows (a NaN breaks every rule). So
   battery_map and the stages never see an unchecked parameter, and
   stack_runs builds the hot states straight from its batch;
+- a block whose padded array of battery vectors numpy cannot describe or
+  allocate raises a ConfigError naming cycles, the block's runs and the
+  bytes, before any cycle runs;
 - prepare_battery builds each config's battery state from its checked
   battery_init, and the one bloch_vectors call of a block validates the
   stack of them, hermiticity, trace and spectrum, before P_0 is read off;
@@ -214,7 +217,12 @@ def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, 
     batch = ConfigBatch.of(configs)
     A, b = battery_map(batch)
     cycles = batch.cycles
-    p = np.empty((len(batch), cycles.max() + 1, 3))  # P_0 ... P_c of every config, padded to the longest run
+    try:  # P_0 ... P_c of every config, padded to the longest run
+        p = np.empty((len(batch), cycles.max() + 1, 3))
+    except (MemoryError, ValueError):  # numpy says "array is too big" for one past 2**63 - 1 bytes
+        size = len(batch) * (int(cycles.max()) + 1) * 24
+        raise ConfigError(f"cycles: a block of {len(batch)} run(s) padded to {cycles.max()} cycles needs {size} "
+                          "bytes for its battery vectors, more than can be allocated") from None
     p[:, 0] = bloch_vectors(np.array([prepare_battery(c.battery_init) for c in configs]))
     for n in range(1, cycles.max() + 1):
         p[:, n] = (A @ p[:, n - 1, :, None])[..., 0] + b

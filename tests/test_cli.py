@@ -1,13 +1,17 @@
 import json
+import math
 import os
 import pathlib
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from spinotto import cli, output, validate
 from spinotto.cli import main
-from spinotto.engine import EngineConfig
+from spinotto.engine import MAX_COUNT, EngineConfig
 from spinotto.multicycle import (
     MAP_BLOCK,
     compare_coherent_incoherent,
@@ -15,7 +19,14 @@ from spinotto.multicycle import (
     run_engine,
     run_engines,
 )
-from spinotto.output import ADVANTAGE_COLUMNS, TRACE_COLUMNS, dumps_stable, fmt_float, write_json
+from spinotto.output import (
+    ADVANTAGE_COLUMNS,
+    TRACE_COLUMNS,
+    write_advantage_csv,
+    write_grid_csv,
+    write_json,
+    write_trace_csv,
+)
 from spinotto.scenario import SCENARIO_KINDS, config_from_dict
 
 
@@ -39,15 +50,72 @@ def test_trace_columns_are_frozen():
     )
 
 
-def test_float_format_round_trips():
-    for x in (0.1, 1 / 3, 2.0, -0.0, 1e-300, 123456.789):
-        assert float(fmt_float(x)) == x
+# Doubles whose text must read back exactly: repeating binary fractions, a
+# float equal to an integer, a negative zero, a tiny magnitude and one with
+# nine significant digits.
+ROUND_TRIP = (0.1, 1 / 3, 2.0, -0.0, 1e-300, 123456.789)
 
 
-def test_dumps_stable_parses_as_json():
-    obj = {"a": 1, "b": [0.1, None, True], "c": {"d": "text"}, "e": []}
-    parsed = json.loads(dumps_stable(obj))
-    assert parsed == {"a": 1, "b": [0.1, None, True], "c": {"d": "text"}, "e": []}
+def same_double(text, x):
+    return float(text) == x and math.copysign(1.0, float(text)) == math.copysign(1.0, x)
+
+
+def test_float_format_round_trips(tmp_path):
+    # a NaN (an undefined peak) is nan, an int stays an integer and a bool is 1 or 0
+    rows = [(x, 12, True) for x in ROUND_TRIP] + [(math.nan, 0, False)]
+    write_grid_csv(tmp_path / "grid.csv", ("x", "cycle", "defined"), rows)
+    lines = read(tmp_path / "grid.csv").decode().splitlines()
+    assert lines[0] == "x,cycle,defined" and lines[-1] == "nan,0,0"
+    cells = [line.split(",") for line in lines[1:-1]]
+    assert all(same_double(x_cell, x) and rest == ["12", "1"]
+               for (x_cell, *rest), x in zip(cells, ROUND_TRIP, strict=True))
+
+
+def test_trace_and_advantage_cells_read_back_to_the_same_double(tmp_path):
+    records = run_engine(EngineConfig(cycles=len(ROUND_TRIP))).records
+    write_trace_csv(tmp_path / "trace.csv", "x", ROUND_TRIP, records)
+    for line, x, record in zip(read(tmp_path / "trace.csv").decode().splitlines()[1:], ROUND_TRIP, records,
+                               strict=True):
+        cells = line.split(",")
+        assert same_double(cells[0], x)
+        assert all(same_double(cell, value) for cell, value in zip(cells[1:], record[1:], strict=True))
+    write_trace_csv(tmp_path / "cycles.csv", "cycle_index", [1, 2, 3], records[:3])
+    assert [line.split(",")[0] for line in read(tmp_path / "cycles.csv").decode().splitlines()] == [
+        "cycle_index", "1", "2", "3"]
+    # a NaN ratio is undefined: nan, and advantage_defined 0
+    write_advantage_csv(tmp_path / "adv.csv", [(1, x, 2 * x, x) for x in ROUND_TRIP] + [(7, 0.5, 0.0, math.nan)])
+    rows = [line.split(",") for line in read(tmp_path / "adv.csv").decode().splitlines()[1:]]
+    for row, x in zip(rows, ROUND_TRIP):
+        assert row[0] == "1" and row[4] == "1"
+        assert same_double(row[1], x) and same_double(row[2], 2 * x) and same_double(row[3], x)
+    assert rows[-1] == ["7", "0.5", "0", "nan", "0"]
+
+
+def test_write_json_parses_as_json(tmp_path):
+    # every JSON value reads back as written, in the same key order
+    obj = {"a": 1, "b": [0.1, None, True], "c": {"d": "text"}, "e": [], "f": {}, "x": list(ROUND_TRIP)}
+    write_json(tmp_path / "s.json", obj)
+    parsed = json.loads(read(tmp_path / "s.json"))
+    assert parsed == obj and list(parsed) == list(obj)
+    assert type(parsed["a"]) is int and all(type(x) is float for x in parsed["x"])
+    assert all(same_double(repr(y), x) for y, x in zip(parsed["x"], ROUND_TRIP, strict=True))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_rejects_a_non_finite_float_and_writes_nothing(tmp_path, value):
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "s.json", {"results": {"ratio": [1.0, value]}})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_summary_config_keeps_float_fields_as_floats(tmp_path):
+    # a float equal to an integer was once written as 0 or 1, which a JSON reader loads as an int
+    assert main(["search", "search-default", "--output-dir", str(tmp_path)]) == 0
+    config = json.loads(read(tmp_path / "search_summary.json"))["config"]
+    assert config["battery_init"] == [0.0, 0.0, -0.5]
+    assert config["noise"] == {"battery_dephasing_per_reset": 1.0, "battery_t2_per_cycle": 1.0}
+    floats = config["battery_init"] + config["cold_populations"] + list(config["noise"].values())
+    assert all(type(x) is float for x in floats)
 
 
 @pytest.mark.parametrize("text", ["x" * 100_000 + "\udc80", "\udc80"])
@@ -95,8 +163,8 @@ def test_summary_config_reproduces_trace(tmp_path):
     for line, record in zip(lines, result.coherent.records):
         cells = line.split(",")
         assert cells[0] == str(record.cycle_index)
-        assert cells[1] == fmt_float(record.cycle_work)
-        assert cells[2] == fmt_float(record.cumulative_work)
+        assert cells[1] == format(record.cycle_work, ".17g")
+        assert cells[2] == format(record.cumulative_work, ".17g")
 
 
 def test_fig2_preset_writes_four_series(tmp_path):
@@ -231,6 +299,36 @@ def test_a_max_cycles_too_large_to_run_exits_2_naming_the_key_and_line(tmp_path,
     assert capsys.readouterr().err.startswith("error: line 5: max_cycles must be a positive integer up to ")
 
 
+# A block's battery vectors take 24 bytes per run per cycle of its longest
+# run: 8 EiB for one run of MAX_COUNT cycles, above any address space, so
+# nothing is allocated. The child's address-space limit guards that anyway.
+@pytest.mark.parametrize("body", [
+    f"[engine]\ncycles = {MAX_COUNT}\n",
+    f"[sweep]\nfield = cycles\nvalues = {MAX_COUNT}, {MAX_COUNT}\n",
+])
+def test_a_cycle_count_too_large_to_allocate_exits_1_naming_the_field(tmp_path, body):
+    scn = tmp_path / "big.scn"
+    scn.write_text("scenario = multicycle\n" + body)
+    limit = 2 * 1024**3
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinotto.cli", "run", str(scn), "--output-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env=os.environ | {"PYTHONPATH": str(pathlib.Path(cli.__file__).parent.parent)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cycles: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "bytes" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_running_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    def exhausted():
+        raise MemoryError
+    monkeypatch.setattr(cli, "run_all_checks", exhausted)
+    assert main(["validate", "--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -299,7 +397,7 @@ def test_stacked_search_equals_per_config_compare(tmp_path, monkeypatch, n):
             assert got.records == want.records
         assert result.advantage == single.advantage
         ratio, cycle = peak_advantage(single)
-        assert row.split(",")[4:6] == [fmt_float(ratio), str(cycle)]
+        assert row.split(",")[4:6] == [format(ratio, ".17g"), str(cycle)]
 
 
 def test_search_summary_config_is_the_first_grid_row(tmp_path):
@@ -308,9 +406,9 @@ def test_search_summary_config_is_the_first_grid_row(tmp_path):
     config = config_from_dict(json.loads(read(out / "search_summary.json"))["config"])
     first = read(out / "search_grid.csv").decode().splitlines()[1].split(",")
     point = (config.theta, config.p_mx, config.battery_dephasing_per_reset, config.battery_t2_per_cycle)
-    assert [fmt_float(x) for x in point] == first[:4]
+    assert [format(x, ".17g") for x in point] == first[:4]
     ratio, cycle = peak_advantage(compare_coherent_incoherent(*run_engines([config, config.with_p_mx(0.0)])))
-    assert first[4:6] == [fmt_float(ratio), str(cycle)]
+    assert first[4:6] == [format(ratio, ".17g"), str(cycle)]
 
 
 # The positivity bound of this bath is sqrt(0.9 * 0.1) = 0.3, below the
