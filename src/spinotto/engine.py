@@ -23,12 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .diagnostics import (
-    Polarization,
-    concurrence,
-    ergotropy,
-    relative_entropy_of_coherence,
-)
+from .diagnostics import Polarization, concurrence
 from .linalg import (
     ValidationError,
     kron,
@@ -428,31 +423,14 @@ def reset_medium(joint: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     return kron(fresh, partial_trace(joint, "battery"))
 
 
-def make_cycle_record(
-    index: int,
-    energy_in: float,
-    work_before: float,
-    battery: Polarization,
-    post_stroke_joint: np.ndarray,
-    correlators: Sequence[float],
-) -> CycleRecord:
-    """Assemble the full diagnostic record for one completed cycle.
-
-    energy_in is the battery energy when the cycle began, work_before the
-    cumulative work of the earlier cycles, battery the Bloch vector of the
-    battery at the end of the cycle, and correlators the nine of the state
-    right after the first power stroke, in correlator_sets order. Work,
-    ergotropy and coherence are read off the Bloch vector; concurrence needs
-    the post-stroke state itself.
+def make_cycle_record(index: int, columns: Sequence[float], post_stroke_joint: np.ndarray,
+                      correlators: Sequence[float]) -> CycleRecord:
+    """Assemble the record of cycle index from its nine closed-form columns
+    (work, cumulative work, the end-of-cycle Bloch vector, its ergotropy
+    total, incoherent and coherent, and its coherence, in CycleRecord order),
+    the concurrence of the state right after the first power stroke and its
+    nine correlators, in correlator_sets order. Only concurrence needs the
+    state itself; the columns come from multicycle.stack_runs, or from
+    validate's oracle loop.
     """
-    work = battery.pz - energy_in
-    return CycleRecord(
-        index,
-        work,
-        work_before + work,
-        *battery,
-        *ergotropy(battery),
-        relative_entropy_of_coherence(battery),
-        concurrence(post_stroke_joint),
-        *correlators,
-    )
+    return CycleRecord(index, *columns, concurrence(post_stroke_joint), *correlators)

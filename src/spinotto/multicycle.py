@@ -43,8 +43,11 @@ every config of the block iterates P_n = A P_{n-1} + b to the block's
 longest run, since a run's cycles 1 ... n do not depend on how many cycles
 follow; the cycles each config records (its own first c) get all their
 post-stroke states from one call of each of the three stages on one flat
-stack, and one correlator_sets call on it; run_engine then only assembles
-the records.
+stack, and one correlator_sets call on it. The same pass evaluates every
+record's closed-form columns on the stack of recorded P_n: work and
+cumulative work from the differences of p_z, and one ergotropy and one
+relative_entropy_of_coherence call. run_engine then only builds the rows:
+one make_cycle_record each, which adds the record's concurrence.
 
 Which checks run where:
 - every number the formula reads obeys one set of rules (engine's
@@ -70,6 +73,10 @@ Which checks run where:
   fails, with its |P_n|, just as run_engine of that config alone would. So
   every battery I/2 + P_n.sigma that goes into the stages is a density
   operator;
+- relative_entropy_of_coherence checks the spectra 1/2 -+ |pz| and
+  1/2 -+ |P_n| of the whole stack against PSD_CLAMP with clamp_spectrum;
+  after the Bloch-ball check it cannot fail, but it keeps the function
+  safe on its own;
 - every stage validates its whole input stack (hermiticity and unit trace) and
   every angle and dephasing factor of it: dephase_battery the product states,
   power_stroke the dephased ones, and correlator_sets the post-stroke states.
@@ -90,7 +97,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import Polarization, bloch_vectors, correlator_sets
+from .diagnostics import bloch_vectors, correlator_sets, ergotropy, relative_entropy_of_coherence
 from .engine import (
     SWEEPABLE_FIELDS,
     ConfigBatch,
@@ -192,9 +199,11 @@ def battery_map(batch: ConfigBatch) -> tuple[np.ndarray, np.ndarray]:
 
 def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, list]]:
     """Every config's share of one stacked pass over all of them, in order:
-    its battery Bloch vectors P_0 ... P_N as lists, the (N, 4, 4) stack of
-    its states right after each cycle's first power stroke, and their nine
-    correlators each, in correlator_sets order.
+    the rows of its nine closed-form record columns as lists (work,
+    cumulative work, P_n, ergotropy total, incoherent and coherent, and
+    coherence, in CycleRecord order), the (N, 4, 4) stack of its states
+    right after each cycle's first power stroke, and their nine correlators
+    each, in correlator_sets order.
 
     The block is one ConfigBatch.of(configs): battery_map, the hot states,
     the reset factors and the angles all read its arrays. Only the battery
@@ -210,9 +219,13 @@ def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, 
     stages of a cycle, runs on the flat stack of the product states
     hot (x) battery(P_{n-1}) of every recorded cycle, config after config,
     with each cycle's own hot state, reset factor and angle, and one
-    correlator_sets call takes their correlators. Every product is the one a
-    config alone gets, so each number equals that of stack_runs([config])
-    bit for bit.
+    correlator_sets call takes their correlators. The columns come from the
+    recorded P_n at once: work is P_n,z - P_{n-1},z, cumulative work a
+    cumsum along each config's own row (the same left-to-right sum from 0.0
+    as a running total), and one ergotropy and one
+    relative_entropy_of_coherence call take the whole stack. Every product
+    is the one a config alone gets, so each number equals that of
+    stack_runs([config]) bit for bit.
     """
     batch = ConfigBatch.of(configs)
     A, b = battery_map(batch)
@@ -228,7 +241,8 @@ def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, 
         p[:, n] = (A @ p[:, n - 1, :, None])[..., 0] + b
     recorded = np.arange(cycles.max()) < cycles[:, None]  # cycle n + 1 of config j is one of its own
     owner = np.repeat(np.arange(len(batch)), cycles)  # the config of each recorded cycle, in order
-    norms = np.sqrt((p[:, 1:][recorded] ** 2).sum(axis=1))  # the test below counts a NaN as outside
+    after = p[:, 1:][recorded]  # the P_n that end the recorded cycles
+    norms = np.sqrt((after**2).sum(axis=1))  # the test below counts a NaN as outside
     outside = np.flatnonzero(~(0.5 - norms >= PSD_CLAMP))
     if len(outside):  # the first config outside the Bloch ball, at its first cycle outside
         n, norm = np.argwhere(recorded)[outside[0], 1], norms[outside[0]]
@@ -241,8 +255,11 @@ def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, 
     dephased = dephase_battery(kron(hot[owner], battery), batch.battery_dephasing_per_reset[owner])
     post_strokes = power_stroke(dephased, batch.theta[owner])
     corr = correlator_sets(post_strokes)
-    return [(p[j, :c + 1].tolist(), post_strokes[f:f + c], corr[f:f + c])
-            for j, (c, f) in enumerate(zip(cycles.tolist(), (np.cumsum(cycles) - cycles).tolist()))]
+    work = np.diff(p[..., 2])  # P_n,z - P_n-1,z; a prefix of each row is its config's own cycles
+    rows = np.column_stack([work[recorded], np.cumsum(work, axis=1)[recorded], after, *ergotropy(after),
+                            relative_entropy_of_coherence(after)]).tolist()
+    return [(rows[f:f + c], post_strokes[f:f + c], corr[f:f + c])
+            for c, f in zip(cycles.tolist(), (np.cumsum(cycles) - cycles).tolist())]
 
 
 def run_engine(config: EngineConfig, run: tuple | None = None) -> EngineTrace:
@@ -250,14 +267,11 @@ def run_engine(config: EngineConfig, run: tuple | None = None) -> EngineTrace:
 
     run is this config's share of a stack_runs pass, as run_engines hands it
     over; when it is None, run_engine makes it with stack_runs([config]).
-    Each record is one make_cycle_record call on the cycle's battery vector,
-    post-stroke state and correlators.
+    Each record is one make_cycle_record call, which adds the concurrence of
+    the cycle's post-stroke state to its columns and correlators.
     """
-    batteries, post_strokes, correlators = stack_runs([config])[0] if run is None else run
-    records: list[CycleRecord] = []
-    for n, (before, after, post, corr) in enumerate(zip(batteries, batteries[1:], post_strokes, correlators), 1):
-        cumulative = records[-1].cumulative_work if records else 0.0
-        records.append(make_cycle_record(n, before[2], cumulative, Polarization(*after), post, corr))
+    rows, post_strokes, correlators = stack_runs([config])[0] if run is None else run
+    records = map(make_cycle_record, range(1, len(rows) + 1), rows, post_strokes, correlators)
     return EngineTrace(config=config, records=tuple(records))
 
 

@@ -59,7 +59,7 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class SweepSpec:
     field: str
-    values: tuple[float, ...]
+    values: tuple[float, ...] | tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,9 @@ def parse_scenario(text: str) -> ScenarioFile:
         if kind == "single-cycle-sweep" and field_name == "cycles":
             message = "field 'cycles' is not sweepable in scenario 'single-cycle-sweep', which runs one cycle"
             raise ScenarioError(message, field_line)
-        sweep_spec = SweepSpec(field=field_name, values=_to_floats("values", *entries["values"]))
+        value, line = entries["values"]  # each entry is converted as [engine] converts the field
+        values = tuple(_to_value(field_name, v, line) for v in _split("values", value, line))
+        sweep_spec = SweepSpec(field=field_name, values=values)
         set_by = "[sweep]"
     elif kind == "single-cycle-sweep":
         sweep_spec = SweepSpec(field="theta", values=THETA_GRID)

@@ -213,7 +213,9 @@ def loop_engines(configs: Sequence[EngineConfig]) -> list[EngineTrace]:
     The joint states of all configs go through every stage of every cycle as
     one (k, 4, 4) stack, with one angle and one dephasing factor per config
     from their ConfigBatch, up to the longest run; each config records only
-    its own cycles. Returns one trace per config, in order.
+    its own cycles. Each record's columns come from its own state, one
+    polarization_vector and one call of each diagnostic, where run_engine
+    takes them from stack_runs. Returns one trace per config, in order.
     """
     batch = ConfigBatch.of(configs)
     battery = np.array([prepare_battery(c.battery_init) for c in configs])
@@ -225,9 +227,10 @@ def loop_engines(configs: Sequence[EngineConfig]) -> list[EngineTrace]:
         corr = correlator_sets(post_stroke)
         for j in np.flatnonzero(batch.cycles >= n).tolist():  # the configs whose own run has cycle n
             p = polarization_vector(battery[j])
-            record = make_cycle_record(n, energy[j], cumulative[j], p, post_stroke[j], corr[j])
-            records[j].append(record)
-            energy[j], cumulative[j] = p.pz, record.cumulative_work
+            work = p.pz - energy[j]
+            columns = (work, cumulative[j] + work, *p, *ergotropy(p), relative_entropy_of_coherence(p))
+            records[j].append(make_cycle_record(n, columns, post_stroke[j], corr[j]))
+            energy[j], cumulative[j] = p.pz, columns[1]
     return [EngineTrace(config=c, records=tuple(r)) for c, r in zip(configs, records)]
 
 

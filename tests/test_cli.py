@@ -269,17 +269,20 @@ def test_validation_error_exits_1(tmp_path, capsys):
     assert "positivity bound" in capsys.readouterr().err
 
 
-def test_non_integer_cycles_sweep_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("values", ["2.5", "2.0", "3, 2.0"])
+def test_non_integer_cycles_sweep_exits_2_naming_the_line(tmp_path, capsys, values):
+    # a swept count is read as [engine] cycles is, so 2.0 is no more an integer than 2.5
     scn = tmp_path / "bad.scn"
-    scn.write_text("scenario = multicycle\n[sweep]\nfield = cycles\nvalues = 2.5\n")
-    assert main(["run", str(scn), "--output-dir", str(tmp_path)]) == 1
-    assert "cycles must be a positive integer" in capsys.readouterr().err
+    scn.write_text(f"scenario = multicycle\n[sweep]\nfield = cycles\nvalues = {values}\n")
+    assert main(["run", str(scn), "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 4: expected an integer, got '2.")
+    assert list(tmp_path.iterdir()) == [scn]
 
 
 @pytest.mark.parametrize("body", [
     "[engine]\ncycles = 100000000000000000000\n",
     "[engine]\ncycles = 9223372036854775807\n",
-    "[sweep]\nfield = cycles\nvalues = 2, 1e20\n",
+    "[sweep]\nfield = cycles\nvalues = 2, 100000000000000000000\n",
 ])
 def test_a_cycle_count_too_large_to_run_exits_1_naming_the_field(tmp_path, capsys, body):
     # such a count was once accepted and then crashed inside numpy with a traceback

@@ -311,6 +311,33 @@ def test_one_record_and_one_concurrence_per_cycle(monkeypatch):
     assert calls == {"make_cycle_record": 17, "concurrence": 17, "prepare_battery": 3}
 
 
+def test_closed_form_columns_once_per_block(monkeypatch):
+    # ergotropy and coherence take every recorded P_n of a stack_runs block
+    # at once; only make_cycle_record and concurrence run per record
+    calls = {name: [] for name in ("ergotropy", "relative_entropy_of_coherence", "make_cycle_record", "concurrence")}
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls[name].append(np.shape(args[0]))
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        fn = getattr(engine if name == "make_cycle_record" else diagnostics, name)
+        patch_everywhere(monkeypatch, fn, spy(name, fn))
+    drawn = random_noisy_configs(np.random.default_rng(8), MAP_BLOCK + 2, cycles=1).configs()
+    configs = [replace(c, cycles=1 + j % 3) for j, c in enumerate(drawn)]
+    traces = run_engines(configs)
+    blocks = [(sum(c.cycles for c in configs[:MAP_BLOCK]), 3), (sum(c.cycles for c in configs[MAP_BLOCK:]), 3)]
+    assert calls["ergotropy"] == calls["relative_entropy_of_coherence"] == blocks
+    assert len(calls["make_cycle_record"]) == len(calls["concurrence"]) == sum(c.cycles for c in configs)
+    for trace in traces:  # each config's cumulative work is the running sum of its own works from 0.0
+        total = 0.0
+        for r in trace.records:
+            total += r.cycle_work
+            assert r.cumulative_work == total
+
+
 def test_transposed_map_fails_both_oracles(monkeypatch):
     # a seeded fault in the battery map: each config's A transposed. The
     # transpose swaps the two y-z couplings. Whether some draw of the
@@ -535,11 +562,16 @@ class TestStartVectors:
         return ball.tolist() + surface.tolist() + zeros
 
     def test_p0_equals_polarization_vector_bit_for_bit(self):
+        # a share shows P_0 through cycle 1: its Bloch vector A P_0 + b, with
+        # the maps stacked as stack_runs stacks them, and its work (A P_0 + b)_z - P_0,z
         draws = self.start_draws()
         configs = [EngineConfig(battery_init=p, cycles=1) for p in draws]
-        for p, (batteries, _, _) in zip(draws, stack_runs(configs), strict=True):
-            want = np.array(polarization_vector(prepare_battery(p)))
-            assert np.array(batteries[0]).tobytes() == want.tobytes(), p
+        A, b = battery_map(ConfigBatch.of(configs))
+        p0 = np.array([polarization_vector(prepare_battery(p)) for p in draws])
+        p1 = (A @ p0[..., None])[..., 0] + b
+        for p, start, end, ((row,), _, _) in zip(draws, p0, p1, stack_runs(configs), strict=True):
+            want = np.array([end[2] - start[2], *end])
+            assert np.array([row[0], *row[2:5]]).tobytes() == want.tobytes(), p
 
     def test_one_bloch_vectors_call_per_block(self, monkeypatch):
         # P_0 of a block is one stacked read; prepare_battery stays once per run
@@ -719,11 +751,11 @@ class TestRunEngine:
         # every battery of the 25 cycles is the battery map's iterate, and
         # every post-stroke state is a density operator
         A, b = single_map(cfg)
-        batteries, states, _ = stack_runs([cfg])[0]
+        rows, states, _ = stack_runs([cfg])[0]
         iterates = [np.array(cfg.battery_init)]
         for _ in range(25):
             iterates.append(A @ iterates[-1] + b)
-        assert np.max(np.abs(np.subtract(batteries, iterates))) <= 1e-15
+        assert np.max(np.abs(np.array(rows)[:, 2:5] - iterates[1:])) <= 1e-15
         assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1)) < 1e-12
         assert np.linalg.eigvalsh(states)[:, 0].min() > -1e-10
 

@@ -148,6 +148,23 @@ def test_single_cycle_sweep_rejects_sweeping_cycles():
         parse_scenario(text)
 
 
+def test_swept_cycles_are_read_as_exact_integers():
+    # 2**53 + 1 has no double; read through float it became 2**53. Parsed only, never run
+    s = parse_scenario("scenario = multicycle\n[sweep]\nfield = cycles\nvalues = 9007199254740993, 3\n")
+    assert s.sweep.values == (9007199254740993, 3) and all(type(v) is int for v in s.sweep.values)
+
+
+@pytest.mark.parametrize("text", [
+    "[sweep]\nfield = cycles\nvalues = 2.5\n",
+    "[sweep]\nfield = cycles\nvalues = 2.0\n",
+    "[engine]\ntheta = 0.5\ncycles = 2.0\n",
+])
+def test_a_cycle_count_that_is_no_integer_literal_names_its_line(text):
+    # a swept count is converted as [engine] cycles is
+    with pytest.raises(ScenarioError, match=r"^line 4: expected an integer, got '2\.[05]'$"):
+        parse_scenario("scenario = multicycle\n" + text)
+
+
 def test_search_requires_grid():
     with pytest.raises(ScenarioError, match=r"\[search\]"):
         parse_scenario("scenario = search-advantage\n")
