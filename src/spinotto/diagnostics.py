@@ -8,7 +8,6 @@ level |0> sits at +1/2 and the ground level |1> at -1/2).
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -28,9 +27,6 @@ class Polarization(NamedTuple):
     px: float
     py: float
     pz: float
-
-    def norm(self) -> float:
-        return math.sqrt(self.px**2 + self.py**2 + self.pz**2)
 
 
 class ErgotropyReport(NamedTuple):
@@ -72,20 +68,19 @@ def polarization_vector(rho: np.ndarray) -> Polarization:
     """Invert rho = I/2 + P.sigma: validate a qubit density operator and reduce
     it to its Bloch vector P.
 
-    The spectrum of rho is 1/2 +- |P|, so the positivity check needs no
-    eigensolver. P is read off the matrix elements, p_j = Tr[rho sigma_j]/2.
+    It is bloch_vectors of the one-state stack, so P has one formula,
+    p_j = Tr[rho sigma_j]/2, and one positivity check, the closed-form
+    smallest eigenvalue 1/2 - |P| inside validate_density.
     """
-    rho = validate_density(rho, check_spectrum=False)
-    if rho.shape != (2, 2):
-        raise DimensionError(f"expected a qubit state, got shape {rho.shape}")
-    (r00, r01), (r10, r11) = rho.tolist()
-    p = Polarization(0.5 * (r01 + r10).real, 0.5 * (r10.imag - r01.imag), 0.5 * (r00 - r11).real)
-    clamp_spectrum((0.5 - p.norm(),))
-    return p
+    if np.shape(rho) != (2, 2):
+        raise DimensionError(f"expected a qubit state, got shape {np.shape(rho)}")
+    return Polarization(*bloch_vectors(np.asarray(rho)[None])[0].tolist())
 
 
 def bloch_vectors(states: np.ndarray) -> np.ndarray:
-    """polarization_vector of every qubit state in a (k, 2, 2) stack, as a (k, 3) array."""
+    """The Bloch vector p_j = Tr[rho sigma_j]/2 of every qubit state in a
+    (k, 2, 2) stack, as a (k, 3) array, once validate_density has checked the
+    stack, its spectra 1/2 -+ |P| included."""
     states = validate_density(states)
     if states.ndim != 3 or states.shape[1:] != (2, 2):
         raise DimensionError(f"bloch_vectors expects a (k, 2, 2) stack, got {states.shape}")
@@ -103,7 +98,8 @@ def _entropy_of(spectra: np.ndarray) -> np.ndarray:
 
 
 def _pz_and_norm(p: Polarization | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """pz and |P| of a Bloch vector, or of each row of a (..., 3) array of them."""
+    """pz and |P| of a Bloch vector, or of each row of a (..., 3) array of
+    them: the package's one formula for |P|."""
     px, py, pz = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
     return pz, np.sqrt(px * px + py * py + pz * pz)  # x * x: a numpy scalar's x**2 calls pow, an array's squares
 

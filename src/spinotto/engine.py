@@ -231,9 +231,6 @@ def with_fields(config: EngineConfig, **values) -> EngineConfig:
     battery = {name.removeprefix("battery_"): values.pop(name) for name in _BATTERY_COMPONENTS if name in values}
     if battery:
         values["battery_init"] = Polarization(*values.get("battery_init", config.battery_init))._replace(**battery)
-    # scenario files give counts like 2.0; EngineConfig checks the rest
-    if isinstance(values.get("cycles"), float) and values["cycles"].is_integer():
-        values["cycles"] = int(values["cycles"])
     return replace(config, **values)
 
 
@@ -318,8 +315,19 @@ class CycleRecord(NamedTuple):
     corr_zz: float
 
 
+def _medium_states(populations: np.ndarray, p_mx) -> np.ndarray:
+    """The (k, 2, 2) stack of medium states diag(p0, p1) + p_mx * sigma_x, one
+    per row of the (k, 2) populations, with one p_mx per row or one for all.
+    It checks nothing: its callers pass checked arrays."""
+    rho = np.zeros((len(populations), 2, 2), dtype=complex)
+    rho[:, 0, 0], rho[:, 1, 1] = populations.T
+    rho[:, 0, 1] = rho[:, 1, 0] = p_mx
+    return rho
+
+
 def prepare_hot_medium(p_mx, populations) -> np.ndarray:
-    """Coherently heated medium state diag(p0, p1) + p_mx * sigma_x.
+    """Coherently heated medium state diag(p0, p1) + p_mx * sigma_x, built by
+    _medium_states once the inputs are checked.
 
     Positivity requires |p_mx| <= sqrt(p0*p1); violating inputs raise a
     ConfigError naming that bound. A sequence of k values of p_mx with k
@@ -330,21 +338,18 @@ def prepare_hot_medium(p_mx, populations) -> np.ndarray:
     p_mx = _column("p_mx", p_mx if stacked else [p_mx], np.size(p_mx))
     pops = _column("hot_populations", populations if stacked else [populations], len(p_mx))
     _check_hot(p_mx, pops)
-    rho = np.zeros((len(p_mx), 2, 2), dtype=complex)
-    rho[:, 0, 0], rho[:, 1, 1] = pops.T
-    rho[:, 0, 1] = rho[:, 1, 0] = p_mx
-    rho = validate_density(rho)
+    rho = validate_density(_medium_states(pops, p_mx))
     return rho if stacked else rho[0]
 
 
 def prepare_cold_medium(populations) -> np.ndarray:
-    """Diagonal cold-bath state diag(q0, q1); a sequence of k population pairs
-    gives the (k, 2, 2) stack of their states."""
+    """Diagonal cold-bath state diag(q0, q1), the medium state of
+    _medium_states with p_mx = 0; a sequence of k population pairs gives the
+    (k, 2, 2) stack of their states."""
     stacked = np.ndim(populations) > 1
     pops = _column("cold_populations", populations if stacked else [populations], np.size(populations) // 2)
     _check_populations("cold_populations", pops)
-    rho = np.zeros((len(pops), 2, 2), dtype=complex)
-    rho[:, 0, 0], rho[:, 1, 1] = pops.T
+    rho = _medium_states(pops, 0.0)
     return rho if stacked else rho[0]
 
 

@@ -58,21 +58,26 @@ Which checks run where:
   config as it is built, and ConfigBatch, ConfigBatch.of included, to a
   whole batch, each rule once over all rows (a NaN breaks every rule). So
   battery_map and the stages never see an unchecked parameter, and
-  stack_runs builds the hot states straight from its batch;
+  stack_runs builds the hot states from its batch with engine's
+  _medium_states, the one builder of diag(p0, p1) + p_mx sigma_x that
+  prepare_hot_medium and prepare_cold_medium also use;
 - a block whose padded array of battery vectors numpy cannot describe or
   allocate raises a ConfigError naming cycles, the block's runs and the
   bytes, before any cycle runs;
 - prepare_battery builds each config's battery state from its checked
   battery_init, and the one bloch_vectors call of a block validates the
   stack of them, hermiticity, trace and spectrum, before P_0 is read off;
+  polarization_vector is that same call on one state, so P has one
+  read-off and one positivity check;
 - stack_runs checks 1/2 - |P_n| >= PSD_CLAMP for every recorded cycle of
   every config of the block (a NaN counts as outside) before it builds any
-  state; the cycles past a config's own count, iterated only because the
-  block runs to its longest run, are neither checked nor recorded. Of the
-  first config in input order that fails it names the first cycle n that
-  fails, with its |P_n|, just as run_engine of that config alone would. So
-  every battery I/2 + P_n.sigma that goes into the stages is a density
-  operator;
+  state, with |P_n| from diagnostics' _pz_and_norm, the |P| that the
+  ergotropy and coherence columns use; the cycles past a config's own
+  count, iterated only because the block runs to its longest run, are
+  neither checked nor recorded. Of the first config in input order that
+  fails it names the first cycle n that fails, with its |P_n|, just as
+  run_engine of that config alone would. So every battery I/2 + P_n.sigma
+  that goes into the stages is a density operator;
 - relative_entropy_of_coherence checks the spectra 1/2 -+ |pz| and
   1/2 -+ |P_n| of the whole stack against PSD_CLAMP with clamp_spectrum;
   after the Bloch-ball check it cannot fail, but it keeps the function
@@ -97,13 +102,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import bloch_vectors, correlator_sets, ergotropy, relative_entropy_of_coherence
+from .diagnostics import _pz_and_norm, bloch_vectors, correlator_sets, ergotropy, relative_entropy_of_coherence
 from .engine import (
     SWEEPABLE_FIELDS,
     ConfigBatch,
     ConfigError,
     CycleRecord,
     EngineConfig,
+    _medium_states,
     _require,
     make_cycle_record,
     power_stroke,
@@ -208,15 +214,15 @@ def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, 
     The block is one ConfigBatch.of(configs): battery_map, the hot states,
     the reset factors and the angles all read its arrays. Only the battery
     states are built per config, one prepare_battery(battery_init) each, and
-    one bloch_vectors call reads every P_0 off their stack, bit for bit the
-    P_0 of polarization_vector. One battery_map call gives every map, and
+    one bloch_vectors call reads every P_0 off their stack (polarization_vector
+    is the same call on one state). One battery_map call gives every map, and
     every config iterates P_n = A P_{n-1} + b up to the block's longest run;
     the mask `recorded` marks each config's own cycles 1 ... c, and only
-    those are used. The Bloch-ball check of every recorded P_n runs before
-    any state is built, and raises for the first config in input order with
-    a P_n outside. Then
-    one call each to kron, dephase_battery and power_stroke, the first three
-    stages of a cycle, runs on the flat stack of the product states
+    those are used. The Bloch-ball check of every recorded P_n, on the |P_n|
+    of _pz_and_norm, runs before any state is built, and raises for the
+    first config in input order with a P_n outside. Then one call each to
+    kron, dephase_battery and power_stroke, the first three stages of a
+    cycle, runs on the flat stack of the product states
     hot (x) battery(P_{n-1}) of every recorded cycle, config after config,
     with each cycle's own hot state, reset factor and angle, and one
     correlator_sets call takes their correlators. The columns come from the
@@ -242,14 +248,13 @@ def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, 
     recorded = np.arange(cycles.max()) < cycles[:, None]  # cycle n + 1 of config j is one of its own
     owner = np.repeat(np.arange(len(batch)), cycles)  # the config of each recorded cycle, in order
     after = p[:, 1:][recorded]  # the P_n that end the recorded cycles
-    norms = np.sqrt((after**2).sum(axis=1))  # the test below counts a NaN as outside
+    norms = _pz_and_norm(after)[1]  # the test below counts a NaN as outside
     outside = np.flatnonzero(~(0.5 - norms >= PSD_CLAMP))
     if len(outside):  # the first config outside the Bloch ball, at its first cycle outside
         n, norm = np.argwhere(recorded)[outside[0], 1], norms[outside[0]]
         message = f"cycle {n + 1}: battery Bloch vector has |P_n| = {norm:.12g}, outside the Bloch ball"
         raise ValidationError(f"{message} (1/2 - |P_n| below the PSD tolerance {PSD_CLAMP:.0e})")
-    hot = np.zeros((len(batch), 2, 2), dtype=complex)  # diag(p0, p1) + p_mx sigma_x of each row of the batch
-    hot[:, [0, 1], [0, 1]], hot[:, [0, 1], [1, 0]] = batch.hot_populations, batch.p_mx[:, None]
+    hot = _medium_states(batch.hot_populations, batch.p_mx)  # the checked hot state of each row
     x, y, z = p[:, :-1][recorded].T  # the batteries I/2 + P_n.sigma that start the recorded cycles
     battery = np.array([[0.5 + z, x - 1j * y], [x + 1j * y, 0.5 - z]]).transpose(2, 0, 1)
     dephased = dephase_battery(kron(hot[owner], battery), batch.battery_dephasing_per_reset[owner])

@@ -152,7 +152,7 @@ def _stage_cycle(batch: ConfigBatch, hot, cold, battery) -> tuple[np.ndarray, np
 
 
 # The probe batteries I/2 and I/2 + sigma_j/2: Bloch vectors 0 and e_j/2.
-_PROBES = np.array([pauli("identity") / 2] + [(pauli("identity") + pauli(j)) / 2 for j in "xyz"])
+_PROBES = np.array([prepare_battery(p) for p in np.vstack([np.zeros(3), np.eye(3) / 2]).tolist()])
 
 
 def stage_map(batch: ConfigBatch) -> tuple[np.ndarray, np.ndarray]:

@@ -144,6 +144,27 @@ def test_fig3_preset_writes_expected_files(tmp_path):
     assert header == "cycle_index," + GOLDEN_TRACE_HEADER
 
 
+def test_fig3_csvs_bear_out_the_preset_comment(tmp_path):
+    # every claim of the comment of src/spinotto/presets/fig3.scn, read off the files run fig3 writes
+    out = tmp_path / "run"
+    assert main(["run", "fig3", "--output-dir", str(out)]) == 0
+
+    def column(name, key):
+        header, *lines = read(out / name).decode().splitlines()
+        j = header.split(",").index(key)
+        return [float(line.split(",")[j]) for line in lines]
+
+    coherent = column("fig3_coherent.csv", "cumulative_work")
+    lead = [c - i for c, i in zip(coherent, column("fig3_incoherent.csv", "cumulative_work"), strict=True)]
+    assert max(range(20), key=lambda k: coherent[k]) + 1 == 8
+    assert [n for n, x in enumerate(lead, 1) if x > 0] == list(range(2, 21))
+    assert [round(lead[n - 1], 3) for n in (2, 7, 20)] == [0.035, 0.175, 0.119]
+    assert max(range(20), key=lambda k: lead[k]) + 1 == 7  # the lead of 0.175 is its peak
+    assert column("fig3_advantage.csv", "advantage_defined") == [1.0] * 20
+    ratio = column("fig3_advantage.csv", "advantage_ratio")
+    assert [n for n, x in enumerate(ratio, 1) if x < 0] == list(range(8, 19))
+
+
 def test_fig3_preset_is_byte_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "fig3", "--output-dir", str(out1)]) == 0

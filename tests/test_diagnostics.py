@@ -28,6 +28,11 @@ EXCITED = np.diag([1.0, 0.0]).astype(complex)
 PLUS_X = 0.5 * np.eye(2) + 0.5 * pauli("x")
 
 
+def norm(p) -> float:
+    """|P| by the package's one formula, the one the engine and the record columns use."""
+    return float(diagnostics._pz_and_norm(p)[1])
+
+
 def bell_state():
     psi = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
     return np.outer(psi, psi.conj())
@@ -163,7 +168,7 @@ def test_ergotropy_invariants():
         assert report.total == pytest.approx(report.incoherent + report.coherent, abs=1e-12)
         # the passive state diag(1/2 - |P|, 1/2 + |P|) has energy -|P|
         assert report.total == pytest.approx(
-            mean_energy(rho) + polarization_vector(rho).norm(), abs=1e-12
+            mean_energy(rho) + norm(polarization_vector(rho)), abs=1e-12
         )
         # diagonal states carry no coherent ergotropy
         assert ergotropy(polarization_vector(np.diag(np.diag(rho)))).coherent == pytest.approx(0.0, abs=1e-13)
@@ -241,8 +246,10 @@ def test_coherence_keeps_the_spectrum_path_bit_for_bit():
     points += [Polarization(*(r * 0.5 * v / np.linalg.norm(v)))
                for r, v in zip(rng.uniform(size=200), rng.normal(size=(200, 3)))]
     points += [Polarization(0.0, 0.0, 0.0), Polarization(0.0, 0.0, -0.5), Polarization(0.5, 0.0, 0.0)]
+    # math.sqrt of the px**2 + py**2 + pz**2 in Python floats gives 0.46534177763744267 here, one ulp above |P|
+    points += [Polarization(-0.129839106868464, -0.28641816635184886, -0.3430005981423638)]
     for p in points:
-        assert relative_entropy_of_coherence(p) == spectrum_entropy(abs(p.pz)) - spectrum_entropy(p.norm())
+        assert relative_entropy_of_coherence(p) == spectrum_entropy(abs(p.pz)) - spectrum_entropy(norm(p))
     relative_entropy_of_coherence(Polarization(0.5 + 0.9e-10, 0.0, 0.0))  # within the PSD clamp
     with pytest.raises(ValidationError, match="eigenvalue"):
         relative_entropy_of_coherence(Polarization(0.5 + 1.1e-10, 0.0, 0.0))
@@ -346,7 +353,7 @@ def test_closed_forms_match_eigen_oracle():
         assert abs(report.total - want["total"]) <= 1e-14
         assert abs(report.incoherent - want["incoherent"]) <= 1e-14
         assert abs(report.coherent - want["coherent"]) <= 1e-14
-        assert abs(-polarization_vector(rho).norm() - energy(want["passive"])) <= 1e-14
+        assert abs(-norm(polarization_vector(rho)) - energy(want["passive"])) <= 1e-14
         assert abs(von_neumann_entropy(rho) - want["entropy"]) <= 1e-12
         assert abs(relative_entropy_of_coherence(polarization_vector(rho)) - want["coherence"]) <= 1e-12
 

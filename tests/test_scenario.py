@@ -370,23 +370,6 @@ def test_build_ships_the_preset_files(tmp_path):
     assert shipped == {"fig3.scn", "search-default.scn"}
 
 
-def test_fig3_preset_claims():
-    # the claims made by the comment of src/spinotto/presets/fig3.scn
-    config = PRESETS["fig3"]().engine
-    result = compare_coherent_incoherent(*run_engines([config, config.with_p_mx(0.0)]))
-    coherent, incoherent = result.coherent.records, result.incoherent.records
-    assert None not in result.advantage
-    negative = [r.cycle_index for r, a in zip(coherent, result.advantage) if a < 0]
-    assert negative == list(range(8, 19))
-    lead = [c.cumulative_work - i.cumulative_work for c, i in zip(coherent, incoherent)]
-    assert all(x > 0 for x in lead[1:])
-    assert lead[1] == pytest.approx(0.035, abs=5e-4)
-    assert max(range(20), key=lambda k: lead[k]) + 1 == 7
-    assert lead[6] == pytest.approx(0.175, abs=5e-4)
-    assert lead[19] == pytest.approx(0.119, abs=5e-4)
-    assert max(coherent, key=lambda r: r.cumulative_work).cycle_index == 8
-
-
 def test_the_abstracts_work_gain_after_a_few_cycles():
     # Claim (i) of the paper's abstract: "almost 200 % more work" than the
     # incoherent engine "after a few cycles". r = (W_coh - W_inc) / W_inc of
