@@ -44,7 +44,6 @@ from .multicycle import (
     peak_advantage,
     run_engine,
     run_engines,
-    sweep,
 )
 from .scenario import (
     PRESETS,

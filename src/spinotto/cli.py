@@ -13,32 +13,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 
 from . import __version__
+from .engine import EngineConfig, with_fields
 from .linalg import LinalgError
-from .multicycle import (
-    compare_coherent_incoherent,
-    peak_advantage,
-    run_engine,
-    run_engines,
-    sweep,
-)
-from .output import (
-    write_advantage_csv,
-    write_grid_csv,
-    write_json,
-    write_trace_csv,
-)
-from .scenario import (
-    PRESETS,
-    SEARCH_AXES,
-    ScenarioError,
-    ScenarioFile,
-    SCHEMA_VERSION,
-    config_to_dict,
-    resolve_scenario,
-)
+from .multicycle import compare_coherent_incoherent, peak_advantage, run_engines
+from .output import write_advantage_csv, write_grid_csv, write_json, write_trace_csv
+from .scenario import (PRESETS, SCHEMA_VERSION, SEARCH_AXES, ScenarioError, ScenarioFile, config_to_dict,
+                       resolve_scenario)
 from .validate import run_all_checks
 
 
@@ -96,51 +78,54 @@ def _write_cycle_trace(args, name: str, trace, outputs: list[str]) -> None:
     outputs.append(name)
 
 
-def _run_single_cycle_sweep(s: ScenarioFile, args) -> tuple[list[str], dict]:
+def _configs(s: ScenarioFile) -> list[EngineConfig]:
+    """Every run of s, in order: each variant's base config (s.engine alone
+    when s has no variants) set to every point of the product of s.axes, the
+    last axis fastest. The first is s.engine."""
+    names = [name for name, _ in s.axes]
+    points = list(itertools.product(*(values for _, values in s.axes)))  # one empty point when s has no axes
+    return [with_fields(base, **dict(zip(names, point))) for _, base in s.variants or (("", s.engine),)
+            for point in points]
+
+
+def _lay_out_single_cycle_sweep(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
+    ((field, values),) = s.axes  # [sweep] or the default theta grid
     outputs = []
     variant_labels = []
-    for label, config in s.variants or (("", s.engine),):
-        traces = sweep(config, s.sweep.field, s.sweep.values)
-        records = [t.records[0] for t in traces]
+    for i, (label, _) in enumerate(s.variants or (("", s.engine),)):
+        records = [t.records[0] for t in traces[i * len(values):(i + 1) * len(values)]]
         name = f"{s.output.prefix}_{label}.csv" if label else f"{s.output.prefix}.csv"
         if "csv" in s.output.formats:
-            write_trace_csv(
-                os.path.join(args.output_dir, name), s.sweep.field, s.sweep.values, records
-            )
+            write_trace_csv(os.path.join(args.output_dir, name), field, values, records)
             outputs.append(name)
         variant_labels.append(label or "base")
-    results = {
-        "sweep_field": s.sweep.field,
-        "sweep_points": len(s.sweep.values),
-        "variants": variant_labels,
-    }
-    return outputs, results
+    return outputs, {"sweep_field": field, "sweep_points": len(values), "variants": variant_labels}
 
 
-def _run_multicycle(s: ScenarioFile, args) -> tuple[list[str], dict]:
+def _lay_out_multicycle(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
     csv = "csv" in s.output.formats
     outputs = []
     results: dict = {}
-    if s.sweep is None:
-        trace = run_engine(s.engine)
+    if not s.axes:
+        (trace,) = traces
         if csv:
             _write_cycle_trace(args, f"{s.output.prefix}.csv", trace, outputs)
         results["cumulative_work"] = trace.records[-1].cumulative_work
     else:
-        traces = sweep(s.engine, s.sweep.field, s.sweep.values)
+        ((field, values),) = s.axes  # [sweep]
         mapping = []
-        for i, (value, trace) in enumerate(zip(s.sweep.values, traces)):
+        for i, (value, trace) in enumerate(zip(values, traces)):
             name = f"{s.output.prefix}_s{i:02d}.csv"
             if csv:
                 _write_cycle_trace(args, name, trace, outputs)
             mapping.append({"index": i, "value": value, "file": name if csv else None})
-        results["sweep_field"] = s.sweep.field
+        results["sweep_field"] = field
         results["sweep_map"] = mapping
     return outputs, results
 
 
-def _run_compare(s: ScenarioFile, args) -> tuple[list[str], dict]:
-    result = compare_coherent_incoherent(*run_engines([s.engine, s.engine.with_p_mx(0.0)]))
+def _lay_out_compare(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
+    result = compare_coherent_incoherent(*traces)  # the config and its p_mx = 0 twin
     outputs = []
     if "csv" in s.output.formats:
         for tag, trace in (("coherent", result.coherent), ("incoherent", result.incoherent)):
@@ -166,18 +151,10 @@ def _run_compare(s: ScenarioFile, args) -> tuple[list[str], dict]:
     return outputs, results
 
 
-def _search_grid(s: ScenarioFile):
-    # parse_scenario sorts each axis and rejects empty entries; every axis is an EngineConfig field
-    points = list(itertools.product(*(getattr(s.search, axis) for axis in SEARCH_AXES)))
-    configs = [replace(s.engine, **dict(zip(SEARCH_AXES, point))) for point in points]
-    return points, configs
-
-
-def _run_search(s: ScenarioFile, args) -> tuple[list[str], dict]:
-    points, configs = _search_grid(s)
-    n = len(configs)
-    traces = run_engines(configs + [c.with_p_mx(0.0) for c in configs])
+def _lay_out_search(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
+    n = len(traces) // 2  # every grid point, then every twin
     comparisons = [compare_coherent_incoherent(c, i) for c, i in zip(traces[:n], traces[n:])]
+    points = [tuple(getattr(c.coherent.config, axis) for axis in SEARCH_AXES) for c in comparisons]
 
     peaks = [peak_advantage(comparison) for comparison in comparisons]
     rows = [point + ((*peak, True) if peak else (math.nan, 0, False)) for point, peak in zip(points, peaks)]
@@ -206,18 +183,25 @@ def _run_search(s: ScenarioFile, args) -> tuple[list[str], dict]:
     return outputs, results
 
 
-_RUNNERS = {
-    "single-cycle-sweep": _run_single_cycle_sweep,
-    "multicycle": _run_multicycle,
-    "compare": _run_compare,
-    "search-advantage": _run_search,
+_LAYOUTS = {
+    "single-cycle-sweep": _lay_out_single_cycle_sweep,
+    "multicycle": _lay_out_multicycle,
+    "compare": _lay_out_compare,
+    "search-advantage": _lay_out_search,
 }
 
 
 def _execute(s: ScenarioFile, args) -> int:
+    """Run every config of s, and for compare and search-advantage its
+    p_mx = 0 twin after them, in one run_engines call; then write the files
+    of the scenario's layout and the summary."""
     t0 = time.perf_counter()
+    configs = _configs(s)
+    if s.kind in ("compare", "search-advantage"):
+        configs += [c.with_p_mx(0.0) for c in configs]
+    traces = run_engines(configs)
     os.makedirs(args.output_dir, exist_ok=True)
-    outputs, results = _RUNNERS[s.kind](s, args)  # parse_scenario accepts only these kinds
+    outputs, results = _LAYOUTS[s.kind](s, args, traces)  # parse_scenario accepts only these kinds
     summary = {"scenario": s.kind, "config": config_to_dict(s.engine), "outputs": outputs, "results": results}
     _finish(args, s.output.prefix, summary, t0, "json" in s.output.formats)
     return 0

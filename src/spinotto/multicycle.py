@@ -33,10 +33,10 @@ hot (x) (I/2 + P_{n-1}.sigma), the stages of validate's stage loop.
 Where runs are stacked: run_engines hands its configs to stack_runs
 MAP_BLOCK at a time, runs run_engine on each config's share of the pass and
 drops the block before the next one, so a run never holds every state of a
-grid at once. sweep, the CLI's compare and search runs and validate's
-map_vs_stage_loop go through it; a comparison stacks each config with its
-p_mx = 0 twin. run_engine given no share makes its own with
-stack_runs([config]). A stack_runs pass turns its block into one
+grid at once. Every CLI command runs all the configs of its scenario
+through one run_engines call, a comparison each config with its p_mx = 0
+twin, and validate's map_vs_stage_loop goes through it too. run_engine
+given no share makes its own with stack_runs([config]). A stack_runs pass turns its block into one
 ConfigBatch, from which every stacked step reads its parameters, makes one
 battery_map call on it and reads every P_0 with one bloch_vectors call;
 every config of the block iterates P_n = A P_{n-1} + b to the block's
@@ -104,7 +104,6 @@ import numpy as np
 
 from .diagnostics import _pz_and_norm, bloch_vectors, correlator_sets, ergotropy, relative_entropy_of_coherence
 from .engine import (
-    SWEEPABLE_FIELDS,
     ConfigBatch,
     ConfigError,
     CycleRecord,
@@ -114,7 +113,6 @@ from .engine import (
     make_cycle_record,
     power_stroke,
     prepare_battery,
-    with_fields,
 )
 from .linalg import PSD_CLAMP, ValidationError, kron, validate_density
 
@@ -313,13 +311,3 @@ def peak_advantage(result: ComparisonResult) -> tuple[float, int] | None:
     defined = [(x, r.cycle_index) for r, x in zip(result.coherent.records, result.advantage) if x is not None]
     return max(defined, key=lambda peak: peak[0], default=None)
 
-
-def sweep(config: EngineConfig, field_name: str, values: Sequence) -> list[EngineTrace]:
-    """Run one independent trace per value of the named config field, all
-    through one run_engines call.
-
-    Results are returned in the order of `values`.
-    """
-    if field_name not in SWEEPABLE_FIELDS:
-        raise ConfigError(f"field {field_name!r} is not sweepable; expected one of {', '.join(SWEEPABLE_FIELDS)}")
-    return run_engines([with_fields(config, **{field_name: v}) for v in values])

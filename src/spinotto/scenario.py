@@ -21,11 +21,21 @@ Blank lines and full-line comments (starting with '#' or ';') are ignored.
 Parsing is strict: unknown sections, unknown keys, duplicate keys and
 malformed values are rejected with the offending line number.
 
-A file states each field once, and its base config is the first run it
-describes: the [engine] and [noise] values, the first value of a swept field
-or of each [search] axis, and a search's max_cycles as cycles; every other
-field keeps the experimental default carried by EngineConfig. A key of
-[engine] or [noise] that the file's sweep or search also sets is rejected.
+A parsed file is a base config plus named axes, each a config field and its
+values. The runs are the product of the axes, the last axis fastest, each
+point set on the base config. [sweep] gives one axis, field and values;
+scenario single-cycle-sweep without one sweeps theta over THETA_GRID; and
+[search] gives the four SEARCH_AXES, each sorted, where an axis the section
+omits holds the base config's value. Other scenarios have no axes and run
+the base config alone.
+
+A file states each field once, and its base config is the first point of its
+axes: the [engine] and [noise] values, the first value of every axis, and a
+search's max_cycles as cycles; every other field keeps the experimental
+default carried by EngineConfig. A key of [engine] or [noise] that an axis or
+max_cycles also sets is rejected. Every later value of every axis is checked
+on the base config as the file is parsed, so a bad value fails before
+anything runs.
 """
 
 from __future__ import annotations
@@ -57,29 +67,13 @@ class ScenarioError(ValueError):
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    field: str
-    values: tuple[float, ...] | tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class OutputSpec:
     prefix: str
     formats: tuple[str, ...] = FORMATS
 
 
-@dataclass(frozen=True)
-class SearchSpec:
-    """Grid axes of the advantage search, each sorted ascending."""
-
-    theta: tuple[float, ...]
-    p_mx: tuple[float, ...]
-    battery_dephasing_per_reset: tuple[float, ...]
-    battery_t2_per_cycle: tuple[float, ...]
-
-
 # The grid axes of a search, in grid order.
-SEARCH_AXES = tuple(f.name for f in fields(SearchSpec))
+SEARCH_AXES = ("theta", "p_mx") + NOISE_FIELDS
 
 
 @dataclass(frozen=True)
@@ -87,21 +81,21 @@ class ScenarioFile:
     kind: str
     engine: EngineConfig
     output: OutputSpec
-    sweep: SweepSpec | None = None
-    search: SearchSpec | None = None
-    # named config variants run side by side; used by the fig2 preset
+    # (field, values) of every axis, in product order; engine is the first point
+    axes: tuple[tuple[str, tuple], ...] = ()
+    # named base configs, each run at every point of the axes; used by the fig2 preset
     variants: tuple[tuple[str, EngineConfig], ...] | None = None
 
 
 _TOP_KEYS = ("schema_version", "scenario")
-# The keys of each section are the fields of its dataclass, in field order.
-# [engine] and [noise] split EngineConfig's fields: [noise] takes the two
-# noise factors (NOISE_FIELDS) and [engine] every other field. [search] also
-# takes the run length of every grid point.
+# The keys of each section. [engine] and [noise] split EngineConfig's fields:
+# [noise] takes the two noise factors (NOISE_FIELDS) and [engine] every other
+# field. [sweep] names one axis; [search] takes the four search axes and the
+# run length of every grid point.
 _SECTION_KEYS = {
     "engine": tuple(f.name for f in fields(EngineConfig) if f.name not in NOISE_FIELDS),
     "noise": NOISE_FIELDS,
-    "sweep": tuple(f.name for f in fields(SweepSpec)),
+    "sweep": ("field", "values"),
     "output": tuple(f.name for f in fields(OutputSpec)),
     "search": SEARCH_AXES + ("max_cycles",),
 }
@@ -226,11 +220,9 @@ def parse_scenario(text: str) -> ScenarioFile:
                 f"section [{section}] is not accepted by scenario {kind!r}", first_line
             )
 
-    # The fields the sweep or search sets, with their values in the first run,
-    # and what sets them.
-    first_run, set_by = {}, None
-
-    sweep_spec = None
+    # The axes the file states, {field: values}, what states them, and the
+    # run length a search sets with them.
+    axes, set_by, run_length = {}, None, {}
     if "sweep" in table:
         entries = table["sweep"]
         if "field" not in entries or "values" not in entries:
@@ -246,17 +238,12 @@ def parse_scenario(text: str) -> ScenarioFile:
             message = "field 'cycles' is not sweepable in scenario 'single-cycle-sweep', which runs one cycle"
             raise ScenarioError(message, field_line)
         value, line = entries["values"]  # each entry is converted as [engine] converts the field
-        values = tuple(_to_value(field_name, v, line) for v in _split("values", value, line))
-        sweep_spec = SweepSpec(field=field_name, values=values)
+        axes[field_name] = tuple(_to_value(field_name, v, line) for v in _split("values", value, line))
         set_by = "[sweep]"
     elif kind == "single-cycle-sweep":
-        sweep_spec = SweepSpec(field="theta", values=THETA_GRID)
+        axes["theta"] = THETA_GRID
         set_by = "the default theta sweep of scenario 'single-cycle-sweep'"
-    if sweep_spec is not None:
-        first_run = {sweep_spec.field: sweep_spec.values[0]}
-
-    axes = {}
-    if kind == "search-advantage":
+    elif kind == "search-advantage":
         if "search" not in table:
             raise ScenarioError("scenario 'search-advantage' requires a [search] section")
         entries = table["search"]
@@ -273,8 +260,9 @@ def parse_scenario(text: str) -> ScenarioFile:
         if not 1 <= max_cycles <= MAX_COUNT:
             message = f"max_cycles must be a positive integer up to {MAX_COUNT}, got {max_cycles}"
             raise ScenarioError(message, entries["max_cycles"][1])
-        first_run = {key: values[0] for key, values in axes.items()} | {"cycles": max_cycles}
+        run_length = {"cycles": max_cycles}
         set_by = "[search]"
+    first_run = {name: values[0] for name, values in axes.items()} | run_length
 
     stated = {}
     for section in ("engine", "noise"):
@@ -286,12 +274,13 @@ def parse_scenario(text: str) -> ScenarioFile:
 
     if kind == "single-cycle-sweep" and engine.cycles != 1:
         raise ScenarioError(f"scenario 'single-cycle-sweep' requires cycles = 1, got {engine.cycles}")
-
-    search_spec = None
-    if axes:
-        # theta and p_mx are required; a noise axis that [search] omits holds
-        # the base config's value
-        search_spec = SearchSpec(**{key: (getattr(engine, key),) for key in NOISE_FIELDS} | axes)
+    if kind == "search-advantage":  # a noise axis that [search] omits holds the base config's value
+        axes = {key: axes.get(key, (getattr(engine, key),)) for key in SEARCH_AXES}
+    # Each rule of a config reads at most one axis field, so every later value
+    # is checked on its own on the base config, before anything runs.
+    for name, values in axes.items():
+        for value in values[1:]:
+            with_fields(engine, **{name: value})
 
     prefix = kind
     formats = FORMATS
@@ -315,8 +304,7 @@ def parse_scenario(text: str) -> ScenarioFile:
         kind=kind,
         engine=engine,
         output=OutputSpec(prefix=prefix, formats=formats),
-        sweep=sweep_spec,
-        search=search_spec,
+        axes=tuple(axes.items()),
     )
 
 
@@ -385,13 +373,14 @@ def _fig2_preset() -> ScenarioFile:
         kind="single-cycle-sweep",
         engine=base,
         output=OutputSpec(prefix="fig2"),
-        sweep=SweepSpec(field="theta", values=THETA_GRID),
+        axes=(("theta", THETA_GRID),),
         variants=tuple(variants),
     )
 
 
 # fig2 stays in Python: it is the only scenario with variants, which the text
-# format has no syntax for. Every other preset is a packaged .scn file, named
+# format has no syntax for (its variants set p_mx and battery_init together,
+# which no product of axes states). Every other preset is a packaged .scn file, named
 # by its stem.
 PRESETS = {"fig2": _fig2_preset} | {
     path.stem: partial(load_scenario, path)

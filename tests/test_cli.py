@@ -500,6 +500,56 @@ def test_a_key_the_sweep_or_search_sets_is_stated_once(tmp_path, capsys, text, k
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text, field, rule",
+    [
+        ("scenario = multicycle\n[sweep]\nfield = battery_t2_per_cycle\nvalues = 0.9, 1.5\n",
+         "battery_t2_per_cycle", "must lie in [0, 1], got 1.5"),
+        ("scenario = search-advantage\n[engine]\nhot_populations = 0.5, 0.5\n[search]\ntheta = 0.5\np_mx = 0.1, 0.6\n",
+         "p_mx", "exceeds the positivity bound sqrt(p0*p1), got 0.6"),
+    ],
+    ids=["sweep", "search"],
+)
+def test_a_bad_axis_value_after_the_first_fails_before_anything_runs(tmp_path, capsys, text, field, rule):
+    # the first value sets the base config; every later one is checked on it as the file is parsed
+    scn = tmp_path / "run.scn"
+    scn.write_text(text)
+    command = "search" if "search-advantage" in text else "run"
+    assert main([command, str(scn), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {field} {rule}\n"
+    assert not (tmp_path / "out").exists()
+
+
+ONE_OF_EACH_KIND = [
+    ("run", "fig2"),
+    ("run", "fig3"),
+    ("search", "search-default"),
+    ("run", "scenario = single-cycle-sweep\n[sweep]\nfield = p_mx\nvalues = 0.1, 0.2\n"),
+    ("run", "scenario = multicycle\n[engine]\ncycles = 3\n"),
+    ("run", "scenario = multicycle\n[engine]\ncycles = 3\n[sweep]\nfield = theta\nvalues = 0.2, 0.4\n"),
+    ("run", "scenario = compare\n[engine]\ncycles = 3\n"),
+    ("search", "scenario = search-advantage\n[search]\ntheta = 0.3, 0.6\np_mx = 0.4\nmax_cycles = 3\n"),
+]
+
+
+@pytest.mark.parametrize("command, scenario", ONE_OF_EACH_KIND,
+                         ids=["fig2", "fig3", "search-default", "single-cycle-sweep", "multicycle",
+                              "multicycle-sweep", "compare", "search"])
+def test_every_command_runs_its_engines_in_one_pass(tmp_path, monkeypatch, command, scenario):
+    if "\n" in scenario:
+        (tmp_path / "run.scn").write_text(scenario)
+        scenario = str(tmp_path / "run.scn")
+    passes = []
+
+    def spy(configs):
+        passes.append(len(configs))
+        return run_engines(configs)
+
+    monkeypatch.setattr(cli, "run_engines", spy)
+    assert main([command, scenario, "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(passes) == 1
+
+
 def test_search_runs_are_identical(tmp_path):
     for name in ("a", "b"):
         assert main(["search", "search-default", "--output-dir", str(tmp_path / name)]) == 0

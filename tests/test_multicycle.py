@@ -28,7 +28,6 @@ from spinotto.multicycle import (
     run_engine,
     run_engines,
     stack_runs,
-    sweep,
 )
 from spinotto.scenario import PRESETS
 from spinotto.validate import (
@@ -858,40 +857,35 @@ class TestFixture:
 class TestSweep:
     def test_zero_angle_sweep(self):
         cfg = EngineConfig(theta=0.5, p_mx=0.3, cycles=1, **IDEAL)
-        traces = sweep(cfg, "theta", [0.0])
+        traces = run_engines([with_fields(cfg, theta=0.0)])
         assert len(traces) == 1
         assert traces[0].records[0].cycle_work == pytest.approx(0.0, abs=1e-13)
 
     def test_result_order_matches_values(self):
         cfg = EngineConfig(p_mx=0.3, cycles=1, **IDEAL)
         values = [0.9, 0.1, 0.5]
-        traces = sweep(cfg, "theta", values)
+        traces = run_engines([with_fields(cfg, theta=v) for v in values])
         assert [t.config.theta for t in traces] == values
 
     def test_sweepable_fields(self):
         cfg = EngineConfig(cycles=2, battery_init=(0, 0, -0.4), **IDEAL)
-        assert sweep(cfg, "p_mx", [0.0, 0.2])[1].config.p_mx == 0.2
-        assert sweep(cfg, "battery_py", [0.25])[0].config.battery_init.py == 0.25
-        assert sweep(cfg, "cycles", [4])[0].config.cycles == 4
-        assert (
-            sweep(cfg, "battery_t2_per_cycle", [0.8])[0].config.battery_t2_per_cycle
-            == 0.8
-        )
+        traces = run_engines([with_fields(cfg, p_mx=0.2), with_fields(cfg, battery_py=0.25),
+                              with_fields(cfg, cycles=4), with_fields(cfg, battery_t2_per_cycle=0.8)])
+        assert traces[0].config.p_mx == 0.2
+        assert traces[1].config.battery_init.py == 0.25
+        assert traces[2].config.cycles == 4 and len(traces[2].records) == 4
+        assert traces[3].config.battery_t2_per_cycle == 0.8
 
     def test_non_integer_cycles_rejected(self):
         cfg = EngineConfig(cycles=2, **IDEAL)
         for value in (2.7, math.nan, True, 3.0):
             with pytest.raises(ConfigError, match="cycles"):
-                sweep(cfg, "cycles", [value])
+                with_fields(cfg, cycles=value)
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError):
-            sweep(EngineConfig(), "coupling", [1.0])
+        # a [sweep] of a field that exists but is not sweepable is test_scenario's test_sweep_unknown_field
         with pytest.raises(ConfigError, match="unknown field 'coupling'"):
             with_fields(EngineConfig(), theta=0.1, coupling=1.0)
-        # with_fields also sets the bath and battery_init; a sweep varies none of them
-        with pytest.raises(ConfigError, match="'hot_populations' is not sweepable"):
-            sweep(EngineConfig(), "hot_populations", [(0.4, 0.6)])
 
     def test_with_fields_builds_one_config_of_each_kind(self, monkeypatch):
         # a search grid point sets engine scalars, noise channels and the cycle
@@ -933,7 +927,7 @@ class TestSweep:
         # (correlators, concurrence)
         cfg = EngineConfig(theta=0.6, p_mx=0.3, cycles=4, battery_init=(0.1, 0.0, -0.35),
                            battery_dephasing_per_reset=0.95, battery_t2_per_cycle=0.9)
-        traces = sweep(cfg, field_name, values)
+        traces = run_engines([with_fields(cfg, **{field_name: v}) for v in values])
         assert len(traces) == len(values)
         for trace in traces:
             assert trace.records == run_engine(trace.config).records

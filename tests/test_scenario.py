@@ -114,13 +114,14 @@ def test_sweep_section():
     s = parse_scenario(
         "scenario = multicycle\n[sweep]\nfield = theta\nvalues = 0.1, 0.2, 0.3\n"
     )
-    assert s.sweep.field == "theta"
-    assert s.sweep.values == (0.1, 0.2, 0.3)
+    assert s.axes == (("theta", (0.1, 0.2, 0.3)),)
 
 
 def test_sweep_unknown_field():
-    with pytest.raises(ScenarioError, match="not sweepable"):
-        parse_scenario("scenario = multicycle\n[sweep]\nfield = g\nvalues = 1\n")
+    # with_fields also sets the baths and battery_init; a sweep varies none of them
+    for field in ("g", "hot_populations"):
+        with pytest.raises(ScenarioError, match=f"line 3: field '{field}' is not sweepable"):
+            parse_scenario(f"scenario = multicycle\n[sweep]\nfield = {field}\nvalues = 1\n")
 
 
 def test_compare_rejects_sweep_section():
@@ -130,10 +131,9 @@ def test_compare_rejects_sweep_section():
 
 def test_single_cycle_sweep_defaults_to_theta_grid():
     s = parse_scenario("scenario = single-cycle-sweep\n")
-    assert s.sweep.field == "theta"
-    assert s.sweep.values == THETA_GRID
-    assert s.sweep.values[0] == 0.0
-    assert s.sweep.values[-1] == pytest.approx(math.pi / 2)
+    assert s.axes == (("theta", THETA_GRID),)
+    assert THETA_GRID[0] == 0.0
+    assert THETA_GRID[-1] == pytest.approx(math.pi / 2)
 
 
 def test_single_cycle_sweep_requires_one_cycle():
@@ -151,7 +151,8 @@ def test_single_cycle_sweep_rejects_sweeping_cycles():
 def test_swept_cycles_are_read_as_exact_integers():
     # 2**53 + 1 has no double; read through float it became 2**53. Parsed only, never run
     s = parse_scenario("scenario = multicycle\n[sweep]\nfield = cycles\nvalues = 9007199254740993, 3\n")
-    assert s.sweep.values == (9007199254740993, 3) and all(type(v) is int for v in s.sweep.values)
+    ((field, values),) = s.axes
+    assert field == "cycles" and values == (9007199254740993, 3) and all(type(v) is int for v in values)
 
 
 @pytest.mark.parametrize("text", [
@@ -174,7 +175,9 @@ def test_search_axes_sorted():
     s = parse_scenario(
         "scenario = search-advantage\n[search]\ntheta = 0.9, 0.1\np_mx = 0.3\n"
     )
-    assert s.search.theta == (0.1, 0.9)
+    # an omitted noise axis holds the base config's value
+    assert s.axes == (("theta", (0.1, 0.9)), ("p_mx", (0.3,)), ("battery_dephasing_per_reset", (1.0,)),
+                      ("battery_t2_per_cycle", (1.0,)))
     assert s.engine.cycles == 10  # the default max_cycles
 
 
@@ -398,15 +401,7 @@ def test_the_abstracts_work_gain_after_a_few_cycles():
 def test_the_base_config_is_the_first_run(name):
     # the config a summary echoes is the first one the file runs
     s = resolve_scenario(str(ROOT / name) if name.endswith(".scn") else name)
-    if s.search is not None:
-        first = cli._search_grid(s)[1][0]
-    elif s.sweep is not None:
-        first = with_fields(s.engine, **{s.sweep.field: s.sweep.values[0]})
-    else:
-        first = s.engine
-    assert first == s.engine
-    if s.variants is not None:
-        assert s.variants[0][1] == s.engine  # fig2 runs its variants
+    assert cli._configs(s)[0] == s.engine
 
 
 def test_fig2_preset_variants():
