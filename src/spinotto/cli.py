@@ -71,57 +71,45 @@ def _finish(args, prefix: str, summary: dict, t0: float, summary_file: bool = Tr
     print(f"elapsed {time.perf_counter() - t0:.3f} s")
 
 
-def _write_cycle_trace(args, name: str, trace, outputs: list[str]) -> None:
-    """Write one engine trace as a CSV indexed by cycle and list its file name."""
-    cycles = [r.cycle_index for r in trace.records]
-    write_trace_csv(os.path.join(args.output_dir, name), "cycle_index", cycles, trace.records)
-    outputs.append(name)
+def _points(axes) -> list[dict]:
+    """Every point of the product of axes, a tuple of (field, values), as
+    {field: value}, the last axis fastest; one empty point when there are no
+    axes."""
+    names = [name for name, _ in axes]
+    return [dict(zip(names, point)) for point in itertools.product(*(values for _, values in axes))]
 
 
 def _configs(s: ScenarioFile) -> list[EngineConfig]:
-    """Every run of s, in order: each variant's base config (s.engine alone
-    when s has no variants) set to every point of the product of s.axes, the
-    last axis fastest. The first is s.engine."""
-    names = [name for name, _ in s.axes]
-    points = list(itertools.product(*(values for _, values in s.axes)))  # one empty point when s has no axes
-    return [with_fields(base, **dict(zip(names, point))) for _, base in s.variants or (("", s.engine),)
-            for point in points]
+    """Every run of s: s.engine set to every point of s.axes, in order. The
+    first is s.engine."""
+    return [with_fields(s.engine, **point) for point in _points(s.axes)]
 
 
-def _lay_out_single_cycle_sweep(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
-    ((field, values),) = s.axes  # [sweep] or the default theta grid
-    outputs = []
-    variant_labels = []
-    for i, (label, _) in enumerate(s.variants or (("", s.engine),)):
-        records = [t.records[0] for t in traces[i * len(values):(i + 1) * len(values)]]
-        name = f"{s.output.prefix}_{label}.csv" if label else f"{s.output.prefix}.csv"
-        if "csv" in s.output.formats:
-            write_trace_csv(os.path.join(args.output_dir, name), field, values, records)
-            outputs.append(name)
-        variant_labels.append(label or "base")
-    return outputs, {"sweep_field": field, "sweep_points": len(values), "variants": variant_labels}
-
-
-def _lay_out_multicycle(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
+def _lay_out_traces(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
+    """One trace CSV per point of the file axes, named {prefix}.csv when
+    there are none and {prefix}_s{i:02d}.csv otherwise; sweep_map gives each
+    file's point. A single-cycle sweep's last axis gives the rows of each
+    file, and its other axes are the file axes. A multicycle run's rows are
+    its cycles, every axis is a file axis, and sweep_map also gives each
+    run's cumulative work."""
+    single = s.kind == "single-cycle-sweep"
+    file_axes, n = (s.axes[:-1], len(s.axes[-1][1])) if single else (s.axes, 1)  # n runs per file
     csv = "csv" in s.output.formats
-    outputs = []
-    results: dict = {}
-    if not s.axes:
-        (trace,) = traces
+    outputs, sweep_map = [], []
+    for i, point in enumerate(_points(file_axes)):
+        runs = traces[i * n:(i + 1) * n]
+        if single:
+            (rows, values), records = s.axes[-1], [t.records[0] for t in runs]
+        else:
+            records = runs[0].records
+            rows, values = "cycle_index", [r.cycle_index for r in records]
+        name = f"{s.output.prefix}_s{i:02d}.csv" if file_axes else f"{s.output.prefix}.csv"
         if csv:
-            _write_cycle_trace(args, f"{s.output.prefix}.csv", trace, outputs)
-        results["cumulative_work"] = trace.records[-1].cumulative_work
-    else:
-        ((field, values),) = s.axes  # [sweep]
-        mapping = []
-        for i, (value, trace) in enumerate(zip(values, traces)):
-            name = f"{s.output.prefix}_s{i:02d}.csv"
-            if csv:
-                _write_cycle_trace(args, name, trace, outputs)
-            mapping.append({"index": i, "value": value, "file": name if csv else None})
-        results["sweep_field"] = field
-        results["sweep_map"] = mapping
-    return outputs, results
+            write_trace_csv(os.path.join(args.output_dir, name), rows, values, records)
+            outputs.append(name)
+        entry = {"index": i, "point": point, "file": name if csv else None}
+        sweep_map.append(entry if single else entry | {"cumulative_work": records[-1].cumulative_work})
+    return outputs, {"rows": rows, "sweep_map": sweep_map}
 
 
 def _lay_out_compare(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
@@ -129,7 +117,10 @@ def _lay_out_compare(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
     outputs = []
     if "csv" in s.output.formats:
         for tag, trace in (("coherent", result.coherent), ("incoherent", result.incoherent)):
-            _write_cycle_trace(args, f"{s.output.prefix}_{tag}.csv", trace, outputs)
+            name = f"{s.output.prefix}_{tag}.csv"
+            cycles = [r.cycle_index for r in trace.records]
+            write_trace_csv(os.path.join(args.output_dir, name), "cycle_index", cycles, trace.records)
+            outputs.append(name)
         name = f"{s.output.prefix}_advantage.csv"
         rows = [
             (rc.cycle_index, rc.cycle_work, ri.cycle_work, math.nan if ratio is None else ratio)
@@ -184,8 +175,8 @@ def _lay_out_search(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
 
 
 _LAYOUTS = {
-    "single-cycle-sweep": _lay_out_single_cycle_sweep,
-    "multicycle": _lay_out_multicycle,
+    "single-cycle-sweep": _lay_out_traces,
+    "multicycle": _lay_out_traces,
     "compare": _lay_out_compare,
     "search-advantage": _lay_out_search,
 }
@@ -198,7 +189,7 @@ def _execute(s: ScenarioFile, args) -> int:
     t0 = time.perf_counter()
     configs = _configs(s)
     if s.kind in ("compare", "search-advantage"):
-        configs += [c.with_p_mx(0.0) for c in configs]
+        configs += [with_fields(c, p_mx=0.0) for c in configs]
     traces = run_engines(configs)
     os.makedirs(args.output_dir, exist_ok=True)
     outputs, results = _LAYOUTS[s.kind](s, args, traces)  # parse_scenario accepts only these kinds

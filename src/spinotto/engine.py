@@ -207,17 +207,17 @@ class EngineConfig:
         """Second-stroke angle; equals theta unless explicitly overridden."""
         return self.theta if self.theta_compression is None else self.theta_compression
 
-    def with_p_mx(self, p_mx: float) -> "EngineConfig":
-        return replace(self, p_mx=p_mx)
 
-
-# The config fields a sweep sets: every EngineConfig field but the populations
-# and battery_init, whose components it sets as battery_px/py/pz.
+# The battery fields: battery_init and its components battery_px/py/pz, which
+# with_fields sets on top of it. A sweep varies at most one of them.
 _BATTERY_COMPONENTS = tuple(f"battery_{axis}" for axis in Polarization._fields)
-SWEEPABLE_FIELDS = ("theta", "theta_compression", "p_mx") + _BATTERY_COMPONENTS + NOISE_FIELDS + ("cycles",)
+BATTERY_FIELDS = ("battery_init",) + _BATTERY_COMPONENTS
+# The config fields a [sweep] line may name: every EngineConfig field but the
+# two populations, and the battery components.
+SWEEPABLE_FIELDS = ("theta", "theta_compression", "p_mx") + BATTERY_FIELDS + NOISE_FIELDS + ("cycles",)
 # Every name with_fields takes: the sweepable fields and the [engine] keys of
 # a scenario file that a sweep cannot vary.
-_CONFIG_FIELDS = SWEEPABLE_FIELDS + ("hot_populations", "cold_populations", "battery_init")
+_CONFIG_FIELDS = SWEEPABLE_FIELDS + ("hot_populations", "cold_populations")
 
 
 def with_fields(config: EngineConfig, **values) -> EngineConfig:

@@ -293,7 +293,8 @@ def compare_coherent_incoherent(coherent: EngineTrace, incoherent: EngineTrace) 
     """Form the advantage series of a coherent run and its p_mx = 0 twin.
 
     Callers run both engines through one run_engines call,
-    run_engines([config, config.with_p_mx(0.0)]), so their maps are stacked.
+    run_engines([config, with_fields(config, p_mx=0.0)]), so their maps are
+    stacked.
     """
     advantage = tuple(
         None if ri.cycle_work <= ADVANTAGE_FLOOR else (rc.cycle_work - ri.cycle_work) / ri.cycle_work

@@ -23,11 +23,29 @@ malformed values are rejected with the offending line number.
 
 A parsed file is a base config plus named axes, each a config field and its
 values. The runs are the product of the axes, the last axis fastest, each
-point set on the base config. [sweep] gives one axis, field and values;
-scenario single-cycle-sweep without one sweeps theta over THETA_GRID; and
-[search] gives the four SEARCH_AXES, each sorted, where an axis the section
-omits holds the base config's value. Other scenarios have no axes and run
-the base config alone.
+point set on the base config. [sweep] gives one line per axis, in product
+order::
+
+    [sweep]
+    p_mx = 0.0, 0.5
+    battery_init = 0.0, 0.0, -0.5; 0.0, 0.5, 0.0
+    theta = 0.0, 0.4, 0.8
+
+Values are separated by ',', but battery_init's values are 3-vectors
+separated by ';'. A [sweep] varies at most one of the battery fields
+(battery_init, battery_px, battery_py, battery_pz). The pair
+'field = theta' and 'values = 0.0, 0.4' is the version-1 spelling of one
+axis and still parses. [search] gives the four SEARCH_AXES, each sorted,
+where an axis the section omits holds the base config's value. Scenario
+single-cycle-sweep requires [sweep] and search-advantage requires [search];
+compare, and multicycle without [sweep], run the base config alone.
+
+A single-cycle sweep and a multicycle run write one trace CSV per point of
+their file axes: {prefix}.csv when there are none, {prefix}_s00.csv,
+{prefix}_s01.csv, ... in product order otherwise, and the summary's
+sweep_map gives each file's point. The rows of a single-cycle sweep's files
+are its last axis, and its other axes are file axes; the rows of a
+multicycle run's files are its cycles, and all its axes are file axes.
 
 A file states each field once, and its base config is the first point of its
 axes: the [engine] and [noise] values, the first value of every axis, and a
@@ -41,19 +59,16 @@ anything runs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
-from .diagnostics import Polarization
-from .engine import MAX_COUNT, NOISE_FIELDS, SWEEPABLE_FIELDS, ConfigError, EngineConfig, with_fields
+from .engine import (BATTERY_FIELDS, MAX_COUNT, NOISE_FIELDS, SWEEPABLE_FIELDS, ConfigError, EngineConfig,
+                     with_fields)
 
 FORMATS = ("csv", "json")
 
 SCHEMA_VERSION = "1"
-
-# Default interaction-angle grid for single-cycle sweeps: 0 to pi/2 inclusive.
-THETA_GRID = tuple(k * (math.pi / 2) / 64 for k in range(65))
 
 
 class ScenarioError(ValueError):
@@ -83,19 +98,18 @@ class ScenarioFile:
     output: OutputSpec
     # (field, values) of every axis, in product order; engine is the first point
     axes: tuple[tuple[str, tuple], ...] = ()
-    # named base configs, each run at every point of the axes; used by the fig2 preset
-    variants: tuple[tuple[str, EngineConfig], ...] | None = None
 
 
 _TOP_KEYS = ("schema_version", "scenario")
 # The keys of each section. [engine] and [noise] split EngineConfig's fields:
 # [noise] takes the two noise factors (NOISE_FIELDS) and [engine] every other
-# field. [sweep] names one axis; [search] takes the four search axes and the
-# run length of every grid point.
+# field. [sweep] takes one line per axis, or the version-1 pair field and
+# values; [search] takes the four search axes and the run length of every
+# grid point.
 _SECTION_KEYS = {
     "engine": tuple(f.name for f in fields(EngineConfig) if f.name not in NOISE_FIELDS),
     "noise": NOISE_FIELDS,
-    "sweep": ("field", "values"),
+    "sweep": ("field", "values") + SWEEPABLE_FIELDS,
     "output": tuple(f.name for f in fields(OutputSpec)),
     "search": SEARCH_AXES + ("max_cycles",),
 }
@@ -165,9 +179,9 @@ def _to_int(value: str, lineno: int) -> int:
         raise ScenarioError(f"expected an integer, got {value!r}", lineno) from None
 
 
-def _split(key: str, value: str, lineno: int) -> list[str]:
-    """The comma-separated entries of one key; an empty entry is an error."""
-    parts = [p.strip() for p in value.split(",")]
+def _split(key: str, value: str, lineno: int, sep: str = ",") -> list[str]:
+    """The sep-separated entries of one key; an empty entry is an error."""
+    parts = [p.strip() for p in value.split(sep)]
     if "" in parts:
         raise ScenarioError(f"{key}: empty entry in {value!r}", lineno)
     return parts
@@ -225,24 +239,27 @@ def parse_scenario(text: str) -> ScenarioFile:
     axes, set_by, run_length = {}, None, {}
     if "sweep" in table:
         entries = table["sweep"]
-        if "field" not in entries or "values" not in entries:
-            raise ScenarioError("section [sweep] requires both 'field' and 'values'")
-        field_name, field_line = entries["field"]
-        if field_name not in SWEEPABLE_FIELDS:
-            raise ScenarioError(
-                f"field {field_name!r} is not sweepable; expected one of "
-                f"{', '.join(SWEEPABLE_FIELDS)}",
-                field_line,
-            )
-        if kind == "single-cycle-sweep" and field_name == "cycles":
-            message = "field 'cycles' is not sweepable in scenario 'single-cycle-sweep', which runs one cycle"
-            raise ScenarioError(message, field_line)
-        value, line = entries["values"]  # each entry is converted as [engine] converts the field
-        axes[field_name] = tuple(_to_value(field_name, v, line) for v in _split("values", value, line))
+        # (field, its line, the key naming the values, values, their line) of each axis
+        lines = [(name, line, name, value, line) for name, (value, line) in entries.items()]
+        if "field" in entries or "values" in entries:  # the version-1 spelling of one axis
+            if sorted(entries) != ["field", "values"]:
+                raise ScenarioError("section [sweep] states one axis as 'field' and 'values', or a line per axis")
+            field_name, field_line = entries["field"]
+            if field_name not in SWEEPABLE_FIELDS:
+                message = f"field {field_name!r} is not sweepable; expected one of {', '.join(SWEEPABLE_FIELDS)}"
+                raise ScenarioError(message, field_line)
+            lines = [(field_name, field_line, "values", *entries["values"])]
+        battery = [(name, line) for name, line, *_ in lines if name in BATTERY_FIELDS]
+        if len(battery) > 1:  # the battery rule reads every battery field at once
+            (first, _), (second, line) = battery[:2]
+            raise ScenarioError(f"{second}: [sweep] already varies {first}; it may vary one battery field", line)
+        for field_name, field_line, key, value, line in lines:
+            if kind == "single-cycle-sweep" and field_name == "cycles":
+                message = "field 'cycles' is not sweepable in scenario 'single-cycle-sweep', which runs one cycle"
+                raise ScenarioError(message, field_line)
+            parts = _split(key, value, line, ";" if field_name == "battery_init" else ",")
+            axes[field_name] = tuple(_to_value(field_name, v, line) for v in parts)  # as [engine] converts them
         set_by = "[sweep]"
-    elif kind == "single-cycle-sweep":
-        axes["theta"] = THETA_GRID
-        set_by = "the default theta sweep of scenario 'single-cycle-sweep'"
     elif kind == "search-advantage":
         if "search" not in table:
             raise ScenarioError("scenario 'search-advantage' requires a [search] section")
@@ -262,6 +279,8 @@ def parse_scenario(text: str) -> ScenarioFile:
             raise ScenarioError(message, entries["max_cycles"][1])
         run_length = {"cycles": max_cycles}
         set_by = "[search]"
+    if kind == "single-cycle-sweep" and not axes:
+        raise ScenarioError("scenario 'single-cycle-sweep' requires a [sweep] section that names an axis")
     first_run = {name: values[0] for name, values in axes.items()} | run_length
 
     stated = {}
@@ -276,8 +295,9 @@ def parse_scenario(text: str) -> ScenarioFile:
         raise ScenarioError(f"scenario 'single-cycle-sweep' requires cycles = 1, got {engine.cycles}")
     if kind == "search-advantage":  # a noise axis that [search] omits holds the base config's value
         axes = {key: axes.get(key, (getattr(engine, key),)) for key in SEARCH_AXES}
-    # Each rule of a config reads at most one axis field, so every later value
-    # is checked on its own on the base config, before anything runs.
+    # Each rule of a config reads at most one axis field (a [sweep] varies one
+    # battery field), so every later value is checked on its own on the base
+    # config, before anything runs.
     for name, values in axes.items():
         for value in values[1:]:
             with_fields(engine, **{name: value})
@@ -347,42 +367,8 @@ def config_from_dict(data: dict) -> EngineConfig:
     return EngineConfig(**kwargs, **noise)
 
 
-def _fig2_preset() -> ScenarioFile:
-    """Single-cycle interaction-angle sweep in four coherence variants.
-
-    The ideal-regime baths (symmetric hot populations, pure-ground cold bath)
-    isolate the first-cycle behavior: the two classical-battery variants
-    coincide, the quantum-battery variants separate.
-    """
-    base = EngineConfig(
-        theta=THETA_GRID[0],
-        p_mx=0.0,
-        hot_populations=(0.5, 0.5),
-        cold_populations=(0.0, 1.0),
-        battery_init=Polarization(0.0, 0.0, -0.5),
-        cycles=1,
-    )
-    classical = Polarization(0.0, 0.0, -0.5)
-    quantum = Polarization(0.0, 0.5, 0.0)
-    variants = [
-        (f"pmx{p_mx}_{label}", replace(base, p_mx=p_mx, battery_init=battery))
-        for p_mx in (0.0, 0.5)
-        for label, battery in (("pby0.0", classical), ("pby0.5", quantum))
-    ]
-    return ScenarioFile(
-        kind="single-cycle-sweep",
-        engine=base,
-        output=OutputSpec(prefix="fig2"),
-        axes=(("theta", THETA_GRID),),
-        variants=tuple(variants),
-    )
-
-
-# fig2 stays in Python: it is the only scenario with variants, which the text
-# format has no syntax for (its variants set p_mx and battery_init together,
-# which no product of axes states). Every other preset is a packaged .scn file, named
-# by its stem.
-PRESETS = {"fig2": _fig2_preset} | {
+# Every preset is a packaged .scn file, named by its stem.
+PRESETS = {
     path.stem: partial(load_scenario, path)
     for path in sorted((Path(__file__).parent / "presets").glob("*.scn"))
 }

@@ -11,7 +11,7 @@ import pytest
 
 from spinotto import cli, output, validate
 from spinotto.cli import main
-from spinotto.engine import MAX_COUNT, EngineConfig
+from spinotto.engine import MAX_COUNT, EngineConfig, with_fields
 from spinotto.multicycle import (
     MAP_BLOCK,
     compare_coherent_incoherent,
@@ -178,7 +178,7 @@ def test_summary_config_reproduces_trace(tmp_path):
     assert main(["run", "fig3", "--output-dir", str(out)]) == 0
     summary = json.loads(read(out / "fig3_summary.json"))
     config = config_from_dict(summary["config"])
-    result = compare_coherent_incoherent(*run_engines([config, config.with_p_mx(0.0)]))
+    result = compare_coherent_incoherent(*run_engines([config, with_fields(config, p_mx=0.0)]))
     lines = read(out / "fig3_coherent.csv").decode().splitlines()[1:]
     assert len(lines) == len(result.coherent.records)
     for line, record in zip(lines, result.coherent.records):
@@ -192,20 +192,29 @@ def test_fig2_preset_writes_four_series(tmp_path):
     out = tmp_path / "fig2"
     assert main(["run", "fig2", "--output-dir", str(out)]) == 0
     csvs = sorted(n for n in os.listdir(out) if n.endswith(".csv"))
-    assert csvs == [
-        "fig2_pmx0.0_pby0.0.csv",
-        "fig2_pmx0.0_pby0.5.csv",
-        "fig2_pmx0.5_pby0.0.csv",
-        "fig2_pmx0.5_pby0.5.csv",
-    ]
-    # classical-battery variants deposit identical work at every angle;
-    # quantum-battery variants separate (coherence converts to work)
-    def work_column(name):
-        lines = read(out / name).decode().splitlines()[1:]
-        return [line.split(",")[1] for line in lines]
+    assert csvs == ["fig2_s00.csv", "fig2_s01.csv", "fig2_s02.csv", "fig2_s03.csv"]
+    summary = json.loads(read(out / "fig2_summary.json"))
+    assert summary["results"]["rows"] == "theta"
+    # the file of each (p_mx, p_by) variant, read off its sweep_map point
+    files = {(e["point"]["p_mx"], e["point"]["battery_init"][1]): e["file"] for e in summary["results"]["sweep_map"]}
+    assert sorted(files) == [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)] and sorted(files.values()) == csvs
 
-    assert work_column(csvs[0]) == work_column(csvs[2])
-    assert work_column(csvs[1]) != work_column(csvs[3])
+    def column(name, index):
+        return [line.split(",")[index] for line in read(out / name).decode().splitlines()[1:]]
+
+    # the 65 angles k*(pi/2)/64, bit for bit, in every file
+    thetas = [float(x) for x in column(files[0.0, 0.0], 0)]
+    assert thetas == [k * (math.pi / 2) / 64 for k in range(65)]
+    assert all(column(name, 0) == column(files[0.0, 0.0], 0) for name in csvs)
+    # the preset's comment: classical-battery variants deposit identical work
+    # at every angle, 0.125 at pi/4, and coherence reaches that battery only
+    # as p_by; quantum-battery variants separate, and at pi/8 the battery
+    # loses 0.073 without coherence and gains 0.078 with it
+    work = {variant: [float(x) for x in column(name, 1)] for variant, name in files.items()}
+    assert work[0.0, 0.0] == work[0.5, 0.0] and work[0.0, 0.0][32] == 0.125
+    assert set(column(files[0.0, 0.0], 4)) == {"0"} and float(column(files[0.5, 0.0], 4)[32]) == 0.25
+    assert work[0.0, 0.5] != work[0.5, 0.5]
+    assert round(work[0.0, 0.5][16], 3) == -0.073 and round(work[0.5, 0.5][16], 3) == 0.078
 
 
 def test_scenario_file_run(tmp_path):
@@ -415,8 +424,8 @@ def test_stacked_search_equals_per_config_compare(tmp_path, monkeypatch, n):
     for theta, result, row in zip(thetas, seen, rows, strict=True):
         config = EngineConfig(theta=theta, p_mx=0.3, battery_dephasing_per_reset=0.95, battery_t2_per_cycle=0.9,
                               cycles=3)
-        single = compare_coherent_incoherent(run_engine(config), run_engine(config.with_p_mx(0.0)))
-        assert (result.coherent.config, result.incoherent.config) == (config, config.with_p_mx(0.0))
+        single = compare_coherent_incoherent(run_engine(config), run_engine(with_fields(config, p_mx=0.0)))
+        assert (result.coherent.config, result.incoherent.config) == (config, with_fields(config, p_mx=0.0))
         for got, want in ((result.coherent, single.coherent), (result.incoherent, single.incoherent)):
             assert got.records == want.records
         assert result.advantage == single.advantage
@@ -431,7 +440,8 @@ def test_search_summary_config_is_the_first_grid_row(tmp_path):
     first = read(out / "search_grid.csv").decode().splitlines()[1].split(",")
     point = (config.theta, config.p_mx, config.battery_dephasing_per_reset, config.battery_t2_per_cycle)
     assert [format(x, ".17g") for x in point] == first[:4]
-    ratio, cycle = peak_advantage(compare_coherent_incoherent(*run_engines([config, config.with_p_mx(0.0)])))
+    traces = run_engines([config, with_fields(config, p_mx=0.0)])
+    ratio, cycle = peak_advantage(compare_coherent_incoherent(*traces))
     assert first[4:6] == [format(ratio, ".17g"), str(cycle)]
 
 
@@ -482,13 +492,14 @@ SEARCH_GRID = "[search]\ntheta = 0.3, 0.6\np_mx = 0.2\nbattery_t2_per_cycle = 0.
         ("scenario = multicycle\n[engine]\ntheta = 0.3\n[sweep]\nfield = theta\nvalues = 0.1, 0.2\n", "theta", 3),
         ("scenario = multicycle\n[noise]\nbattery_t2_per_cycle = 0.9\n[sweep]\nfield = battery_t2_per_cycle\n"
          "values = 0.5\n", "battery_t2_per_cycle", 3),
-        ("scenario = single-cycle-sweep\n[engine]\np_mx = 0.1\ntheta = 0.3\n", "theta", 4),
+        ("scenario = single-cycle-sweep\n[engine]\np_mx = 0.1\ntheta = 0.3\n[sweep]\np_mx = 0.2\ntheta = 0.1\n",
+         "p_mx", 3),
         ("scenario = search-advantage\n[engine]\ntheta = 0.3\n" + SEARCH_GRID, "theta", 3),
         ("scenario = search-advantage\n[engine]\ncycles = 4\np_mx = 0.1\n" + SEARCH_GRID, "cycles", 3),
         ("scenario = search-advantage\n[engine]\ntheta_compression = 0.2\np_mx = 0.1\n" + SEARCH_GRID, "p_mx", 4),
         ("scenario = search-advantage\n[noise]\nbattery_t2_per_cycle = 0.5\n" + SEARCH_GRID, "battery_t2_per_cycle", 3),
     ],
-    ids=["sweep-engine", "sweep-noise", "default-theta-grid", "search-theta", "search-cycles", "search-p_mx",
+    ids=["sweep-engine", "sweep-noise", "sweep-lines", "search-theta", "search-cycles", "search-p_mx",
          "search-noise"],
 )
 def test_a_key_the_sweep_or_search_sets_is_stated_once(tmp_path, capsys, text, key, lineno):
@@ -638,4 +649,40 @@ def test_sweep_scenario_multiple_csvs(tmp_path):
     names = sorted(os.listdir(out))
     assert names == ["sw_s00.csv", "sw_s01.csv", "sw_summary.json"]
     summary = json.loads(read(out / "sw_summary.json"))
-    assert summary["results"]["sweep_map"][1]["value"] == 0.4
+    assert summary["results"]["sweep_map"][1]["point"] == {"theta": 0.4}
+
+
+def test_a_multicycle_sweep_writes_one_file_per_point_of_its_axes(tmp_path):
+    scn = tmp_path / "sweep.scn"
+    scn.write_text("scenario = multicycle\n[engine]\ncycles = 3\n"
+                   "[sweep]\np_mx = 0.1, 0.3\ntheta = 0.2, 0.4, 0.6\n[output]\nprefix = sw\n")
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--output-dir", str(out)]) == 0
+    summary = json.loads(read(out / "sw_summary.json"))
+    names = [f"sw_s{i:02d}.csv" for i in range(6)]
+    assert sorted(os.listdir(out)) == names + ["sw_summary.json"]
+    points = [{"p_mx": p, "theta": t} for p in (0.1, 0.3) for t in (0.2, 0.4, 0.6)]  # the last axis fastest
+    assert [(e["index"], e["point"], e["file"]) for e in summary["results"]["sweep_map"]] == list(
+        zip(range(6), points, names))
+    # each file is the trace of its point, and sweep_map gives its cumulative work
+    traces = run_engines([EngineConfig(cycles=3, **point) for point in points])
+    for entry, trace in zip(summary["results"]["sweep_map"], traces):
+        rows = read(out / entry["file"]).decode().splitlines()[1:]
+        assert [float(row.split(",")[2]) for row in rows] == [r.cumulative_work for r in trace.records]
+        assert entry["cumulative_work"] == trace.records[-1].cumulative_work
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("schema_version = 9\nscenario = multicycle\n", "line 1: unsupported schema_version '9'; this build reads '1'"),
+        ("scenario = single-cycle-sweep\n", "scenario 'single-cycle-sweep' requires a [sweep] section that names an axis"),
+    ],
+    ids=["schema_version-9", "single-cycle-sweep-without-sweep"],
+)
+def test_a_file_this_build_cannot_run_exits_2_naming_why(tmp_path, capsys, text, message):
+    scn = tmp_path / "run.scn"
+    scn.write_text(text)
+    assert main(["run", str(scn), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()

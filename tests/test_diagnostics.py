@@ -16,7 +16,7 @@ from spinotto.diagnostics import (
     relative_entropy_of_coherence,
     von_neumann_entropy,
 )
-from spinotto.engine import EngineConfig, prepare_battery
+from spinotto.engine import EngineConfig, prepare_battery, with_fields
 from spinotto.linalg import DimensionError, ValidationError, kron, pauli
 from spinotto.multicycle import run_engines
 from spinotto.scenario import PRESETS
@@ -435,8 +435,8 @@ def test_concurrence_matches_textbook_wootters(monkeypatch):
         f"rank {rank}": [random_density(rng, 4, rank) for _ in range(100)] for rank in (1, 2, 3, 4)
     }
     families["product"] = [kron(random_density(rng, 2), random_density(rng, 2)) for _ in range(50)]
-    families["fig3"] = post_stroke_states(monkeypatch, [fig3, fig3.with_p_mx(0.0)])
-    families["noisy compare"] = post_stroke_states(monkeypatch, [noisy, noisy.with_p_mx(0.0)])
+    families["fig3"] = post_stroke_states(monkeypatch, [fig3, with_fields(fig3, p_mx=0.0)])
+    families["noisy compare"] = post_stroke_states(monkeypatch, [noisy, with_fields(noisy, p_mx=0.0)])
 
     # which calls the separability certificate ends: both Cholesky factors exist
     factored = []

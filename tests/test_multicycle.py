@@ -70,7 +70,7 @@ def single_map(config):
 
 def compare(config):
     """The comparison of config with its p_mx = 0 twin, both maps stacked."""
-    return compare_coherent_incoherent(*run_engines([config, config.with_p_mx(0.0)]))
+    return compare_coherent_incoherent(*run_engines([config, with_fields(config, p_mx=0.0)]))
 
 
 class TestDephaseBattery:
@@ -787,7 +787,7 @@ class TestCompare:
             replace(c, battery_init=Polarization(0.0, 0.0, -0.5))
             for c in random_noisy_configs(rng, 200, cycles=2).configs()
         ]
-        traces = run_engines(configs + [c.with_p_mx(0.0) for c in configs])
+        traces = run_engines(configs + [with_fields(c, p_mx=0.0) for c in configs])
         for config, coherent, incoherent in zip(configs, traces[:len(configs)], traces[len(configs):], strict=True):
             f_r, f_t = config.battery_dephasing_per_reset, config.battery_t2_per_cycle
             s, c, c_c = math.sin(config.theta), math.cos(config.theta), math.cos(config.compression_theta)

@@ -19,7 +19,6 @@ from spinotto.scenario import (
     PRESETS,
     ScenarioError,
     ScenarioFile,
-    THETA_GRID,
     _SECTION_KEYS,
     config_from_dict,
     config_to_dict,
@@ -118,7 +117,7 @@ def test_sweep_section():
 
 
 def test_sweep_unknown_field():
-    # with_fields also sets the baths and battery_init; a sweep varies none of them
+    # with_fields also sets the two populations; a sweep varies neither
     for field in ("g", "hot_populations"):
         with pytest.raises(ScenarioError, match=f"line 3: field '{field}' is not sweepable"):
             parse_scenario(f"scenario = multicycle\n[sweep]\nfield = {field}\nvalues = 1\n")
@@ -129,16 +128,16 @@ def test_compare_rejects_sweep_section():
         parse_scenario("scenario = compare\n[sweep]\nfield = theta\nvalues = 1\n")
 
 
-def test_single_cycle_sweep_defaults_to_theta_grid():
-    s = parse_scenario("scenario = single-cycle-sweep\n")
-    assert s.axes == (("theta", THETA_GRID),)
-    assert THETA_GRID[0] == 0.0
-    assert THETA_GRID[-1] == pytest.approx(math.pi / 2)
+def test_single_cycle_sweep_requires_a_sweep():
+    with pytest.raises(ScenarioError, match=r"^scenario 'single-cycle-sweep' requires a \[sweep\] section that names an axis$"):
+        parse_scenario("scenario = single-cycle-sweep\n")
+    with pytest.raises(ScenarioError, match=r"\[sweep\] section that names an axis"):
+        parse_scenario("scenario = single-cycle-sweep\n[sweep]\n")
 
 
 def test_single_cycle_sweep_requires_one_cycle():
     with pytest.raises(ScenarioError, match="cycles = 1"):
-        parse_scenario("scenario = single-cycle-sweep\n[engine]\ncycles = 3\n")
+        parse_scenario("scenario = single-cycle-sweep\n[engine]\ncycles = 3\n[sweep]\ntheta = 0.1, 0.2\n")
 
 
 def test_single_cycle_sweep_rejects_sweeping_cycles():
@@ -169,6 +168,44 @@ def test_a_cycle_count_that_is_no_integer_literal_names_its_line(text):
 def test_search_requires_grid():
     with pytest.raises(ScenarioError, match=r"\[search\]"):
         parse_scenario("scenario = search-advantage\n")
+
+
+def test_sweep_lines_are_axes_in_file_order():
+    s = parse_scenario(
+        "scenario = multicycle\n[sweep]\ncycles = 2, 3\nbattery_init = 0.0, 0.0, -0.5; 0.0, 0.5, 0.0 ;0.1,0,0\n"
+        "theta = 0.1, 0.2\n"
+    )
+    assert s.axes == (("cycles", (2, 3)), ("battery_init", ((0.0, 0.0, -0.5), (0.0, 0.5, 0.0), (0.1, 0.0, 0.0))),
+                      ("theta", (0.1, 0.2)))
+    assert (s.engine.cycles, s.engine.battery_init, s.engine.theta) == (2, (0.0, 0.0, -0.5), 0.1)
+
+
+def test_the_version_1_pair_sweeps_battery_init_too():
+    s = parse_scenario("scenario = multicycle\n[sweep]\nfield = battery_init\nvalues = 0, 0, 0; 0, 0, 0.5\n")
+    assert s.axes == (("battery_init", ((0.0, 0.0, 0.0), (0.0, 0.0, 0.5))),)
+
+
+@pytest.mark.parametrize("text", ["field = theta\nvalues = 0.1\np_mx = 0.2\n", "field = theta\n"])
+def test_a_sweep_is_the_pair_alone_or_axis_lines(text):
+    with pytest.raises(ScenarioError, match=r"^section \[sweep\] states one axis as 'field' and 'values', or"):
+        parse_scenario("scenario = multicycle\n[sweep]\n" + text)
+
+
+@pytest.mark.parametrize("text, second, first, lineno", [
+    ("battery_px = 0.0, 0.4\nbattery_py = 0.0, 0.4\n", "battery_py", "battery_px", 6),
+    ("battery_init = 0, 0, 0; 0, 0, 0.5\ntheta = 0.1\nbattery_pz = 0.0, 0.1\n", "battery_pz", "battery_init", 7),
+], ids=["px-then-py", "init-then-pz"])
+def test_a_sweep_varies_one_battery_field(text, second, first, lineno):
+    # each battery value passes on its own on the base battery (0, 0, 0), but
+    # (0.4, 0.4, 0) has |P| above 1/2: the second battery line is rejected as the file is parsed
+    head = "scenario = multicycle\n[engine]\nbattery_init = 0, 0, 0\n[sweep]\n"
+    with pytest.raises(ScenarioError, match=rf"^line {lineno}: {second}: \[sweep\] already varies {first}; "):
+        parse_scenario(head + text)
+
+
+def test_a_battery_init_value_is_a_3_vector():
+    with pytest.raises(ScenarioError, match=r"^line 3: battery_init: expected 3 comma-separated numbers"):
+        parse_scenario("scenario = multicycle\n[sweep]\nbattery_init = 0, 0, 0, 0, 0, 0.5\n")
 
 
 def test_search_axes_sorted():
@@ -206,6 +243,9 @@ def test_duplicate_search_values_rejected_naming_key_and_line(text, key, lineno)
         ("scenario = multicycle\n[engine]\ncold_populations = 0.1, 0.9,\n", "cold_populations", 3),
         ("scenario = multicycle\n[engine]\nbattery_init = , 0.0, -0.5\n", "battery_init", 3),
         ("scenario = multicycle\n[sweep]\nfield = theta\nvalues = 0.1, , 0.3\n", "values", 4),
+        ("scenario = multicycle\n[sweep]\nvalues = ,0.1\nfield = p_mx\n", "values", 3),
+        ("scenario = multicycle\n[sweep]\ntheta = 0.1, , 0.3\n", "theta", 3),
+        ("scenario = multicycle\n[sweep]\nbattery_init = 0, 0, 0;\n", "battery_init", 3),
         (SEARCH + "theta = 0.2,,0.4\np_mx = 0.1\n", "theta", 3),
         (SEARCH + "theta = 0.2\np_mx =\n", "p_mx", 4),
         ("scenario = compare\n[output]\nformats = csv,,json\n", "formats", 3),
@@ -351,8 +391,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PRESET_DIR = ROOT / "src" / "spinotto" / "presets"
 
 
-def test_presets_are_fig2_and_the_packaged_files():
-    assert set(PRESETS) == {"fig2"} | {p.stem for p in PRESET_DIR.glob("*.scn")}
+def test_presets_are_the_packaged_files():
+    assert set(PRESETS) == {p.stem for p in PRESET_DIR.glob("*.scn")} == {"fig2", "fig3", "search-default"}
     assert (PRESETS["fig3"]().kind, PRESETS["search-default"]().kind) == ("compare", "search-advantage")
 
 
@@ -370,7 +410,7 @@ def test_build_ships_the_preset_files(tmp_path):
         capture_output=True,
     )
     shipped = {p.name for p in (out / "spinotto" / "presets").glob("*.scn")}
-    assert shipped == {"fig3.scn", "search-default.scn"}
+    assert shipped == {"fig2.scn", "fig3.scn", "search-default.scn"}
 
 
 def test_the_abstracts_work_gain_after_a_few_cycles():
@@ -385,7 +425,7 @@ def test_the_abstracts_work_gain_after_a_few_cycles():
     fig3 = PRESETS["fig3"]().engine
 
     def ratios(config):
-        result = compare_coherent_incoherent(*run_engines([config, config.with_p_mx(0.0)]))
+        result = compare_coherent_incoherent(*run_engines([config, with_fields(config, p_mx=0.0)]))
         assert min(r.cycle_work for r in result.incoherent.records[1:6]) >= 0.013
         assert max(r.cycle_work for r in result.coherent.records[1:6]) <= 0.1
         return result.advantage[1:6]  # cycles 2-6
@@ -404,14 +444,14 @@ def test_the_base_config_is_the_first_run(name):
     assert cli._configs(s)[0] == s.engine
 
 
-def test_fig2_preset_variants():
-    preset = PRESETS["fig2"]()
-    assert preset.kind == "single-cycle-sweep"
-    assert len(preset.variants) == 4
-    coherences = sorted({cfg.p_mx for _, cfg in preset.variants})
-    batteries = sorted({cfg.battery_init.py for _, cfg in preset.variants})
-    assert coherences == [0.0, 0.5]
-    assert batteries == [0.0, 0.5]
+def test_fig2_preset_axes():
+    # p_mx times a classical or a quantum battery, each over the 65 angles k*(pi/2)/64
+    fig2 = PRESETS["fig2"]()
+    assert (fig2.kind, fig2.output.prefix, fig2.engine.cycles) == ("single-cycle-sweep", "fig2", 1)
+    (p_mx, p_values), (battery, batteries), (theta, thetas) = fig2.axes
+    assert (p_mx, p_values) == ("p_mx", (0.0, 0.5))
+    assert (battery, batteries) == ("battery_init", ((0.0, 0.0, -0.5), (0.0, 0.5, 0.0)))
+    assert theta == "theta" and thetas == tuple(k * (math.pi / 2) / 64 for k in range(65))
 
 
 def test_resolve_scenario_prefers_presets(tmp_path):
