@@ -89,26 +89,25 @@ def _lay_out_traces(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
     """One trace CSV per point of the file axes, named {prefix}.csv when
     there are none and {prefix}_s{i:02d}.csv otherwise; sweep_map gives each
     file's point. A single-cycle sweep's last axis gives the rows of each
-    file, and its other axes are the file axes. A multicycle run's rows are
-    its cycles, every axis is a file axis, and sweep_map also gives each
-    run's cumulative work."""
-    single = s.kind == "single-cycle-sweep"
-    file_axes, n = (s.axes[:-1], len(s.axes[-1][1])) if single else (s.axes, 1)  # n runs per file
+    file, one run each, and its other axes are the file axes; a multicycle
+    run's file axes are all its axes, and the rows of each file are the
+    cycles of its one run."""
+    if s.kind == "single-cycle-sweep":
+        *file_axes, (rows, values) = s.axes  # parse_scenario makes the last axis scalar
+    else:
+        file_axes, rows, values = s.axes, "cycle_index", None
+    points = _points(file_axes)
+    n = len(traces) // len(points)  # runs per file
     csv = "csv" in s.output.formats
     outputs, sweep_map = [], []
-    for i, point in enumerate(_points(file_axes)):
-        runs = traces[i * n:(i + 1) * n]
-        if single:
-            (rows, values), records = s.axes[-1], [t.records[0] for t in runs]
-        else:
-            records = runs[0].records
-            rows, values = "cycle_index", [r.cycle_index for r in records]
+    for i, point in enumerate(points):
+        records = [r for t in traces[i * n:(i + 1) * n] for r in t.records]
         name = f"{s.output.prefix}_s{i:02d}.csv" if file_axes else f"{s.output.prefix}.csv"
         if csv:
-            write_trace_csv(os.path.join(args.output_dir, name), rows, values, records)
+            row_values = [r.cycle_index for r in records] if values is None else values
+            write_trace_csv(os.path.join(args.output_dir, name), rows, row_values, records)
             outputs.append(name)
-        entry = {"index": i, "point": point, "file": name if csv else None}
-        sweep_map.append(entry if single else entry | {"cumulative_work": records[-1].cumulative_work})
+        sweep_map.append({"index": i, "point": point, "file": name if csv else None})
     return outputs, {"rows": rows, "sweep_map": sweep_map}
 
 

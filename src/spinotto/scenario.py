@@ -44,8 +44,9 @@ A single-cycle sweep and a multicycle run write one trace CSV per point of
 their file axes: {prefix}.csv when there are none, {prefix}_s00.csv,
 {prefix}_s01.csv, ... in product order otherwise, and the summary's
 sweep_map gives each file's point. The rows of a single-cycle sweep's files
-are its last axis, and its other axes are file axes; the rows of a
-multicycle run's files are its cycles, and all its axes are file axes.
+are its last axis, which is not battery_init, and its other axes are file
+axes; the rows of a multicycle run's files are its cycles, and all its axes
+are file axes.
 
 A file states each field once, and its base config is the first point of its
 axes: the [engine] and [noise] values, the first value of every axis, and a
@@ -259,6 +260,9 @@ def parse_scenario(text: str) -> ScenarioFile:
                 raise ScenarioError(message, field_line)
             parts = _split(key, value, line, ";" if field_name == "battery_init" else ",")
             axes[field_name] = tuple(_to_value(field_name, v, line) for v in parts)  # as [engine] converts them
+        if kind == "single-cycle-sweep" and lines and lines[-1][0] == "battery_init":
+            message = "battery_init cannot be the last [sweep] axis, which gives a single-cycle sweep's rows"
+            raise ScenarioError(message, lines[-1][1])
         set_by = "[sweep]"
     elif kind == "search-advantage":
         if "search" not in table:
@@ -316,9 +320,7 @@ def parse_scenario(text: str) -> ScenarioFile:
             formats = tuple(_split("formats", value, lineno))
             bad = [f for f in formats if f not in FORMATS]
             if bad:
-                raise ScenarioError(
-                    f"unknown output format {bad[0]!r}; expected csv and/or json", lineno
-                )
+                raise ScenarioError(f"unknown output format {bad[0]!r}; expected csv and/or json", lineno)
 
     return ScenarioFile(
         kind=kind,
