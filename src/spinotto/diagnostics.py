@@ -57,8 +57,12 @@ _YY_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 # for n = 4 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3), and a state's
 # partial transpose has ||rho^{T_B}||_2 <= 1. So when rho^{T_B} - 64 eps I factors (64 eps ~ 1.4e-14),
 # lambda_min(rho^{T_B}) >= 64 eps - 10 eps > 0, and rho is separable. This holds for rho Hermitian to
-# rounding, as the engine's states are; LAPACK reads one triangle of each matrix.
-_PPT_MARGIN = 64 * np.finfo(float).eps * np.eye(4)
+# rounding, as the engine's states are; LAPACK reads one triangle of each matrix. The certificate factors
+# the pair [rho, rho^{T_B}] - _PPT_MARGIN in one call: LAPACK factors each matrix of a stack on its own
+# with the same routine, so the bound holds for each, and rho - 0 is rho bit for bit.
+_PPT_MARGIN = 64 * np.finfo(float).eps * np.array([np.zeros((4, 4)), np.eye(4)])
+# Indices into a flattened 4x4 state that gather the pair [rho, rho^{T_B}].
+_PAIR_INDEX = np.array([np.arange(16), np.arange(16).reshape(2, 2, 2, 2).swapaxes(1, 3).ravel()]).reshape(2, 4, 4)
 
 # Column j is sigma_j transposed, flattened and halved: p_j = rho.flat . column j.
 _BLOCH_COLUMNS = np.array([_SIGMA[j].T.reshape(4) for j in _AXES]).T / 2
@@ -179,12 +183,16 @@ def concurrence(joint: np.ndarray) -> float:
     and Y = sy x sy (Wootters, PRL 80, 2245 (1998)). The routes, in order:
 
     - certificate: when rho is positive definite and so is its partial
-      transpose rho^{T_B} (checked with margin by Cholesky, see _PPT_MARGIN),
-      rho is separable (Peres, PRL 77, 1413 (1996); Horodecki, Horodecki and
-      Horodecki, PLA 223, 1 (1996)) and C is exactly 0.0;
+      transpose rho^{T_B} (checked with margin by one Cholesky call on the
+      pair of them, see _PPT_MARGIN), rho is separable (Peres, PRL 77, 1413
+      (1996); Horodecki, Horodecki and Horodecki, PLA 223, 1 (1996)) and C is
+      exactly 0.0; rho is in the pair, so no non-state is certified;
     - Cholesky factor: otherwise, for positive definite rho, B = cholesky(rho);
     - eigen factor: for singular or non-positive rho, B = v sqrt(w) from eigh,
       where clamp_spectrum rejects eigenvalues below PSD_CLAMP.
+
+    So a certified state costs one Cholesky call, and any other state a
+    second one on rho alone, then the svd.
 
     For any factor rho = B B^dagger, rho rho_tilde has the eigenvalues of
     M M^dagger with M = B^dagger Y conj(B) (Y is real and symmetric, and XZ
@@ -196,11 +204,11 @@ def concurrence(joint: np.ndarray) -> float:
     joint = validate_density(joint, check_spectrum=False, caller="concurrence")
     if joint.shape != (4, 4):
         raise DimensionError("concurrence expects a two-qubit state")
+    if _cholesky(joint.reshape(16)[_PAIR_INDEX] - _PPT_MARGIN) is not None:
+        return 0.0
     factor = _cholesky(joint)  # succeeds only if lambda_min(rho) >= -10 eps, far above PSD_CLAMP
     if factor is None:
         w, v = np.linalg.eigh(joint)  # validate_density has checked hermiticity
         factor = v * np.sqrt(clamp_spectrum(w, caller="concurrence"))
-    elif _cholesky(joint.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4) - _PPT_MARGIN) is not None:
-        return 0.0
     lams = np.linalg.svd(factor.T @ (_YY_SIGNS * factor[::-1]), compute_uv=False)
     return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))

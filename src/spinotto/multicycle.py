@@ -88,9 +88,12 @@ Which checks run where:
   The stages are channels, so positivity carries over from the product
   states;
 - every recorded post-stroke state passes a positivity check inside
-  concurrence: its Cholesky factor, which exists only if
-  lambda_min >= -10 eps, far above PSD_CLAMP, or where none exists (singular
-  or non-positive states) the eigen clamp, eigh and then clamp_spectrum;
+  concurrence: a Cholesky factor of it, which exists only if
+  lambda_min >= -10 eps, far above PSD_CLAMP. A separable state gets it from
+  the one Cholesky call that factors the state and its partial transpose
+  together, the separability certificate, any other state from a call of
+  its own; where none exists (singular or non-positive states) the eigen
+  clamp, eigh and then clamp_spectrum, checks it;
 - validate.loop_engines, the stage-loop oracle, runs every stage with no
   map, on the stacked joint states of all its configs.
 """

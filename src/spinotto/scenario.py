@@ -32,13 +32,14 @@ order::
     theta = 0.0, 0.4, 0.8
 
 Values are separated by ',', but battery_init's values are 3-vectors
-separated by ';'. A [sweep] varies at most one of the battery fields
-(battery_init, battery_px, battery_py, battery_pz). The pair
-'field = theta' and 'values = 0.0, 0.4' is the version-1 spelling of one
-axis and still parses. [search] gives the four SEARCH_AXES, each sorted,
-where an axis the section omits holds the base config's value. Scenario
-single-cycle-sweep requires [sweep] and search-advantage requires [search];
-compare, and multicycle without [sweep], run the base config alone.
+separated by ';', and no axis, of [sweep] or [search], repeats a value. A
+[sweep] varies at most one of the battery fields (battery_init, battery_px,
+battery_py, battery_pz). The pair 'field = theta' and 'values = 0.0, 0.4'
+is the version-1 spelling of one axis and still parses. [search] gives the
+four SEARCH_AXES, each sorted, where an axis the section omits holds the
+base config's value. Scenario single-cycle-sweep requires [sweep] and
+search-advantage requires [search]; compare, and multicycle without
+[sweep], run the base config alone.
 
 A single-cycle sweep and a multicycle run write one trace CSV per point of
 their file axes: {prefix}.csv when there are none, {prefix}_s00.csv,
@@ -136,11 +137,8 @@ def _parse_lines(text: str) -> dict[str, dict[str, tuple[str, int]]]:
                 raise ScenarioError(f"malformed section header {line!r}", lineno)
             section = line[1:-1].strip()
             if section not in _SECTION_KEYS:
-                raise ScenarioError(
-                    f"unknown section [{section}]; expected one of "
-                    f"{', '.join(sorted(_SECTION_KEYS))}",
-                    lineno,
-                )
+                known = ", ".join(sorted(_SECTION_KEYS))
+                raise ScenarioError(f"unknown section [{section}]; expected one of {known}", lineno)
             if section in table:
                 raise ScenarioError(f"duplicate section [{section}]", lineno)
             table[section] = {}
@@ -194,6 +192,14 @@ def _to_floats(key: str, value: str, lineno: int, count: int | None = None) -> t
     if count is not None and len(parts) != count:
         raise ScenarioError(f"{key}: expected {count} comma-separated numbers, got {value!r}", lineno)
     return tuple(_to_float(p, lineno) for p in parts)
+
+
+def _distinct(key: str, values: tuple, lineno: int) -> tuple:
+    """values, once none of them repeats an earlier one."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ScenarioError(f"{key}: duplicate value {repeated[0]!r}", lineno)
+    return values
 
 
 def _to_value(key: str, value: str, lineno: int):
@@ -259,7 +265,8 @@ def parse_scenario(text: str) -> ScenarioFile:
                 message = "field 'cycles' is not sweepable in scenario 'single-cycle-sweep', which runs one cycle"
                 raise ScenarioError(message, field_line)
             parts = _split(key, value, line, ";" if field_name == "battery_init" else ",")
-            axes[field_name] = tuple(_to_value(field_name, v, line) for v in parts)  # as [engine] converts them
+            # each value as [engine] converts it
+            axes[field_name] = _distinct(field_name, tuple(_to_value(field_name, v, line) for v in parts), line)
         if kind == "single-cycle-sweep" and lines and lines[-1][0] == "battery_init":
             message = "battery_init cannot be the last [sweep] axis, which gives a single-cycle sweep's rows"
             raise ScenarioError(message, lines[-1][1])
@@ -272,11 +279,7 @@ def parse_scenario(text: str) -> ScenarioFile:
             raise ScenarioError("section [search] requires 'theta' and 'p_mx' value lists")
         for key in SEARCH_AXES:
             if key in entries:
-                values = sorted(_to_floats(key, *entries[key]))
-                repeated = [a for a, b in zip(values, values[1:]) if a == b]
-                if repeated:
-                    raise ScenarioError(f"{key}: duplicate value {repeated[0]!r}", entries[key][1])
-                axes[key] = tuple(values)
+                axes[key] = _distinct(key, tuple(sorted(_to_floats(key, *entries[key]))), entries[key][1])
         max_cycles = _to_int(*entries["max_cycles"]) if "max_cycles" in entries else 10
         if not 1 <= max_cycles <= MAX_COUNT:
             message = f"max_cycles must be a positive integer up to {MAX_COUNT}, got {max_cycles}"

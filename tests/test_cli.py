@@ -337,7 +337,7 @@ def test_a_max_cycles_too_large_to_run_exits_2_naming_the_key_and_line(tmp_path,
 # nothing is allocated. The child's address-space limit guards that anyway.
 @pytest.mark.parametrize("body", [
     f"[engine]\ncycles = {MAX_COUNT}\n",
-    f"[sweep]\nfield = cycles\nvalues = {MAX_COUNT}, {MAX_COUNT}\n",
+    f"[sweep]\nfield = cycles\nvalues = {MAX_COUNT}, {MAX_COUNT - 1}\n",
 ])
 def test_a_cycle_count_too_large_to_allocate_exits_1_naming_the_field(tmp_path, body):
     scn = tmp_path / "big.scn"
@@ -682,8 +682,11 @@ def test_a_multicycle_sweep_writes_one_file_per_point_of_its_axes(tmp_path):
         ("scenario = single-cycle-sweep\n[sweep]\np_mx = 0.0, 0.5\ntheta = 0.1, 0.2\n"
          "battery_init = 0, 0, -0.5; 0, 0.5, 0\n",
          "line 5: battery_init cannot be the last [sweep] axis, which gives a single-cycle sweep's rows"),
+        # a repeated point would write two identical files
+        ("scenario = multicycle\n[sweep]\ntheta = 0.3, 0.3\n", "line 3: theta: duplicate value 0.3"),
     ],
-    ids=["schema_version-9", "single-cycle-sweep-without-sweep", "battery-init-rows-v1-pair", "battery-init-rows-last-line"],
+    ids=["schema_version-9", "single-cycle-sweep-without-sweep", "battery-init-rows-v1-pair", "battery-init-rows-last-line",
+         "repeated-sweep-value"],
 )
 def test_a_file_this_build_cannot_run_exits_2_naming_why(tmp_path, capsys, text, message):
     scn = tmp_path / "run.scn"

@@ -426,7 +426,9 @@ def post_stroke_states(monkeypatch, configs):
     return states
 
 
-def test_concurrence_matches_textbook_wootters(monkeypatch):
+def concurrence_families(monkeypatch):
+    """Random states of each rank, product states, and the post-stroke states
+    of fig3 and of a noisy compare, each with its p_mx = 0 twin."""
     rng = np.random.default_rng(15)
     fig3 = PRESETS["fig3"]().engine
     noisy = EngineConfig(theta=0.7, p_mx=0.4, battery_init=(0.2, 0.1, -0.3), battery_dephasing_per_reset=0.9,
@@ -437,14 +439,20 @@ def test_concurrence_matches_textbook_wootters(monkeypatch):
     families["product"] = [kron(random_density(rng, 2), random_density(rng, 2)) for _ in range(50)]
     families["fig3"] = post_stroke_states(monkeypatch, [fig3, with_fields(fig3, p_mx=0.0)])
     families["noisy compare"] = post_stroke_states(monkeypatch, [noisy, with_fields(noisy, p_mx=0.0)])
+    return families
 
-    # which calls the separability certificate ends: both Cholesky factors exist
+
+def test_concurrence_matches_textbook_wootters(monkeypatch):
+    families = concurrence_families(monkeypatch)
+
+    # the separability certificate is the first _cholesky call, on the pair
+    # [rho, rho^{T_B} - 64 eps I]; it ends the call when it factors
     factored = []
     cholesky = diagnostics._cholesky
 
     def spy(a):
         factor = cholesky(a)
-        factored.append(factor is not None)
+        factored.append((np.shape(a), factor is not None))
         return factor
 
     monkeypatch.setattr(diagnostics, "_cholesky", spy)
@@ -455,12 +463,33 @@ def test_concurrence_matches_textbook_wootters(monkeypatch):
             got = concurrence(rho)
             want, tol = wootters_oracle(rho)
             assert abs(got - want) <= tol, (name, got, want, tol)
-            if factored == [True, True]:
+            if factored == [((2, 4, 4), True)]:
                 certified += 1
                 assert got == 0.0 and want <= tol, (name, want)
                 assert np.linalg.eigvalsh(partial_transpose(rho))[0] > 0.0, name
         if name in ("product", "fig3", "noisy compare"):
             assert certified > 0, name
+
+
+def test_the_pair_certifies_exactly_when_both_factors_exist(monkeypatch):
+    # LAPACK factors each matrix of the stacked call on its own, so the pair
+    # factors exactly when rho and rho^{T_B} - 64 eps I each factor alone
+    families = concurrence_families(monkeypatch)
+    margin = 64 * EPS * np.eye(4)
+    cholesky = np.linalg.cholesky
+    calls = []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(np.shape(a)) or cholesky(a))
+    outcomes = set()
+    for name, states in families.items():
+        for rho in states:
+            alone = [diagnostics._cholesky(m) is not None for m in (rho, partial_transpose(rho) - margin)]
+            calls.clear()
+            got = concurrence(rho)
+            # a certified state makes exactly one Cholesky call, any other a second one on rho alone
+            assert calls == ([(2, 4, 4)] if all(alone) else [(2, 4, 4), (4, 4)]), (name, calls, alone)
+            assert got == 0.0 or not all(alone), (name, got)
+            outcomes.add(all(alone))
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("offset", [1e-3, 1e-6, 1e-9])

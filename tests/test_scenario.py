@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -234,6 +235,24 @@ SEARCH = "scenario = search-advantage\n[search]\n"
 def test_duplicate_search_values_rejected_naming_key_and_line(text, key, lineno):
     with pytest.raises(ScenarioError, match=rf"line {lineno}: {key}: duplicate value"):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize("kind", ["multicycle", "single-cycle-sweep"])
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        ("theta = 0.3, 0.3\n", "line 3: theta: duplicate value 0.3"),
+        ("p_mx = 0.1, 0.2\ntheta = 0.2, 0.4, 0.20\n", "line 4: theta: duplicate value 0.2"),
+        ("field = theta\nvalues = 0.5, 0.1, 0.5\n", "line 4: theta: duplicate value 0.5"),
+        ("battery_init = 0, 0, -0.5; 0, 0.1, 0; 0, 0, -0.50\ntheta = 0.1, 0.2\n",
+         "line 3: battery_init: duplicate value (0.0, 0.0, -0.5)"),
+    ],
+)
+def test_a_sweep_axis_repeats_no_value(kind, sweep, message):
+    # a repeated point would run twice: a multicycle run would write two
+    # identical files and a single-cycle sweep two identical rows
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(message)}$"):
+        parse_scenario(f"scenario = {kind}\n[sweep]\n" + sweep)
 
 
 @pytest.mark.parametrize(
