@@ -13,9 +13,10 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
-from .engine import EngineConfig, with_fields
+from .engine import EngineConfig
 from .linalg import LinalgError
 from .multicycle import compare_coherent_incoherent, peak_advantage, run_engines
 from .output import write_advantage_csv, write_grid_csv, write_json, write_trace_csv
@@ -82,7 +83,7 @@ def _points(axes) -> list[dict]:
 def _configs(s: ScenarioFile) -> list[EngineConfig]:
     """Every run of s: s.engine set to every point of s.axes, in order. The
     first is s.engine."""
-    return [with_fields(s.engine, **point) for point in _points(s.axes)]
+    return [replace(s.engine, **point) for point in _points(s.axes)]
 
 
 def _lay_out_traces(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
@@ -142,9 +143,9 @@ def _lay_out_compare(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
 
 
 def _lay_out_search(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
-    n = len(traces) // 2  # every grid point, then every twin
+    points = [tuple(point.values()) for point in _points(s.axes)]  # s.axes are the SEARCH_AXES, in order
+    n = len(points)  # traces holds every grid point, then every twin
     comparisons = [compare_coherent_incoherent(c, i) for c, i in zip(traces[:n], traces[n:])]
-    points = [tuple(getattr(c.coherent.config, axis) for axis in SEARCH_AXES) for c in comparisons]
 
     peaks = [peak_advantage(comparison) for comparison in comparisons]
     rows = [point + ((*peak, True) if peak else (math.nan, 0, False)) for point, peak in zip(points, peaks)]
@@ -188,7 +189,7 @@ def _execute(s: ScenarioFile, args) -> int:
     t0 = time.perf_counter()
     configs = _configs(s)
     if s.kind in ("compare", "search-advantage"):
-        configs += [with_fields(c, p_mx=0.0) for c in configs]
+        configs += [replace(c, p_mx=0.0) for c in configs]
     traces = run_engines(configs)
     os.makedirs(args.output_dir, exist_ok=True)
     outputs, results = _LAYOUTS[s.kind](s, args, traces)  # parse_scenario accepts only these kinds

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -208,30 +208,9 @@ class EngineConfig:
         return self.theta if self.theta_compression is None else self.theta_compression
 
 
-# The battery fields: battery_init and its components battery_px/py/pz, which
-# with_fields sets on top of it. A sweep varies at most one of them.
-_BATTERY_COMPONENTS = tuple(f"battery_{axis}" for axis in Polarization._fields)
-BATTERY_FIELDS = ("battery_init",) + _BATTERY_COMPONENTS
-# The config fields a [sweep] line may name: every EngineConfig field but the
-# two populations, and the battery components.
-SWEEPABLE_FIELDS = ("theta", "theta_compression", "p_mx") + BATTERY_FIELDS + NOISE_FIELDS + ("cycles",)
-# Every name with_fields takes: the sweepable fields and the [engine] keys of
-# a scenario file that a sweep cannot vary.
-_CONFIG_FIELDS = SWEEPABLE_FIELDS + ("hot_populations", "cold_populations")
-
-
-def with_fields(config: EngineConfig, **values) -> EngineConfig:
-    """config with the named fields set to the given values: EngineConfig's
-    fields and the battery components (_CONFIG_FIELDS), in one EngineConfig
-    construction however many names are given. A battery component applies
-    on top of a battery_init given with it."""
-    unknown = [name for name in values if name not in _CONFIG_FIELDS]
-    if unknown:
-        raise ConfigError(f"unknown field {unknown[0]!r}; expected one of {', '.join(_CONFIG_FIELDS)}")
-    battery = {name.removeprefix("battery_"): values.pop(name) for name in _BATTERY_COMPONENTS if name in values}
-    if battery:
-        values["battery_init"] = Polarization(*values.get("battery_init", config.battery_init))._replace(**battery)
-    return replace(config, **values)
+# The config fields a [sweep] line may name, each an axis of its own: every
+# EngineConfig field but the two populations, in field order.
+SWEEPABLE_FIELDS = tuple(f.name for f in fields(EngineConfig) if not f.name.endswith("_populations"))
 
 
 @dataclass(frozen=True, eq=False)

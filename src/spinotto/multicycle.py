@@ -35,8 +35,9 @@ MAP_BLOCK at a time, runs run_engine on each config's share of the pass and
 drops the block before the next one, so a run never holds every state of a
 grid at once. Every CLI command runs all the configs of its scenario
 through one run_engines call, a comparison each config with its p_mx = 0
-twin, and validate's map_vs_stage_loop goes through it too. run_engine
-given no share makes its own with stack_runs([config]). A stack_runs pass turns its block into one
+twin replace(config, p_mx=0.0), and validate's map_vs_stage_loop goes
+through it too. run_engine given no share makes its own with
+stack_runs([config]). A stack_runs pass turns its block into one
 ConfigBatch, from which every stacked step reads its parameters, makes one
 battery_map call on it and reads every P_0 with one bloch_vectors call;
 every config of the block iterates P_n = A P_{n-1} + b to the block's
@@ -296,7 +297,7 @@ def compare_coherent_incoherent(coherent: EngineTrace, incoherent: EngineTrace) 
     """Form the advantage series of a coherent run and its p_mx = 0 twin.
 
     Callers run both engines through one run_engines call,
-    run_engines([config, with_fields(config, p_mx=0.0)]), so their maps are
+    run_engines([config, replace(config, p_mx=0.0)]), so their maps are
     stacked.
     """
     advantage = tuple(

@@ -33,13 +33,12 @@ order::
 
 Values are separated by ',', but battery_init's values are 3-vectors
 separated by ';', and no axis, of [sweep] or [search], repeats a value. A
-[sweep] varies at most one of the battery fields (battery_init, battery_px,
-battery_py, battery_pz). The pair 'field = theta' and 'values = 0.0, 0.4'
-is the version-1 spelling of one axis and still parses. [search] gives the
-four SEARCH_AXES, each sorted, where an axis the section omits holds the
-base config's value. Scenario single-cycle-sweep requires [sweep] and
-search-advantage requires [search]; compare, and multicycle without
-[sweep], run the base config alone.
+[sweep] axis is any of SWEEPABLE_FIELDS. The pair 'field = theta' and
+'values = 0.0, 0.4' is the version-1 spelling of one axis and still
+parses. [search] gives the four SEARCH_AXES, each sorted, where an axis the
+section omits holds the base config's value. Scenario single-cycle-sweep
+requires [sweep] and search-advantage requires [search]; compare, and
+multicycle without [sweep], run the base config alone.
 
 A single-cycle sweep and a multicycle run write one trace CSV per point of
 their file axes: {prefix}.csv when there are none, {prefix}_s00.csv,
@@ -61,12 +60,11 @@ anything runs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
-from .engine import (BATTERY_FIELDS, MAX_COUNT, NOISE_FIELDS, SWEEPABLE_FIELDS, ConfigError, EngineConfig,
-                     with_fields)
+from .engine import MAX_COUNT, NOISE_FIELDS, SWEEPABLE_FIELDS, ConfigError, EngineConfig
 
 FORMATS = ("csv", "json")
 
@@ -203,7 +201,7 @@ def _distinct(key: str, values: tuple, lineno: int) -> tuple:
 
 
 def _to_value(key: str, value: str, lineno: int):
-    """The value of one [engine] or [noise] key, converted for with_fields."""
+    """The value of one [engine] or [noise] key, as EngineConfig takes it."""
     if key in ("hot_populations", "cold_populations"):
         return _to_floats(key, value, lineno, count=2)
     if key == "battery_init":
@@ -256,10 +254,6 @@ def parse_scenario(text: str) -> ScenarioFile:
                 message = f"field {field_name!r} is not sweepable; expected one of {', '.join(SWEEPABLE_FIELDS)}"
                 raise ScenarioError(message, field_line)
             lines = [(field_name, field_line, "values", *entries["values"])]
-        battery = [(name, line) for name, line, *_ in lines if name in BATTERY_FIELDS]
-        if len(battery) > 1:  # the battery rule reads every battery field at once
-            (first, _), (second, line) = battery[:2]
-            raise ScenarioError(f"{second}: [sweep] already varies {first}; it may vary one battery field", line)
         for field_name, field_line, key, value, line in lines:
             if kind == "single-cycle-sweep" and field_name == "cycles":
                 message = "field 'cycles' is not sweepable in scenario 'single-cycle-sweep', which runs one cycle"
@@ -296,18 +290,17 @@ def parse_scenario(text: str) -> ScenarioFile:
             if key in first_run:
                 raise ScenarioError(f"{key} is set by {set_by}; a file states each field once", lineno)
             stated[key] = _to_value(key, value, lineno)
-    engine = with_fields(EngineConfig(), **stated, **first_run)
+    engine = EngineConfig(**stated, **first_run)
 
     if kind == "single-cycle-sweep" and engine.cycles != 1:
         raise ScenarioError(f"scenario 'single-cycle-sweep' requires cycles = 1, got {engine.cycles}")
     if kind == "search-advantage":  # a noise axis that [search] omits holds the base config's value
         axes = {key: axes.get(key, (getattr(engine, key),)) for key in SEARCH_AXES}
-    # Each rule of a config reads at most one axis field (a [sweep] varies one
-    # battery field), so every later value is checked on its own on the base
-    # config, before anything runs.
+    # No two sweepable fields share a rule, so every later value is checked
+    # on its own on the base config, before anything runs.
     for name, values in axes.items():
         for value in values[1:]:
-            with_fields(engine, **{name: value})
+            replace(engine, **{name: value})
 
     prefix = kind
     formats = FORMATS

@@ -5,13 +5,14 @@ import pathlib
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spinotto import cli, output, validate
 from spinotto.cli import main
-from spinotto.engine import MAX_COUNT, EngineConfig, with_fields
+from spinotto.engine import MAX_COUNT, EngineConfig
 from spinotto.multicycle import (
     MAP_BLOCK,
     compare_coherent_incoherent,
@@ -178,7 +179,7 @@ def test_summary_config_reproduces_trace(tmp_path):
     assert main(["run", "fig3", "--output-dir", str(out)]) == 0
     summary = json.loads(read(out / "fig3_summary.json"))
     config = config_from_dict(summary["config"])
-    result = compare_coherent_incoherent(*run_engines([config, with_fields(config, p_mx=0.0)]))
+    result = compare_coherent_incoherent(*run_engines([config, replace(config, p_mx=0.0)]))
     lines = read(out / "fig3_coherent.csv").decode().splitlines()[1:]
     assert len(lines) == len(result.coherent.records)
     for line, record in zip(lines, result.coherent.records):
@@ -424,8 +425,8 @@ def test_stacked_search_equals_per_config_compare(tmp_path, monkeypatch, n):
     for theta, result, row in zip(thetas, seen, rows, strict=True):
         config = EngineConfig(theta=theta, p_mx=0.3, battery_dephasing_per_reset=0.95, battery_t2_per_cycle=0.9,
                               cycles=3)
-        single = compare_coherent_incoherent(run_engine(config), run_engine(with_fields(config, p_mx=0.0)))
-        assert (result.coherent.config, result.incoherent.config) == (config, with_fields(config, p_mx=0.0))
+        single = compare_coherent_incoherent(run_engine(config), run_engine(replace(config, p_mx=0.0)))
+        assert (result.coherent.config, result.incoherent.config) == (config, replace(config, p_mx=0.0))
         for got, want in ((result.coherent, single.coherent), (result.incoherent, single.incoherent)):
             assert got.records == want.records
         assert result.advantage == single.advantage
@@ -440,7 +441,7 @@ def test_search_summary_config_is_the_first_grid_row(tmp_path):
     first = read(out / "search_grid.csv").decode().splitlines()[1].split(",")
     point = (config.theta, config.p_mx, config.battery_dephasing_per_reset, config.battery_t2_per_cycle)
     assert [format(x, ".17g") for x in point] == first[:4]
-    traces = run_engines([config, with_fields(config, p_mx=0.0)])
+    traces = run_engines([config, replace(config, p_mx=0.0)])
     ratio, cycle = peak_advantage(compare_coherent_incoherent(*traces))
     assert first[4:6] == [format(ratio, ".17g"), str(cycle)]
 

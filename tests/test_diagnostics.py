@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from spinotto.diagnostics import (
     relative_entropy_of_coherence,
     von_neumann_entropy,
 )
-from spinotto.engine import EngineConfig, prepare_battery, with_fields
+from spinotto.engine import EngineConfig, prepare_battery
 from spinotto.linalg import DimensionError, ValidationError, kron, pauli
 from spinotto.multicycle import run_engines
 from spinotto.scenario import PRESETS
@@ -437,8 +438,8 @@ def concurrence_families(monkeypatch):
         f"rank {rank}": [random_density(rng, 4, rank) for _ in range(100)] for rank in (1, 2, 3, 4)
     }
     families["product"] = [kron(random_density(rng, 2), random_density(rng, 2)) for _ in range(50)]
-    families["fig3"] = post_stroke_states(monkeypatch, [fig3, with_fields(fig3, p_mx=0.0)])
-    families["noisy compare"] = post_stroke_states(monkeypatch, [noisy, with_fields(noisy, p_mx=0.0)])
+    families["fig3"] = post_stroke_states(monkeypatch, [fig3, replace(fig3, p_mx=0.0)])
+    families["noisy compare"] = post_stroke_states(monkeypatch, [noisy, replace(noisy, p_mx=0.0)])
     return families
 
 

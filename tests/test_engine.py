@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from spinotto.engine import (
     prepare_cold_medium,
     prepare_hot_medium,
     reset_medium,
-    with_fields,
 )
 from spinotto.linalg import ValidationError, kron, partial_trace, pauli
 from spinotto.multicycle import battery_map, run_engine
@@ -285,12 +284,12 @@ class TestFirstCycleWork:
             cfg = EngineConfig(theta=theta, p_mx=0.0, battery_init=Polarization(0, 0.4, 0.1), **IDEAL)
             (A,), _ = battery_map(ConfigBatch.of([cfg]))
             assert A[2, 1] == 0.0
-            assert z_row_work(cfg) == z_row_work(with_fields(cfg, p_mx=0.0))
+            assert z_row_work(cfg) == z_row_work(replace(cfg, p_mx=0.0))
 
     def test_no_cross_term_for_classical_battery(self):
         for theta in (0.2, 0.9, 1.4):
             cfg = EngineConfig(theta=theta, p_mx=0.5, battery_init=Polarization(0.3, 0.0, -0.2), **IDEAL)
-            assert z_row_work(cfg) == z_row_work(with_fields(cfg, p_mx=0.0))
+            assert z_row_work(cfg) == z_row_work(replace(cfg, p_mx=0.0))
 
     def test_full_swap_value(self):
         # theta = pi/2 drains a z-unpolarized battery into the ground-state
@@ -334,7 +333,7 @@ class TestSingleCycle:
                 battery_init=cfg.battery_init._replace(py=0.0),
             )
             coherent = run_engine(cfg).records[0]
-            incoherent = run_engine(with_fields(cfg, p_mx=0.0)).records[0]
+            incoherent = run_engine(replace(cfg, p_mx=0.0)).records[0]
             assert abs(coherent.cycle_work - incoherent.cycle_work) < 1e-12
 
     def test_coherent_enhancement_sign_and_size(self):
@@ -353,7 +352,7 @@ class TestSingleCycle:
                 battery_init=Polarization(0, p_y, 0),
             )
             coherent = run_engine(cfg).records[0]
-            incoherent = run_engine(with_fields(cfg, p_mx=0.0)).records[0]
+            incoherent = run_engine(replace(cfg, p_mx=0.0)).records[0]
             gap = coherent.cycle_work - incoherent.cycle_work
             assert gap > 0
             expected = 2 * p_mx * p_y * math.sin(theta) * math.cos(theta) ** 3

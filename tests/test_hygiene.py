@@ -2,16 +2,18 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "spinotto"
+BENCH = SRC.parent.parent / "bench"
 # __init__.py imports names to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # Code lines of src/spinotto, counted by code_lines: a ratchet on the size of
 # the package. Lower it when the package shrinks; a change that needs more
 # lines must say why.
-SRC_CODE_LINES = 1241
+SRC_CODE_LINES = 1226
 
 
 # The widest line of src/spinotto. Without this cap, joining statements onto
@@ -82,3 +84,53 @@ def test_no_line_is_wider_than_max_line():
         if len(line) > MAX_LINE
     ]
     assert wide == []
+
+
+def public_definitions(source: str) -> list[str]:
+    """The public module-level functions and classes of a module."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def names_read(source: str, strings: bool = False) -> set[str]:
+    """The names the code of a module reads, as names or attributes, and the
+    names it imports; with strings, also every word of its string constants
+    (a benchmark names the functions it traces as "module.function")."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def test_scanners_find_definitions_and_reads():
+    source = 'import a\nfrom b import c\ndef f(): return g.h\nclass K: pass\ndef _p(): pass\nx = "m.n"\n'
+    assert public_definitions(source) == ["f", "K"]
+    assert names_read(source) == {"a", "c", "g", "h"}
+    assert names_read(source, strings=True) == {"a", "c", "g", "h", "m", "n"}
+
+
+# config_from_dict is the summary reader: tests use it to invert config_to_dict.
+TEST_ONLY_ALLOWED = {"config_from_dict"}
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    # __init__.py only re-exports names, so it does not count as a use
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in MODULES))
+    read |= set().union(*(names_read(p.read_text(encoding="utf-8"), strings=True) for p in BENCH.rglob("*.py")))
+    unused = [
+        f"{path.name}:{name}"
+        for path in MODULES
+        for name in public_definitions(path.read_text(encoding="utf-8"))
+        if name not in read and name not in TEST_ONLY_ALLOWED
+    ]
+    assert unused == []

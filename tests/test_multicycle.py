@@ -15,7 +15,6 @@ from spinotto.engine import (
     power_stroke,
     prepare_battery,
     reset_medium,
-    with_fields,
 )
 from spinotto.cli import main
 from spinotto.linalg import PSD_CLAMP, ValidationError, kron, partial_trace, pauli
@@ -70,7 +69,7 @@ def single_map(config):
 
 def compare(config):
     """The comparison of config with its p_mx = 0 twin, both maps stacked."""
-    return compare_coherent_incoherent(*run_engines([config, with_fields(config, p_mx=0.0)]))
+    return compare_coherent_incoherent(*run_engines([config, replace(config, p_mx=0.0)]))
 
 
 class TestDephaseBattery:
@@ -787,7 +786,7 @@ class TestCompare:
             replace(c, battery_init=Polarization(0.0, 0.0, -0.5))
             for c in random_noisy_configs(rng, 200, cycles=2).configs()
         ]
-        traces = run_engines(configs + [with_fields(c, p_mx=0.0) for c in configs])
+        traces = run_engines(configs + [replace(c, p_mx=0.0) for c in configs])
         for config, coherent, incoherent in zip(configs, traces[:len(configs)], traces[len(configs):], strict=True):
             f_r, f_t = config.battery_dephasing_per_reset, config.battery_t2_per_cycle
             s, c, c_c = math.sin(config.theta), math.cos(config.theta), math.cos(config.compression_theta)
@@ -857,20 +856,20 @@ class TestFixture:
 class TestSweep:
     def test_zero_angle_sweep(self):
         cfg = EngineConfig(theta=0.5, p_mx=0.3, cycles=1, **IDEAL)
-        traces = run_engines([with_fields(cfg, theta=0.0)])
+        traces = run_engines([replace(cfg, theta=0.0)])
         assert len(traces) == 1
         assert traces[0].records[0].cycle_work == pytest.approx(0.0, abs=1e-13)
 
     def test_result_order_matches_values(self):
         cfg = EngineConfig(p_mx=0.3, cycles=1, **IDEAL)
         values = [0.9, 0.1, 0.5]
-        traces = run_engines([with_fields(cfg, theta=v) for v in values])
+        traces = run_engines([replace(cfg, theta=v) for v in values])
         assert [t.config.theta for t in traces] == values
 
     def test_sweepable_fields(self):
         cfg = EngineConfig(cycles=2, battery_init=(0, 0, -0.4), **IDEAL)
-        traces = run_engines([with_fields(cfg, p_mx=0.2), with_fields(cfg, battery_py=0.25),
-                              with_fields(cfg, cycles=4), with_fields(cfg, battery_t2_per_cycle=0.8)])
+        traces = run_engines([replace(cfg, p_mx=0.2), replace(cfg, battery_init=(0, 0.25, -0.4)),
+                              replace(cfg, cycles=4), replace(cfg, battery_t2_per_cycle=0.8)])
         assert traces[0].config.p_mx == 0.2
         assert traces[1].config.battery_init.py == 0.25
         assert traces[2].config.cycles == 4 and len(traces[2].records) == 4
@@ -880,35 +879,7 @@ class TestSweep:
         cfg = EngineConfig(cycles=2, **IDEAL)
         for value in (2.7, math.nan, True, 3.0):
             with pytest.raises(ConfigError, match="cycles"):
-                with_fields(cfg, cycles=value)
-
-    def test_unknown_field_rejected(self):
-        # a [sweep] of a field that exists but is not sweepable is test_scenario's test_sweep_unknown_field
-        with pytest.raises(ConfigError, match="unknown field 'coupling'"):
-            with_fields(EngineConfig(), theta=0.1, coupling=1.0)
-
-    def test_with_fields_builds_one_config_of_each_kind(self, monkeypatch):
-        # a search grid point sets engine scalars, noise channels and the cycle
-        # count at once, in one EngineConfig construction
-        cfg = EngineConfig(cycles=2, battery_init=(0.0, 0.1, -0.4), **IDEAL)
-        built = []
-        def counted(self, post_init=EngineConfig.__post_init__):
-            built.append(type(self).__name__)
-            post_init(self)
-        monkeypatch.setattr(EngineConfig, "__post_init__", counted)
-        got = with_fields(cfg, theta=0.3, p_mx=0.2, battery_px=0.1, battery_dephasing_per_reset=0.9,
-                          battery_t2_per_cycle=0.8, cycles=3)
-        assert built == ["EngineConfig"]
-        want = EngineConfig(theta=0.3, p_mx=0.2, battery_init=(0.1, 0.1, -0.4), battery_dephasing_per_reset=0.9,
-                            battery_t2_per_cycle=0.8, cycles=3, **IDEAL)
-        assert got == want and type(got.cycles) is int
-
-    def test_with_fields_sets_a_battery_component_on_the_battery_init_given_with_it(self):
-        # a scenario's base config: [engine] keys and a swept component in one call
-        got = with_fields(EngineConfig(), battery_init=(0.1, 0.2, -0.3), battery_pz=-0.1,
-                          hot_populations=(0.4, 0.6), cold_populations=(0.1, 0.9))
-        want = EngineConfig(battery_init=(0.1, 0.2, -0.1), hot_populations=(0.4, 0.6), cold_populations=(0.1, 0.9))
-        assert got == want
+                replace(cfg, cycles=value)
 
     @pytest.mark.parametrize(
         "field_name, values",
@@ -918,7 +889,7 @@ class TestSweep:
             ("p_mx", [-0.4, 0.0, 0.2, 0.45]),
             ("battery_dephasing_per_reset", [0.0, 0.5, 1.0]),
             ("battery_t2_per_cycle", [0.0, 0.7, 1.0]),
-            ("battery_py", [-0.2, 0.3]),
+            ("battery_init", [(0.0, -0.2, 0.1), (0.3, 0.0, -0.2)]),
             ("cycles", [1, 5, 2]),
         ],
     )
@@ -927,7 +898,7 @@ class TestSweep:
         # (correlators, concurrence)
         cfg = EngineConfig(theta=0.6, p_mx=0.3, cycles=4, battery_init=(0.1, 0.0, -0.35),
                            battery_dephasing_per_reset=0.95, battery_t2_per_cycle=0.9)
-        traces = run_engines([with_fields(cfg, **{field_name: v}) for v in values])
+        traces = run_engines([replace(cfg, **{field_name: v}) for v in values])
         assert len(traces) == len(values)
         for trace in traces:
             assert trace.records == run_engine(trace.config).records

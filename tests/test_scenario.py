@@ -5,13 +5,13 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinotto.engine import ConfigError, EngineConfig, with_fields
+from spinotto.engine import SWEEPABLE_FIELDS, ConfigError, EngineConfig
 from spinotto.diagnostics import Polarization
 from spinotto import cli
 from spinotto.multicycle import compare_coherent_incoherent, run_engines
@@ -118,7 +118,7 @@ def test_sweep_section():
 
 
 def test_sweep_unknown_field():
-    # with_fields also sets the two populations; a sweep varies neither
+    # the two populations are EngineConfig fields; a sweep varies neither
     for field in ("g", "hot_populations"):
         with pytest.raises(ScenarioError, match=f"line 3: field '{field}' is not sweepable"):
             parse_scenario(f"scenario = multicycle\n[sweep]\nfield = {field}\nvalues = 1\n")
@@ -192,16 +192,26 @@ def test_a_sweep_is_the_pair_alone_or_axis_lines(text):
         parse_scenario("scenario = multicycle\n[sweep]\n" + text)
 
 
-@pytest.mark.parametrize("text, second, first, lineno", [
-    ("battery_px = 0.0, 0.4\nbattery_py = 0.0, 0.4\n", "battery_py", "battery_px", 6),
-    ("battery_init = 0, 0, 0; 0, 0, 0.5\ntheta = 0.1\nbattery_pz = 0.0, 0.1\n", "battery_pz", "battery_init", 7),
-], ids=["px-then-py", "init-then-pz"])
-def test_a_sweep_varies_one_battery_field(text, second, first, lineno):
-    # each battery value passes on its own on the base battery (0, 0, 0), but
-    # (0.4, 0.4, 0) has |P| above 1/2: the second battery line is rejected as the file is parsed
-    head = "scenario = multicycle\n[engine]\nbattery_init = 0, 0, 0\n[sweep]\n"
-    with pytest.raises(ScenarioError, match=rf"^line {lineno}: {second}: \[sweep\] already varies {first}; "):
-        parse_scenario(head + text)
+def test_every_sweep_axis_is_one_config_field():
+    # dataclasses.replace takes every axis, and checks each point anew
+    names = [f.name for f in fields(EngineConfig)]
+    assert [name for name in names if name in SWEEPABLE_FIELDS] == list(SWEEPABLE_FIELDS)
+    assert len(SWEEPABLE_FIELDS) == 7
+    base = EngineConfig()
+    for name in SWEEPABLE_FIELDS:
+        assert replace(base, **{name: getattr(base, name)}) == base
+
+
+@pytest.mark.parametrize("text, message", [
+    ("battery_px = 0.0, 0.4\n", "unknown key 'battery_px' in section [sweep]"),
+    ("field = battery_py\nvalues = 0.0, 0.4\n", "field 'battery_py' is not sweepable"),
+], ids=["axis-line", "version-1-pair"])
+def test_a_battery_component_is_no_sweep_axis(tmp_path, capsys, text, message):
+    # battery_init is the one battery axis
+    scn = tmp_path / "components.scn"
+    scn.write_text("scenario = multicycle\n[engine]\nbattery_init = 0, 0, 0\n[sweep]\n" + text, encoding="utf-8")
+    assert cli.main(["run", str(scn), "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line 5: {message}")
 
 
 def test_a_battery_init_value_is_a_3_vector():
@@ -444,12 +454,12 @@ def test_the_abstracts_work_gain_after_a_few_cycles():
     fig3 = PRESETS["fig3"]().engine
 
     def ratios(config):
-        result = compare_coherent_incoherent(*run_engines([config, with_fields(config, p_mx=0.0)]))
+        result = compare_coherent_incoherent(*run_engines([config, replace(config, p_mx=0.0)]))
         assert min(r.cycle_work for r in result.incoherent.records[1:6]) >= 0.013
         assert max(r.cycle_work for r in result.coherent.records[1:6]) <= 0.1
         return result.advantage[1:6]  # cycles 2-6
 
-    clean = ratios(with_fields(fig3, battery_dephasing_per_reset=1.0, battery_t2_per_cycle=1.0))
+    clean = ratios(replace(fig3, battery_dephasing_per_reset=1.0, battery_t2_per_cycle=1.0))
     noisy = ratios(fig3)
     assert min(clean[1:]) >= 1.8 and max(clean) >= 2.9  # >= 180 % more from cycle 3 on, ~300 % at best
     assert min(noisy[1:4]) >= 1.3  # fig3's noise still leaves >= 130 % more on cycles 3-5
@@ -513,3 +523,28 @@ def test_config_dict_roundtrip_property(cfg):
     assert config_from_dict(config_to_dict(cfg)) == cfg
     # and through the summary JSON text, as the CLI writes it
     assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
+def test_each_run_is_one_config_construction(monkeypatch):
+    # a grid point sets engine scalars and noise factors at once on the base
+    # config: one replace, so one checked EngineConfig per point
+    s = parse_scenario(SEARCH + "theta = 0.3, 0.5\np_mx = 0.2\nbattery_dephasing_per_reset = 0.9, 1\nmax_cycles = 3\n")
+    built = []
+
+    def counted(self, post_init=EngineConfig.__post_init__):
+        built.append(type(self).__name__)
+        post_init(self)
+
+    monkeypatch.setattr(EngineConfig, "__post_init__", counted)
+    configs = cli._configs(s)
+    assert built == ["EngineConfig"] * 4
+    assert configs[1] == EngineConfig(theta=0.3, p_mx=0.2, battery_dephasing_per_reset=1.0, cycles=3)
+    assert type(configs[1].cycles) is int
+
+
+def test_the_base_config_holds_the_engine_keys_and_the_first_battery():
+    # [engine] keys and a swept battery_init make one base config
+    s = parse_scenario("scenario = multicycle\n[engine]\nhot_populations = 0.4, 0.6\ncold_populations = 0.1, 0.9\n"
+                       "[sweep]\nbattery_init = 0.1, 0.2, -0.1; 0, 0, 0\n")
+    want = EngineConfig(battery_init=(0.1, 0.2, -0.1), hot_populations=(0.4, 0.6), cold_populations=(0.1, 0.9))
+    assert s.engine == want
