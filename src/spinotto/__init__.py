@@ -1,57 +1,26 @@
 """spinotto: an exact simulator of a two-spin quantum Otto engine that charges
 a qubit battery through coherent flip-flop power strokes, with the full
-diagnostic toolbox (work, ergotropy, coherence, concurrence)."""
+diagnostic toolbox (work, ergotropy, coherence, concurrence).
+
+The API is the modules; each public name has one import path,
+spinotto.<module>.<name>:
+
+- linalg: the matrix kernel for one and two qubits (kron, partial_trace,
+  pauli), the density-operator check validate_density and the error types;
+- diagnostics: figures of merit of qubit states (Bloch vectors, energy,
+  entropy, coherence, ergotropy, correlators, concurrence);
+- engine: EngineConfig, ConfigBatch and their checks, state preparation,
+  the flip-flop power stroke, the medium reset and the cycle record;
+- multicycle: the battery map of one cycle and the stacked N-cycle runs
+  (run_engines), with the coherent-incoherent comparison;
+- scenario: the scenario file format, its parser and the packaged presets;
+- output: the CSV and JSON writers;
+- validate: the self-check suite and its oracles (stage_map, loop_engines);
+- cli: the `spinotto` command.
+"""
 
 __version__ = "0.1.0"
 
-from .diagnostics import (
-    ErgotropyReport,
-    Polarization,
-    concurrence,
-    ergotropy,
-    mean_energy,
-    polarization_vector,
-    relative_entropy_of_coherence,
-    von_neumann_entropy,
-)
-from .engine import (
-    ConfigBatch,
-    ConfigError,
-    CycleRecord,
-    EngineConfig,
-    flip_flop_propagator,
-    power_stroke,
-    prepare_battery,
-    prepare_cold_medium,
-    prepare_hot_medium,
-    reset_medium,
-)
-from .linalg import (
-    DimensionError,
-    LinalgError,
-    ValidationError,
-    kron,
-    partial_trace,
-    pauli,
-    validate_density,
-)
-from .multicycle import (
-    ComparisonResult,
-    EngineTrace,
-    battery_map,
-    compare_coherent_incoherent,
-    dephase_battery,
-    peak_advantage,
-    run_engine,
-    run_engines,
-)
-from .scenario import (
-    PRESETS,
-    ScenarioError,
-    ScenarioFile,
-    config_from_dict,
-    config_to_dict,
-    load_scenario,
-    parse_scenario,
-    resolve_scenario,
-)
+# Kept only for bench/selftest's `from spinotto import multicycle, EngineConfig`;
+# import it from spinotto.engine everywhere else.
+from .engine import EngineConfig

@@ -85,7 +85,7 @@ def bloch_vectors(states: np.ndarray) -> np.ndarray:
     """The Bloch vector p_j = Tr[rho sigma_j]/2 of every qubit state in a
     (k, 2, 2) stack, as a (k, 3) array, once validate_density has checked the
     stack, its spectra 1/2 -+ |P| included."""
-    states = validate_density(states)
+    states = validate_density(states, caller="bloch_vectors")
     if states.ndim != 3 or states.shape[1:] != (2, 2):
         raise DimensionError(f"bloch_vectors expects a (k, 2, 2) stack, got {states.shape}")
     return (states.reshape(-1, 4) @ _BLOCH_COLUMNS).real
@@ -115,7 +115,7 @@ def mean_energy(rho: np.ndarray) -> float:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-Tr[rho ln rho] in nats, with 0 ln 0 = 0."""
-    rho = validate_density(rho, check_spectrum=False)
+    rho = validate_density(rho, check_spectrum=False, caller="von_neumann_entropy")
     return float(_entropy_of(np.linalg.eigvalsh(rho)))  # hermiticity checked above
 
 

@@ -82,12 +82,6 @@ def partial_trace(joint: np.ndarray, keep: str) -> np.ndarray:
     raise ValidationError(f"keep must be 'medium' or 'battery', got {keep!r}")
 
 
-def is_hermitian(a: np.ndarray, atol: float = VALIDATION_ATOL) -> bool:
-    """Whether a square complex array (or a stack of them, as from as_complex)
-    equals its conjugate transpose within atol."""
-    return float(abs(a - a.conj().swapaxes(-1, -2)).max()) <= atol
-
-
 def clamp_spectrum(w: np.ndarray, caller: str | None = None) -> np.ndarray:
     """Zero out tiny negative eigenvalues; reject ones below the noise floor.
     caller names the function whose input w is the spectrum of; the message
@@ -121,7 +115,7 @@ def validate_density(rho: np.ndarray, check_spectrum: bool = True, caller: str |
         dim = rho.shape[-1]
         if dim not in (2, 4):
             raise DimensionError(f"density operator must be 2x2 or 4x4, got {rho.shape}")
-        if not is_hermitian(rho):
+        if not float(abs(rho - rho.conj().swapaxes(-1, -2)).max()) <= VALIDATION_ATOL:  # a NaN fails too
             raise ValidationError("density operator is not Hermitian")
         tr = rho.trace(axis1=-2, axis2=-1)
         trace_err = abs(tr - 1.0)

@@ -368,6 +368,22 @@ def test_qubit_diagnostics_reject_other_states():
             fn(np.diag([1.5, -0.5]))  # |P| = 1: eigenvalue -1/2
 
 
+@pytest.mark.parametrize("state", [np.array([[0.5, 0.3], [0.0, 0.5]]), np.eye(2)], ids=["not-hermitian", "trace-2"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda rho: bloch_vectors(rho[None]), "bloch_vectors"),
+        (polarization_vector, "bloch_vectors"),  # bloch_vectors of a one-state stack
+        (mean_energy, "bloch_vectors"),
+        (von_neumann_entropy, "von_neumann_entropy"),
+    ],
+    ids=["bloch_vectors", "polarization_vector", "mean_energy", "von_neumann_entropy"],
+)
+def test_a_rejected_state_names_the_function_that_checked_it(call, name, state):
+    with pytest.raises(ValidationError, match=rf"^{name}: density operator (is not Hermitian|trace 2\S* differs from 1)$"):
+        call(state)
+
+
 def test_concurrence_pure_states_exact():
     # C(|psi><psi|) = |psi^T (sy x sy) psi| for every pure two-qubit state
     rng = np.random.default_rng(8)

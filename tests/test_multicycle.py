@@ -821,6 +821,70 @@ class TestCompare:
         assert abs(trace_out.records[1].p_by) > 1e-3
 
 
+def mixed_unitary_stroke(joint, theta):
+    """The control stroke cos^2 theta rho + sin^2 theta SWAP rho SWAP: the
+    flip-flop stroke's excitation-transfer probability sin^2 theta without
+    its interference terms, which are linear in sin theta. theta runs along
+    the leading batch axes of joint, as in power_stroke."""
+    theta = np.reshape(theta, np.shape(theta) + (1,) * (joint.ndim - np.ndim(theta)))
+    swapped = joint[..., [0, 2, 1, 3], :][..., [0, 2, 1, 3]]
+    return np.cos(theta) ** 2 * joint + np.sin(theta) ** 2 * swapped
+
+
+class TestCoherentInteraction:
+    """Claim (iii) of the abstract as a control experiment: the stages of one
+    cycle with both strokes replaced by mixed_unitary_stroke move the same
+    excitations, yet the fuel p_mx then does no work. The maps are read off
+    the stages by validate.stage_map on the same 200 noisy draws."""
+
+    CYCLES = 50
+
+    @pytest.fixture(scope="class")
+    def maps(self):
+        batch = random_noisy_configs(np.random.default_rng(80), 200, cycles=1)
+        twin = replace(batch, p_mx=np.zeros(len(batch)))
+        coherent = stage_map(batch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(validate, "power_stroke", mixed_unitary_stroke)
+            control, control_twin = stage_map(batch), stage_map(twin)
+        return batch, coherent, control, control_twin
+
+    def test_the_control_has_no_y_z_coupling_and_no_fuel_in_its_matrix(self, maps):
+        _, _, (A, _), (A0, _) = maps
+        assert np.max(np.abs(A[:, [1, 2], [2, 1]])) <= ORACLE_TOL
+        assert np.max(np.abs(A - A0)) <= ORACLE_TOL
+
+    def test_the_coherent_stroke_couples_y_and_z_on_every_draw(self, maps):
+        _, (A, _), _, _ = maps
+        assert np.min(np.abs(A[:, [1, 2], [2, 1]])) > ORACLE_TOL
+
+    def test_the_fuel_leaves_the_control_battery_only_coherence(self, maps):
+        # through the stages the hot medium's p_x = p_mx reaches the battery
+        # as f_r f_t sin^2(theta) cos^2(theta_c) p_mx, and nothing else moves
+        batch, _, (_, b), (_, b0) = maps
+        s, c_c = np.sin(batch.theta), np.cos(batch.compression_theta)
+        f_r, f_t = batch.battery_dephasing_per_reset, batch.battery_t2_per_cycle
+        assert np.max(np.abs(b[:, 1:] - b0[:, 1:])) <= ORACLE_TOL
+        assert np.max(np.abs((b[:, 0] - b0[:, 0]) - f_r * f_t * s**2 * c_c**2 * batch.p_mx)) <= ORACLE_TOL
+
+    def test_the_control_does_the_work_of_its_p_mx_0_twin_on_every_cycle(self, maps):
+        # Each entry stage_map reads is within T = ORACLE_TOL of its exact
+        # value, and in exact arithmetic the z rows of the two maps are
+        # equal, with A_zx = A_zy = 0. With |P| <= 1/2, the z components of one cycle of
+        # the control and its twin then differ by at most the previous gap
+        # e_{n-1} (|A_zz| <= 1), plus 4 T/2 from the four cross terms, T from
+        # A_zz and 2 T from b_z, plus a few eps of the iteration's own
+        # rounding: e_n <= e_{n-1} + 6 T, so e_n <= 6 n T, and the works
+        # W_n = P_n,z - P_{n-1},z differ by at most e_n + e_{n-1} <= 12 n T.
+        batch, _, (A, b), (A0, b0) = maps
+        p, p0 = batch.battery_init, batch.battery_init
+        for n in range(1, self.CYCLES + 1):
+            q, q0 = (A @ p[..., None])[..., 0] + b, (A0 @ p0[..., None])[..., 0] + b0
+            gap = np.abs((q[:, 2] - p[:, 2]) - (q0[:, 2] - p0[:, 2]))
+            assert np.max(gap) <= 12 * n * ORACLE_TOL, f"cycle {n}"
+            p, p0 = q, q0
+
+
 class TestFixture:
     def test_advantage_regression(self):
         result = compare(advantage_fixture(10))
