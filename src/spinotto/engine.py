@@ -353,8 +353,7 @@ def _cos_sin(theta) -> tuple[np.ndarray, np.ndarray]:
     theta = np.asarray(theta, dtype=float)
     flat = theta.ravel()
     _require("theta", np.isfinite(flat), flat, "must be a finite number")
-    angles = flat.tolist()
-    return tuple(np.array([f(t) for t in angles]).reshape(theta.shape) for f in (math.cos, math.sin))
+    return np.asarray(np.cos(theta)), np.asarray(np.sin(theta))
 
 
 def flip_flop_propagator(theta) -> np.ndarray:

@@ -33,10 +33,9 @@ order::
 
 Values are separated by ',', but battery_init's values are 3-vectors
 separated by ';', and no axis, of [sweep] or [search], repeats a value. A
-[sweep] axis is any of SWEEPABLE_FIELDS. The pair 'field = theta' and
-'values = 0.0, 0.4' is the version-1 spelling of one axis and still
-parses. [search] gives the four SEARCH_AXES, each sorted, where an axis the
-section omits holds the base config's value. Scenario single-cycle-sweep
+[sweep] axis is any of SWEEPABLE_FIELDS. [search] states its axes the same
+way and gives the four SEARCH_AXES, each sorted, where an axis the section
+omits holds the base config's value. Scenario single-cycle-sweep
 requires [sweep] and search-advantage requires [search]; compare, and
 multicycle without [sweep], run the base config alone.
 
@@ -64,7 +63,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
-from .engine import MAX_COUNT, NOISE_FIELDS, SWEEPABLE_FIELDS, ConfigError, EngineConfig
+from .engine import MAX_COUNT, NOISE_FIELDS, SWEEPABLE_FIELDS, EngineConfig
 
 FORMATS = ("csv", "json")
 
@@ -103,13 +102,12 @@ class ScenarioFile:
 _TOP_KEYS = ("schema_version", "scenario")
 # The keys of each section. [engine] and [noise] split EngineConfig's fields:
 # [noise] takes the two noise factors (NOISE_FIELDS) and [engine] every other
-# field. [sweep] takes one line per axis, or the version-1 pair field and
-# values; [search] takes the four search axes and the run length of every
-# grid point.
+# field. [sweep] takes one line per axis; [search] takes the four search axes
+# and the run length of every grid point.
 _SECTION_KEYS = {
     "engine": tuple(f.name for f in fields(EngineConfig) if f.name not in NOISE_FIELDS),
     "noise": NOISE_FIELDS,
-    "sweep": ("field", "values") + SWEEPABLE_FIELDS,
+    "sweep": SWEEPABLE_FIELDS,
     "output": tuple(f.name for f in fields(OutputSpec)),
     "search": SEARCH_AXES + ("max_cycles",),
 }
@@ -184,10 +182,10 @@ def _split(key: str, value: str, lineno: int, sep: str = ",") -> list[str]:
     return parts
 
 
-def _to_floats(key: str, value: str, lineno: int, count: int | None = None) -> tuple[float, ...]:
-    """The comma-separated numbers of one key."""
+def _to_floats(key: str, value: str, lineno: int, count: int) -> tuple[float, ...]:
+    """The count comma-separated numbers of one key."""
     parts = _split(key, value, lineno)
-    if count is not None and len(parts) != count:
+    if len(parts) != count:
         raise ScenarioError(f"{key}: expected {count} comma-separated numbers, got {value!r}", lineno)
     return tuple(_to_float(p, lineno) for p in parts)
 
@@ -239,57 +237,40 @@ def parse_scenario(text: str) -> ScenarioFile:
                 f"section [{section}] is not accepted by scenario {kind!r}", first_line
             )
 
-    # The axes the file states, {field: values}, what states them, and the
-    # run length a search sets with them.
-    axes, set_by, run_length = {}, None, {}
-    if "sweep" in table:
-        entries = table["sweep"]
-        # (field, its line, the key naming the values, values, their line) of each axis
-        lines = [(name, line, name, value, line) for name, (value, line) in entries.items()]
-        if "field" in entries or "values" in entries:  # the version-1 spelling of one axis
-            if sorted(entries) != ["field", "values"]:
-                raise ScenarioError("section [sweep] states one axis as 'field' and 'values', or a line per axis")
-            field_name, field_line = entries["field"]
-            if field_name not in SWEEPABLE_FIELDS:
-                message = f"field {field_name!r} is not sweepable; expected one of {', '.join(SWEEPABLE_FIELDS)}"
-                raise ScenarioError(message, field_line)
-            lines = [(field_name, field_line, "values", *entries["values"])]
-        for field_name, field_line, key, value, line in lines:
-            if kind == "single-cycle-sweep" and field_name == "cycles":
-                message = "field 'cycles' is not sweepable in scenario 'single-cycle-sweep', which runs one cycle"
-                raise ScenarioError(message, field_line)
-            parts = _split(key, value, line, ";" if field_name == "battery_init" else ",")
-            # each value as [engine] converts it
-            axes[field_name] = _distinct(field_name, tuple(_to_value(field_name, v, line) for v in parts), line)
-        if kind == "single-cycle-sweep" and lines and lines[-1][0] == "battery_init":
-            message = "battery_init cannot be the last [sweep] axis, which gives a single-cycle sweep's rows"
-            raise ScenarioError(message, lines[-1][1])
-        set_by = "[sweep]"
-    elif kind == "search-advantage":
-        if "search" not in table:
-            raise ScenarioError("scenario 'search-advantage' requires a [search] section")
-        entries = table["search"]
+    if kind == "search-advantage" and "search" not in table:
+        raise ScenarioError("scenario 'search-advantage' requires a [search] section")
+    # The axes the file states, {field: values}, in the order it states them,
+    # and the run length a search sets with them.
+    section = "search" if kind == "search-advantage" else "sweep"
+    entries, run_length = dict(table.get(section, {})), {}
+    if section == "search":
         if "theta" not in entries or "p_mx" not in entries:
             raise ScenarioError("section [search] requires 'theta' and 'p_mx' value lists")
-        for key in SEARCH_AXES:
-            if key in entries:
-                axes[key] = _distinct(key, tuple(sorted(_to_floats(key, *entries[key]))), entries[key][1])
-        max_cycles = _to_int(*entries["max_cycles"]) if "max_cycles" in entries else 10
-        if not 1 <= max_cycles <= MAX_COUNT:
-            message = f"max_cycles must be a positive integer up to {MAX_COUNT}, got {max_cycles}"
-            raise ScenarioError(message, entries["max_cycles"][1])
-        run_length = {"cycles": max_cycles}
-        set_by = "[search]"
+        value, line = entries.pop("max_cycles", ("10", None))
+        run_length = {"cycles": _to_int(value, line)}
+        if not 1 <= run_length["cycles"] <= MAX_COUNT:
+            message = f"max_cycles must be a positive integer up to {MAX_COUNT}, got {run_length['cycles']}"
+            raise ScenarioError(message, line)
+    axes = {}
+    for name, (value, line) in entries.items():
+        if kind == "single-cycle-sweep" and name == "cycles":
+            message = "field 'cycles' is not sweepable in scenario 'single-cycle-sweep', which runs one cycle"
+            raise ScenarioError(message, line)
+        parts = _split(name, value, line, ";" if name == "battery_init" else ",")
+        values = tuple(_to_value(name, v, line) for v in parts)  # each value as [engine] converts it
+        axes[name] = _distinct(name, tuple(sorted(values)) if section == "search" else values, line)
+    if kind == "single-cycle-sweep" and list(axes)[-1:] == ["battery_init"]:
+        message = "battery_init cannot be the last [sweep] axis, which gives a single-cycle sweep's rows"
+        raise ScenarioError(message, entries["battery_init"][1])
     if kind == "single-cycle-sweep" and not axes:
         raise ScenarioError("scenario 'single-cycle-sweep' requires a [sweep] section that names an axis")
     first_run = {name: values[0] for name, values in axes.items()} | run_length
 
     stated = {}
-    for section in ("engine", "noise"):
-        for key, (value, lineno) in table.get(section, {}).items():
-            if key in first_run:
-                raise ScenarioError(f"{key} is set by {set_by}; a file states each field once", lineno)
-            stated[key] = _to_value(key, value, lineno)
+    for key, (value, lineno) in (table.get("engine", {}) | table.get("noise", {})).items():
+        if key in first_run:
+            raise ScenarioError(f"{key} is set by [{section}]; a file states each field once", lineno)
+        stated[key] = _to_value(key, value, lineno)
     engine = EngineConfig(**stated, **first_run)
 
     if kind == "single-cycle-sweep" and engine.cycles != 1:
@@ -341,28 +322,11 @@ def config_to_dict(config: EngineConfig) -> dict:
     """JSON-ready echo of an engine config, the "config" block of a summary
     JSON: EngineConfig's fields in order, but the two noise factors grouped
     under "noise", just before "cycles", as a scenario file's [noise] section
-    groups them. config_from_dict is its inverse."""
+    groups them."""
     data = asdict(config)
     noise = {name: data.pop(name) for name in NOISE_FIELDS}
     cycles = data.pop("cycles")
     return data | {"noise": noise, "cycles": cycles}
-
-
-def _reject_unknown(what: str, data: dict, names) -> None:
-    unknown = set(data) - set(names)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
-
-
-def config_from_dict(data: dict) -> EngineConfig:
-    """Rebuild an EngineConfig from a summary JSON's "config" block, as
-    config_to_dict writes it. Unknown keys are rejected, at the top level and
-    under "noise", and so is a noise factor given at the top level."""
-    kwargs = dict(data)
-    noise = kwargs.pop("noise", {})
-    _reject_unknown("config", kwargs, _SECTION_KEYS["engine"])
-    _reject_unknown("noise", noise, NOISE_FIELDS)
-    return EngineConfig(**kwargs, **noise)
 
 
 # Every preset is a packaged .scn file, named by its stem.

@@ -12,7 +12,7 @@ import pytest
 
 from spinotto import cli, output, validate
 from spinotto.cli import main
-from spinotto.engine import MAX_COUNT, EngineConfig
+from spinotto.engine import MAX_COUNT, SWEEPABLE_FIELDS, EngineConfig
 from spinotto.multicycle import (
     MAP_BLOCK,
     compare_coherent_incoherent,
@@ -28,7 +28,7 @@ from spinotto.output import (
     write_json,
     write_trace_csv,
 )
-from spinotto.scenario import SCENARIO_KINDS, config_from_dict
+from spinotto.scenario import SCENARIO_KINDS, config_to_dict, resolve_scenario
 
 
 GOLDEN_TRACE_HEADER = (
@@ -178,7 +178,8 @@ def test_summary_config_reproduces_trace(tmp_path):
     out = tmp_path / "run"
     assert main(["run", "fig3", "--output-dir", str(out)]) == 0
     summary = json.loads(read(out / "fig3_summary.json"))
-    config = config_from_dict(summary["config"])
+    config = resolve_scenario("fig3").engine
+    assert summary["config"] == json.loads(json.dumps(config_to_dict(config)))  # tuples read back as lists
     result = compare_coherent_incoherent(*run_engines([config, replace(config, p_mx=0.0)]))
     lines = read(out / "fig3_coherent.csv").decode().splitlines()[1:]
     assert len(lines) == len(result.coherent.records)
@@ -304,16 +305,16 @@ def test_validation_error_exits_1(tmp_path, capsys):
 def test_non_integer_cycles_sweep_exits_2_naming_the_line(tmp_path, capsys, values):
     # a swept count is read as [engine] cycles is, so 2.0 is no more an integer than 2.5
     scn = tmp_path / "bad.scn"
-    scn.write_text(f"scenario = multicycle\n[sweep]\nfield = cycles\nvalues = {values}\n")
+    scn.write_text(f"scenario = multicycle\n[sweep]\ncycles = {values}\n")
     assert main(["run", str(scn), "--output-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: line 4: expected an integer, got '2.")
+    assert capsys.readouterr().err.startswith("error: line 3: expected an integer, got '2.")
     assert list(tmp_path.iterdir()) == [scn]
 
 
 @pytest.mark.parametrize("body", [
     "[engine]\ncycles = 100000000000000000000\n",
     "[engine]\ncycles = 9223372036854775807\n",
-    "[sweep]\nfield = cycles\nvalues = 2, 100000000000000000000\n",
+    "[sweep]\ncycles = 2, 100000000000000000000\n",
 ])
 def test_a_cycle_count_too_large_to_run_exits_1_naming_the_field(tmp_path, capsys, body):
     # such a count was once accepted and then crashed inside numpy with a traceback
@@ -338,7 +339,7 @@ def test_a_max_cycles_too_large_to_run_exits_2_naming_the_key_and_line(tmp_path,
 # nothing is allocated. The child's address-space limit guards that anyway.
 @pytest.mark.parametrize("body", [
     f"[engine]\ncycles = {MAX_COUNT}\n",
-    f"[sweep]\nfield = cycles\nvalues = {MAX_COUNT}, {MAX_COUNT - 1}\n",
+    f"[sweep]\ncycles = {MAX_COUNT}, {MAX_COUNT - 1}\n",
 ])
 def test_a_cycle_count_too_large_to_allocate_exits_1_naming_the_field(tmp_path, body):
     scn = tmp_path / "big.scn"
@@ -437,7 +438,8 @@ def test_stacked_search_equals_per_config_compare(tmp_path, monkeypatch, n):
 def test_search_summary_config_is_the_first_grid_row(tmp_path):
     out = tmp_path / "out"
     assert main(["search", "search-default", "--output-dir", str(out)]) == 0
-    config = config_from_dict(json.loads(read(out / "search_summary.json"))["config"])
+    config = resolve_scenario("search-default").engine
+    assert json.loads(read(out / "search_summary.json"))["config"] == json.loads(json.dumps(config_to_dict(config)))
     first = read(out / "search_grid.csv").decode().splitlines()[1].split(",")
     point = (config.theta, config.p_mx, config.battery_dephasing_per_reset, config.battery_t2_per_cycle)
     assert [format(x, ".17g") for x in point] == first[:4]
@@ -454,7 +456,7 @@ SKEWED_BATH = "[engine]\nhot_populations = 0.9, 0.1\n"
 @pytest.mark.parametrize(
     "command, text",
     [
-        ("run", "scenario = multicycle\n" + SKEWED_BATH + "cycles = 2\n[sweep]\nfield = p_mx\nvalues = 0.2, -0.1\n"),
+        ("run", "scenario = multicycle\n" + SKEWED_BATH + "cycles = 2\n[sweep]\np_mx = 0.2, -0.1\n"),
         ("search", "scenario = search-advantage\n" + SKEWED_BATH + "[search]\ntheta = 0.5\np_mx = 0.2, 0.25\n"),
     ],
     ids=["sweep", "search"],
@@ -490,9 +492,9 @@ SEARCH_GRID = "[search]\ntheta = 0.3, 0.6\np_mx = 0.2\nbattery_t2_per_cycle = 0.
 @pytest.mark.parametrize(
     "text, key, lineno",
     [
-        ("scenario = multicycle\n[engine]\ntheta = 0.3\n[sweep]\nfield = theta\nvalues = 0.1, 0.2\n", "theta", 3),
-        ("scenario = multicycle\n[noise]\nbattery_t2_per_cycle = 0.9\n[sweep]\nfield = battery_t2_per_cycle\n"
-         "values = 0.5\n", "battery_t2_per_cycle", 3),
+        ("scenario = multicycle\n[engine]\ntheta = 0.3\n[sweep]\ntheta = 0.1, 0.2\n", "theta", 3),
+        ("scenario = multicycle\n[noise]\nbattery_t2_per_cycle = 0.9\n[sweep]\nbattery_t2_per_cycle = 0.5\n",
+         "battery_t2_per_cycle", 3),
         ("scenario = single-cycle-sweep\n[engine]\np_mx = 0.1\ntheta = 0.3\n[sweep]\np_mx = 0.2\ntheta = 0.1\n",
          "p_mx", 3),
         ("scenario = search-advantage\n[engine]\ntheta = 0.3\n" + SEARCH_GRID, "theta", 3),
@@ -515,7 +517,7 @@ def test_a_key_the_sweep_or_search_sets_is_stated_once(tmp_path, capsys, text, k
 @pytest.mark.parametrize(
     "text, field, rule",
     [
-        ("scenario = multicycle\n[sweep]\nfield = battery_t2_per_cycle\nvalues = 0.9, 1.5\n",
+        ("scenario = multicycle\n[sweep]\nbattery_t2_per_cycle = 0.9, 1.5\n",
          "battery_t2_per_cycle", "must lie in [0, 1], got 1.5"),
         ("scenario = search-advantage\n[engine]\nhot_populations = 0.5, 0.5\n[search]\ntheta = 0.5\np_mx = 0.1, 0.6\n",
          "p_mx", "exceeds the positivity bound sqrt(p0*p1), got 0.6"),
@@ -536,9 +538,9 @@ ONE_OF_EACH_KIND = [
     ("run", "fig2"),
     ("run", "fig3"),
     ("search", "search-default"),
-    ("run", "scenario = single-cycle-sweep\n[sweep]\nfield = p_mx\nvalues = 0.1, 0.2\n"),
+    ("run", "scenario = single-cycle-sweep\n[sweep]\np_mx = 0.1, 0.2\n"),
     ("run", "scenario = multicycle\n[engine]\ncycles = 3\n"),
-    ("run", "scenario = multicycle\n[engine]\ncycles = 3\n[sweep]\nfield = theta\nvalues = 0.2, 0.4\n"),
+    ("run", "scenario = multicycle\n[engine]\ncycles = 3\n[sweep]\ntheta = 0.2, 0.4\n"),
     ("run", "scenario = compare\n[engine]\ncycles = 3\n"),
     ("search", "scenario = search-advantage\n[search]\ntheta = 0.3, 0.6\np_mx = 0.4\nmax_cycles = 3\n"),
 ]
@@ -619,10 +621,10 @@ def named_files(obj):
 @pytest.mark.parametrize(
     "text",
     [
-        "scenario = multicycle\n[engine]\ncycles = 3\n[sweep]\nfield = theta\nvalues = 0.2, 0.4\n",
+        "scenario = multicycle\n[engine]\ncycles = 3\n[sweep]\ntheta = 0.2, 0.4\n",
         "scenario = multicycle\n[engine]\ncycles = 3\n",
         "scenario = compare\n[engine]\ncycles = 3\n",
-        "scenario = single-cycle-sweep\n[sweep]\nfield = p_mx\nvalues = 0.1, 0.2\n",
+        "scenario = single-cycle-sweep\n[sweep]\np_mx = 0.1, 0.2\n",
         "scenario = search-advantage\n[search]\ntheta = 0.3, 0.6\np_mx = 0.4\nmax_cycles = 3\n",
     ],
     ids=["sweep", "multicycle", "compare", "single-cycle-sweep", "search"],
@@ -643,7 +645,7 @@ def test_sweep_scenario_multiple_csvs(tmp_path):
     scn = tmp_path / "sweep.scn"
     scn.write_text(
         "scenario = multicycle\n[engine]\ncycles = 3\n"
-        "[sweep]\nfield = theta\nvalues = 0.2, 0.4\n[output]\nprefix = sw\n"
+        "[sweep]\ntheta = 0.2, 0.4\n[output]\nprefix = sw\n"
     )
     out = tmp_path / "out"
     assert main(["run", str(scn), "--output-dir", str(out)]) == 0
@@ -678,16 +680,17 @@ def test_a_multicycle_sweep_writes_one_file_per_point_of_its_axes(tmp_path):
         ("schema_version = 9\nscenario = multicycle\n", "line 1: unsupported schema_version '9'; this build reads '1'"),
         ("scenario = single-cycle-sweep\n", "scenario 'single-cycle-sweep' requires a [sweep] section that names an axis"),
         # the last axis is the row column of a single-cycle sweep's files, a number each
-        ("scenario = single-cycle-sweep\n[sweep]\nfield = battery_init\nvalues = 0, 0, -0.5; 0, 0.5, 0\n",
-         "line 3: battery_init cannot be the last [sweep] axis, which gives a single-cycle sweep's rows"),
         ("scenario = single-cycle-sweep\n[sweep]\np_mx = 0.0, 0.5\ntheta = 0.1, 0.2\n"
          "battery_init = 0, 0, -0.5; 0, 0.5, 0\n",
          "line 5: battery_init cannot be the last [sweep] axis, which gives a single-cycle sweep's rows"),
         # a repeated point would write two identical files
         ("scenario = multicycle\n[sweep]\ntheta = 0.3, 0.3\n", "line 3: theta: duplicate value 0.3"),
+        # an axis has one spelling: 'field = theta' with 'values = 0.1, 0.2' is written 'theta = 0.1, 0.2'
+        ("scenario = multicycle\n[sweep]\nfield = theta\nvalues = 0.1, 0.2\n",
+         f"line 3: unknown key 'field' in section [sweep]; expected one of {', '.join(SWEEPABLE_FIELDS)}"),
     ],
-    ids=["schema_version-9", "single-cycle-sweep-without-sweep", "battery-init-rows-v1-pair", "battery-init-rows-last-line",
-         "repeated-sweep-value"],
+    ids=["schema_version-9", "single-cycle-sweep-without-sweep", "battery-init-rows-last-line",
+         "repeated-sweep-value", "field-values-pair"],
 )
 def test_a_file_this_build_cannot_run_exits_2_naming_why(tmp_path, capsys, text, message):
     scn = tmp_path / "run.scn"

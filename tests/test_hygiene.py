@@ -16,7 +16,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # Code lines of src/spinotto, counted by code_lines: a ratchet on the size of
 # the package. Lower it when the package shrinks; a change that needs more
 # lines must say why.
-SRC_CODE_LINES = 1174
+SRC_CODE_LINES = 1148
 
 
 # The widest line of src/spinotto. Without this cap, joining statements onto
@@ -122,8 +122,8 @@ def test_scanners_find_definitions_and_reads():
     assert names_read(source, strings=True) == {"a", "c", "g", "h", "m", "n"}
 
 
-# config_from_dict is the summary reader: tests use it to invert config_to_dict.
-TEST_ONLY_ALLOWED = {"config_from_dict"}
+# Public definitions that only the tests call: none.
+TEST_ONLY_ALLOWED = set()
 
 
 def test_every_public_definition_is_used_outside_the_tests():

@@ -21,7 +21,6 @@ from spinotto.scenario import (
     ScenarioError,
     ScenarioFile,
     _SECTION_KEYS,
-    config_from_dict,
     config_to_dict,
     parse_scenario,
     resolve_scenario,
@@ -72,7 +71,7 @@ def test_bad_number_rejected():
         "scenario = multicycle\n[engine]\np_mx = nan\n",
         "scenario = multicycle\n[engine]\nbattery_init = 0.0, inf, 0.0\n",
         "scenario = search-advantage\n[search]\ntheta = 0.1, inf\np_mx = 0.2\n",
-        "scenario = multicycle\n[sweep]\nfield = theta\nvalues = 0.1, nan\n",
+        "scenario = multicycle\n[sweep]\ntheta = 0.1, nan\n",
     ],
 )
 def test_non_finite_number_rejected_with_line_number(text):
@@ -112,7 +111,7 @@ def test_comments_and_blank_lines_ignored():
 
 def test_sweep_section():
     s = parse_scenario(
-        "scenario = multicycle\n[sweep]\nfield = theta\nvalues = 0.1, 0.2, 0.3\n"
+        "scenario = multicycle\n[sweep]\ntheta = 0.1, 0.2, 0.3\n"
     )
     assert s.axes == (("theta", (0.1, 0.2, 0.3)),)
 
@@ -120,13 +119,13 @@ def test_sweep_section():
 def test_sweep_unknown_field():
     # the two populations are EngineConfig fields; a sweep varies neither
     for field in ("g", "hot_populations"):
-        with pytest.raises(ScenarioError, match=f"line 3: field '{field}' is not sweepable"):
-            parse_scenario(f"scenario = multicycle\n[sweep]\nfield = {field}\nvalues = 1\n")
+        with pytest.raises(ScenarioError, match=rf"^line 3: unknown key '{field}' in section \[sweep\]; expected one of "):
+            parse_scenario(f"scenario = multicycle\n[sweep]\n{field} = 1\n")
 
 
 def test_compare_rejects_sweep_section():
     with pytest.raises(ScenarioError, match=r"\[sweep\]"):
-        parse_scenario("scenario = compare\n[sweep]\nfield = theta\nvalues = 1\n")
+        parse_scenario("scenario = compare\n[sweep]\ntheta = 1\n")
 
 
 def test_single_cycle_sweep_requires_a_sweep():
@@ -143,26 +142,27 @@ def test_single_cycle_sweep_requires_one_cycle():
 
 def test_single_cycle_sweep_rejects_sweeping_cycles():
     # one cycle per run: a cycles sweep would run every count but record cycle 1
-    text = "scenario = single-cycle-sweep\n[sweep]\nfield = cycles\nvalues = 1, 2\n"
+    text = "scenario = single-cycle-sweep\n[sweep]\ncycles = 1, 2\n"
     with pytest.raises(ScenarioError, match="line 3: field 'cycles' is not sweepable"):
         parse_scenario(text)
 
 
 def test_swept_cycles_are_read_as_exact_integers():
     # 2**53 + 1 has no double; read through float it became 2**53. Parsed only, never run
-    s = parse_scenario("scenario = multicycle\n[sweep]\nfield = cycles\nvalues = 9007199254740993, 3\n")
+    s = parse_scenario("scenario = multicycle\n[sweep]\ncycles = 9007199254740993, 3\n")
     ((field, values),) = s.axes
     assert field == "cycles" and values == (9007199254740993, 3) and all(type(v) is int for v in values)
 
 
 @pytest.mark.parametrize("text", [
-    "[sweep]\nfield = cycles\nvalues = 2.5\n",
-    "[sweep]\nfield = cycles\nvalues = 2.0\n",
+    "[sweep]\ncycles = 2.5\n",
+    "[sweep]\ncycles = 2.0\n",
     "[engine]\ntheta = 0.5\ncycles = 2.0\n",
 ])
 def test_a_cycle_count_that_is_no_integer_literal_names_its_line(text):
-    # a swept count is converted as [engine] cycles is
-    with pytest.raises(ScenarioError, match=r"^line 4: expected an integer, got '2\.[05]'$"):
+    # a swept count is converted as [engine] cycles is; the count is the last line
+    lineno = 1 + text.count("\n")
+    with pytest.raises(ScenarioError, match=rf"^line {lineno}: expected an integer, got '2\.[05]'$"):
         parse_scenario("scenario = multicycle\n" + text)
 
 
@@ -181,17 +181,6 @@ def test_sweep_lines_are_axes_in_file_order():
     assert (s.engine.cycles, s.engine.battery_init, s.engine.theta) == (2, (0.0, 0.0, -0.5), 0.1)
 
 
-def test_the_version_1_pair_sweeps_battery_init_too():
-    s = parse_scenario("scenario = multicycle\n[sweep]\nfield = battery_init\nvalues = 0, 0, 0; 0, 0, 0.5\n")
-    assert s.axes == (("battery_init", ((0.0, 0.0, 0.0), (0.0, 0.0, 0.5))),)
-
-
-@pytest.mark.parametrize("text", ["field = theta\nvalues = 0.1\np_mx = 0.2\n", "field = theta\n"])
-def test_a_sweep_is_the_pair_alone_or_axis_lines(text):
-    with pytest.raises(ScenarioError, match=r"^section \[sweep\] states one axis as 'field' and 'values', or"):
-        parse_scenario("scenario = multicycle\n[sweep]\n" + text)
-
-
 def test_every_sweep_axis_is_one_config_field():
     # dataclasses.replace takes every axis, and checks each point anew
     names = [f.name for f in fields(EngineConfig)]
@@ -202,16 +191,31 @@ def test_every_sweep_axis_is_one_config_field():
         assert replace(base, **{name: getattr(base, name)}) == base
 
 
-@pytest.mark.parametrize("text, message", [
-    ("battery_px = 0.0, 0.4\n", "unknown key 'battery_px' in section [sweep]"),
-    ("field = battery_py\nvalues = 0.0, 0.4\n", "field 'battery_py' is not sweepable"),
-], ids=["axis-line", "version-1-pair"])
-def test_a_battery_component_is_no_sweep_axis(tmp_path, capsys, text, message):
-    # battery_init is the one battery axis
+@pytest.mark.parametrize("command, text, message", [
+    ("run", "scenario = multicycle\n[engine]\nbattery_init = 0, 0, 0\n[sweep]\nbattery_px = 0.0, 0.4\n",
+     "line 5: unknown key 'battery_px' in section [sweep]"),
+    ("search", "scenario = search-advantage\n[engine]\nbattery_init = 0, 0, 0\n[search]\ntheta = 0.5\np_mx = 0.1\n"
+     "battery_py = 0.0, 0.4\n", "line 7: unknown key 'battery_py' in section [search]"),
+], ids=["axis-line", "search-line"])
+def test_a_battery_component_is_no_sweep_axis(tmp_path, capsys, command, text, message):
+    # battery_init is the one battery axis, and no search axis
     scn = tmp_path / "components.scn"
-    scn.write_text("scenario = multicycle\n[engine]\nbattery_init = 0, 0, 0\n[sweep]\n" + text, encoding="utf-8")
-    assert cli.main(["run", str(scn), "--output-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: line 5: {message}")
+    scn.write_text(text, encoding="utf-8")
+    assert cli.main([command, str(scn), "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("text, key, lineno", [
+    ("field = theta\n", "field", 3),
+    ("values = 0.1, 0.2\n", "values", 3),
+    ("theta = 0.1\nfield = p_mx\nvalues = 0.2\n", "field", 4),
+])
+def test_field_and_values_are_no_sweep_keys(text, key, lineno):
+    # an axis is spelled 'theta = 0.1, 0.2' alone; neither half of the old pair parses
+    expected = ", ".join(SWEEPABLE_FIELDS)
+    message = rf"^line {lineno}: unknown key '{key}' in section \[sweep\]; expected one of {expected}$"
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario("scenario = multicycle\n[sweep]\n" + text)
 
 
 def test_a_battery_init_value_is_a_3_vector():
@@ -230,6 +234,22 @@ def test_search_axes_sorted():
 
 
 SEARCH = "scenario = search-advantage\n[search]\n"
+
+
+@pytest.mark.parametrize("axis, text, values", [
+    ("theta", "0.4, 0.20", (0.4, 0.2)),
+    ("p_mx", "0.2, 0.1", (0.2, 0.1)),
+    ("battery_dephasing_per_reset", "1, 0.5", (1.0, 0.5)),
+    ("battery_t2_per_cycle", "0.9, 0", (0.9, 0.0)),
+])
+def test_search_reads_an_axis_as_sweep_does(axis, text, values):
+    # [sweep] keeps the file's order and [search] sorts; each converts a value alike
+    swept = parse_scenario(f"scenario = multicycle\n[sweep]\n{axis} = {text}\n")
+    grid = {"theta": "0.5", "p_mx": "0.1"} | {axis: text}
+    searched = parse_scenario(SEARCH + "".join(f"{key} = {value}\n" for key, value in grid.items()))
+    assert swept.axes == ((axis, values),)
+    assert dict(searched.axes)[axis] == tuple(sorted(values))
+    assert [type(v) for v in dict(searched.axes)[axis]] == [float, float]
 
 
 @pytest.mark.parametrize(
@@ -253,7 +273,7 @@ def test_duplicate_search_values_rejected_naming_key_and_line(text, key, lineno)
     [
         ("theta = 0.3, 0.3\n", "line 3: theta: duplicate value 0.3"),
         ("p_mx = 0.1, 0.2\ntheta = 0.2, 0.4, 0.20\n", "line 4: theta: duplicate value 0.2"),
-        ("field = theta\nvalues = 0.5, 0.1, 0.5\n", "line 4: theta: duplicate value 0.5"),
+        ("theta = 0.5, 0.1, 0.5\n", "line 3: theta: duplicate value 0.5"),
         ("battery_init = 0, 0, -0.5; 0, 0.1, 0; 0, 0, -0.50\ntheta = 0.1, 0.2\n",
          "line 3: battery_init: duplicate value (0.0, 0.0, -0.5)"),
     ],
@@ -271,12 +291,13 @@ def test_a_sweep_axis_repeats_no_value(kind, sweep, message):
         ("scenario = multicycle\n[engine]\nhot_populations = 0.5,,0.5\n", "hot_populations", 3),
         ("scenario = multicycle\n[engine]\ncold_populations = 0.1, 0.9,\n", "cold_populations", 3),
         ("scenario = multicycle\n[engine]\nbattery_init = , 0.0, -0.5\n", "battery_init", 3),
-        ("scenario = multicycle\n[sweep]\nfield = theta\nvalues = 0.1, , 0.3\n", "values", 4),
-        ("scenario = multicycle\n[sweep]\nvalues = ,0.1\nfield = p_mx\n", "values", 3),
+        ("scenario = multicycle\n[sweep]\np_mx = ,0.1\n", "p_mx", 3),
         ("scenario = multicycle\n[sweep]\ntheta = 0.1, , 0.3\n", "theta", 3),
         ("scenario = multicycle\n[sweep]\nbattery_init = 0, 0, 0;\n", "battery_init", 3),
+        ("scenario = multicycle\n[sweep]\ncycles = 2,,3\n", "cycles", 3),
         (SEARCH + "theta = 0.2,,0.4\np_mx = 0.1\n", "theta", 3),
         (SEARCH + "theta = 0.2\np_mx =\n", "p_mx", 4),
+        (SEARCH + "theta = 0.2\np_mx = 0.1\nbattery_t2_per_cycle = 0.9,\n", "battery_t2_per_cycle", 5),
         ("scenario = compare\n[output]\nformats = csv,,json\n", "formats", 3),
         ("scenario = compare\n[output]\nformats = ,\n", "formats", 3),
         ("scenario = compare\n[output]\nformats = csv,\n", "formats", 3),
@@ -306,6 +327,13 @@ def test_unusable_prefix_rejected_naming_key_and_line(prefix):
         parse_scenario(text)
 
 
+def from_summary(data: dict) -> EngineConfig:
+    """The config a summary's "config" block echoes: config_to_dict's inverse."""
+    data = dict(data)
+    noise = data.pop("noise")
+    return EngineConfig(**data, **noise)
+
+
 def test_config_dict_roundtrip():
     cfg = EngineConfig(
         theta=0.37,
@@ -318,7 +346,7 @@ def test_config_dict_roundtrip():
         battery_t2_per_cycle=0.88,
         cycles=7,
     )
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert from_summary(config_to_dict(cfg)) == cfg
 
 
 def test_engine_and_noise_keys_partition_the_config_fields():
@@ -391,29 +419,7 @@ def test_summary_config_block_is_unchanged(tmp_path):
     assert list(new) == list(old)
     for key in new:  # the same doubles, and a float stays a float
         assert new[key] == old[key] and repr(new[key]) == repr(old[key]), key
-    assert config_from_dict(new) == config_from_dict(old) == cfg
-
-
-def test_config_from_dict_rejects_a_key_out_of_place():
-    good = config_to_dict(EngineConfig())
-    flat = {key: value for key, value in good.items() if key != "noise"}
-    cases = [
-        (good | {"voltage": 3.3}, "config", "voltage"),
-        (good | {"noise": good["noise"] | {"gamma": 0.5}}, "noise", "gamma"),
-        # a noise factor belongs under "noise", whether or not the block is there
-        (good | {"battery_t2_per_cycle": 0.9}, "config", "battery_t2_per_cycle"),
-        (flat | good["noise"], "config", "battery_dephasing_per_reset, battery_t2_per_cycle"),
-    ]
-    for data, level, keys in cases:
-        with pytest.raises(ConfigError, match=f"^unknown {level} keys: {keys}$"):
-            config_from_dict(data)
-
-
-def test_config_from_dict_rejects_unknown_keys():
-    data = config_to_dict(EngineConfig())
-    data["voltage"] = 3.3
-    with pytest.raises(ConfigError, match="voltage"):
-        config_from_dict(data)
+    assert from_summary(new) == from_summary(old) == cfg
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -520,9 +526,9 @@ def engine_configs(draw):
 @settings(deadline=None)
 @given(engine_configs())
 def test_config_dict_roundtrip_property(cfg):
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert from_summary(config_to_dict(cfg)) == cfg
     # and through the summary JSON text, as the CLI writes it
-    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+    assert from_summary(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 def test_each_run_is_one_config_construction(monkeypatch):
