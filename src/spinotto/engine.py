@@ -25,6 +25,7 @@ import numpy as np
 
 from .diagnostics import Polarization, concurrence
 from .linalg import (
+    VALIDATION_ATOL,
     ValidationError,
     kron,
     partial_trace,
@@ -47,6 +48,10 @@ MAX_COUNT = (2**63 - 1) // 24 - 1
 # The fields of the two imperfection channels; a scenario file states them in
 # [noise], and a summary JSON echoes them under "noise".
 NOISE_FIELDS = ("battery_dephasing_per_reset", "battery_t2_per_cycle")
+# The slack of the two positivity bounds, |p_mx| <= sqrt(p0*p1) and |P| <= 1/2:
+# a state on a bound still passes after rounding, and the smallest eigenvalue
+# of a state within the slack is at least -1e-12, far above PSD_CLAMP.
+_POSITIVITY_SLACK = 1e-12
 
 
 # Conversions: each takes a field's name and a value, and returns the value as
@@ -134,30 +139,31 @@ def _check_factor(name: str, f) -> None:
 
 def _check_populations(name: str, pops) -> None:
     a, b = _parts(pops)
-    ok = (0.0 <= a) & (a <= 1.0) & (0.0 <= b) & (b <= 1.0) & (abs(a + b - 1.0) <= 1e-10)
+    ok = (0.0 <= a) & (a <= 1.0) & (0.0 <= b) & (b <= 1.0) & (abs(a + b - 1.0) <= VALIDATION_ATOL)
     _require(name, ok, pops, "must be two numbers in [0, 1] that sum to 1")
 
 
-def _check_hot(p_mx, pops) -> None:
-    """The hot populations, and p_mx within the bound sqrt(p0*p1) that keeps
-    the hot state positive."""
-    _check_populations("hot_populations", pops)
-    a, b = _parts(pops)
-    _require("p_mx", abs(p_mx) <= (a * b) ** 0.5 + 1e-12, p_mx, "exceeds the positivity bound sqrt(p0*p1)")
-
-
 def _check_battery(p) -> None:
+    """|P| <= 1/2 up to _POSITIVITY_SLACK. So the state I/2 + P.sigma that
+    _battery_states builds needs no validate_density: it is Hermitian by
+    construction (its off-diagonal entries are complex conjugates), its trace
+    (1/2 + pz) + (1/2 - pz) is within one ulp of 1, and its eigenvalues
+    1/2 +- |P| are at least -1e-12, above PSD_CLAMP."""
     x, y, z = _parts(p)
-    _require("battery_init", (x * x + y * y + z * z) ** 0.5 <= 0.5 + 1e-12, p, "has |P| above 1/2")
+    _require("battery_init", (x * x + y * y + z * z) ** 0.5 <= 0.5 + _POSITIVITY_SLACK, p, "has |P| above 1/2")
 
 
 def _check_config(c, compression: str = "compression_theta") -> None:
     """Every rule of an EngineConfig or a ConfigBatch c; compression names
-    the second stroke's angle. The cycle count obeys _check_count as it is
+    the second stroke's angle. p_mx obeys the bound sqrt(p0*p1) that keeps
+    the hot state positive. The cycle count obeys _check_count as it is
     converted, before any rule runs."""
     _require("theta", abs(c.theta) < math.inf, c.theta, "must be a finite number")
     _require(compression, abs(c.compression_theta) < math.inf, c.compression_theta, "must be a finite number")
-    _check_hot(c.p_mx, c.hot_populations)
+    _check_populations("hot_populations", c.hot_populations)
+    p0, p1 = _parts(c.hot_populations)
+    bound = (p0 * p1) ** 0.5 + _POSITIVITY_SLACK
+    _require("p_mx", abs(c.p_mx) <= bound, c.p_mx, "exceeds the positivity bound sqrt(p0*p1)")
     _check_populations("cold_populations", c.cold_populations)
     _check_battery(c.battery_init)
     for name in NOISE_FIELDS:
@@ -304,46 +310,33 @@ def _medium_states(populations: np.ndarray, p_mx) -> np.ndarray:
     return rho
 
 
-def prepare_hot_medium(p_mx, populations) -> np.ndarray:
-    """Coherently heated medium state diag(p0, p1) + p_mx * sigma_x, built by
-    _medium_states once the inputs are checked.
-
-    Positivity requires |p_mx| <= sqrt(p0*p1); violating inputs raise a
-    ConfigError naming that bound. A sequence of k values of p_mx with k
-    population pairs gives the (k, 2, 2) stack of their states, checked by
-    the rules of ConfigBatch.
-    """
-    stacked = np.ndim(p_mx) > 0
-    p_mx = _column("p_mx", p_mx if stacked else [p_mx], np.size(p_mx))
-    pops = _column("hot_populations", populations if stacked else [populations], len(p_mx))
-    _check_hot(p_mx, pops)
-    rho = validate_density(_medium_states(pops, p_mx))
-    return rho if stacked else rho[0]
+def _battery_states(p: np.ndarray) -> np.ndarray:
+    """The (k, 2, 2) stack of battery states I/2 + px*sx + py*sy + pz*sz, one
+    per row of the (k, 3) stack p. It checks nothing: its callers pass Bloch
+    vectors inside the ball, a batch's battery_init (by _check_battery), the
+    P_n of multicycle.stack_runs (by its Bloch-ball check) or validate's
+    probe batteries."""
+    x, y, z = p.T
+    return np.array([[0.5 + z, x - 1j * y], [x + 1j * y, 0.5 - z]]).transpose(2, 0, 1)
 
 
-def prepare_cold_medium(populations) -> np.ndarray:
-    """Diagonal cold-bath state diag(q0, q1), the medium state of
-    _medium_states with p_mx = 0; a sequence of k population pairs gives the
-    (k, 2, 2) stack of their states."""
-    stacked = np.ndim(populations) > 1
-    pops = _column("cold_populations", populations if stacked else [populations], np.size(populations) // 2)
-    _check_populations("cold_populations", pops)
-    rho = _medium_states(pops, 0.0)
-    return rho if stacked else rho[0]
+def prepare_hot_medium(batch: ConfigBatch) -> np.ndarray:
+    """The coherently heated medium state diag(p0, p1) + p_mx * sigma_x of
+    every row of the batch, as a (k, 2, 2) stack. The batch's rules keep
+    |p_mx| <= sqrt(p0*p1), which makes each state positive."""
+    return validate_density(_medium_states(batch.hot_populations, batch.p_mx))
 
 
-def prepare_battery(p: Polarization | Sequence[float]) -> np.ndarray:
-    """Battery state I/2 + px*sx + py*sy + pz*sz for |P| <= 1/2.
+def prepare_cold_medium(batch: ConfigBatch) -> np.ndarray:
+    """The diagonal cold-bath state diag(q0, q1) of every row of the batch,
+    as a (k, 2, 2) stack: the medium state of _medium_states with p_mx = 0."""
+    return _medium_states(batch.cold_populations, 0.0)
 
-    It needs no validate_density: the matrix is Hermitian by construction
-    (its off-diagonal entries are complex conjugates), its trace is
-    (1/2 + pz) + (1/2 - pz), within one ulp of 1, and its eigenvalues are
-    1/2 +- |P|, so the check |P| <= 1/2 + 1e-12 keeps lambda_min >= -1e-12,
-    above PSD_CLAMP.
-    """
-    p = Polarization(*_numbers("battery_init", p, 3))
-    _check_battery(p)
-    return np.array([[0.5 + p.pz, p.px - 1j * p.py], [p.px + 1j * p.py, 0.5 - p.pz]])
+
+def prepare_battery(batch: ConfigBatch) -> np.ndarray:
+    """The battery state I/2 + P.sigma of every row's battery_init, as a
+    (k, 2, 2) stack; _check_battery says why it needs no validate_density."""
+    return _battery_states(batch.battery_init)
 
 
 def _cos_sin(theta) -> tuple[np.ndarray, np.ndarray]:

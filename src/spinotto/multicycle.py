@@ -58,16 +58,18 @@ Which checks run where:
   vectors within numpy's size limit: EngineConfig applies them to each
   config as it is built, and ConfigBatch, ConfigBatch.of included, to a
   whole batch, each rule once over all rows (a NaN breaks every rule). So
-  battery_map and the stages never see an unchecked parameter, and
-  stack_runs builds the hot states from its batch with engine's
-  _medium_states, the one builder of diag(p0, p1) + p_mx sigma_x that
-  prepare_hot_medium and prepare_cold_medium also use;
+  battery_map and the stages never see an unchecked parameter. The qubit
+  states are built from checked arrays by engine's two builders, which
+  check nothing: _medium_states, of diag(p0, p1) + p_mx sigma_x, and
+  _battery_states, of I/2 + P.sigma. prepare_hot_medium,
+  prepare_cold_medium and prepare_battery are these builders on the arrays
+  of a ConfigBatch, so no value enters the engine past its rules;
 - a block whose padded array of battery vectors numpy cannot describe or
   allocate raises a ConfigError naming cycles, the block's runs and the
   bytes, before any cycle runs;
-- prepare_battery builds each config's battery state from its checked
-  battery_init, and the one bloch_vectors call of a block validates the
-  stack of them, hermiticity, trace and spectrum, before P_0 is read off;
+- the one bloch_vectors call of a block validates the stack
+  prepare_battery(batch) of its starting batteries, hermiticity, trace and
+  spectrum, before P_0 is read off;
   polarization_vector is that same call on one state, so P has one
   read-off and one positivity check;
 - stack_runs checks 1/2 - |P_n| >= PSD_CLAMP for every recorded cycle of
@@ -112,6 +114,7 @@ from .engine import (
     ConfigError,
     CycleRecord,
     EngineConfig,
+    _battery_states,
     _medium_states,
     _require,
     make_cycle_record,
@@ -213,20 +216,21 @@ def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, 
     right after each cycle's first power stroke, and their nine correlators
     each, in correlator_sets order.
 
-    The block is one ConfigBatch.of(configs): battery_map, the hot states,
-    the reset factors and the angles all read its arrays. Only the battery
-    states are built per config, one prepare_battery(battery_init) each, and
-    one bloch_vectors call reads every P_0 off their stack (polarization_vector
-    is the same call on one state). One battery_map call gives every map, and
-    every config iterates P_n = A P_{n-1} + b up to the block's longest run;
+    The block is one ConfigBatch.of(configs): battery_map, the starting
+    batteries, the hot states, the reset factors and the angles all read its
+    arrays. One bloch_vectors call reads every P_0 off the stack
+    prepare_battery(batch) (polarization_vector is the same call on one
+    state). One battery_map call gives every map, and every config iterates
+    P_n = A P_{n-1} + b up to the block's longest run;
     the mask `recorded` marks each config's own cycles 1 ... c, and only
     those are used. The Bloch-ball check of every recorded P_n, on the |P_n|
     of _pz_and_norm, runs before any state is built, and raises for the
     first config in input order with a P_n outside. Then one call each to
     kron, dephase_battery and power_stroke, the first three stages of a
     cycle, runs on the flat stack of the product states
-    hot (x) battery(P_{n-1}) of every recorded cycle, config after config,
-    with each cycle's own hot state, reset factor and angle, and one
+    hot (x) (I/2 + P_{n-1}.sigma) of every recorded cycle, config after
+    config, with the batteries from one _battery_states call and each
+    cycle's own hot state, reset factor and angle, and one
     correlator_sets call takes their correlators. The columns come from the
     recorded P_n at once: work is P_n,z - P_{n-1},z, cumulative work a
     cumsum along each config's own row (the same left-to-right sum from 0.0
@@ -244,7 +248,7 @@ def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, 
         size = len(batch) * (int(cycles.max()) + 1) * 24
         raise ConfigError(f"cycles: a block of {len(batch)} run(s) padded to {cycles.max()} cycles needs {size} "
                           "bytes for its battery vectors, more than can be allocated") from None
-    p[:, 0] = bloch_vectors(np.array([prepare_battery(c.battery_init) for c in configs]))
+    p[:, 0] = bloch_vectors(prepare_battery(batch))
     for n in range(1, cycles.max() + 1):
         p[:, n] = (A @ p[:, n - 1, :, None])[..., 0] + b
     recorded = np.arange(cycles.max()) < cycles[:, None]  # cycle n + 1 of config j is one of its own
@@ -257,8 +261,7 @@ def stack_runs(configs: Sequence[EngineConfig]) -> list[tuple[list, np.ndarray, 
         message = f"cycle {n + 1}: battery Bloch vector has |P_n| = {norm:.12g}, outside the Bloch ball"
         raise ValidationError(f"{message} (1/2 - |P_n| below the PSD tolerance {PSD_CLAMP:.0e})")
     hot = _medium_states(batch.hot_populations, batch.p_mx)  # the checked hot state of each row
-    x, y, z = p[:, :-1][recorded].T  # the batteries I/2 + P_n.sigma that start the recorded cycles
-    battery = np.array([[0.5 + z, x - 1j * y], [x + 1j * y, 0.5 - z]]).transpose(2, 0, 1)
+    battery = _battery_states(p[:, :-1][recorded])  # the batteries that start the recorded cycles
     dephased = dephase_battery(kron(hot[owner], battery), batch.battery_dephasing_per_reset[owner])
     post_strokes = power_stroke(dephased, batch.theta[owner])
     corr = correlator_sets(post_strokes)

@@ -46,7 +46,6 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import (
-    Polarization,
     bloch_vectors,
     concurrence,
     correlator_sets,
@@ -60,6 +59,7 @@ from .engine import (
     ConfigBatch,
     CycleRecord,
     EngineConfig,
+    _battery_states,
     _count,
     flip_flop_propagator,
     make_cycle_record,
@@ -152,7 +152,7 @@ def _stage_cycle(batch: ConfigBatch, hot, cold, battery) -> tuple[np.ndarray, np
 
 
 # The probe batteries I/2 and I/2 + sigma_j/2: Bloch vectors 0 and e_j/2.
-_PROBES = np.array([prepare_battery(p) for p in np.vstack([np.zeros(3), np.eye(3) / 2]).tolist()])
+_PROBES = _battery_states(np.vstack([np.zeros(3), np.eye(3) / 2]))
 
 
 def stage_map(batch: ConfigBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +161,7 @@ def stage_map(batch: ConfigBatch) -> tuple[np.ndarray, np.ndarray]:
     pushed through every stage of one cycle as one stack of 4 k states; each
     stage takes its angles and factors straight from the batch's arrays.
     max_oracle_gap hands it one MAP_BLOCK of draws at a time."""
-    hot, cold = prepare_hot_medium(batch.p_mx, batch.hot_populations), prepare_cold_medium(batch.cold_populations)
+    hot, cold = prepare_hot_medium(batch), prepare_cold_medium(batch)
     _, battery = _stage_cycle(batch, hot[:, None], cold[:, None], _PROBES)
     images = bloch_vectors(battery.reshape(-1, 2, 2)).reshape(len(batch), 4, 3)
     # image(P) = image(0) + A P, so column j of A is 2 (image(e_j/2) - image(0))
@@ -218,8 +218,7 @@ def loop_engines(configs: Sequence[EngineConfig]) -> list[EngineTrace]:
     takes them from stack_runs. Returns one trace per config, in order.
     """
     batch = ConfigBatch.of(configs)
-    battery = np.array([prepare_battery(c.battery_init) for c in configs])
-    hot, cold = prepare_hot_medium(batch.p_mx, batch.hot_populations), prepare_cold_medium(batch.cold_populations)
+    battery, hot, cold = prepare_battery(batch), prepare_hot_medium(batch), prepare_cold_medium(batch)
     records: list[list[CycleRecord]] = [[] for _ in configs]
     energy, cumulative = [polarization_vector(b).pz for b in battery], [0.0] * len(configs)
     for n in range(1, batch.cycles.max() + 1):
@@ -366,7 +365,7 @@ def _diagnostics_unit_truths(rng: np.random.Generator, seed: int) -> list[Row]:
     bell = _bell_state()
     product = kron(random_density(rng, 2), random_density(rng, 2))
     werner = 0.5 * bell + 0.5 * np.eye(4) / 4.0
-    plus = polarization_vector(prepare_battery(Polarization(0.5, 0.0, 0.0)))
+    plus = polarization_vector(prepare_battery(ConfigBatch.of([EngineConfig(battery_init=(0.5, 0.0, 0.0))]))[0])
     ergo_plus = ergotropy(plus)
     return [
         ("|concurrence(Bell) - 1|", abs(concurrence(bell) - 1.0), 1e-10),
@@ -386,9 +385,9 @@ def _map_vs_stage_loop(rng: np.random.Generator, seed: int) -> list[Row]:
 
 
 def _state_preparation_roundtrip(rng: np.random.Generator, seed: int) -> list[Row]:
-    p = Polarization(0.1, -0.2, 0.3)
-    roundtrip = np.subtract(polarization_vector(prepare_battery(p)), p)
-    hot = prepare_hot_medium(0.5, (0.5, 0.5))
+    batch = ConfigBatch.of([EngineConfig(p_mx=0.5, hot_populations=(0.5, 0.5), battery_init=(0.1, -0.2, 0.3))])
+    roundtrip = polarization_vector(prepare_battery(batch)[0]) - batch.battery_init[0]
+    hot = prepare_hot_medium(batch)
     return [
         ("max |polarization_vector(prepare_battery(P)) - P|", np.max(np.abs(roundtrip)), 1e-12),
         ("|mean_energy(I/2)|", abs(mean_energy(np.eye(2, dtype=complex) / 2)), 1e-12),

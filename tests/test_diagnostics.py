@@ -17,7 +17,7 @@ from spinotto.diagnostics import (
     relative_entropy_of_coherence,
     von_neumann_entropy,
 )
-from spinotto.engine import EngineConfig, prepare_battery
+from spinotto.engine import ConfigBatch, EngineConfig, prepare_battery
 from spinotto.linalg import DimensionError, ValidationError, kron, pauli
 from spinotto.multicycle import run_engines
 from spinotto.scenario import PRESETS
@@ -103,11 +103,14 @@ def test_polarization_vector_cases():
 
 def test_polarization_roundtrip_with_preparation():
     rng = np.random.default_rng(0)
+    draws = []
     for _ in range(20):
         v = rng.normal(size=3)
         v *= rng.uniform(0, 0.5) / np.linalg.norm(v)
-        p = Polarization(*v)
-        back = polarization_vector(prepare_battery(p))
+        draws.append(Polarization(*v))
+    states = prepare_battery(ConfigBatch.of([EngineConfig(battery_init=p) for p in draws]))
+    for p, rho in zip(draws, states, strict=True):
+        back = polarization_vector(rho)
         assert max(abs(a - b) for a, b in zip(p, back)) < 1e-14
 
 

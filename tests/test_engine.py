@@ -11,6 +11,7 @@ from spinotto.engine import (
     ConfigBatch,
     ConfigError,
     EngineConfig,
+    _battery_states,
     flip_flop_propagator,
     power_stroke,
     prepare_battery,
@@ -66,40 +67,54 @@ def ket(index):
     return rho
 
 
+def one_row(**kwargs):
+    """The ConfigBatch of the one config EngineConfig(**kwargs)."""
+    return ConfigBatch.of([EngineConfig(**kwargs)])
+
+
 class TestPreparations:
     def test_hot_medium_maximal_coherence_is_pure(self):
-        rho = prepare_hot_medium(0.5, (0.5, 0.5))
+        (rho,) = prepare_hot_medium(one_row(p_mx=0.5, hot_populations=(0.5, 0.5)))
         assert np.allclose(rho, 0.5 * np.eye(2) + 0.5 * pauli("x"), atol=1e-15)
         w = np.linalg.eigvalsh(rho)
         assert np.allclose(w, [0, 1], atol=1e-12)
 
     def test_hot_medium_incoherent(self):
-        rho = prepare_hot_medium(0.0, (0.485, 0.515))
+        (rho,) = prepare_hot_medium(one_row(p_mx=0.0, hot_populations=(0.485, 0.515)))
         assert np.allclose(rho, np.diag([0.485, 0.515]), atol=1e-15)
 
     def test_hot_medium_positivity_bound(self):
-        with pytest.raises(ConfigError, match=r"sqrt\(p0\*p1\)"):
-            prepare_hot_medium(0.5, (0.485, 0.515))
+        # no batch holds a p_mx past sqrt(p0*p1), so prepare_hot_medium never sees one
+        with pytest.raises(ConfigError, match=r"p_mx\[0\] exceeds the positivity bound sqrt\(p0\*p1\)"):
+            replace(one_row(), p_mx=[0.5])
+        with pytest.raises(ConfigError, match=re.escape("p_mx[1]")):
+            replace(ConfigBatch.of([EngineConfig(hot_populations=(0.5, 0.5))] * 2), p_mx=[0.1, 0.6])
 
     def test_population_validation(self):
-        with pytest.raises(ConfigError):
-            prepare_hot_medium(0.0, (0.6, 0.6))
-        with pytest.raises(ConfigError):
-            prepare_cold_medium((-0.1, 1.1))
+        with pytest.raises(ConfigError, match="hot_populations"):
+            replace(one_row(p_mx=0.0), hot_populations=[(0.6, 0.6)])
+        with pytest.raises(ConfigError, match="cold_populations"):
+            replace(one_row(), cold_populations=[(-0.1, 1.1)])
+
+    def test_cold_medium(self):
+        cold = prepare_cold_medium(ConfigBatch.of([EngineConfig(), EngineConfig(cold_populations=(0.25, 0.75))]))
+        assert np.array_equal(cold, [np.diag([0.03, 0.97]), np.diag([0.25, 0.75])])
+        assert cold.dtype == complex
 
     def test_battery_states(self):
-        assert np.allclose(prepare_battery((0, 0, 0)), np.eye(2) / 2, atol=1e-15)
-        assert np.allclose(
-            prepare_battery((0, 0.5, 0)), 0.5 * np.eye(2) + 0.5 * pauli("y"), atol=1e-15
-        )
-        assert np.allclose(prepare_battery((0, 0, -0.5)), np.diag([0, 1]), atol=1e-15)
+        batch = ConfigBatch.of([EngineConfig(battery_init=p) for p in [(0, 0, 0), (0, 0.5, 0), (0, 0, -0.5)]])
+        rho = prepare_battery(batch)
+        assert rho.shape == (3, 2, 2)
+        assert np.allclose(rho[0], np.eye(2) / 2, atol=1e-15)
+        assert np.allclose(rho[1], 0.5 * np.eye(2) + 0.5 * pauli("y"), atol=1e-15)
+        assert np.allclose(rho[2], np.diag([0, 1]), atol=1e-15)
 
     def test_battery_bloch_bound(self):
-        with pytest.raises(ConfigError):
-            prepare_battery((0.4, 0.4, 0.4))
+        with pytest.raises(ConfigError, match=re.escape("battery_init[0] has |P| above 1/2")):
+            replace(one_row(), battery_init=[(0.4, 0.4, 0.4)])
 
     def test_battery_state_is_a_density_operator_by_construction(self):
-        # prepare_battery runs no validate_density, so its matrix must be
+        # _battery_states runs no validate_density, so its matrices must be
         # exactly Hermitian, of trace within 1 ulp of 1 and lambda_min >= -1e-12
         # on the Bloch ball, its surface and the 1e-12 slack of the |P| check
         rng = np.random.default_rng(11)
@@ -107,12 +122,15 @@ class TestPreparations:
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         radius = np.concatenate([0.5 * rng.uniform(size=1000) ** (1 / 3), 0.5 + 0.99e-12 * rng.uniform(size=1000)])
         draws = (radius[:, None] * direction).tolist() + [(0.0, 0.0, 0.5), (-0.0, -0.0, -0.5), (0.5, 0.0, 0.0)]
-        for p in draws:
-            rho = prepare_battery(p)
-            assert rho.dtype == complex
-            assert np.array_equal(rho, rho.conj().T)
-            assert abs(np.trace(rho).real - 1.0) <= math.ulp(1.0) and np.trace(rho).imag == 0.0
-            assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+        rho = _battery_states(np.array(draws))
+        # every draw passes the |P| check, and prepare_battery is this builder on the batch's rows
+        batch = replace(ConfigBatch.of([EngineConfig()] * len(draws)), battery_init=draws)
+        assert np.array_equal(prepare_battery(batch), rho)
+        assert rho.dtype == complex and rho.shape == (len(draws), 2, 2)
+        assert np.array_equal(rho, rho.conj().swapaxes(1, 2))
+        trace = np.trace(rho, axis1=1, axis2=2)
+        assert np.all(np.abs(trace.real - 1.0) <= math.ulp(1.0)) and np.all(trace.imag == 0.0)
+        assert np.linalg.eigvalsh(rho)[:, 0].min() >= -1e-12
 
     @pytest.mark.parametrize(
         "p",
@@ -121,26 +139,7 @@ class TestPreparations:
     )
     def test_bad_battery_rejected_naming_battery_init(self, p):
         with pytest.raises(ConfigError, match="battery_init"):
-            prepare_battery(p)
-
-    def test_stacked_preparations_equal_single_calls(self):
-        p_mx = [0.3, -0.2, 0.0]
-        hot_pops = [(0.5, 0.5), (0.485, 0.515), (0.9, 0.1)]
-        cold_pops = [(0.03, 0.97), (0.0, 1.0), (0.25, 0.75)]
-        hot = prepare_hot_medium(p_mx, hot_pops)
-        cold = prepare_cold_medium(cold_pops)
-        assert hot.shape == cold.shape == (3, 2, 2)
-        for i in range(3):
-            assert np.array_equal(hot[i], prepare_hot_medium(p_mx[i], hot_pops[i]))
-            assert np.array_equal(cold[i], prepare_cold_medium(cold_pops[i]))
-
-    def test_bad_entry_of_a_stack_rejected_naming_the_field(self):
-        with pytest.raises(ConfigError, match="p_mx"):
-            prepare_hot_medium([0.1, 0.6], [(0.5, 0.5), (0.5, 0.5)])
-        with pytest.raises(ConfigError, match="p_mx"):
-            prepare_hot_medium([0.1, math.nan], [(0.5, 0.5), (0.5, 0.5)])
-        with pytest.raises(ConfigError, match="cold_populations"):
-            prepare_cold_medium([(0.03, 0.97), (0.6, 0.6)])
+            EngineConfig(battery_init=p)
 
 
 class TestPropagator:
@@ -263,10 +262,11 @@ class TestResetMedium:
 
     def test_cold_reset_preserves_battery_coherence(self):
         # correlated state from a stroke, then the experimental cold bath
-        joint = kron(prepare_hot_medium(0.4, (0.5, 0.5)), prepare_battery((0, 0.3, -0.2)))
-        joint = power_stroke(joint, 0.6)
+        batch = one_row(p_mx=0.4, hot_populations=(0.5, 0.5), battery_init=(0, 0.3, -0.2))
+        joint = power_stroke(kron(prepare_hot_medium(batch), prepare_battery(batch))[0], 0.6)
         y_before = polarization_vector(partial_trace(joint, "battery")).py
-        reset = reset_medium(joint, prepare_cold_medium((0.03, 0.97)))
+        (cold,) = prepare_cold_medium(batch)  # the default cold bath diag(0.03, 0.97)
+        reset = reset_medium(joint, cold)
         y_after = polarization_vector(partial_trace(reset, "battery")).py
         assert y_after == pytest.approx(y_before, abs=1e-14)
 
@@ -530,30 +530,13 @@ class TestEngineConfig:
             ("battery_init", dict(battery_init=(0.0, True, 0.0))),
             ("p_mx", dict(p_mx=np.True_)),
             ("battery_t2_per_cycle", dict(battery_t2_per_cycle=np.True_)),
+            # populations in [0, 1] that do not sum to 1
+            ("cold_populations", dict(cold_populations=(0.6, 0.6))),
         ],
     )
     def test_bad_numbers_rejected_naming_the_field(self, field, kwargs):
         with pytest.raises(ConfigError, match=field):
             EngineConfig(**kwargs)
-        # the public preparations apply the same checks to the same values
-        prepare = {
-            "p_mx": lambda v: prepare_hot_medium(v, (0.485, 0.515)),
-            "hot_populations": lambda v: prepare_hot_medium(0.0, v),
-            "cold_populations": prepare_cold_medium,
-            "battery_init": prepare_battery,
-        }
-        # and so do their stacked forms, with the value in row 1 of 3
-        stacked = {
-            "p_mx": lambda v: prepare_hot_medium([0.0, v, 0.0], [(0.485, 0.515)] * 3),
-            "hot_populations": lambda v: prepare_hot_medium([0.0] * 3, [(0.5, 0.5), v, (0.5, 0.5)]),
-            "cold_populations": lambda v: prepare_cold_medium([(0.5, 0.5), v, (0.5, 0.5)]),
-        }
-        if field in prepare:
-            with pytest.raises(ConfigError, match=field):
-                prepare[field](kwargs[field])
-        if field in stacked:
-            with pytest.raises(ConfigError, match=field):
-                stacked[field](kwargs[field])
         # a batch checks each row by the same rules, so it rejects every bad
         # value, naming the field and the row it sits in
         batch_field = "compression_theta" if field == "theta_compression" else field

@@ -286,8 +286,8 @@ def patch_everywhere(monkeypatch, original, replacement):
 
 def test_one_record_and_one_concurrence_per_cycle(monkeypatch):
     # bench/run.py --trace 1 counts both per cycle record, and prepare_battery
-    # once per run_engine call; a path that skipped or batched any of them
-    # would make the traced benchmark fail its count check
+    # once per stack_runs block (one config is one block); a path that skipped
+    # or batched any of them would make the traced benchmark fail its count check
     calls = {"make_cycle_record": 0, "concurrence": 0, "prepare_battery": 0}
 
     def spy(name, fn):
@@ -305,8 +305,8 @@ def test_one_record_and_one_concurrence_per_cycle(monkeypatch):
         patch_everywhere(monkeypatch, fn, spy(name, fn))
     run_engine(EngineConfig(cycles=7, battery_dephasing_per_reset=0.9, battery_t2_per_cycle=0.8))
     assert calls == {"make_cycle_record": 7, "concurrence": 7, "prepare_battery": 1}
-    compare(EngineConfig(cycles=5))
-    assert calls == {"make_cycle_record": 17, "concurrence": 17, "prepare_battery": 3}
+    compare(EngineConfig(cycles=5))  # a config and its twin: one block
+    assert calls == {"make_cycle_record": 17, "concurrence": 17, "prepare_battery": 2}
 
 
 def test_closed_form_columns_once_per_block(monkeypatch):
@@ -565,14 +565,14 @@ class TestStartVectors:
         draws = self.start_draws()
         configs = [EngineConfig(battery_init=p, cycles=1) for p in draws]
         A, b = battery_map(ConfigBatch.of(configs))
-        p0 = np.array([polarization_vector(prepare_battery(p)) for p in draws])
+        p0 = np.array([polarization_vector(rho) for rho in prepare_battery(ConfigBatch.of(configs))])
         p1 = (A @ p0[..., None])[..., 0] + b
         for p, start, end, ((row,), _, _) in zip(draws, p0, p1, stack_runs(configs), strict=True):
             want = np.array([end[2] - start[2], *end])
             assert np.array([row[0], *row[2:5]]).tobytes() == want.tobytes(), p
 
     def test_one_bloch_vectors_call_per_block(self, monkeypatch):
-        # P_0 of a block is one stacked read; prepare_battery stays once per run
+        # P_0 of a block is one stacked read of one prepare_battery call
         module = sys.modules["spinotto.multicycle"]
         calls = {"bloch_vectors": [], "prepare_battery": 0}
 
@@ -580,15 +580,15 @@ class TestStartVectors:
             calls["bloch_vectors"].append(len(states))
             return diagnostics.bloch_vectors(states)
 
-        def prepare(p):
+        def prepare(batch):
             calls["prepare_battery"] += 1
-            return prepare_battery(p)
+            return prepare_battery(batch)
 
         monkeypatch.setattr(module, "bloch_vectors", bloch)
         monkeypatch.setattr(module, "prepare_battery", prepare)
         configs = random_noisy_configs(np.random.default_rng(3), MAP_BLOCK + 2, cycles=2).configs()
         run_engines(configs)
-        assert calls == {"bloch_vectors": [MAP_BLOCK, 2], "prepare_battery": MAP_BLOCK + 2}
+        assert calls == {"bloch_vectors": [MAP_BLOCK, 2], "prepare_battery": 2}
 
 
 class TestRunEngines:
@@ -615,8 +615,8 @@ class TestRunEngines:
         assert run_engines([]) == []
 
     def test_one_stacked_pass_per_block_with_ragged_cycle_counts(self, monkeypatch):
-        # MAP_BLOCK + 1 configs of 1, 5 and 2 cycles in turn: one battery_map and
-        # one correlator_sets call per block, one prepare_battery and one
+        # MAP_BLOCK + 1 configs of 1, 5 and 2 cycles in turn: one battery_map,
+        # one correlator_sets and one prepare_battery call per block, one
         # run_engine call per config, and every trace as run_engine alone makes it
         rng = np.random.default_rng(40)
         drawn = random_noisy_configs(rng, MAP_BLOCK + 1, cycles=1)
@@ -641,7 +641,7 @@ class TestRunEngines:
         assert calls == {
             "battery_map": [MAP_BLOCK, 1],
             "correlator_sets": [sum(c.cycles for c in configs[:MAP_BLOCK]), configs[-1].cycles],
-            "prepare_battery": MAP_BLOCK + 1,
+            "prepare_battery": 2,
             "run_engine": MAP_BLOCK + 1,
         }
         monkeypatch.undo()
@@ -650,6 +650,23 @@ class TestRunEngines:
             alone = run_engine(config).records
             assert len(trace.records) == config.cycles
             assert np.array(trace.records).tobytes() == np.array(alone).tobytes()
+
+    def test_two_battery_state_builds_per_block(self, monkeypatch):
+        # engine._battery_states builds every battery state of a pass: once for
+        # the P_0 of the block, through prepare_battery, and once for the
+        # batteries that start its recorded cycles
+        drawn = random_noisy_configs(np.random.default_rng(41), MAP_BLOCK + 3, cycles=1)
+        configs = replace(drawn, cycles=[(1, 5, 2)[i % 3] for i in range(MAP_BLOCK + 3)]).configs()
+        builder, sizes = engine._battery_states, []
+
+        def spy(p):
+            sizes.append(len(p))
+            return builder(p)
+
+        patch_everywhere(monkeypatch, builder, spy)
+        run_engines(configs)
+        first, last = configs[:MAP_BLOCK], configs[MAP_BLOCK:]
+        assert sizes == [MAP_BLOCK, sum(c.cycles for c in first), len(last), sum(c.cycles for c in last)]
 
     def test_bloch_ball_failure_in_a_block_names_the_first_failing_config(self, monkeypatch):
         # a seeded fault: configs 2 and 4 of a block of 5 run on A scaled by 3.
@@ -974,8 +991,8 @@ def test_reset_preserves_all_three_polarization_components():
                        battery_init=(0.1, 0.3, -0.2), **IDEAL)
     from spinotto.engine import power_stroke, prepare_battery, prepare_hot_medium, reset_medium
 
-    joint = kron(prepare_hot_medium(cfg.p_mx, cfg.hot_populations),
-                 prepare_battery(cfg.battery_init))
+    batch = ConfigBatch.of([cfg])
+    joint = kron(prepare_hot_medium(batch), prepare_battery(batch))[0]
     joint = power_stroke(joint, cfg.theta)
     before = polarization_vector(partial_trace(joint, "battery"))
     after = polarization_vector(
