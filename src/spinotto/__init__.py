@@ -6,7 +6,8 @@ The API is the modules; each public name has one import path,
 spinotto.<module>.<name>:
 
 - linalg: the matrix kernel for one and two qubits (kron, partial_trace,
-  pauli), the density-operator check validate_density and the error types;
+  the Pauli table PAULI), the density-operator check validate_density and
+  the error types;
 - diagnostics: figures of merit of qubit states (Bloch vectors, energy,
   entropy, coherence, ergotropy, correlators, concurrence);
 - engine: EngineConfig, ConfigBatch and their checks, state preparation,

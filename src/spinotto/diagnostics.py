@@ -12,21 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    DimensionError,
-    clamp_spectrum,
-    kron,
-    pauli,
-    validate_density,
-)
-
-
-class Polarization(NamedTuple):
-    """Coefficients P in rho = I/2 + px*sx + py*sy + pz*sz; |P| <= 1/2."""
-
-    px: float
-    py: float
-    pz: float
+from .linalg import PAULI, DimensionError, clamp_spectrum, kron, validate_density
 
 
 class ErgotropyReport(NamedTuple):
@@ -37,16 +23,11 @@ class ErgotropyReport(NamedTuple):
     coherent: float
 
 
-_AXES = ("x", "y", "z")
-_SIGMA = {axis: pauli(axis) for axis in _AXES}
 # The operators of the correlators, sigma^j (x) I, I (x) sigma^j and
-# sigma^j (x) sigma^j, each transposed and flattened: Tr[rho O] = O^T.flat . rho.flat.
+# sigma^j (x) sigma^j for j = x, y, z, each transposed and flattened:
+# Tr[rho O] = O^T.flat . rho.flat.
 _CORRELATOR_ROWS = (
-    np.array(
-        [kron(_SIGMA[j], pauli("identity")) for j in _AXES]
-        + [kron(pauli("identity"), _SIGMA[j]) for j in _AXES]
-        + [kron(_SIGMA[j], _SIGMA[j]) for j in _AXES]
-    )
+    np.concatenate([kron(PAULI[1:], PAULI[0]), kron(PAULI[0], PAULI[1:]), kron(PAULI[1:], PAULI[1:])])
     .transpose(0, 2, 1)
     .reshape(9, 16)
 )
@@ -65,75 +46,78 @@ _PPT_MARGIN = 64 * np.finfo(float).eps * np.array([np.zeros((4, 4)), np.eye(4)])
 _PAIR_INDEX = np.array([np.arange(16), np.arange(16).reshape(2, 2, 2, 2).swapaxes(1, 3).ravel()]).reshape(2, 4, 4)
 
 # Column j is sigma_j transposed, flattened and halved: p_j = rho.flat . column j.
-_BLOCH_COLUMNS = np.array([_SIGMA[j].T.reshape(4) for j in _AXES]).T / 2
+_BLOCH_COLUMNS = PAULI[1:].transpose(0, 2, 1).reshape(3, 4).T / 2
 
 
-def polarization_vector(rho: np.ndarray) -> Polarization:
+def polarization_vector(rho: np.ndarray) -> np.ndarray:
     """Invert rho = I/2 + P.sigma: validate a qubit density operator and reduce
-    it to its Bloch vector P.
+    it to its Bloch vector P = (px, py, pz), a (3,) array.
 
     It is bloch_vectors of the one-state stack, so P has one formula,
     p_j = Tr[rho sigma_j]/2, and one positivity check, the closed-form
     smallest eigenvalue 1/2 - |P| inside validate_density.
     """
     if np.shape(rho) != (2, 2):
-        raise DimensionError(f"expected a qubit state, got shape {np.shape(rho)}")
-    return Polarization(*bloch_vectors(np.asarray(rho)[None])[0].tolist())
+        raise DimensionError(f"polarization_vector: expected a qubit state, got shape {np.shape(rho)}")
+    return bloch_vectors(np.asarray(rho)[None])[0]
 
 
 def bloch_vectors(states: np.ndarray) -> np.ndarray:
     """The Bloch vector p_j = Tr[rho sigma_j]/2 of every qubit state in a
     (k, 2, 2) stack, as a (k, 3) array, once validate_density has checked the
     stack, its spectra 1/2 -+ |P| included."""
-    states = validate_density(states, caller="bloch_vectors")
+    states = validate_density(states, "bloch_vectors")
     if states.ndim != 3 or states.shape[1:] != (2, 2):
-        raise DimensionError(f"bloch_vectors expects a (k, 2, 2) stack, got {states.shape}")
+        raise DimensionError(f"bloch_vectors: expected a (k, 2, 2) stack, got shape {states.shape}")
     return (states.reshape(-1, 4) @ _BLOCH_COLUMNS).real
 
 
-def _entropy_of(spectra: np.ndarray) -> np.ndarray:
+def _entropy_of(spectra: np.ndarray, caller: str) -> np.ndarray:
     """-sum p ln p over the last axis of an array of spectra, with 0 ln 0 = 0.
 
-    clamp_spectrum rejects eigenvalues below PSD_CLAMP and counts the tiny
-    negative ones above it as 0; a zero takes ln 1, so no warning is raised.
+    clamp_spectrum rejects eigenvalues below PSD_CLAMP, naming caller, and
+    counts the tiny negative ones above it as 0; a zero takes ln 1, so no
+    warning is raised.
     """
-    w = clamp_spectrum(spectra)
+    w = clamp_spectrum(spectra, caller)
     return -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
 
 
-def _pz_and_norm(p: Polarization | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pz_and_norm(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """pz and |P| of a Bloch vector, or of each row of a (..., 3) array of
-    them: the package's one formula for |P|."""
+    them: the formula of every |P| past the config checks, whose own Python
+    sum engine._check_battery explains."""
     px, py, pz = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
     return pz, np.sqrt(px * px + py * py + pz * pz)  # x * x: a numpy scalar's x**2 calls pow, an array's squares
 
 
 def mean_energy(rho: np.ndarray) -> float:
     """Tr[rho sigma_z]/2: the mean energy in units of hbar*omega."""
-    return polarization_vector(rho).pz
+    return float(polarization_vector(rho)[2])
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-Tr[rho ln rho] in nats, with 0 ln 0 = 0."""
-    rho = validate_density(rho, check_spectrum=False, caller="von_neumann_entropy")
-    return float(_entropy_of(np.linalg.eigvalsh(rho)))  # hermiticity checked above
+    rho = validate_density(rho, "von_neumann_entropy")
+    return float(_entropy_of(np.linalg.eigvalsh(rho), "von_neumann_entropy"))  # hermiticity checked above
 
 
-def relative_entropy_of_coherence(p: Polarization | np.ndarray) -> float | np.ndarray:
+def relative_entropy_of_coherence(p: np.ndarray) -> np.ndarray:
     """S(diag(rho)) - S(rho) of the qubit state rho with Bloch vector p: its
     energy-basis coherence in nats, always >= 0.
 
     The dephased state has |P| = |pz|, so both entropies are binary entropies
-    of 1/2 + |pz| and 1/2 + |P|. p is one Polarization, which gives a float,
-    or a (..., 3) array of Bloch vectors, which gives an array over its
-    leading axes.
+    of 1/2 + |pz| and 1/2 + |P|. p is a (..., 3) array of Bloch vectors, and
+    the result an array over its leading axes: one numpy float64 for one
+    vector.
     """
     pz, r = _pz_and_norm(p)
-    dephased, state = (_entropy_of(np.stack([0.5 - x, 0.5 + x], axis=-1)) for x in (abs(pz), r))
-    return float(dephased - state) if np.ndim(p) == 1 else dephased - state
+    spectra = (np.stack([0.5 - x, 0.5 + x], axis=-1) for x in (abs(pz), r))
+    dephased, state = (_entropy_of(w, "relative_entropy_of_coherence") for w in spectra)
+    return dephased - state
 
 
-def ergotropy(p: Polarization | np.ndarray) -> ErgotropyReport:
+def ergotropy(p: np.ndarray) -> ErgotropyReport:
     """Maximum unitarily extractable work of the qubit state with Bloch vector
     p, split into incoherent and coherent parts.
 
@@ -142,13 +126,12 @@ def ergotropy(p: Polarization | np.ndarray) -> ErgotropyReport:
     incoherent = ergotropy of the sigma_z-dephased state = pz + |pz|
     coherent   = total - incoherent = |P| - |pz| >= 0
 
-    (Allahverdyan, Balian and Nieuwenhuizen, EPL 67, 565 (2004).) p is one
-    Polarization, which gives a report of floats, or a (..., 3) array of
-    Bloch vectors, which gives a report of arrays over its leading axes.
+    (Allahverdyan, Balian and Nieuwenhuizen, EPL 67, 565 (2004).) p is a
+    (..., 3) array of Bloch vectors, and each part an array over its leading
+    axes: one numpy float64 for one vector.
     """
     pz, r = _pz_and_norm(p)
-    report = ErgotropyReport(total=pz + r, incoherent=pz + abs(pz), coherent=r - abs(pz))
-    return ErgotropyReport(*map(float, report)) if np.ndim(p) == 1 else report
+    return ErgotropyReport(total=pz + r, incoherent=pz + abs(pz), coherent=r - abs(pz))
 
 
 def correlator_sets(joints: np.ndarray) -> list[list[float]]:
@@ -160,9 +143,9 @@ def correlator_sets(joints: np.ndarray) -> list[list[float]]:
     _CORRELATOR_ROWS gives all nine of every state without reduced states. The
     product is stacked row by row, so each state gets the same bits as alone.
     """
-    joints = validate_density(joints, check_spectrum=False, caller="correlator_sets")
+    joints = validate_density(joints, "correlator_sets")
     if joints.ndim != 3 or joints.shape[1:] != (4, 4):
-        raise DimensionError(f"correlator_sets expects a (k, 4, 4) stack, got {joints.shape}")
+        raise DimensionError(f"correlator_sets: expected a (k, 4, 4) stack, got shape {joints.shape}")
     return (joints.reshape(-1, 1, 16) @ _CORRELATOR_ROWS.T)[:, 0].real.tolist()
 
 
@@ -201,9 +184,9 @@ def concurrence(joint: np.ndarray) -> float:
     Taking singular values directly avoids square roots of eigenvalues near
     zero, which cost about 1e-8 of accuracy on pure states.
     """
-    joint = validate_density(joint, check_spectrum=False, caller="concurrence")
+    joint = validate_density(joint, "concurrence")
     if joint.shape != (4, 4):
-        raise DimensionError("concurrence expects a two-qubit state")
+        raise DimensionError(f"concurrence: expected a two-qubit state, got shape {joint.shape}")
     if _cholesky(joint.reshape(16)[_PAIR_INDEX] - _PPT_MARGIN) is not None:
         return 0.0
     factor = _cholesky(joint)  # succeeds only if lambda_min(rho) >= -10 eps, far above PSD_CLAMP

@@ -24,23 +24,14 @@ class DimensionError(LinalgError):
 
 
 class ValidationError(LinalgError):
-    """An input violates a structural invariant (hermiticity, trace, positivity)."""
+    """An input of a valid shape violates an invariant: hermiticity, unit
+    trace, positivity or a range. A wrong shape is a DimensionError."""
 
 
-_PAULI = {
-    "identity": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def pauli(axis: str) -> np.ndarray:
-    """Return a fresh copy of the named single-qubit operator: x, y, z or identity."""
-    try:
-        return _PAULI[axis].copy()
-    except KeyError:
-        raise ValidationError(f"unknown Pauli axis {axis!r}") from None
+# The Pauli matrices sigma_mu for mu = 0..3: the identity, then x, y and z.
+# Read-only, so no caller can change them for every other.
+PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+PAULI.flags.writeable = False
 
 
 def as_complex(a) -> np.ndarray:
@@ -73,24 +64,23 @@ def partial_trace(joint: np.ndarray, keep: str) -> np.ndarray:
     """
     joint = as_complex(joint)
     if joint.shape[-2:] != (4, 4):
-        raise DimensionError(f"partial_trace expects a 4x4 operator, got {joint.shape}")
+        raise DimensionError(f"partial_trace: expected a 4x4 operator, got shape {joint.shape}")
     t = joint.reshape(*joint.shape[:-2], 2, 2, 2, 2)
     if keep == "medium":
         return np.einsum("...mbnb->...mn", t)
     if keep == "battery":
         return np.einsum("...mbmd->...bd", t)
-    raise ValidationError(f"keep must be 'medium' or 'battery', got {keep!r}")
+    raise ValidationError(f"partial_trace: keep must be 'medium' or 'battery', got {keep!r}")
 
 
-def clamp_spectrum(w: np.ndarray, caller: str | None = None) -> np.ndarray:
+def clamp_spectrum(w: np.ndarray, caller: str) -> np.ndarray:
     """Zero out tiny negative eigenvalues; reject ones below the noise floor.
     caller names the function whose input w is the spectrum of; the message
-    of an error then starts with that name."""
+    of an error starts with that name."""
     w = np.asarray(w, dtype=float)
     lowest = float(w.min())
     if lowest < PSD_CLAMP:
-        prefix = f"{caller}: " if caller else ""
-        raise ValidationError(f"{prefix}eigenvalue {lowest:.3e} below the PSD tolerance {PSD_CLAMP:.0e}")
+        raise ValidationError(f"{caller}: eigenvalue {lowest:.3e} below the PSD tolerance {PSD_CLAMP:.0e}")
     return np.maximum(w, 0.0)
 
 
@@ -101,14 +91,16 @@ def _lowest_qubit_eigenvalue(h: np.ndarray) -> np.ndarray:
     return 0.5 * (d00 + d11) - np.hypot(0.5 * (d00 - d11), np.abs(h[..., 0, 1]))
 
 
-def validate_density(rho: np.ndarray, check_spectrum: bool = True, caller: str | None = None) -> np.ndarray:
+def validate_density(rho: np.ndarray, caller: str) -> np.ndarray:
     """Check that rho is a density operator of dimension 2 or 4, or a stack of them.
 
     Verifies shape, hermiticity and unit trace within VALIDATION_ATOL, and
-    (optionally) that no eigenvalue lies below PSD_CLAMP. A qubit's smallest
-    eigenvalue has a closed form, so only 4x4 states need an eigensolver.
+    that no eigenvalue of a qubit state lies below PSD_CLAMP, from the closed
+    form of its smallest one. A 4x4 state gets no spectrum check here: the
+    stages are channels, so they keep their inputs positive, and concurrence
+    and the fuzz's state_validity check positivity where they use it.
     Returns rho unchanged. caller names the function whose input rho is; the
-    message of an error then starts with that name.
+    message of an error starts with that name.
     """
     try:
         rho = as_complex(rho)
@@ -122,12 +114,8 @@ def validate_density(rho: np.ndarray, check_spectrum: bool = True, caller: str |
         if trace_err.max() > VALIDATION_ATOL:
             worst = complex(tr.flat[np.argmax(trace_err)])
             raise ValidationError(f"density operator trace {worst:.12g} differs from 1")
-        if check_spectrum and dim == 2:
-            clamp_spectrum(_lowest_qubit_eigenvalue(rho))
-        elif check_spectrum:
-            clamp_spectrum(np.linalg.eigvalsh(rho))  # hermiticity checked above
     except LinalgError as exc:
-        if caller is None:
-            raise
         raise type(exc)(f"{caller}: {exc}") from None
+    if dim == 2:
+        clamp_spectrum(_lowest_qubit_eigenvalue(rho), caller)
     return rho

@@ -121,7 +121,7 @@ from .engine import (
     power_stroke,
     prepare_battery,
 )
-from .linalg import PSD_CLAMP, ValidationError, kron, validate_density
+from .linalg import PSD_CLAMP, DimensionError, ValidationError, kron, validate_density
 
 ADVANTAGE_FLOOR = 1e-12  # baseline work below this leaves the ratio undefined
 # Configs per stack_runs pass. On the 540 engine runs of a 270-point grid of
@@ -178,11 +178,12 @@ def dephase_battery(joint: np.ndarray, factor) -> np.ndarray:
     f = np.asarray(factor, dtype=float)
     flat = f.ravel()
     _require("dephasing factor", (flat >= 0.0) & (flat <= 1.0), flat, "must lie in [0, 1]")  # NaN included
-    joint = validate_density(joint, check_spectrum=False, caller="dephase_battery")
+    joint = validate_density(joint, "dephase_battery")
     if joint.shape[-2:] != (4, 4):
-        raise ValidationError("dephase_battery expects a two-qubit state")
+        raise DimensionError(f"dephase_battery: expected a two-qubit state, got shape {joint.shape}")
     if f.shape != joint.shape[:-2][: f.ndim]:
-        raise ValidationError(f"dephasing factors of shape {f.shape} do not match states {joint.shape}")
+        message = f"dephasing factors of shape {f.shape} do not match states {joint.shape}"
+        raise DimensionError(f"dephase_battery: {message}")
     f = f.reshape(f.shape + (1,) * (joint.ndim - f.ndim))
     out = joint.reshape(*joint.shape[:-2], 2, 2, 2, 2).copy()
     out[..., :, 0, :, 1] *= f

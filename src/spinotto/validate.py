@@ -69,7 +69,7 @@ from .engine import (
     prepare_hot_medium,
     reset_medium,
 )
-from .linalg import kron, partial_trace, pauli
+from .linalg import PAULI, kron, partial_trace
 from .multicycle import MAP_BLOCK, EngineTrace, battery_map, dephase_battery, run_engines
 
 DEFAULT_SEED = 20260809
@@ -168,10 +168,6 @@ def stage_map(batch: ConfigBatch) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * (images[:, 1:] - images[:, :1]).swapaxes(1, 2), images[:, 0]
 
 
-# sigma_mu for mu = 0..3: the identity, then x, y and z.
-_PAULI_BASIS = np.array([pauli(axis) for axis in ("identity", "x", "y", "z")])
-
-
 def choi_negativity(batch: ConfigBatch) -> float:
     """Largest max(0, -lambda_min) over the Choi matrices of the battery
     channels of one cycle of every row of the batch.
@@ -185,9 +181,9 @@ def choi_negativity(batch: ConfigBatch) -> float:
     """
     A, b = battery_map(batch)
     images = np.empty((len(batch), 4, 2, 2), dtype=complex)  # Phi(sigma_mu)
-    images[:, 0] = _PAULI_BASIS[0] + 2 * np.einsum("kj,jab->kab", b, _PAULI_BASIS[1:])
-    images[:, 1:] = np.einsum("kij,iab->kjab", A, _PAULI_BASIS[1:])
-    choi = 0.5 * kron(_PAULI_BASIS.conj(), images).sum(axis=1)
+    images[:, 0] = PAULI[0] + 2 * np.einsum("kj,jab->kab", b, PAULI[1:])
+    images[:, 1:] = np.einsum("kij,iab->kjab", A, PAULI[1:])
+    choi = 0.5 * kron(PAULI.conj(), images).sum(axis=1)
     return max(0.0, -float(np.linalg.eigvalsh(choi)[:, 0].min()))
 
 
@@ -220,16 +216,16 @@ def loop_engines(configs: Sequence[EngineConfig]) -> list[EngineTrace]:
     batch = ConfigBatch.of(configs)
     battery, hot, cold = prepare_battery(batch), prepare_hot_medium(batch), prepare_cold_medium(batch)
     records: list[list[CycleRecord]] = [[] for _ in configs]
-    energy, cumulative = [polarization_vector(b).pz for b in battery], [0.0] * len(configs)
+    energy, cumulative = [polarization_vector(b)[2] for b in battery], [0.0] * len(configs)
     for n in range(1, batch.cycles.max() + 1):
         post_stroke, battery = _stage_cycle(batch, hot, cold, battery)
         corr = correlator_sets(post_stroke)
         for j in np.flatnonzero(batch.cycles >= n).tolist():  # the configs whose own run has cycle n
             p = polarization_vector(battery[j])
-            work = p.pz - energy[j]
+            work = p[2] - energy[j]
             columns = (work, cumulative[j] + work, *p, *ergotropy(p), relative_entropy_of_coherence(p))
             records[j].append(make_cycle_record(n, columns, post_stroke[j], corr[j]))
-            energy[j], cumulative[j] = p.pz, columns[1]
+            energy[j], cumulative[j] = p[2], columns[1]
     return [EngineTrace(config=c, records=tuple(r)) for c, r in zip(configs, records)]
 
 

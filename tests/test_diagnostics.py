@@ -7,7 +7,6 @@ import pytest
 
 from spinotto import diagnostics, engine
 from spinotto.diagnostics import (
-    Polarization,
     bloch_vectors,
     concurrence,
     correlator_sets,
@@ -17,16 +16,16 @@ from spinotto.diagnostics import (
     relative_entropy_of_coherence,
     von_neumann_entropy,
 )
-from spinotto.engine import ConfigBatch, EngineConfig, prepare_battery
-from spinotto.linalg import DimensionError, ValidationError, kron, pauli
-from spinotto.multicycle import run_engines
+from spinotto.engine import ConfigBatch, EngineConfig, prepare_battery, reset_medium
+from spinotto.linalg import PAULI, DimensionError, ValidationError, kron, partial_trace
+from spinotto.multicycle import dephase_battery, run_engines
 from spinotto.scenario import PRESETS
 from spinotto.validate import random_density
 
 MIXED = np.eye(2, dtype=complex) / 2
 GROUND = np.diag([0.0, 1.0]).astype(complex)
 EXCITED = np.diag([1.0, 0.0]).astype(complex)
-PLUS_X = 0.5 * np.eye(2) + 0.5 * pauli("x")
+PLUS_X = 0.5 * np.eye(2) + 0.5 * PAULI[1]
 
 
 def norm(p) -> float:
@@ -52,7 +51,7 @@ def random_unitary(rng, dim):
 
 
 def bloch_state(p):
-    return 0.5 * np.eye(2) + p[0] * pauli("x") + p[1] * pauli("y") + p[2] * pauli("z")
+    return 0.5 * np.eye(2) + p[0] * PAULI[1] + p[1] * PAULI[2] + p[2] * PAULI[3]
 
 
 def oracle_states():
@@ -95,10 +94,12 @@ def eigen_oracle(rho):
 
 
 def test_polarization_vector_cases():
-    assert polarization_vector(MIXED) == Polarization(0.0, 0.0, 0.0)
-    p = polarization_vector(0.5 * np.eye(2) + 0.5 * pauli("y"))
-    assert abs(p.py - 0.5) < 1e-15 and abs(p.px) < 1e-15 and abs(p.pz) < 1e-15
-    assert polarization_vector(GROUND).pz == pytest.approx(-0.5, abs=1e-15)
+    p = polarization_vector(MIXED)
+    assert p.shape == (3,) and p.dtype == float and p.tolist() == [0.0, 0.0, 0.0]
+    p = polarization_vector(0.5 * np.eye(2) + 0.5 * PAULI[2])
+    assert abs(p[1] - 0.5) < 1e-15 and abs(p[0]) < 1e-15 and abs(p[2]) < 1e-15
+    assert polarization_vector(GROUND)[2] == pytest.approx(-0.5, abs=1e-15)
+    assert type(mean_energy(GROUND)) is float
 
 
 def test_polarization_roundtrip_with_preparation():
@@ -107,7 +108,7 @@ def test_polarization_roundtrip_with_preparation():
     for _ in range(20):
         v = rng.normal(size=3)
         v *= rng.uniform(0, 0.5) / np.linalg.norm(v)
-        draws.append(Polarization(*v))
+        draws.append(tuple(v))
     states = prepare_battery(ConfigBatch.of([EngineConfig(battery_init=p) for p in draws]))
     for p, rho in zip(draws, states, strict=True):
         back = polarization_vector(rho)
@@ -118,7 +119,7 @@ def test_mean_energy():
     assert mean_energy(MIXED) == pytest.approx(0.0, abs=1e-15)
     assert mean_energy(EXCITED) == pytest.approx(0.5, abs=1e-15)
     for pz in (-0.4, 0.0, 0.25):
-        rho = 0.5 * np.eye(2) + pz * pauli("z")
+        rho = 0.5 * np.eye(2) + pz * PAULI[3]
         assert mean_energy(rho) == pytest.approx(pz, abs=1e-15)
 
 
@@ -128,13 +129,17 @@ def test_von_neumann_entropy():
     # scalar evaluation of the two-outcome entropy
     expected = -0.03 * math.log(0.03) - 0.97 * math.log(0.97)
     assert von_neumann_entropy(np.diag([0.03, 0.97])) == pytest.approx(expected, abs=1e-12)
+    # a two-qubit state's spectrum is checked by the entropy's own clamp
+    assert von_neumann_entropy(np.eye(4) / 4) == pytest.approx(math.log(4), abs=1e-12)
+    with pytest.raises(ValidationError, match="^von_neumann_entropy: eigenvalue -5.000e-01 below"):
+        von_neumann_entropy(np.diag([0.5, 0.5, 0.5, -0.5]))
 
 
 def test_relative_entropy_of_coherence():
     assert relative_entropy_of_coherence(polarization_vector(np.diag([0.3, 0.7]))) == pytest.approx(0.0, abs=1e-12)
     assert relative_entropy_of_coherence(polarization_vector(PLUS_X)) == pytest.approx(math.log(2), abs=1e-12)
     # rho = I/2 + 0.3 sx has eigenvalues 0.8 and 0.2; its diagonal is I/2
-    rho = 0.5 * np.eye(2) + 0.3 * pauli("x")
+    rho = 0.5 * np.eye(2) + 0.3 * PAULI[1]
     expected = math.log(2) - (-0.8 * math.log(0.8) - 0.2 * math.log(0.2))
     got = relative_entropy_of_coherence(polarization_vector(rho))
     assert got == pytest.approx(expected, abs=1e-12)
@@ -206,7 +211,7 @@ def test_correlators_and_bloch_match_trace_oracle():
     # correlated states, full-rank and pure; the medium is the left factor
     rng = np.random.default_rng(12)
     eye = np.eye(2)
-    sigma = [pauli(j) for j in ("x", "y", "z")]
+    sigma = PAULI[1:]
     ops = (
         [np.kron(s, eye) for s in sigma]
         + [np.kron(eye, s) for s in sigma]
@@ -220,8 +225,8 @@ def test_correlators_and_bloch_match_trace_oracle():
             for value, op in zip(got, ops):
                 assert abs(value - np.trace(joint @ op).real) <= 1e-15
         rho = random_density(rng, 2)
-        want = tuple(0.5 * float(np.trace(rho @ s).real) for s in sigma)
-        assert polarization_vector(rho) == want
+        want = [0.5 * float(np.trace(rho @ s).real) for s in sigma]
+        assert polarization_vector(rho).tolist() == want
 
 
 def test_stacked_readouts_equal_single_state_calls():
@@ -246,17 +251,16 @@ def spectrum_entropy(r):
 
 def test_coherence_keeps_the_spectrum_path_bit_for_bit():
     rng = np.random.default_rng(14)
-    points = [Polarization(*(0.5 * v / np.linalg.norm(v))) for v in rng.normal(size=(50, 3))]
-    points += [Polarization(*(r * 0.5 * v / np.linalg.norm(v)))
-               for r, v in zip(rng.uniform(size=200), rng.normal(size=(200, 3)))]
-    points += [Polarization(0.0, 0.0, 0.0), Polarization(0.0, 0.0, -0.5), Polarization(0.5, 0.0, 0.0)]
+    points = [0.5 * v / np.linalg.norm(v) for v in rng.normal(size=(50, 3))]
+    points += [r * 0.5 * v / np.linalg.norm(v) for r, v in zip(rng.uniform(size=200), rng.normal(size=(200, 3)))]
+    points += [np.array(p) for p in ((0.0, 0.0, 0.0), (0.0, 0.0, -0.5), (0.5, 0.0, 0.0))]
     # math.sqrt of the px**2 + py**2 + pz**2 in Python floats gives 0.46534177763744267 here, one ulp above |P|
-    points += [Polarization(-0.129839106868464, -0.28641816635184886, -0.3430005981423638)]
+    points += [np.array([-0.129839106868464, -0.28641816635184886, -0.3430005981423638])]
     for p in points:
-        assert relative_entropy_of_coherence(p) == spectrum_entropy(abs(p.pz)) - spectrum_entropy(norm(p))
-    relative_entropy_of_coherence(Polarization(0.5 + 0.9e-10, 0.0, 0.0))  # within the PSD clamp
-    with pytest.raises(ValidationError, match="eigenvalue"):
-        relative_entropy_of_coherence(Polarization(0.5 + 1.1e-10, 0.0, 0.0))
+        assert relative_entropy_of_coherence(p) == spectrum_entropy(abs(p[2])) - spectrum_entropy(norm(p))
+    relative_entropy_of_coherence(np.array([0.5 + 0.9e-10, 0.0, 0.0]))  # within the PSD clamp
+    with pytest.raises(ValidationError, match="^relative_entropy_of_coherence: eigenvalue"):
+        relative_entropy_of_coherence(np.array([0.5 + 1.1e-10, 0.0, 0.0]))
 
 
 def stack_draws() -> np.ndarray:
@@ -285,7 +289,7 @@ def test_diagnostics_of_a_stack_match_one_vector_at_a_time():
     report, coherence = ergotropy(stack), relative_entropy_of_coherence(stack)
     assert all(column.shape == (len(stack),) for column in report) and coherence.shape == (len(stack),)
     for j, row in enumerate(stack.tolist()):
-        p = Polarization(*row)
+        p = np.array(row)
         assert np.array(ergotropy(p)).tobytes() == np.array([column[j] for column in report]).tobytes(), row
         assert abs(relative_entropy_of_coherence(p) - coherence[j]) <= COHERENCE_STACK_TOL, row
     # any leading axes: a (2, k/2, 3) stack gives the same numbers in the same shape
@@ -299,7 +303,7 @@ def test_a_stack_with_one_row_outside_the_ball_is_rejected():
     stack[7] = (0.5 + 0.9e-10, 0.0, 0.0)  # within the PSD clamp
     relative_entropy_of_coherence(stack)
     stack[7] = (0.5 + 1.1e-10, 0.0, 0.0)
-    with pytest.raises(ValidationError, match="eigenvalue -1.100e-10 below the PSD tolerance"):
+    with pytest.raises(ValidationError, match="^relative_entropy_of_coherence: eigenvalue -1.100e-10 below"):
         relative_entropy_of_coherence(stack)
 
 
@@ -371,7 +375,11 @@ def test_qubit_diagnostics_reject_other_states():
             fn(np.diag([1.5, -0.5]))  # |P| = 1: eigenvalue -1/2
 
 
-@pytest.mark.parametrize("state", [np.array([[0.5, 0.3], [0.0, 0.5]]), np.eye(2)], ids=["not-hermitian", "trace-2"])
+@pytest.mark.parametrize(
+    "state",
+    [np.array([[0.5, 0.3], [0.0, 0.5]]), np.eye(2), np.diag([1.0 + 1e-9, -1e-9])],
+    ids=["not-hermitian", "trace-2", "non-positive"],
+)
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -383,14 +391,38 @@ def test_qubit_diagnostics_reject_other_states():
     ids=["bloch_vectors", "polarization_vector", "mean_energy", "von_neumann_entropy"],
 )
 def test_a_rejected_state_names_the_function_that_checked_it(call, name, state):
-    with pytest.raises(ValidationError, match=rf"^{name}: density operator (is not Hermitian|trace 2\S* differs from 1)$"):
+    rejections = (r"density operator (is not Hermitian|trace 2\S* differs from 1)"
+                  r"|eigenvalue -1\.000e-09 below the PSD tolerance -1e-10")
+    with pytest.raises(ValidationError, match=rf"^{name}: ({rejections})$"):
         call(state)
+
+
+TWO_MIXED = np.array([np.eye(4) / 4] * 2)  # two two-qubit states
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: dephase_battery(MIXED, 0.5), "dephase_battery"),
+        (lambda: reset_medium(np.eye(8) / 8, MIXED), "reset_medium"),
+        (lambda: polarization_vector(np.eye(4) / 4), "polarization_vector"),
+        (lambda: bloch_vectors(TWO_MIXED), "bloch_vectors"),
+        (lambda: correlator_sets(MIXED[None]), "correlator_sets"),
+        (lambda: concurrence(MIXED), "concurrence"),
+        (lambda: partial_trace(MIXED, "battery"), "partial_trace"),
+    ],
+    ids=["dephase_battery-qubit", "reset_medium", "polarization_vector", "bloch_vectors",
+         "correlator_sets", "concurrence", "partial_trace"],
+)
+def test_every_shape_error_names_its_function(call, name):
+    with pytest.raises(DimensionError, match=rf"^{name}: "):
+        call()
 
 
 def test_concurrence_pure_states_exact():
     # C(|psi><psi|) = |psi^T (sy x sy) psi| for every pure two-qubit state
     rng = np.random.default_rng(8)
-    yy = kron(pauli("y"), pauli("y"))
+    yy = kron(PAULI[2], PAULI[2])
     for _ in range(200):
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
@@ -398,7 +430,7 @@ def test_concurrence_pure_states_exact():
         assert abs(concurrence(np.outer(psi, psi.conj())) - expected) <= 1e-13
 
 
-YY = kron(pauli("y"), pauli("y"))
+YY = kron(PAULI[2], PAULI[2])
 EPS = np.finfo(float).eps
 
 

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from spinotto.diagnostics import Polarization, mean_energy, polarization_vector
+from spinotto.diagnostics import mean_energy, polarization_vector
 from spinotto.engine import (
     MAX_COUNT,
     ConfigBatch,
@@ -19,7 +19,7 @@ from spinotto.engine import (
     prepare_hot_medium,
     reset_medium,
 )
-from spinotto.linalg import ValidationError, kron, partial_trace, pauli
+from spinotto.linalg import PAULI, DimensionError, ValidationError, kron, partial_trace
 from spinotto.multicycle import battery_map, run_engine
 from spinotto.validate import random_density, random_noisy_configs
 
@@ -32,7 +32,7 @@ def ideal_config(rng):
     return EngineConfig(
         theta=float(rng.uniform(0.0, math.pi)),
         p_mx=float(rng.uniform(-0.5, 0.5)),
-        battery_init=Polarization(*random_noisy_configs(rng, 1, cycles=1).battery_init[0]),
+        battery_init=random_noisy_configs(rng, 1, cycles=1).battery_init[0],
         **IDEAL,
     )
 
@@ -43,7 +43,7 @@ def ideal_first_cycle_work(cfg):
     population part."""
     c, s = math.cos(cfg.theta), math.sin(cfg.theta)
     p = cfg.battery_init
-    return 2.0 * cfg.p_mx * p.py * s * c**3 + p.pz * (c**4 - 1.0) - 0.5 * s**2
+    return 2.0 * cfg.p_mx * p[1] * s * c**3 + p[2] * (c**4 - 1.0) - 0.5 * s**2
 
 
 def z_row_work(cfg):
@@ -75,7 +75,7 @@ def one_row(**kwargs):
 class TestPreparations:
     def test_hot_medium_maximal_coherence_is_pure(self):
         (rho,) = prepare_hot_medium(one_row(p_mx=0.5, hot_populations=(0.5, 0.5)))
-        assert np.allclose(rho, 0.5 * np.eye(2) + 0.5 * pauli("x"), atol=1e-15)
+        assert np.allclose(rho, 0.5 * np.eye(2) + 0.5 * PAULI[1], atol=1e-15)
         w = np.linalg.eigvalsh(rho)
         assert np.allclose(w, [0, 1], atol=1e-12)
 
@@ -106,7 +106,7 @@ class TestPreparations:
         rho = prepare_battery(batch)
         assert rho.shape == (3, 2, 2)
         assert np.allclose(rho[0], np.eye(2) / 2, atol=1e-15)
-        assert np.allclose(rho[1], 0.5 * np.eye(2) + 0.5 * pauli("y"), atol=1e-15)
+        assert np.allclose(rho[1], 0.5 * np.eye(2) + 0.5 * PAULI[2], atol=1e-15)
         assert np.allclose(rho[2], np.diag([0, 1]), atol=1e-15)
 
     def test_battery_bloch_bound(self):
@@ -239,9 +239,9 @@ class TestPowerStroke:
         assert units.tobytes() == np.array([flip_flop_propagator(float(t)) for t in angles]).tobytes()
 
     def test_angles_must_match_the_stack(self):
-        with pytest.raises(ValidationError, match="theta of shape"):
+        with pytest.raises(DimensionError, match="^power_stroke: theta of shape"):
             power_stroke(np.array([np.eye(4) / 4] * 4), [0.1, 0.2, 0.3])
-        with pytest.raises(ValidationError, match="theta of shape"):
+        with pytest.raises(DimensionError, match="^power_stroke: theta of shape"):
             power_stroke(np.eye(4) / 4, [0.1, 0.2, 0.3, 0.4])
 
 
@@ -264,10 +264,10 @@ class TestResetMedium:
         # correlated state from a stroke, then the experimental cold bath
         batch = one_row(p_mx=0.4, hot_populations=(0.5, 0.5), battery_init=(0, 0.3, -0.2))
         joint = power_stroke(kron(prepare_hot_medium(batch), prepare_battery(batch))[0], 0.6)
-        y_before = polarization_vector(partial_trace(joint, "battery")).py
+        y_before = polarization_vector(partial_trace(joint, "battery"))[1]
         (cold,) = prepare_cold_medium(batch)  # the default cold bath diag(0.03, 0.97)
         reset = reset_medium(joint, cold)
-        y_after = polarization_vector(partial_trace(reset, "battery")).py
+        y_after = polarization_vector(partial_trace(reset, "battery"))[1]
         assert y_after == pytest.approx(y_before, abs=1e-14)
 
 
@@ -275,26 +275,26 @@ class TestFirstCycleWork:
     """The ideal-regime facts of W_1, read off the z row of battery_map."""
 
     def test_zero_angle_zero_work(self):
-        cfg = EngineConfig(theta=0.0, battery_init=Polarization(0.1, 0.3, -0.2), **IDEAL)
+        cfg = EngineConfig(theta=0.0, battery_init=(0.1, 0.3, -0.2), **IDEAL)
         assert z_row_work(cfg) == pytest.approx(0.0, abs=1e-15)
 
     def test_no_cross_term_without_medium_coherence(self):
         # at p_mx = 0 the z row has no y entry, so p_by does no work
         for theta in (0.2, 0.9, 1.4):
-            cfg = EngineConfig(theta=theta, p_mx=0.0, battery_init=Polarization(0, 0.4, 0.1), **IDEAL)
+            cfg = EngineConfig(theta=theta, p_mx=0.0, battery_init=(0, 0.4, 0.1), **IDEAL)
             (A,), _ = battery_map(ConfigBatch.of([cfg]))
             assert A[2, 1] == 0.0
             assert z_row_work(cfg) == z_row_work(replace(cfg, p_mx=0.0))
 
     def test_no_cross_term_for_classical_battery(self):
         for theta in (0.2, 0.9, 1.4):
-            cfg = EngineConfig(theta=theta, p_mx=0.5, battery_init=Polarization(0.3, 0.0, -0.2), **IDEAL)
+            cfg = EngineConfig(theta=theta, p_mx=0.5, battery_init=(0.3, 0.0, -0.2), **IDEAL)
             assert z_row_work(cfg) == z_row_work(replace(cfg, p_mx=0.0))
 
     def test_full_swap_value(self):
         # theta = pi/2 drains a z-unpolarized battery into the ground-state
         # cold bath: half a quantum out, none of it coherence-driven
-        cfg = EngineConfig(theta=math.pi / 2, p_mx=0.5, battery_init=Polarization(0, 0.5, 0), **IDEAL)
+        cfg = EngineConfig(theta=math.pi / 2, p_mx=0.5, battery_init=(0, 0.5, 0), **IDEAL)
         (A,), _ = battery_map(ConfigBatch.of([cfg]))
         assert A[2, 1] == pytest.approx(0.0, abs=1e-15)
         assert z_row_work(cfg) == pytest.approx(-0.5, abs=1e-12)
@@ -314,7 +314,7 @@ class TestSingleCycle:
             p_mx=0.3,
             hot_populations=(0.5, 0.5),
             cold_populations=(0, 1),
-            battery_init=Polarization(0.1, 0.2, -0.3),
+            battery_init=(0.1, 0.2, -0.3),
         )
         record = run_engine(cfg).records[0]
         assert record.cycle_work == pytest.approx(0.0, abs=1e-13)
@@ -330,7 +330,7 @@ class TestSingleCycle:
                 p_mx=cfg.p_mx,
                 hot_populations=(0.5, 0.5),
                 cold_populations=(0, 1),
-                battery_init=cfg.battery_init._replace(py=0.0),
+                battery_init=(cfg.battery_init[0], 0.0, cfg.battery_init[2]),
             )
             coherent = run_engine(cfg).records[0]
             incoherent = run_engine(replace(cfg, p_mx=0.0)).records[0]
@@ -349,7 +349,7 @@ class TestSingleCycle:
                 p_mx=p_mx,
                 hot_populations=(0.5, 0.5),
                 cold_populations=(0, 1),
-                battery_init=Polarization(0, p_y, 0),
+                battery_init=(0, p_y, 0),
             )
             coherent = run_engine(cfg).records[0]
             incoherent = run_engine(replace(cfg, p_mx=0.0)).records[0]
@@ -365,7 +365,7 @@ class TestSingleCycle:
             p_mx=0.5,
             hot_populations=(0.5, 0.5),
             cold_populations=(0, 1),
-            battery_init=Polarization(0, 0, -0.5),
+            battery_init=(0, 0, -0.5),
         )
         record = run_engine(cfg).records[0]
         assert abs(record.p_by) > 0.1
@@ -468,7 +468,7 @@ class TestEngineConfig:
         with pytest.raises(ConfigError):
             EngineConfig(p_mx=0.6)
         with pytest.raises(ConfigError):
-            EngineConfig(battery_init=Polarization(0.5, 0.5, 0.5))
+            EngineConfig(battery_init=(0.5, 0.5, 0.5))
         with pytest.raises(ConfigError):
             EngineConfig(cycles=0)
         with pytest.raises(ConfigError):
@@ -550,6 +550,12 @@ class TestEngineConfig:
                   cfg.battery_dephasing_per_reset, cfg.battery_t2_per_cycle)
         assert values == (1.0, 0.5, 0.0, 1.0, 0.5)
         assert all(type(v) is float for v in values)
+        # each vector field is a plain tuple of floats, whatever sequence it was given as
+        vectors = EngineConfig(p_mx=0, hot_populations=[1, 0], battery_init=np.array([0, 0.25, -0.25]),
+                               cold_populations=np.array([0.25, 0.75], dtype=np.float32))
+        rows = (vectors.hot_populations, vectors.cold_populations, vectors.battery_init)
+        assert rows == ((1.0, 0.0), (0.25, 0.75), (0.0, 0.25, -0.25))
+        assert all(type(row) is tuple and all(type(v) is float for v in row) for row in rows)
         same = EngineConfig(theta=1.0, theta_compression=0.5, p_mx=0.0, battery_dephasing_per_reset=1.0,
                             battery_t2_per_cycle=0.5)
         for x, y in zip(battery_map(ConfigBatch.of([cfg])), battery_map(ConfigBatch.of([same]))):

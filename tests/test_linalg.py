@@ -6,12 +6,12 @@ import pytest
 from spinotto.linalg import (
     PSD_CLAMP,
     _lowest_qubit_eigenvalue,
+    PAULI,
     DimensionError,
     ValidationError,
     clamp_spectrum,
     kron,
     partial_trace,
-    pauli,
     validate_density,
 )
 from spinotto.validate import random_density
@@ -23,21 +23,20 @@ def random_hermitian(rng, dim):
 
 
 def test_pauli_matrices():
-    assert np.array_equal(pauli("x"), [[0, 1], [1, 0]])
-    assert np.array_equal(pauli("y"), [[0, -1j], [1j, 0]])
-    assert np.array_equal(pauli("z"), [[1, 0], [0, -1]])
-    assert np.array_equal(pauli("identity"), np.eye(2))
+    assert PAULI.shape == (4, 2, 2) and PAULI.dtype == complex
+    assert np.array_equal(PAULI[0], np.eye(2))
+    assert np.array_equal(PAULI[1], [[0, 1], [1, 0]])
+    assert np.array_equal(PAULI[2], [[0, -1j], [1j, 0]])
+    assert np.array_equal(PAULI[3], [[1, 0], [0, -1]])
 
 
-def test_pauli_unknown_axis():
-    with pytest.raises(ValidationError):
-        pauli("w")
-
-
-def test_pauli_returns_copy():
-    m = pauli("x")
-    m[0, 0] = 99
-    assert pauli("x")[0, 0] == 0
+def test_pauli_table_is_read_only():
+    # every module reads the one table, so no caller may change it for the others
+    with pytest.raises(ValueError, match="read-only"):
+        PAULI[1, 0, 0] = 99
+    with pytest.raises(ValueError, match="read-only"):
+        PAULI[3] *= -1
+    assert np.array_equal(PAULI[1], [[0, 1], [1, 0]]) and np.array_equal(PAULI[3], [[1, 0], [0, -1]])
 
 
 def test_kron_identity():
@@ -127,39 +126,41 @@ def test_elementwise_ops():
 
 
 def test_clamp_spectrum():
-    assert np.array_equal(clamp_spectrum(np.array([-1e-12, 0.5])), [0.0, 0.5])
-    with pytest.raises(ValidationError):
-        clamp_spectrum(np.array([-1e-6, 1.0]))
+    assert np.array_equal(clamp_spectrum(np.array([-1e-12, 0.5]), "f"), [0.0, 0.5])
+    with pytest.raises(ValidationError, match=r"^f: eigenvalue -1\.000e-06 below the PSD tolerance -1e-10$"):
+        clamp_spectrum(np.array([-1e-6, 1.0]), "f")
 
 
 def test_validate_density():
-    validate_density(np.eye(2) / 2)
-    with pytest.raises(ValidationError):
-        validate_density(np.eye(2))  # trace 2
-    with pytest.raises(ValidationError):
-        validate_density(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not hermitian
-    with pytest.raises(ValidationError):
-        validate_density(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
-    with pytest.raises(ValidationError, match="eigenvalue"):
-        validate_density(np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex))  # the 4x4 path
-    with pytest.raises(DimensionError):
-        validate_density(np.eye(8) / 8)
+    validate_density(np.eye(2) / 2, "f")
+    with pytest.raises(ValidationError, match="^f: density operator trace"):
+        validate_density(np.eye(2), "f")  # trace 2
+    with pytest.raises(ValidationError, match="^f: density operator is not Hermitian"):
+        validate_density(np.array([[0.5, 0.5], [0.0, 0.5]]), "f")
+    with pytest.raises(ValidationError, match="^f: eigenvalue"):
+        validate_density(np.diag([1.5, -0.5]).astype(complex), "f")  # negative eigenvalue
+    with pytest.raises(DimensionError, match="^f: density operator must be 2x2 or 4x4"):
+        validate_density(np.eye(8) / 8, "f")
+    # a 4x4 state gets structure checks only: its positivity is checked where
+    # it is used, by concurrence's Cholesky/eigen clamp and the fuzz's state_validity
+    rho = np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex)
+    assert validate_density(rho, "f") is rho
 
 
 def test_validate_density_of_stack():
     rng = np.random.default_rng(9)
     for dim in (2, 4):
         stack = np.array([random_density(rng, dim) for _ in range(5)])
-        assert validate_density(stack) is not None
-        assert np.array_equal(validate_density(stack), stack)
+        assert validate_density(stack, "f") is not None
+        assert np.array_equal(validate_density(stack, "f"), stack)
         bad = stack.copy()
         bad[3] *= 1.01  # one bad trace in the stack is enough
-        with pytest.raises(ValidationError, match="trace"):
-            validate_density(bad)
-    with pytest.raises(ValidationError, match="eigenvalue"):
-        validate_density(np.array([np.eye(2) / 2, np.diag([1.5, -0.5])]))
-    with pytest.raises(DimensionError):
-        validate_density(np.ones(4))
+        with pytest.raises(ValidationError, match="^f: density operator trace"):
+            validate_density(bad, "f")
+    with pytest.raises(ValidationError, match="^f: eigenvalue"):
+        validate_density(np.array([np.eye(2) / 2, np.diag([1.5, -0.5])]), "f")
+    with pytest.raises(DimensionError, match="^f: expected a square matrix"):
+        validate_density(np.ones(4), "f")
 
 
 def test_qubit_spectrum_closed_form_matches_eigvalsh():
@@ -177,12 +178,12 @@ def test_qubit_spectrum_closed_form_matches_eigvalsh():
 
 def test_qubit_spectrum_check_at_the_clamp():
     # diag(1 - e, e): the smallest eigenvalue is e, just above or below PSD_CLAMP
-    validate_density(np.diag([1.0 - 0.9 * PSD_CLAMP, 0.9 * PSD_CLAMP]).astype(complex))
-    with pytest.raises(ValidationError, match="eigenvalue"):
-        validate_density(np.diag([1.0 - 1.1 * PSD_CLAMP, 1.1 * PSD_CLAMP]).astype(complex))
+    validate_density(np.diag([1.0 - 0.9 * PSD_CLAMP, 0.9 * PSD_CLAMP]).astype(complex), "f")
+    with pytest.raises(ValidationError, match="^f: eigenvalue"):
+        validate_density(np.diag([1.0 - 1.1 * PSD_CLAMP, 1.1 * PSD_CLAMP]).astype(complex), "f")
     # the same with an off-diagonal element: eigenvalues 1/2 -+ sqrt(a^2 + c^2)
     c = 0.3
     a = math.sqrt((0.5 - 1.1 * PSD_CLAMP) ** 2 - c**2)
     rho = np.array([[0.5 + a, c * 1j], [-c * 1j, 0.5 - a]])
-    with pytest.raises(ValidationError, match="eigenvalue"):
-        validate_density(rho)
+    with pytest.raises(ValidationError, match="^f: eigenvalue"):
+        validate_density(rho, "f")

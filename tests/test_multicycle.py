@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spinotto import diagnostics, engine, validate
-from spinotto.diagnostics import Polarization, polarization_vector
+from spinotto.diagnostics import polarization_vector
 from spinotto.engine import (
     ConfigBatch,
     ConfigError,
@@ -17,7 +17,7 @@ from spinotto.engine import (
     reset_medium,
 )
 from spinotto.cli import main
-from spinotto.linalg import PSD_CLAMP, ValidationError, kron, partial_trace, pauli
+from spinotto.linalg import PAULI, PSD_CLAMP, DimensionError, ValidationError, kron, partial_trace
 from spinotto.multicycle import (
     MAP_BLOCK,
     battery_map,
@@ -79,7 +79,7 @@ class TestDephaseBattery:
         assert np.array_equal(dephase_battery(joint, 1.0), joint)
 
     def test_factor_zero_kills_battery_coherence(self):
-        battery = 0.5 * np.eye(2) + 0.5 * pauli("y")
+        battery = 0.5 * np.eye(2) + 0.5 * PAULI[2]
         joint = kron(np.eye(2, dtype=complex) / 2, battery)
         out = dephase_battery(joint, 0.0)
         marginal = partial_trace(out, "battery")
@@ -98,7 +98,7 @@ class TestDephaseBattery:
     def test_equals_phase_flip_channel(self):
         # f-dephasing is the phase flip with probability (1 - f)/2
         rng = np.random.default_rng(2)
-        zz = kron(np.eye(2, dtype=complex), pauli("z"))
+        zz = kron(np.eye(2, dtype=complex), PAULI[3])
         for factor in (0.0, 0.3, 0.9):
             joint = random_density(rng, 4)
             p = (1 - factor) / 2
@@ -146,9 +146,9 @@ class TestDephaseBattery:
             dephase_battery(joints, [0.0, 1.0, math.nan, -0.25])
 
     def test_factors_must_match_the_stack(self):
-        with pytest.raises(ValidationError, match="factors of shape"):
+        with pytest.raises(DimensionError, match="^dephase_battery: dephasing factors of shape"):
             dephase_battery(np.array([np.eye(4) / 4] * 4), [0.1, 0.2, 0.3])
-        with pytest.raises(ValidationError, match="factors of shape"):
+        with pytest.raises(DimensionError, match="^dephase_battery: dephasing factors of shape"):
             dephase_battery(np.eye(4) / 4, [0.1, 0.2, 0.3, 0.4])
 
 
@@ -219,7 +219,7 @@ class TestCycleMap:
     def test_bloch_ball_error_names_the_first_cycle_outside(self, monkeypatch):
         # a seeded fault: the cycle's A scaled by 3 drives |P_n| out of the
         # ball after a few cycles; the error names that cycle and its |P_n|
-        config = EngineConfig(cycles=12, battery_init=Polarization(0.0, 0.1, 0.1))
+        config = EngineConfig(cycles=12, battery_init=(0.0, 0.1, 0.1))
         A, b = battery_map(ConfigBatch.of([config]))
         monkeypatch.setattr(sys.modules["spinotto.multicycle"], "battery_map", lambda _: (3.0 * A, b))
         p, norms = np.array(config.battery_init), []
@@ -675,7 +675,7 @@ class TestRunEngines:
         # the one run_engine of config 2 alone reports: its first cycle
         # outside, with its |P_n|
         thetas, cycles = (0.5, 0.6, 0.9, 0.7, 0.3), (20, 4, 12, 2, 20)
-        start = Polarization(0.0, 0.1, 0.1)
+        start = (0.0, 0.1, 0.1)
         configs = [EngineConfig(theta=t, cycles=n, battery_init=start) for t, n in zip(thetas, cycles)]
         faulty = (configs[2], configs[4])
 
@@ -702,7 +702,7 @@ class TestRunEngines:
         # next one. Stacked with a 20-cycle config, its P is iterated on past
         # that cycle; those padded cycles must not fail the block or reach
         # its trace
-        start = Polarization(0.0, 0.1, 0.1)
+        start = (0.0, 0.1, 0.1)
         A, b = battery_map(ConfigBatch.of([EngineConfig(battery_init=start)]))
         p, outside = np.array(start), 0  # the first cycle outside the ball
         while 0.5 - np.linalg.norm(p) >= PSD_CLAMP:
@@ -800,7 +800,7 @@ class TestCompare:
         # helps quadratically in p_mx and only where cos(theta) cos(theta_c) > 0
         rng = np.random.default_rng(50)
         configs = [
-            replace(c, battery_init=Polarization(0.0, 0.0, -0.5))
+            replace(c, battery_init=(0.0, 0.0, -0.5))
             for c in random_noisy_configs(rng, 200, cycles=2).configs()
         ]
         traces = run_engines(configs + [replace(c, p_mx=0.0) for c in configs])
@@ -952,7 +952,7 @@ class TestSweep:
         traces = run_engines([replace(cfg, p_mx=0.2), replace(cfg, battery_init=(0, 0.25, -0.4)),
                               replace(cfg, cycles=4), replace(cfg, battery_t2_per_cycle=0.8)])
         assert traces[0].config.p_mx == 0.2
-        assert traces[1].config.battery_init.py == 0.25
+        assert traces[1].config.battery_init[1] == 0.25
         assert traces[2].config.cycles == 4 and len(traces[2].records) == 4
         assert traces[3].config.battery_t2_per_cycle == 0.8
 

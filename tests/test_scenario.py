@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinotto.engine import SWEEPABLE_FIELDS, ConfigError, EngineConfig
-from spinotto.diagnostics import Polarization
 from spinotto import cli
 from spinotto.multicycle import compare_coherent_incoherent, run_engines
 from spinotto.output import write_json
@@ -341,7 +340,7 @@ def test_config_dict_roundtrip():
         p_mx=0.21,
         hot_populations=(0.45, 0.55),
         cold_populations=(0.1, 0.9),
-        battery_init=Polarization(0.05, -0.1, 0.2),
+        battery_init=(0.05, -0.1, 0.2),
         battery_dephasing_per_reset=0.93,
         battery_t2_per_cycle=0.88,
         cycles=7,
@@ -509,7 +508,7 @@ def engine_configs(draw):
     direction = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))
     norm = math.sqrt(sum(x * x for x in direction))
     radius = draw(st.floats(0.0, 0.5))
-    battery = Polarization(*(radius * x / norm if norm > 1e-3 else 0.0 for x in direction))
+    battery = tuple(radius * x / norm if norm > 1e-3 else 0.0 for x in direction)
     return EngineConfig(
         theta=draw(st.floats(-10.0, 10.0)),
         theta_compression=draw(st.none() | st.floats(-10.0, 10.0)),
