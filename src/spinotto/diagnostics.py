@@ -131,6 +131,7 @@ def ergotropy(p: np.ndarray) -> ErgotropyReport:
     axes: one numpy float64 for one vector.
     """
     pz, r = _pz_and_norm(p)
+    clamp_spectrum(0.5 - r, "ergotropy")  # the lower eigenvalue 1/2 - |P|: P must lie in the Bloch ball
     return ErgotropyReport(total=pz + r, incoherent=pz + abs(pz), coherent=r - abs(pz))
 
 

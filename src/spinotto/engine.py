@@ -56,7 +56,11 @@ def _number(name: str, value) -> float:
     numbers.Real, whose abstract-class check is about ten times slower."""
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int such as 10**400, whose repr may be too long to build
+        kind = type(value).__name__
+        raise ConfigError(f"{name} must be a finite number, got {kind} beyond the float range") from None
 
 
 def _count(name: str, value) -> int:
@@ -119,11 +123,11 @@ def _parts(v):
 
 
 def _check_count(name: str, n) -> None:
-    """A count of cycles, draws or applications: at least 1, and small
-    enough that numpy can describe the (n + 1, 3) float64 array of the
-    battery vectors P_0 ... P_n of an n-cycle run (below 2**63 bytes). A
-    smaller count, or a block of runs padded to it, can still be too large
-    for memory: multicycle.stack_runs then raises a ConfigError."""
+    """A count of cycles: at least 1, and small enough that numpy can
+    describe the (n + 1, 3) float64 array of the battery vectors P_0 ... P_n
+    of an n-cycle run (below 2**63 bytes). A smaller count, or a block of
+    runs padded to it, can still be too large for memory:
+    multicycle.stack_runs then raises a ConfigError."""
     _require(name, (1 <= n) & (n <= MAX_COUNT), n, f"must be a positive integer up to {MAX_COUNT}")
 
 

@@ -34,12 +34,13 @@ PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0,
 PAULI.flags.writeable = False
 
 
-def as_complex(a) -> np.ndarray:
+def as_complex(a, caller: str) -> np.ndarray:
     """a as a complex array of one square matrix, or of a stack of them along
-    leading batch axes."""
+    leading batch axes. caller names the function whose input a is; the
+    message of an error starts with that name."""
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+        raise DimensionError(f"{caller}: expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -50,7 +51,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (each entry is one product a_ij * b_kl), without np.kron's general
     n-dimensional set-up.
     """
-    a, b = as_complex(a), as_complex(b)
+    a, b = as_complex(a, "kron"), as_complex(b, "kron")
     n, m = a.shape[-1], b.shape[-1]
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (n * m, n * m))
@@ -62,7 +63,7 @@ def partial_trace(joint: np.ndarray, keep: str) -> np.ndarray:
     keep is "medium" (left factor) or "battery" (right factor). The trace of
     the result equals the trace of the input. Leading batch axes are kept.
     """
-    joint = as_complex(joint)
+    joint = as_complex(joint, "partial_trace")
     if joint.shape[-2:] != (4, 4):
         raise DimensionError(f"partial_trace: expected a 4x4 operator, got shape {joint.shape}")
     t = joint.reshape(*joint.shape[:-2], 2, 2, 2, 2)
@@ -102,20 +103,17 @@ def validate_density(rho: np.ndarray, caller: str) -> np.ndarray:
     Returns rho unchanged. caller names the function whose input rho is; the
     message of an error starts with that name.
     """
-    try:
-        rho = as_complex(rho)
-        dim = rho.shape[-1]
-        if dim not in (2, 4):
-            raise DimensionError(f"density operator must be 2x2 or 4x4, got {rho.shape}")
-        if not float(abs(rho - rho.conj().swapaxes(-1, -2)).max()) <= VALIDATION_ATOL:  # a NaN fails too
-            raise ValidationError("density operator is not Hermitian")
-        tr = rho.trace(axis1=-2, axis2=-1)
-        trace_err = abs(tr - 1.0)
-        if trace_err.max() > VALIDATION_ATOL:
-            worst = complex(tr.flat[np.argmax(trace_err)])
-            raise ValidationError(f"density operator trace {worst:.12g} differs from 1")
-    except LinalgError as exc:
-        raise type(exc)(f"{caller}: {exc}") from None
+    rho = as_complex(rho, caller)
+    dim = rho.shape[-1]
+    if dim not in (2, 4):
+        raise DimensionError(f"{caller}: density operator must be 2x2 or 4x4, got {rho.shape}")
+    if not float(abs(rho - rho.conj().swapaxes(-1, -2)).max()) <= VALIDATION_ATOL:  # a NaN fails too
+        raise ValidationError(f"{caller}: density operator is not Hermitian")
+    tr = rho.trace(axis1=-2, axis2=-1)
+    trace_err = abs(tr - 1.0)
+    if trace_err.max() > VALIDATION_ATOL:
+        worst = complex(tr.flat[np.argmax(trace_err)])
+        raise ValidationError(f"{caller}: density operator trace {worst:.12g} differs from 1")
     if dim == 2:
         clamp_spectrum(_lowest_qubit_eigenvalue(rho), caller)
     return rho

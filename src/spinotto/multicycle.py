@@ -139,9 +139,9 @@ ADVANTAGE_FLOOR = 1e-12  # baseline work below this leaves the ratio undefined
 # of 10,000 cycles, 32 MB of it P and the mask. run_engines on the 128
 # 1000-cycle runs peaks 62 MB (480 B per record) above the 87 MB of records it
 # returns, where one config at a time peaked 0.6 MB above them. The peak of
-# validate.max_oracle_gap(1000), which draws one ConfigBatch per block, is
-# 0.71 MB in blocks of 128 and 4.6 MB as one stack of 1,000, at the same
-# speed (21-29 ms either way, minima of 7 runs).
+# validate.max_oracle_gap, which draws its 1,000 configs one ConfigBatch per
+# block, is 0.71 MB in blocks of 128 and 4.6 MB as one stack of 1,000, at the
+# same speed (21-29 ms either way, minima of 7 runs).
 MAP_BLOCK = 128
 
 

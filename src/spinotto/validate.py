@@ -30,11 +30,11 @@ The checks draw their random configs and states as stacks, each field or
 stack with one generator call, in a fixed order, and then run each stage
 once on the whole stack of draws. Configs are drawn as a ConfigBatch, which
 every stacked map here reads directly. The fuzz, whose chains must step one
-after another, draws all its steps up front: restart flags, stage kinds and
-parameters as (steps, chains) arrays, then every restart state and every
-qubit with one random_density call each. It keeps every state it produces
-(256 B each, 0.5 MB for its 2000) and judges them with one state_validity
-call.
+after another, draws all its steps up front: restart flags, one stage kind
+per step and one parameter per chain and step, then every restart state and
+every qubit with one random_density call each. Each step makes one stage
+call on all chains. It keeps every state it produces (256 B each, 0.5 MB for
+its 2000) and judges them with one state_validity call.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .engine import (
     CycleRecord,
     EngineConfig,
     _battery_states,
-    _count,
     flip_flop_propagator,
     make_cycle_record,
     power_stroke,
@@ -78,6 +77,8 @@ DEFAULT_SEED = 20260809
 # calls adds at most about 2 eps to an entry, and the read-off
 # 2 (X_j - X_0) doubles the sum of two such errors: 4 * 10 * 2 eps.
 ORACLE_TOL = 80 * math.ulp(1.0)
+# The configs of oracle_equivalence.
+ORACLE_CONFIGS = 1000
 
 
 @dataclass(frozen=True)
@@ -187,16 +188,14 @@ def choi_negativity(batch: ConfigBatch) -> float:
     return max(0.0, -float(np.linalg.eigvalsh(choi)[:, 0].min()))
 
 
-def max_oracle_gap(draws: int, seed: int = DEFAULT_SEED) -> float:
+def max_oracle_gap(seed: int = DEFAULT_SEED) -> float:
     """Largest |battery_map - stage_map| over every entry of A and b of
-    random_noisy_configs draws, one batch of MAP_BLOCK configs at a time so
-    that only one block is held. draws must be a positive integer; a
-    ConfigError names it otherwise."""
-    draws = _count("draws", draws)
+    ORACLE_CONFIGS random_noisy_configs draws, one batch of MAP_BLOCK configs
+    at a time so that only one block is held."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for start in range(0, draws, MAP_BLOCK):
-        batch = random_noisy_configs(rng, min(MAP_BLOCK, draws - start), cycles=1)
+    for start in range(0, ORACLE_CONFIGS, MAP_BLOCK):
+        batch = random_noisy_configs(rng, min(MAP_BLOCK, ORACLE_CONFIGS - start), cycles=1)
         gaps = [np.abs(x - y).max() for x, y in zip(battery_map(batch), stage_map(batch))]
         worst = max(worst, *map(float, gaps))
     return worst
@@ -240,61 +239,48 @@ def stage_loop_gaps(mapped: Sequence[EngineTrace]) -> dict[str, float]:
     return gaps
 
 
-# Independent chains that fuzz_stage_validity steps together; the 2000 stages
-# of stage_validity_fuzz are 125 steps of 16 chains.
-FUZZ_CHAINS = 16
+# The fuzz runs FUZZ_CHAINS independent chains for FUZZ_STEPS steps: the 2000
+# stages of stage_validity_fuzz.
+FUZZ_STEPS, FUZZ_CHAINS = 125, 16
 
 
-def fuzz_stage_validity(applications: int, seed: int = DEFAULT_SEED) -> tuple[float, float]:
+def fuzz_stage_validity(seed: int = DEFAULT_SEED) -> tuple[float, float]:
     """Chain random engine stages and return the worst trace error and the
-    most negative eigenvalue of the first `applications` states they
-    produce. applications must be a positive integer; a ConfigError names it
-    otherwise.
+    most negative eigenvalue of the FUZZ_STEPS * FUZZ_CHAINS states they
+    produce.
 
-    FUZZ_CHAINS chains step together, for ceil(applications / FUZZ_CHAINS)
-    steps. Every draw is made up front, in this order, as (steps, chains)
-    arrays: whether a chain restarts from a random joint state before its
-    step (probability 0.02, so early stages stay represented), which stage it
-    applies and that stage's parameter. Then one random_density call draws
-    every restart state and one every qubit, the first 2 FUZZ_CHAINS of which
-    make the chains' starting product states and the rest the fresh baths of
-    the resets, in step order; np.split hands each step its share. At each
-    step each stage runs once on the chains that drew it. Pure and singular
-    states are among the draws, so the PSD floor is exercised.
+    FUZZ_CHAINS chains step together. Every draw is made up front, in this
+    order: whether a chain restarts from a random joint state before a step
+    (probability 0.02 per chain and step, so early stages stay represented),
+    one stage kind per step, and one parameter per chain and step. Then one
+    random_density call draws the restart states, only those used, and one
+    draws FUZZ_STEPS + 2 qubits per chain: the first two make the chains'
+    starting product states, and the one of each step is the fresh bath of a
+    reset. Each step makes one stage call on all chains. The draws have any
+    rank, so pure and singular states exercise the PSD floor.
 
-    Every produced state is kept in one (steps, chains, 4, 4) stack, 256 B
-    per application (0.5 MB for the suite's 2000), and one state_validity
-    call judges the first `applications` of them.
+    Every produced state is kept in one (FUZZ_STEPS, FUZZ_CHAINS, 4, 4) stack,
+    256 B each (0.5 MB), and one state_validity call judges them all.
     """
-    applications = _count("applications", applications)
     rng = np.random.default_rng(seed)
-    steps = -(-applications // FUZZ_CHAINS)
-    restart = rng.uniform(size=(steps, FUZZ_CHAINS)) < 0.02
-    kind = rng.integers(0, 3, size=(steps, FUZZ_CHAINS))
-    param = rng.uniform(size=(steps, FUZZ_CHAINS))
-
-    def draws(dim: int, counts: np.ndarray) -> list[np.ndarray]:
-        """counts[i] states of dimension dim of any rank for piece i, from one random_density call."""
-        ranks = rng.integers(1, dim + 1, size=counts.sum())
-        return np.split(random_density(rng, dim, rank=ranks, n=len(ranks)), np.cumsum(counts)[:-1])
-
-    starts = draws(4, restart.sum(axis=1))
-    first, *baths = draws(2, np.r_[2 * FUZZ_CHAINS, (kind == 1).sum(axis=1)])
-    joint = kron(first[:FUZZ_CHAINS], first[FUZZ_CHAINS:])
+    restart = rng.uniform(size=(FUZZ_STEPS, FUZZ_CHAINS)) < 0.02
+    kind = rng.integers(0, 3, size=FUZZ_STEPS)
+    param = rng.uniform(size=(FUZZ_STEPS, FUZZ_CHAINS))
+    n_starts, n_qubits = restart.sum(), (FUZZ_STEPS + 2) * FUZZ_CHAINS
+    starts = random_density(rng, 4, rank=rng.integers(1, 5, size=n_starts), n=n_starts)
+    qubits = random_density(rng, 2, rank=rng.integers(1, 3, size=n_qubits), n=n_qubits)
+    qubits = qubits.reshape(FUZZ_STEPS + 2, FUZZ_CHAINS, 2, 2)
+    joint = kron(qubits[0], qubits[1])
     stages = (
         lambda states, p, bath: power_stroke(states, math.pi * p),
         lambda states, p, bath: reset_medium(states, bath),
         lambda states, p, bath: dephase_battery(states, p),
     )
-    produced = np.empty((steps, FUZZ_CHAINS, 4, 4), dtype=complex)
-    for s, (start, bath) in enumerate(zip(starts, baths)):
+    produced = np.empty((FUZZ_STEPS, FUZZ_CHAINS, 4, 4), dtype=complex)
+    for s, start in enumerate(np.split(starts, np.cumsum(restart.sum(axis=1))[:-1])):
         joint[restart[s]] = start
-        for k, stage in enumerate(stages):
-            chains = np.flatnonzero(kind[s] == k)
-            if chains.size:
-                joint[chains] = stage(joint[chains], param[s, chains], bath)
-        produced[s] = joint
-    return state_validity(produced.reshape(-1, 4, 4)[:applications])
+        joint = produced[s] = stages[kind[s]](joint, param[s], qubits[s + 2])
+    return state_validity(produced.reshape(-1, 4, 4))
 
 
 def _bell_state() -> np.ndarray:
@@ -303,8 +289,8 @@ def _bell_state() -> np.ndarray:
 
 
 def _oracle_equivalence(rng: np.random.Generator, seed: int) -> list[Row]:
-    gap = max_oracle_gap(1000, seed)
-    return [("max |battery_map - stage_map| over A and b of 1000 noisy configs", gap, ORACLE_TOL)]
+    label = f"max |battery_map - stage_map| over A and b of {ORACLE_CONFIGS} noisy configs"
+    return [(label, max_oracle_gap(seed), ORACLE_TOL)]
 
 
 def _classical_battery_first_cycle(rng: np.random.Generator, seed: int) -> list[Row]:
@@ -338,9 +324,9 @@ def _reset_preserves_battery(rng: np.random.Generator, seed: int) -> list[Row]:
 
 
 def _stage_validity_fuzz(rng: np.random.Generator, seed: int) -> list[Row]:
-    tr_err, min_eig = fuzz_stage_validity(2000, seed)
+    tr_err, min_eig = fuzz_stage_validity(seed)
     return [
-        (f"worst trace error of 2000 stages on {FUZZ_CHAINS} chains", tr_err, 1e-12),
+        (f"worst trace error of {FUZZ_STEPS * FUZZ_CHAINS} stages on {FUZZ_CHAINS} chains", tr_err, 1e-12),
         ("lowest-eigenvalue negativity max(0, -lambda_min)", max(0.0, -min_eig), 1e-10),
     ]
 

@@ -305,6 +305,13 @@ def test_a_stack_with_one_row_outside_the_ball_is_rejected():
     stack[7] = (0.5 + 1.1e-10, 0.0, 0.0)
     with pytest.raises(ValidationError, match="^relative_entropy_of_coherence: eigenvalue -1.100e-10 below"):
         relative_entropy_of_coherence(stack)
+    # ergotropy once returned total 0.6 for P = (0.6, 0, 0); the two record columns accept the same P
+    stack[7] = (0.5 + 0.9e-10, 0.0, 0.0)
+    ergotropy(stack)
+    stack[7] = (0.5 + 1.1e-10, 0.0, 0.0)
+    rule = r"eigenvalue -1\.100e-10 below the PSD tolerance -1e-10$"
+    with pytest.raises(ValidationError, match="^ergotropy: " + rule):
+        ergotropy(stack)
 
 
 def test_zero_probabilities_raise_no_warning():
@@ -410,9 +417,13 @@ TWO_MIXED = np.array([np.eye(4) / 4] * 2)  # two two-qubit states
         (lambda: correlator_sets(MIXED[None]), "correlator_sets"),
         (lambda: concurrence(MIXED), "concurrence"),
         (lambda: partial_trace(MIXED, "battery"), "partial_trace"),
+        (lambda: kron(np.ones(3), MIXED), "kron"),
+        (lambda: kron(MIXED, np.ones(3)), "kron"),
+        (lambda: partial_trace(np.ones(3), "battery"), "partial_trace"),
     ],
     ids=["dephase_battery-qubit", "reset_medium", "polarization_vector", "bloch_vectors",
-         "correlator_sets", "concurrence", "partial_trace"],
+         "correlator_sets", "concurrence", "partial_trace", "kron-left", "kron-right",
+         "partial_trace-not-square"],
 )
 def test_every_shape_error_names_its_function(call, name):
     with pytest.raises(DimensionError, match=rf"^{name}: "):

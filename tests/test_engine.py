@@ -532,6 +532,10 @@ class TestEngineConfig:
             ("battery_t2_per_cycle", dict(battery_t2_per_cycle=np.True_)),
             # populations in [0, 1] that do not sum to 1
             ("cold_populations", dict(cold_populations=(0.6, 0.6))),
+            # an int beyond the float range once escaped float() as an
+            # OverflowError; 10**5000 has no repr under the int-to-str limit
+            ("theta", dict(theta=10**400)),
+            ("battery_init", dict(battery_init=(0.0, -(10**5000), 0.0))),
         ],
     )
     def test_bad_numbers_rejected_naming_the_field(self, field, kwargs):

@@ -16,7 +16,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # Code lines of src/spinotto, counted by code_lines: a ratchet on the size of
 # the package. Lower it when the package shrinks; a change that needs more
 # lines must say why.
-SRC_CODE_LINES = 1104
+SRC_CODE_LINES = 1098
 
 
 # The widest line of src/spinotto. Without this cap, joining statements onto

@@ -444,14 +444,22 @@ def partial_transpose_battery(joint):
     return joint.reshape(joint.shape[:-2] + (2, 2, 2, 2)).swapaxes(-1, -3).reshape(joint.shape)
 
 
-def test_non_positive_stage_fails_the_fuzz(monkeypatch):
-    # a seeded fault: the battery partial transpose after every power stroke.
-    # It keeps hermiticity and trace, which is all the stages check, so the
-    # chains run on and the fuzz must report the eigenvalue floor
-    patch_everywhere(
-        monkeypatch, power_stroke, lambda joint, theta: partial_transpose_battery(power_stroke(joint, theta))
-    )
-    tr_err, min_eig = validate.fuzz_stage_validity(2000)
+@pytest.mark.parametrize(
+    "stage, fault",
+    [
+        (power_stroke, lambda joint, theta: partial_transpose_battery(power_stroke(joint, theta))),
+        (dephase_battery, lambda joint, f: partial_transpose_battery(dephase_battery(joint, f))),
+        # the partial transpose after a reset is no fault: fresh (x) rho_B^T is still a state
+        (reset_medium, lambda joint, fresh: 2 * reset_medium(joint, fresh) - joint),
+    ],
+    ids=["power_stroke", "dephase_battery", "reset_medium"],
+)
+def test_non_positive_stage_fails_the_fuzz(monkeypatch, stage, fault):
+    # a seeded fault in one stage kind: each keeps hermiticity and trace,
+    # which is all the stages check, but not positivity, so the chains run
+    # on and the fuzz must report the eigenvalue floor
+    patch_everywhere(monkeypatch, stage, fault)
+    tr_err, min_eig = validate.fuzz_stage_validity()
     assert tr_err < 1e-12 and min_eig < -0.1
     fuzz = next(c for c in run_all_checks() if c.name == "stage_validity_fuzz")
     assert not fuzz.passed
@@ -488,28 +496,10 @@ def test_a_raising_check_becomes_a_failed_row(monkeypatch, tmp_path, capsys):
     assert any(row.startswith("FAIL  stage_validity_fuzz") and "raised ValidationError" in row for row in rows)
 
 
-@pytest.mark.parametrize("count", [0, -3, True, 2.0, "5", None])
-def test_fuzz_and_oracle_gap_reject_a_count_that_is_not_a_positive_integer(count):
-    # a count below 1 once checked nothing and passed, and True counted as 1
-    with pytest.raises(ConfigError, match="applications must be a positive integer"):
-        validate.fuzz_stage_validity(count)
-    with pytest.raises(ConfigError, match="draws must be a positive integer"):
-        validate.max_oracle_gap(count)
-
-
-def test_fuzz_and_oracle_gap_reject_a_count_too_large_to_run():
-    # 2**70 applications once reached numpy, and 2**70 draws looped for ever
-    with pytest.raises(ConfigError, match=f"applications must be a positive integer up to {engine.MAX_COUNT}"):
-        validate.fuzz_stage_validity(2**70)
-    with pytest.raises(ConfigError, match=f"draws must be a positive integer up to {engine.MAX_COUNT}"):
-        validate.max_oracle_gap(2**70)
-
-
 class TestFuzz:
-    @staticmethod
-    def spy_on_fuzz(monkeypatch, n: int) -> dict:
-        """Run fuzz_stage_validity(n) with validate's stages, random_density
-        and state_validity wrapped; returns what each call was handed."""
+    def test_every_chain_takes_one_stage_per_step_and_every_kind_occurs(self, monkeypatch):
+        # each call records what it was handed: the stages their stack's
+        # length, random_density (dim, n) and state_validity its stack's shape
         seen = {"power_stroke": [], "reset_medium": [], "dephase_battery": [], "random_density": [],
                 "state_validity": []}
 
@@ -523,29 +513,19 @@ class TestFuzz:
             spy(stage.__name__, stage, lambda states, arg: len(states))
         spy("random_density", random_density, lambda rng, dim, rank=None, n=None: (dim, n))
         spy("state_validity", validate.state_validity, lambda rho: rho.shape)
-        seen["result"] = validate.fuzz_stage_validity(n)
-        return seen
+        tr_err, min_eig = validate.fuzz_stage_validity()
 
-    def test_every_chain_takes_one_stage_per_step_and_every_kind_occurs(self, monkeypatch):
-        seen = self.spy_on_fuzz(monkeypatch, 2000)
+        steps, chains = validate.FUZZ_STEPS, validate.FUZZ_CHAINS
         stage_calls = [seen[name] for name in ("power_stroke", "reset_medium", "dephase_battery")]
-        assert sum(map(sum, stage_calls)) == 125 * validate.FUZZ_CHAINS
         assert all(stage_calls)
-        assert max(len(calls) for calls in stage_calls) <= 125
-        # one draw of every restart state, at least one, then one of every qubit
-        (dim_starts, restarts), (dim_qubits, qubits) = seen["random_density"]
-        assert (dim_starts, dim_qubits) == (4, 2) and restarts >= 1
-        assert qubits == 2 * validate.FUZZ_CHAINS + sum(seen["reset_medium"])
-        assert seen["result"][0] <= 1e-12 and seen["result"][1] >= -1e-10
-
-    @pytest.mark.parametrize("n", [2000, 2001, 17])
-    def test_state_validity_judges_exactly_the_first_n_states_at_once(self, monkeypatch, n):
-        seen = self.spy_on_fuzz(monkeypatch, n)
-        assert seen["state_validity"] == [(n, 4, 4)]
-        steps = -(-n // validate.FUZZ_CHAINS)
-        assert sum(map(sum, (seen[s] for s in ("power_stroke", "reset_medium", "dephase_battery")))) == (
-            steps * validate.FUZZ_CHAINS
-        )
+        assert sum(map(len, stage_calls)) == steps
+        assert all(n == chains for calls in stage_calls for n in calls)
+        # one draw of the restart states, at least one, then one of every qubit
+        (dim_starts, restarts), qubits = seen["random_density"]
+        assert dim_starts == 4 and restarts >= 1
+        assert qubits == (2, (steps + 2) * chains)
+        assert seen["state_validity"] == [(2000, 4, 4)]
+        assert tr_err <= 1e-12 and min_eig >= -1e-10
 
 
 class TestStartVectors:
