@@ -424,6 +424,19 @@ class TestConfigBatch:
         with pytest.raises(ConfigError, match=re.escape("p_mx[1] must be a finite number, got True")):
             ConfigBatch(**dict(columns, p_mx=[0.1, True]))
 
+    @pytest.mark.parametrize(
+        "column, value, name",
+        [("theta", [0.1, 10**400], "theta[1]"), ("battery_init", [(0.0, 0.0, 0.0), (0.0, 0.0, -(10**5000))],
+                                                  "battery_init[1]")],
+        ids=["theta", "battery_init"],
+    )
+    def test_an_int_beyond_the_float_range_is_named_with_its_index(self, column, value, name):
+        # each entry of a list goes through _number, whose float() once let an OverflowError escape
+        columns = {f.name: getattr(ConfigBatch.of([EngineConfig()] * 2), f.name) for f in fields(ConfigBatch)}
+        rule = f"{name} must be a finite number, got int beyond the float range"
+        with pytest.raises(ConfigError, match=f"^{re.escape(rule)}$"):
+            ConfigBatch(**dict(columns, **{column: value}))
+
     def test_fields_are_engine_configs_in_order(self):
         # one field list: the batch holds the resolved compression angle in
         # place of theta_compression, and every other field under its own name

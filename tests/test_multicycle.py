@@ -528,6 +528,26 @@ class TestFuzz:
         assert tr_err <= 1e-12 and min_eig >= -1e-10
 
 
+def test_oracle_gap_draws_its_configs_one_block_at_a_time(monkeypatch):
+    sizes = []
+
+    def spy(rng, n, cycles):
+        sizes.append(n)
+        return random_noisy_configs(rng, n, cycles)
+
+    monkeypatch.setattr(validate, "random_noisy_configs", spy)
+    gap = validate.max_oracle_gap()
+    assert sizes == [MAP_BLOCK] * (validate.ORACLE_CONFIGS // MAP_BLOCK) + [validate.ORACLE_CONFIGS % MAP_BLOCK]
+    assert 0.0 <= gap <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("check", [validate.fuzz_stage_validity, validate.max_oracle_gap],
+                         ids=["fuzz_stage_validity", "max_oracle_gap"])
+def test_a_sampled_check_is_a_function_of_its_seed_alone(check):
+    # with no size option left, the seed fixes every draw: validate's rows are reproducible
+    assert check(5) == check(5) != check(6)
+
+
 class TestStartVectors:
     @staticmethod
     def start_draws() -> list[tuple[float, float, float]]:
