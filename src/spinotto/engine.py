@@ -27,9 +27,6 @@ from .diagnostics import concurrence
 from .linalg import VALIDATION_ATOL, DimensionError, ValidationError, kron, partial_trace, validate_density
 
 
-_IDENTITY4 = np.eye(4, dtype=complex)
-
-
 class ConfigError(ValidationError):
     """An engine configuration violates one of its invariants."""
 
@@ -361,8 +358,7 @@ def flip_flop_propagator(theta) -> np.ndarray:
     raises a ConfigError naming theta and the value.
     """
     cos, sin = _cos_sin(theta)
-    u = np.empty(cos.shape + (4, 4), dtype=complex)
-    u[...] = _IDENTITY4
+    u = np.broadcast_to(np.eye(4, dtype=complex), cos.shape + (4, 4)).copy()
     u[..., 1, 1] = u[..., 2, 2] = cos
     u[..., 1, 2] = u[..., 2, 1] = -1j * sin
     return u

@@ -77,10 +77,10 @@ def partial_trace(joint: np.ndarray, keep: str) -> np.ndarray:
 def clamp_spectrum(w: np.ndarray, caller: str) -> np.ndarray:
     """Zero out tiny negative eigenvalues; reject ones below the noise floor.
     caller names the function whose input w is the spectrum of; the message
-    of an error starts with that name."""
+    of an error starts with that name. A NaN is rejected too."""
     w = np.asarray(w, dtype=float)
-    lowest = float(w.min())
-    if lowest < PSD_CLAMP:
+    lowest = float(w.min())  # NaN if any eigenvalue is NaN
+    if not lowest >= PSD_CLAMP:
         raise ValidationError(f"{caller}: eigenvalue {lowest:.3e} below the PSD tolerance {PSD_CLAMP:.0e}")
     return np.maximum(w, 0.0)
 

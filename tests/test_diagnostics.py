@@ -314,6 +314,18 @@ def test_a_stack_with_one_row_outside_the_ball_is_rejected():
         ergotropy(stack)
 
 
+@pytest.mark.parametrize("diagnostic", [ergotropy, relative_entropy_of_coherence])
+@pytest.mark.parametrize("row", [(np.nan, 0.0, 0.0), (0.0, 0.0, np.nan)])
+def test_a_nan_bloch_vector_is_rejected(diagnostic, row):
+    # P = (nan, 0, 0) once gave an ergotropy total and a coherence of nan
+    stack = stack_draws()
+    stack[7] = row
+    rule = f"^{diagnostic.__name__}: eigenvalue nan below the PSD tolerance"
+    for p in (np.array(row), stack):
+        with pytest.raises(ValidationError, match=rule):
+            diagnostic(p)
+
+
 def test_zero_probabilities_raise_no_warning():
     # pure states have the eigenvalue 0 and z-polarized ones a dephased one: 0 ln 0 = 0, silently
     pure = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.5, 0.0, 0.0], [0.0, -0.5, 0.0]])

@@ -2,8 +2,11 @@
 
 import ast
 import inspect
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -11,7 +14,8 @@ import spinotto
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "spinotto"
 BENCH = SRC.parent.parent / "bench"
-# __init__.py holds the version and one name kept for the benchmark
+# __init__.py holds the BLAS thread setting, the version and one name kept
+# for the benchmark
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # Code lines of src/spinotto, counted by code_lines: a ratchet on the size of
 # the package. Lower it when the package shrinks; a change that needs more
@@ -152,3 +156,31 @@ def test_the_benchmarks_imports_resolve():
 
     assert EngineConfig is multicycle.EngineConfig
     assert all(inspect.ismodule(m) for m in (cli, multicycle, scenario, validate))
+
+
+def blas_threads_in_a_fresh_process(preset: str | None) -> tuple[str, int | None]:
+    """OPENBLAS_NUM_THREADS after `import spinotto`, in a new interpreter whose
+    environment sets it to preset (None: leaves it unset), and the number of
+    threads of that process after `import numpy` (None where /proc is absent)."""
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = (
+        "import os, spinotto, numpy; print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'), "
+        "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else '')"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    value, *threads = out.stdout.split()
+    return value, int(threads[0]) if threads else None
+
+
+def test_importing_spinotto_starts_openblas_with_one_thread():
+    value, threads = blas_threads_in_a_fresh_process(None)
+    assert value == "1"
+    assert threads in (1, None)  # no BLAS worker thread beside the main one
+
+
+def test_a_preset_openblas_thread_count_is_kept():
+    assert blas_threads_in_a_fresh_process("2")[0] == "2"

@@ -131,6 +131,13 @@ def test_clamp_spectrum():
         clamp_spectrum(np.array([-1e-6, 1.0]), "f")
 
 
+@pytest.mark.parametrize("w", [[np.nan, 0.5], [0.5, np.nan], [[0.5, 0.5], [0.5, np.nan]]])
+def test_clamp_spectrum_rejects_a_nan(w):
+    # a NaN compares False with everything, so `lowest < PSD_CLAMP` alone would let it through
+    with pytest.raises(ValidationError, match=r"^f: eigenvalue nan below the PSD tolerance -1e-10$"):
+        clamp_spectrum(np.array(w), "f")
+
+
 def test_validate_density():
     validate_density(np.eye(2) / 2, "f")
     with pytest.raises(ValidationError, match="^f: density operator trace"):
