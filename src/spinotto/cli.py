@@ -99,11 +99,11 @@ def _lay_out_traces(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
         file_axes, rows, values = s.axes, "cycle_index", None
     points = _points(file_axes)
     n = len(traces) // len(points)  # runs per file
-    csv = "csv" in s.output.formats
+    csv = "csv" in s.formats
     outputs, sweep_map = [], []
     for i, point in enumerate(points):
         records = [r for t in traces[i * n:(i + 1) * n] for r in t.records]
-        name = f"{s.output.prefix}_s{i:02d}.csv" if file_axes else f"{s.output.prefix}.csv"
+        name = f"{s.prefix}_s{i:02d}.csv" if file_axes else f"{s.prefix}.csv"
         if csv:
             row_values = [r.cycle_index for r in records] if values is None else values
             write_trace_csv(os.path.join(args.output_dir, name), rows, row_values, records)
@@ -115,13 +115,13 @@ def _lay_out_traces(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
 def _lay_out_compare(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
     result = compare_coherent_incoherent(*traces)  # the config and its p_mx = 0 twin
     outputs = []
-    if "csv" in s.output.formats:
+    if "csv" in s.formats:
         for tag, trace in (("coherent", result.coherent), ("incoherent", result.incoherent)):
-            name = f"{s.output.prefix}_{tag}.csv"
+            name = f"{s.prefix}_{tag}.csv"
             cycles = [r.cycle_index for r in trace.records]
             write_trace_csv(os.path.join(args.output_dir, name), "cycle_index", cycles, trace.records)
             outputs.append(name)
-        name = f"{s.output.prefix}_advantage.csv"
+        name = f"{s.prefix}_advantage.csv"
         rows = [
             (rc.cycle_index, rc.cycle_work, ri.cycle_work, math.nan if ratio is None else ratio)
             for rc, ri, ratio in zip(
@@ -153,8 +153,8 @@ def _lay_out_search(s: ScenarioFile, args, traces) -> tuple[list[str], dict]:
     best = max((i for i, peak in enumerate(peaks) if peak is not None), key=lambda i: peaks[i][0], default=None)
 
     outputs = []
-    if "csv" in s.output.formats:
-        name = f"{s.output.prefix}_grid.csv"
+    if "csv" in s.formats:
+        name = f"{s.prefix}_grid.csv"
         header = SEARCH_AXES + ("peak_ratio", "peak_cycle", "defined")
         write_grid_csv(os.path.join(args.output_dir, name), header, rows)
         outputs.append(name)
@@ -194,7 +194,7 @@ def _execute(s: ScenarioFile, args) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
     outputs, results = _LAYOUTS[s.kind](s, args, traces)  # parse_scenario accepts only these kinds
     summary = {"scenario": s.kind, "config": config_to_dict(s.engine), "outputs": outputs, "results": results}
-    _finish(args, s.output.prefix, summary, t0, "json" in s.output.formats)
+    _finish(args, s.prefix, summary, t0, "json" in s.formats)
     return 0
 
 

@@ -255,6 +255,8 @@ class ConfigBatch:
     @classmethod
     def of(cls, configs: Sequence[EngineConfig]) -> "ConfigBatch":
         """The batch of one or more configs, one row each, in order."""
+        if not configs:
+            raise ConfigError("ConfigBatch.of needs at least one config")
         return cls(*(np.array([getattr(c, f.name) for c in configs]) for f in fields(cls)))
 
     def configs(self) -> list[EngineConfig]:

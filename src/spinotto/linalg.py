@@ -77,9 +77,10 @@ def partial_trace(joint: np.ndarray, keep: str) -> np.ndarray:
 def clamp_spectrum(w: np.ndarray, caller: str) -> np.ndarray:
     """Zero out tiny negative eigenvalues; reject ones below the noise floor.
     caller names the function whose input w is the spectrum of; the message
-    of an error starts with that name. A NaN is rejected too."""
+    of an error starts with that name. A NaN is rejected too, and an empty
+    spectrum passes."""
     w = np.asarray(w, dtype=float)
-    lowest = float(w.min())  # NaN if any eigenvalue is NaN
+    lowest = float(w.min(initial=np.inf))  # NaN if any eigenvalue is NaN
     if not lowest >= PSD_CLAMP:
         raise ValidationError(f"{caller}: eigenvalue {lowest:.3e} below the PSD tolerance {PSD_CLAMP:.0e}")
     return np.maximum(w, 0.0)
@@ -101,17 +102,17 @@ def validate_density(rho: np.ndarray, caller: str) -> np.ndarray:
     stages are channels, so they keep their inputs positive, and concurrence
     and the fuzz's state_validity check positivity where they use it.
     Returns rho unchanged. caller names the function whose input rho is; the
-    message of an error starts with that name.
+    message of an error starts with that name. An empty stack is valid.
     """
     rho = as_complex(rho, caller)
     dim = rho.shape[-1]
     if dim not in (2, 4):
         raise DimensionError(f"{caller}: density operator must be 2x2 or 4x4, got {rho.shape}")
-    if not float(abs(rho - rho.conj().swapaxes(-1, -2)).max()) <= VALIDATION_ATOL:  # a NaN fails too
+    if not float(abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0)) <= VALIDATION_ATOL:  # a NaN fails too
         raise ValidationError(f"{caller}: density operator is not Hermitian")
     tr = rho.trace(axis1=-2, axis2=-1)
     trace_err = abs(tr - 1.0)
-    if trace_err.max() > VALIDATION_ATOL:
+    if trace_err.max(initial=0.0) > VALIDATION_ATOL:
         worst = complex(tr.flat[np.argmax(trace_err)])
         raise ValidationError(f"{caller}: density operator trace {worst:.12g} differs from 1")
     if dim == 2:

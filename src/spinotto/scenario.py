@@ -19,7 +19,11 @@ A scenario file has optional top-level keys followed by bracketed sections::
 
 Blank lines and full-line comments (starting with '#' or ';') are ignored.
 Parsing is strict: unknown sections, unknown keys, duplicate keys and
-malformed values are rejected with the offending line number.
+malformed values are rejected with the offending line number, and a section
+that the scenario does not accept, or that lacks what it needs, with the line
+of its header. Each value is read by Python's int() (cycles) or float(), and a
+battery_init or population value is the tuple of as many numbers as the
+field's row in engine's ConfigBatch holds.
 
 A parsed file is a base config plus named axes, each a config field and its
 values. The runs are the product of the axes, the last axis fastest, each
@@ -63,7 +67,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
-from .engine import MAX_COUNT, NOISE_FIELDS, SWEEPABLE_FIELDS, EngineConfig
+from .engine import _ROW_SHAPES, MAX_COUNT, NOISE_FIELDS, SWEEPABLE_FIELDS, EngineConfig
 
 FORMATS = ("csv", "json")
 
@@ -80,12 +84,6 @@ class ScenarioError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class OutputSpec:
-    prefix: str
-    formats: tuple[str, ...] = FORMATS
-
-
 # The grid axes of a search, in grid order.
 SEARCH_AXES = ("theta", "p_mx") + NOISE_FIELDS
 
@@ -94,7 +92,9 @@ SEARCH_AXES = ("theta", "p_mx") + NOISE_FIELDS
 class ScenarioFile:
     kind: str
     engine: EngineConfig
-    output: OutputSpec
+    # every output file name starts with prefix; formats are of FORMATS
+    prefix: str
+    formats: tuple[str, ...]
     # (field, values) of every axis, in product order; engine is the first point
     axes: tuple[tuple[str, tuple], ...] = ()
 
@@ -108,7 +108,7 @@ _SECTION_KEYS = {
     "engine": tuple(f.name for f in fields(EngineConfig) if f.name not in NOISE_FIELDS),
     "noise": NOISE_FIELDS,
     "sweep": SWEEPABLE_FIELDS,
-    "output": tuple(f.name for f in fields(OutputSpec)),
+    "output": ("prefix", "formats"),
     "search": SEARCH_AXES + ("max_cycles",),
 }
 _SECTIONS_BY_KIND = {
@@ -120,9 +120,12 @@ _SECTIONS_BY_KIND = {
 SCENARIO_KINDS = tuple(_SECTIONS_BY_KIND)
 
 
-def _parse_lines(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    """Split the raw text into {section: {key: (value, line_no)}}."""
+def _parse_lines(text: str) -> tuple[dict[str, dict[str, tuple[str, int]]], dict[str, int]]:
+    """Split the raw text into {section: {key: (value, line_no)}}, the
+    top-level keys under "", and {section: line_no of its header}, both in
+    file order."""
     table: dict[str, dict[str, tuple[str, int]]] = {"": {}}
+    headers: dict[str, int] = {}
     section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -138,6 +141,7 @@ def _parse_lines(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             if section in table:
                 raise ScenarioError(f"duplicate section [{section}]", lineno)
             table[section] = {}
+            headers[section] = lineno
             continue
         if "=" not in line:
             raise ScenarioError(f"expected 'key = value', got {line!r}", lineno)
@@ -154,24 +158,7 @@ def _parse_lines(text: str) -> dict[str, dict[str, tuple[str, int]]]:
         if key in table[section]:
             raise ScenarioError(f"duplicate key {key!r}", lineno)
         table[section][key] = (value, lineno)
-    return table
-
-
-def _to_float(value: str, lineno: int) -> float:
-    try:
-        x = float(value)
-    except ValueError:
-        raise ScenarioError(f"expected a number, got {value!r}", lineno) from None
-    if not math.isfinite(x):
-        raise ScenarioError(f"expected a finite number, got {value!r}", lineno)
-    return x
-
-
-def _to_int(value: str, lineno: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ScenarioError(f"expected an integer, got {value!r}", lineno) from None
+    return table, headers
 
 
 def _split(key: str, value: str, lineno: int, sep: str = ",") -> list[str]:
@@ -180,14 +167,6 @@ def _split(key: str, value: str, lineno: int, sep: str = ",") -> list[str]:
     if "" in parts:
         raise ScenarioError(f"{key}: empty entry in {value!r}", lineno)
     return parts
-
-
-def _to_floats(key: str, value: str, lineno: int, count: int) -> tuple[float, ...]:
-    """The count comma-separated numbers of one key."""
-    parts = _split(key, value, lineno)
-    if len(parts) != count:
-        raise ScenarioError(f"{key}: expected {count} comma-separated numbers, got {value!r}", lineno)
-    return tuple(_to_float(p, lineno) for p in parts)
 
 
 def _distinct(key: str, values: tuple, lineno: int) -> tuple:
@@ -199,19 +178,30 @@ def _distinct(key: str, values: tuple, lineno: int) -> tuple:
 
 
 def _to_value(key: str, value: str, lineno: int):
-    """The value of one [engine] or [noise] key, as EngineConfig takes it."""
-    if key in ("hot_populations", "cold_populations"):
-        return _to_floats(key, value, lineno, count=2)
-    if key == "battery_init":
-        return _to_floats(key, value, lineno, count=3)
-    if key == "cycles":
-        return _to_int(value, lineno)
-    return _to_float(value, lineno)
+    """One value of the EngineConfig field key, as the field takes it: for a
+    field of engine._ROW_SHAPES, the tuple of its n comma-separated numbers;
+    for cycles, Python's int() of the text; for any other field, its float(),
+    which must be finite."""
+    shape = _ROW_SHAPES.get(key, ())
+    parts = _split(key, value, lineno) if shape else [value]
+    if shape and len(parts) != shape[0]:
+        raise ScenarioError(f"{key}: expected {shape[0]} comma-separated numbers, got {value!r}", lineno)
+    read, expected = (int, "an integer") if key == "cycles" else (float, "a number")
+    numbers = []
+    for part in parts:
+        try:
+            x = read(part)
+        except ValueError:
+            raise ScenarioError(f"expected {expected}, got {part!r}", lineno) from None
+        if not -math.inf < x < math.inf:  # a NaN or an infinity; exact for an int of any size
+            raise ScenarioError(f"expected a finite number, got {part!r}", lineno)
+        numbers.append(x)
+    return tuple(numbers) if shape else numbers[0]
 
 
 def parse_scenario(text: str) -> ScenarioFile:
     """Parse and validate scenario text. Raises ScenarioError or ConfigError."""
-    table = _parse_lines(text)
+    table, headers = _parse_lines(text)
     top = table[""]
 
     version = top.get("schema_version", (SCHEMA_VERSION, 0))[0]
@@ -229,15 +219,10 @@ def parse_scenario(text: str) -> ScenarioFile:
             kind_line,
         )
 
-    allowed_sections = _SECTIONS_BY_KIND[kind]
-    for section in table:
-        if section and section not in allowed_sections:
-            first_line = min(line for _, line in table[section].values()) if table[section] else None
-            raise ScenarioError(
-                f"section [{section}] is not accepted by scenario {kind!r}", first_line
-            )
-
-    if kind == "search-advantage" and "search" not in table:
+    for section, header in headers.items():
+        if section not in _SECTIONS_BY_KIND[kind]:
+            raise ScenarioError(f"section [{section}] is not accepted by scenario {kind!r}", header)
+    if kind == "search-advantage" and "search" not in headers:
         raise ScenarioError("scenario 'search-advantage' requires a [search] section")
     # The axes the file states, {field: values}, in the order it states them,
     # and the run length a search sets with them.
@@ -245,9 +230,9 @@ def parse_scenario(text: str) -> ScenarioFile:
     entries, run_length = dict(table.get(section, {})), {}
     if section == "search":
         if "theta" not in entries or "p_mx" not in entries:
-            raise ScenarioError("section [search] requires 'theta' and 'p_mx' value lists")
+            raise ScenarioError("section [search] requires 'theta' and 'p_mx' value lists", headers["search"])
         value, line = entries.pop("max_cycles", ("10", None))
-        run_length = {"cycles": _to_int(value, line)}
+        run_length = {"cycles": _to_value("cycles", value, line)}
         if not 1 <= run_length["cycles"] <= MAX_COUNT:
             message = f"max_cycles must be a positive integer up to {MAX_COUNT}, got {run_length['cycles']}"
             raise ScenarioError(message, line)
@@ -263,7 +248,8 @@ def parse_scenario(text: str) -> ScenarioFile:
         message = "battery_init cannot be the last [sweep] axis, which gives a single-cycle sweep's rows"
         raise ScenarioError(message, entries["battery_init"][1])
     if kind == "single-cycle-sweep" and not axes:
-        raise ScenarioError("scenario 'single-cycle-sweep' requires a [sweep] section that names an axis")
+        message = "scenario 'single-cycle-sweep' requires a [sweep] section that names an axis"
+        raise ScenarioError(message, headers.get("sweep"))
     first_run = {name: values[0] for name, values in axes.items()} | run_length
 
     stated = {}
@@ -273,8 +259,9 @@ def parse_scenario(text: str) -> ScenarioFile:
         stated[key] = _to_value(key, value, lineno)
     engine = EngineConfig(**stated, **first_run)
 
-    if kind == "single-cycle-sweep" and engine.cycles != 1:
-        raise ScenarioError(f"scenario 'single-cycle-sweep' requires cycles = 1, got {engine.cycles}")
+    if kind == "single-cycle-sweep" and engine.cycles != 1:  # cycles is no axis here, so [engine] states it
+        message = f"scenario 'single-cycle-sweep' requires cycles = 1, got {engine.cycles}"
+        raise ScenarioError(message, table["engine"]["cycles"][1])
     if kind == "search-advantage":  # a noise axis that [search] omits holds the base config's value
         axes = {key: axes.get(key, (getattr(engine, key),)) for key in SEARCH_AXES}
     # No two sweepable fields share a rule, so every later value is checked
@@ -283,28 +270,19 @@ def parse_scenario(text: str) -> ScenarioFile:
         for value in values[1:]:
             replace(engine, **{name: value})
 
-    prefix = kind
-    formats = FORMATS
-    if "output" in table:
-        entries = table["output"]
-        if "prefix" in entries:
-            prefix, lineno = entries["prefix"]
-            if not prefix or prefix.startswith(".") or "/" in prefix or "\\" in prefix:
-                message = f"prefix must be a file name with no leading '.' and no path separator, got {prefix!r}"
-                raise ScenarioError(message, lineno)
-        if "formats" in entries:
-            value, lineno = entries["formats"]
-            formats = tuple(_split("formats", value, lineno))
-            bad = [f for f in formats if f not in FORMATS]
-            if bad:
-                raise ScenarioError(f"unknown output format {bad[0]!r}; expected csv and/or json", lineno)
+    # [output] defaults to the scenario's name as the prefix and every format
+    output = table.get("output", {})
+    prefix, lineno = output.get("prefix", (kind, None))
+    if not prefix or prefix.startswith(".") or "/" in prefix or "\\" in prefix or not prefix.isprintable():
+        message = f"prefix must be a file name with no leading '.' and no path separator, got {prefix!r}"
+        raise ScenarioError(message, lineno)
+    value, lineno = output.get("formats", (", ".join(FORMATS), None))
+    formats = tuple(_split("formats", value, lineno))
+    bad = [f for f in formats if f not in FORMATS]
+    if bad:
+        raise ScenarioError(f"unknown output format {bad[0]!r}; expected csv and/or json", lineno)
 
-    return ScenarioFile(
-        kind=kind,
-        engine=engine,
-        output=OutputSpec(prefix=prefix, formats=formats),
-        axes=tuple(axes.items()),
-    )
+    return ScenarioFile(kind=kind, engine=engine, prefix=prefix, formats=formats, axes=tuple(axes.items()))
 
 
 def load_scenario(path) -> ScenarioFile:

@@ -326,6 +326,20 @@ def test_a_nan_bloch_vector_is_rejected(diagnostic, row):
             diagnostic(p)
 
 
+@pytest.mark.parametrize("diagnostic, stack", [
+    (bloch_vectors, np.zeros((0, 2, 2))),
+    (ergotropy, np.zeros((0, 3))),
+    (relative_entropy_of_coherence, np.zeros((0, 3))),
+    (correlator_sets, np.zeros((0, 4, 4))),
+], ids=["bloch_vectors", "ergotropy", "relative_entropy_of_coherence", "correlator_sets"])
+def test_an_empty_stack_gives_an_empty_result(diagnostic, stack):
+    # a (0, ...) stack once raised numpy's bare "zero-size array to reduction
+    # operation" ValueError from validate_density or clamp_spectrum
+    result = diagnostic(stack)
+    parts = result if isinstance(result, tuple) else (result,)
+    assert [len(np.asarray(part)) for part in parts] == [0] * len(parts)
+
+
 def test_zero_probabilities_raise_no_warning():
     # pure states have the eigenvalue 0 and z-polarized ones a dephased one: 0 ln 0 = 0, silently
     pure = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.5, 0.0, 0.0], [0.0, -0.5, 0.0]])

@@ -169,6 +169,11 @@ class TestPowerStroke:
         joint = random_density(rng, 4)
         assert np.allclose(power_stroke(joint, 0.0), joint, atol=1e-15)
 
+    def test_an_empty_stack_is_returned_empty(self):
+        # validate_density once raised numpy's bare ValueError on a (0, 4, 4) stack
+        for theta in (np.zeros(0), 0.3):
+            assert power_stroke(np.zeros((0, 4, 4), dtype=complex), theta).shape == (0, 4, 4)
+
     def test_full_swap_transfers_one_quantum(self):
         joint = ket(1)  # medium excited (m=0), battery ground (b=1)
         before = mean_energy(partial_trace(joint, "battery"))
@@ -383,6 +388,11 @@ class TestConfigBatch:
         assert len(batch) == 2 and batch.cycles.dtype.kind == "i"
         assert batch.configs() == configs
         assert ConfigBatch.of([EngineConfig(theta=0.4)]).compression_theta.tolist() == [0.4]
+
+    def test_of_needs_a_config(self):
+        # an empty list once reported that hot_populations has shape (0,)
+        with pytest.raises(ConfigError, match=r"^ConfigBatch\.of needs at least one config$"):
+            ConfigBatch.of([])
 
     def test_draws_are_checked_configs(self):
         batch = random_noisy_configs(np.random.default_rng(3), 64, cycles=2)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinotto.engine import SWEEPABLE_FIELDS, ConfigError, EngineConfig
+from spinotto.engine import _ROW_SHAPES, SWEEPABLE_FIELDS, ConfigError, EngineConfig
 from spinotto import cli
 from spinotto.multicycle import compare_coherent_incoherent, run_engines
 from spinotto.output import write_json
@@ -34,7 +34,7 @@ def test_minimal_multicycle_file():
     assert s.engine.hot_populations == (0.485, 0.515)
     assert s.engine.cold_populations == (0.03, 0.97)
     assert (s.engine.battery_dephasing_per_reset, s.engine.battery_t2_per_cycle) == (1.0, 1.0)
-    assert s.output.formats == ("csv", "json")
+    assert s.formats == ("csv", "json")
 
 
 def test_unknown_key_rejected_with_line_number():
@@ -311,8 +311,8 @@ def test_output_section():
     s = parse_scenario(
         "scenario = compare\n[output]\nprefix = myrun\nformats = csv\n"
     )
-    assert s.output.prefix == "myrun"
-    assert s.output.formats == ("csv",)
+    assert s.prefix == "myrun"
+    assert s.formats == ("csv",)
     with pytest.raises(ScenarioError, match="format"):
         parse_scenario("scenario = compare\n[output]\nformats = yaml\n")
 
@@ -324,6 +324,56 @@ def test_unusable_prefix_rejected_naming_key_and_line(prefix):
     text = f"scenario = multicycle\n[output]\nprefix = {prefix}\n"
     with pytest.raises(ScenarioError, match="line 3: prefix must be a file name"):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize("prefix", ["a\x00b", "a\tb", "run\x1b", "a\u200bb"],
+                         ids=["nul", "tab", "escape", "zero-width-space"])
+def test_an_unprintable_prefix_is_rejected_naming_its_line(tmp_path, capsys, prefix):
+    # a NUL in the prefix once passed the parser, and writing the first file then
+    # raised "embedded null byte" past cli.main's handlers, after the engine had run
+    text = f"scenario = compare\n[engine]\ncycles = 2\n[output]\nprefix = {prefix}\n"
+    message = f"line 5: prefix must be a file name with no leading '.' and no path separator, got {prefix!r}"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(text)
+    scn = tmp_path / "run.scn"
+    scn.write_text(text, encoding="utf-8")
+    assert cli.main(["run", str(scn), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("scenario = compare\n[sweep]\n", "line 2: section [sweep] is not accepted by scenario 'compare'"),
+    # of two sections a scenario does not accept, the first in the file is named
+    ("scenario = compare\n[engine]\ntheta = 0.1\n[sweep]\n[search]\ntheta = 0.2\n",
+     "line 4: section [sweep] is not accepted by scenario 'compare'"),
+    ("scenario = compare\n[search]\n[sweep]\ntheta = 0.2\n",
+     "line 2: section [search] is not accepted by scenario 'compare'"),
+    ("scenario = search-advantage\n[engine]\np_mx = 0.1\n\n[search]\ntheta = 0.1, 0.2\n",
+     "line 5: section [search] requires 'theta' and 'p_mx' value lists"),
+    ("scenario = search-advantage\n[search]\n", "line 2: section [search] requires 'theta' and 'p_mx' value lists"),
+    ("scenario = single-cycle-sweep\n[engine]\ntheta = 0.1\n[sweep]\n",
+     "line 4: scenario 'single-cycle-sweep' requires a [sweep] section that names an axis"),
+    ("scenario = single-cycle-sweep\n[engine]\ncycles = 3\ntheta = 0.1\n[sweep]\np_mx = 0.1, 0.2\n",
+     "line 3: scenario 'single-cycle-sweep' requires cycles = 1, got 3"),
+], ids=["compare-empty-sweep", "first-of-two-sections", "first-of-two-reversed", "search-without-p_mx",
+        "empty-search", "empty-sweep", "cycles-line"])
+def test_a_section_rule_names_its_line(text, message):
+    # a section that is not accepted, or lacks what its scenario needs, is named
+    # by its header line; the cycle count of a single-cycle sweep by its own line
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize("key", sorted(_ROW_SHAPES))
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one-fewer", "one-more"])
+def test_a_row_field_takes_the_count_of_numbers_that_engine_gives_it(key, extra):
+    # the scenario parser holds no count of its own: engine's row shapes set it
+    (n,) = _ROW_SHAPES[key]
+    value = ", ".join(["0.25"] * (n + extra))
+    message = f"line 3: {key}: expected {n} comma-separated numbers, got {value!r}"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(f"scenario = multicycle\n[engine]\n{key} = {value}\n")
 
 
 def from_summary(data: dict) -> EngineConfig:
@@ -481,7 +531,7 @@ def test_the_base_config_is_the_first_run(name):
 def test_fig2_preset_axes():
     # p_mx times a classical or a quantum battery, each over the 65 angles k*(pi/2)/64
     fig2 = PRESETS["fig2"]()
-    assert (fig2.kind, fig2.output.prefix, fig2.engine.cycles) == ("single-cycle-sweep", "fig2", 1)
+    assert (fig2.kind, fig2.prefix, fig2.engine.cycles) == ("single-cycle-sweep", "fig2", 1)
     (p_mx, p_values), (battery, batteries), (theta, thetas) = fig2.axes
     assert (p_mx, p_values) == ("p_mx", (0.0, 0.5))
     assert (battery, batteries) == ("battery_init", ((0.0, 0.0, -0.5), (0.0, 0.5, 0.0)))
